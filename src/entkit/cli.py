@@ -73,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="resolution TSV (surface, qid, url) for subject entities")
     p.add_argument("--stage", default="0", help="stage label echoed in the report")
     p.add_argument("--out", help="report TSV path (default stdout)")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; cloze scoring runs "
+                        "in batches, so it has no effect")
     p.set_defaults(func=cmd_eval_lama)
 
     p = sub.add_parser("filter-uhn",
@@ -88,7 +90,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="probe depth for the name heuristic; 0 disables it")
     p.add_argument("--case-insensitive-match", action="store_true",
                    help="match probe answers case-insensitively")
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; cloze scoring runs "
+                        "in batches, so it has no effect")
     p.set_defaults(func=cmd_filter_uhn)
 
     p = sub.add_parser("link",
@@ -190,6 +194,8 @@ def _load_entity_side(wp, ent_path, align_path):
 
 
 def cmd_eval_lama(args) -> int:
+    if args.k < 1:
+        raise UsageError(f"entkit eval-lama: --k must be at least 1, got {args.k}")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
     answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
     ent = _load_entity_side(wp, args.ent_space, args.align)
@@ -212,17 +218,19 @@ def cmd_eval_lama(args) -> int:
         triples = dataset[rel]
         if not triples:
             continue
-
-        def grade(triple):
-            seq = lama_bench.render_question(triple, template, mode, ent, wp.vocab)
-            return lama_bench.answer_question(seq, scorer, answer_vocab)
-
-        rankings = _map_ordered(grade, triples, args.threads)
+        seqs = [
+            lama_bench.render_question(t, template, mode, ent, wp.vocab)
+            for t in triples
+        ]
+        # Only the top k of each ranking is kept: hits@k reads no further.
+        rankings = lama_bench.rank_answers(seqs, scorer, answer_vocab, args.k)
         by_relation[rel] = [
             (ranking, t.obj_surface) for ranking, t in zip(rankings, triples)
         ]
         if rejected.get(rel):
             logger.info("relation %s: %d rejected at load", rel, rejected[rel])
+    if not by_relation:
+        raise DataError(f"{args.data}: no questions to score")
 
     report = lama_bench.hits_at_k(by_relation, args.k)
     lines = [f"relation\tstage\thits@{args.k}\tquestions"]
@@ -234,15 +242,6 @@ def cmd_eval_lama(args) -> int:
     lines.append(f"ALL\t{args.stage}\t{report.overall:.6f}\t{total}")
     _write_lines(args.out, lines)
     return EXIT_OK
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def _write_dataset(dataset, out_dir: Path) -> None:
@@ -267,7 +266,6 @@ def cmd_filter_uhn(args) -> int:
         dataset, templates, scorer, answer_vocab,
         top_k=args.top_k,
         case_insensitive=args.case_insensitive_match,
-        threads=args.threads,
     )
     out = Path(args.out_dir)
     _write_dataset(dataset, out / "stage0")

@@ -11,7 +11,8 @@ subject surface), and a name probe that asks, for each whitespace part of the
 subject, whether the answer ranks in the top-k completions of
 ``"<part> is a common name in the following <noun>: [MASK]."``. Only
 relations whose template declares a probe noun are eligible for the second
-heuristic.
+heuristic. Questions are ranked in batches: one scorer call per block of
+questions, and one probe per distinct (part, noun) pair.
 """
 
 from __future__ import annotations
@@ -20,11 +21,20 @@ import json
 import logging
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary, is_entity_symbol
 from .errors import DataError
-from .text_input import InputMode, MentionSpan, TokenKind, TokenSequence, build_input
+from .text_input import (
+    MASK_WORD,
+    InputMode,
+    MentionSpan,
+    TokenKind,
+    TokenSequence,
+    build_input,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -44,6 +54,10 @@ DEFAULT_NAME_NOUN_BY_RELATION: dict[str, str] = {
 }
 
 PROBE_TEMPLATE = "[X] is a common name in the following {noun}: [MASK]."
+
+# Questions per scorer call: memory grows with the block times the answer
+# vocabulary, not with all questions times the vocabulary.
+RANK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -88,7 +102,8 @@ class RelationTemplate:
             )
 
 
-# Descending (symbol, probability) pairs over the answer vocabulary.
+# Descending (symbol, probability) pairs over the answer vocabulary or its
+# top k.
 RankedAnswers = list[tuple[str, float]]
 
 
@@ -119,22 +134,45 @@ def render_question(
     return build_input(" ".join(sentence_words), mentions, mode, entity_space, vocab)
 
 
+def rank_answers(
+    seqs: Sequence[TokenSequence],
+    scorer,
+    answer_vocab: Vocabulary,
+    k: int | None = None,
+) -> list[RankedAnswers]:
+    """Rank the answer vocabulary at the single mask position of each
+    question, keeping the best ``k`` answers (all of them when ``k`` is
+    None).
+
+    Only answer-vocabulary symbols are scored, ``RANK_BLOCK`` questions per
+    scorer call. Ties in probability break by ascending vocabulary id, so
+    rankings are fully deterministic.
+    """
+    for seq in seqs:
+        masks = sum(1 for t in seq.tokens if t.kind is TokenKind.MASK)
+        if masks != 1:
+            raise ValueError(f"question must contain exactly one mask, found {masks}")
+    if len(answer_vocab) == 0:
+        raise ValueError("empty answer vocabulary")
+    symbols = answer_vocab.symbols
+    out: list[RankedAnswers] = []
+    for start in range(0, len(seqs), RANK_BLOCK):
+        probs = scorer.score_answers(seqs[start : start + RANK_BLOCK], symbols)
+        order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+        top = np.take_along_axis(probs, order, axis=1)
+        out.extend(
+            [(symbols[i], p) for i, p in zip(ids, ps)]
+            for ids, ps in zip(order.tolist(), top.tolist())
+        )
+    return out
+
+
 def answer_question(
     seq: TokenSequence, scorer, answer_vocab: Vocabulary
 ) -> RankedAnswers:
-    """Rank the answer vocabulary at the single mask position.
-
-    Only answer-vocabulary symbols are scored. Ties in probability break by
-    ascending vocabulary id, so rankings are fully deterministic.
-    """
-    masks = sum(1 for t in seq.tokens if t.kind is TokenKind.MASK)
-    if masks != 1:
-        raise ValueError(f"question must contain exactly one mask, found {masks}")
-    if len(answer_vocab) == 0:
-        raise ValueError("empty answer vocabulary")
-    probs = scorer.score_answers(seq, answer_vocab.symbols)
-    order = sorted(range(len(answer_vocab)), key=lambda i: (-probs[i], i))
-    return [(answer_vocab.symbols[i], float(probs[i])) for i in order]
+    """Rank the whole answer vocabulary for one question (see
+    ``rank_answers``)."""
+    return rank_answers([seq], scorer, answer_vocab)[0]
 
 
 @dataclass
@@ -200,24 +238,45 @@ def person_name_filter(
         )
     if top_k <= 0:
         return False
-    probe = RelationTemplate(
-        relation=template.relation,
-        template=PROBE_TEMPLATE.format(noun=template.name_noun),
-        name_noun="none",
+    tops = _probe_tops(
+        triple.sub_surface.split(), template.name_noun, scorer, answer_vocab,
+        top_k, case_insensitive,
     )
-    gold = triple.obj_surface.lower() if case_insensitive else triple.obj_surface
-    for part in triple.sub_surface.split():
-        part_triple = KbTriple(
-            relation=triple.relation, sub_surface=part, obj_surface=triple.obj_surface
+    return _name_gives_answer(triple, tops, case_insensitive)
+
+
+def _probe_tops(
+    parts: Iterable[str],
+    noun: str,
+    scorer,
+    answer_vocab: Vocabulary,
+    top_k: int,
+    case_insensitive: bool,
+) -> dict[str, frozenset[str]]:
+    """The top ``top_k`` answers of the name probe for each distinct part,
+    lowercased when ``case_insensitive``; one probe per part."""
+    probe = RelationTemplate(noun, PROBE_TEMPLATE.format(noun=noun))
+    distinct = list(dict.fromkeys(parts))
+    # The probe renders in plain wordpiece mode; its answer slot is the mask.
+    seqs = [
+        render_question(
+            KbTriple(noun, part, MASK_WORD), probe, InputMode.BERT, None,
+            scorer.wp_vocab,
         )
-        seq = render_question(part_triple, probe, InputMode.BERT, None, scorer.wp_vocab)
-        ranking = answer_question(seq, scorer, answer_vocab)
-        top = [sym for sym, _ in ranking[:top_k]]
-        if case_insensitive:
-            top = [sym.lower() for sym in top]
-        if gold in top:
-            return True
-    return False
+        for part in distinct
+    ]
+    rankings = rank_answers(seqs, scorer, answer_vocab, top_k)
+    return {
+        part: frozenset(sym.lower() if case_insensitive else sym for sym, _ in ranking)
+        for part, ranking in zip(distinct, rankings)
+    }
+
+
+def _name_gives_answer(
+    triple: KbTriple, tops: Mapping[str, frozenset[str]], case_insensitive: bool
+) -> bool:
+    gold = triple.obj_surface.lower() if case_insensitive else triple.obj_surface
+    return any(gold in tops[part] for part in triple.sub_surface.split())
 
 
 Dataset = dict[str, list[KbTriple]]
@@ -245,39 +304,46 @@ def build_lama_uhn(
 
     Stage 1 applies the substring deletion to every relation. Stage 2
     additionally applies the name probe to relations whose template declares
-    a noun. Counts are monotone: stage 0 >= stage 1 >= stage 2 for every
-    relation.
+    a noun. Each distinct (part, noun) pair among the stage-1 subjects of the
+    eligible relations is probed once, and a question is deleted when any
+    part of its subject has the answer in its probe's top ``top_k``, exactly
+    as ``person_name_filter`` decides. Counts are monotone: stage 0 >= stage
+    1 >= stage 2 for every relation. ``threads`` is accepted for
+    compatibility and has no effect: the probes are scored in batches.
     """
-    stage1: Dataset = {}
-    stage2: Dataset = {}
-    stats: dict[str, tuple[int, int, int]] = {}
-    for rel, triples in dataset.items():
-        s1 = [t for t in triples if not string_match_filter(t)]
-        template = templates.get(rel)
-        if template is not None and template.name_noun != "none":
-            deletions = _map_ordered(
-                lambda t: person_name_filter(
-                    t, template, scorer, answer_vocab, top_k, case_insensitive
-                ),
-                s1,
-                threads,
-            )
-            s2 = [t for t, deleted in zip(s1, deletions) if not deleted]
-        else:
-            s2 = list(s1)
-        stage1[rel] = s1
-        stage2[rel] = s2
-        stats[rel] = (len(triples), len(s1), len(s2))
+    stage1 = {
+        rel: [t for t in triples if not string_match_filter(t)]
+        for rel, triples in dataset.items()
+    }
+    nouns: dict[str, str] = {}
+    if top_k > 0:
+        nouns = {
+            rel: templates[rel].name_noun
+            for rel in dataset
+            if rel in templates and templates[rel].name_noun != "none"
+        }
+    parts_by_noun: dict[str, list[str]] = {}
+    for rel, noun in nouns.items():
+        parts_by_noun.setdefault(noun, []).extend(
+            part for t in stage1[rel] for part in t.sub_surface.split()
+        )
+    tops = {
+        noun: _probe_tops(parts, noun, scorer, answer_vocab, top_k, case_insensitive)
+        for noun, parts in parts_by_noun.items()
+    }
+    stage2 = {
+        rel: [
+            t for t in s1
+            if not _name_gives_answer(t, tops[nouns[rel]], case_insensitive)
+        ]
+        if rel in nouns else list(s1)
+        for rel, s1 in stage1.items()
+    }
+    stats = {
+        rel: (len(triples), len(stage1[rel]), len(stage2[rel]))
+        for rel, triples in dataset.items()
+    }
     return UhnResult(stage1, stage2, stats)
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def load_templates(path) -> dict[str, RelationTemplate]:
@@ -342,6 +408,10 @@ def load_lama_dir(
                     raise DataError(
                         f"{file}: line {lineno}: missing sub_label/obj_label"
                     ) from None
+                if not (isinstance(sub, str) and isinstance(answer, str)):
+                    raise DataError(
+                        f"{file}: line {lineno}: sub_label and obj_label must be strings"
+                    )
                 if len(answer.split()) != 1 or (
                     answer_vocab is not None and answer not in answer_vocab
                 ):

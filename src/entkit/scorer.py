@@ -8,8 +8,10 @@ mean of the embedded sequence, and the head is a single affine map. That is
 enough to exercise every downstream contract without a trained network.
 
 Consumers duck-type against two members: ``wp_vocab`` (the wordpiece
-vocabulary used for tokenization) and ``score_answers(seq, symbols)``
-(probabilities over the given answer symbols).
+vocabulary used for tokenization) and ``score_answers(seqs, symbols)``,
+which takes a batch of Q single-mask sequences and returns a (Q, V) array
+whose row q holds the probabilities of the V answer symbols at the mask of
+``seqs[q]``. A row must not depend on the other sequences in the batch.
 """
 
 from __future__ import annotations
@@ -21,10 +23,17 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
-from .text_input import CONTROL_PIECES, Token, TokenKind, TokenSequence
+from .text_input import CONTROL_PIECES, UNK, TokenKind, TokenSequence
 
-UNK = "[UNK]"
 MASK_PIECE = "[MASK]"
+
+# Questions per head and logit product. Every product has exactly this many
+# questions (the last block of a batch is zero-padded), and the questions are
+# the columns of its right-hand operand, so BLAS tiles them uniformly and a
+# question's probabilities are bit-identical whatever batch it is scored in.
+# On OpenBLAS, a product whose shape follows the batch size, or that has the
+# questions as rows of its left-hand operand, changes the last bits of rows.
+ROW_BLOCK = 64
 
 
 def embed_sequence(
@@ -147,8 +156,9 @@ def score_candidates(h: np.ndarray, head: AffineHead, cands: Candidates) -> np.n
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
+    """Softmax along the last axis, with max subtraction per row."""
+    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    return z / z.sum(axis=-1, keepdims=True)
 
 
 @dataclass
@@ -195,6 +205,10 @@ class ReferenceScorer:
     wp: EmbeddingSpace
     ent: EmbeddingSpace | None = None
     head: AffineHead = None
+    # The answer matrix of the last symbol tuple scored: (symbols, E).
+    _answers: tuple[tuple[str, ...], np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         if self.head is None:
@@ -227,17 +241,40 @@ class ReferenceScorer:
             )
         return self.contextualize(self.embed(seq))[positions[0]]
 
-    def score_answers(self, seq: TokenSequence, symbols: Sequence[str]) -> np.ndarray:
-        """Probabilities over the given answer symbols at the mask position.
+    def score_answers(
+        self, seqs: Sequence[TokenSequence], symbols: Sequence[str]
+    ) -> np.ndarray:
+        """Probabilities over the answer symbols at the mask of each sequence.
 
-        Every answer symbol must exist in the wordpiece space; answer biases
-        are zero in the reference implementation.
+        Returns a ``(len(seqs), len(symbols))`` array. The mask states are
+        stacked into ``H`` and scored as ``softmax((H A^T + c) E^T)`` row by
+        row, where ``E`` holds the answer rows; the products are taken in
+        transposed form, ``E (A H^T + c)``, ``ROW_BLOCK`` questions at a
+        time. Every answer symbol must exist in the wordpiece space; answer
+        biases are zero in the reference implementation.
         """
-        h = self.mask_state(seq)
-        cands = []
-        for sym in symbols:
-            row = self.wp.row(sym)
-            if row is None:
-                raise DataError(f"answer symbol {sym!r} missing from wordpiece space")
-            cands.append((row.astype(np.float64), 0.0))
-        return score_candidates(h, self.head, cands)
+        e = self._answer_matrix(symbols)
+        n = len(seqs)
+        h = np.zeros((-(-n // ROW_BLOCK) * ROW_BLOCK, self.wp.dim))
+        for i, seq in enumerate(seqs):
+            h[i] = self.mask_state(seq)
+        probs = np.empty((n, len(symbols)))
+        for start in range(0, n, ROW_BLOCK):
+            u_t = self.head.a @ h[start : start + ROW_BLOCK].T + self.head.c[:, None]
+            logits = np.ascontiguousarray((e @ u_t).T)
+            probs[start : start + ROW_BLOCK] = _softmax(logits)[: n - start]
+        return probs
+
+    def _answer_matrix(self, symbols: Sequence[str]) -> np.ndarray:
+        key = tuple(symbols)
+        if self._answers is None or self._answers[0] != key:
+            if not key:
+                raise ValueError("no answer symbols to score")
+            missing = [s for s in key if s not in self.wp.vocab]
+            if missing:
+                raise DataError(
+                    f"answer symbol {missing[0]!r} missing from wordpiece space"
+                )
+            rows = [self.wp.vocab.index[s] for s in key]
+            self._answers = (key, self.wp.matrix[rows].astype(np.float64))
+        return self._answers[1]

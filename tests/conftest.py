@@ -118,7 +118,12 @@ class TableScorer:
         self.wp_vocab = vocab
         self.rank_table = rank_table
 
-    def score_answers(self, seq, symbols) -> np.ndarray:
+    def score_answers(self, seqs, symbols) -> np.ndarray:
+        return np.array(
+            [self._score_one(seq, symbols) for seq in seqs], dtype=np.float64
+        ).reshape(len(seqs), len(symbols))
+
+    def _score_one(self, seq, symbols) -> np.ndarray:
         order = None
         for text in seq.render():
             if text in self.rank_table:

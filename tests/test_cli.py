@@ -149,6 +149,52 @@ class TestEvalLama:
         assert code == 1
         assert "--align" in stderr
 
+    def test_k_below_one_exit_usage_before_loading(self, tmp_path, capsys):
+        # The data directory does not exist: --k must be rejected first.
+        code, _, stderr = run(
+            capsys, "eval-lama", "--data", str(tmp_path / "none"),
+            "--templates", TEMPLATES, "--wp-space", WP, "--k", "0",
+        )
+        assert_one_line_error(code, stderr, 1, "--k must be at least 1")
+
+    def test_no_questions_exit_data(self, tmp_path, capsys):
+        (tmp_path / "P103.jsonl").write_text(
+            '{"sub_label": "Jean Marais", "obj_label": "Klingon"}\n',
+            encoding="utf-8",
+        )
+        code, _, stderr = run(
+            capsys, "eval-lama", "--data", str(tmp_path), "--templates", TEMPLATES,
+            "--wp-space", WP, "--answer-vocab", ANSWERS,
+        )
+        assert_one_line_error(code, stderr, 2, "no questions to score")
+
+
+def assert_one_line_error(code, stderr, expected_code, text):
+    assert code == expected_code
+    assert "Traceback" not in stderr
+    assert len(stderr.splitlines()) == 1
+    assert text in stderr
+
+
+@pytest.mark.parametrize("command", ["eval-lama", "filter-uhn"])
+@pytest.mark.parametrize("field", ["sub_label", "obj_label"])
+def test_non_string_label_exit_data(tmp_path, capsys, command, field):
+    record = {"sub_label": "Jean Marais", "obj_label": "French"}
+    record[field] = 7
+    data = tmp_path / "lama"
+    data.mkdir()
+    (data / "P103.jsonl").write_text(
+        '{"sub_label": "Jean Marais", "obj_label": "French"}\n'
+        + json.dumps(record) + "\n",
+        encoding="utf-8",
+    )
+    extra = ["--out-dir", str(tmp_path / "uhn")] if command == "filter-uhn" else []
+    code, _, stderr = run(
+        capsys, command, "--data", str(data), "--templates", TEMPLATES,
+        "--wp-space", WP, "--answer-vocab", ANSWERS, *extra,
+    )
+    assert_one_line_error(code, stderr, 2, "P103.jsonl: line 2:")
+
 
 STATS_LINES = (
     "relation\tstage\tquestions\n"

@@ -357,6 +357,55 @@ class TestBuildLamaUhn:
         assert one.stage1 == four.stage1
         assert one.stage2 == four.stage2
 
+    def test_each_distinct_probe_scored_once(self):
+        dataset, templates, _, answers = random_uhn_fixture(seed=5)
+        # A second language relation shares the parts of R0, so the dedup
+        # must hold across relations with the same noun, not only within one.
+        templates = dict(templates)
+        templates["R4"] = RelationTemplate("R4", "[X] writes [MASK].", name_noun="language")
+        dataset = dict(dataset)
+        dataset["R4"] = [KbTriple("R4", t.sub_surface, t.obj_surface) for t in dataset["R0"]]
+        _, _, base, _ = random_uhn_fixture(seed=5)
+        nouns = ["language", "city", "country"]
+
+        class CountingScorer(TableScorer):
+            def __init__(self):
+                # The nouns are in the vocabulary so each probe renders apart.
+                super().__init__(Vocabulary(list(base.wp_vocab) + nouns), base.rank_table)
+                self.seen = []
+
+            def score_answers(self, seqs, symbols):
+                self.seen.extend(tuple(seq.render()) for seq in seqs)
+                return super().score_answers(seqs, symbols)
+
+        scorer = CountingScorer()
+        pairs = {
+            (part, templates[rel].name_noun)
+            for rel, triples in dataset.items()
+            if templates[rel].name_noun != "none"
+            for t in triples
+            if not string_match_filter(t)
+            for part in t.sub_surface.split()
+        }
+        expected = sorted(
+            tuple(render_question(
+                KbTriple("R", part, "x"),
+                RelationTemplate("R", PROBE_TEMPLATE.format(noun=noun)),
+                InputMode.BERT, None, scorer.wp_vocab,
+            ).render())
+            for part, noun in pairs
+        )
+        assert len(set(expected)) == len(pairs)
+        for _ in range(2):
+            scorer.seen = []
+            result = build_lama_uhn(dataset, templates, scorer, answers)
+            assert sorted(scorer.seen) == expected
+        for rel in ("R0", "R1", "R3", "R4"):
+            assert result.stage2[rel] == [
+                t for t in result.stage1[rel]
+                if not person_name_filter(t, templates[rel], scorer, answers)
+            ]
+
     def test_relation_without_template_gets_string_filter_only(self):
         dataset = {"RX": [KbTriple("RX", "alpha french", "french")]}
         result = build_lama_uhn(dataset, {}, PROBE_SCORER, ANSWERS)

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ent_space_with, wp_space_with
+from conftest import ent_space_with, make_space, wp_space_with
+from entkit.embeddings import SpaceKind, Vocabulary
 from entkit.errors import DataError
+from entkit.lama_bench import rank_answers
 from entkit.scorer import (
     AffineHead,
     ReferenceScorer,
@@ -289,7 +291,7 @@ class TestReferenceScorer:
     def test_score_answers_matches_direct_softmax(self):
         scorer = ReferenceScorer(WP)
         seq = seq_of(Token.wordpiece("the"), Token.mask(), Token.wordpiece("cat"))
-        probs = scorer.score_answers(seq, ["the", "cat", "sat"])
+        probs = scorer.score_answers([seq], ["the", "cat", "sat"])[0]
         h = scorer.mask_state(seq)
         logits = np.array(
             [WP.row(s).astype(np.float64) @ h for s in ["the", "cat", "sat"]]
@@ -301,8 +303,65 @@ class TestReferenceScorer:
         scorer = ReferenceScorer(WP)
         seq = seq_of(Token.mask(), Token.wordpiece("the"))
         with pytest.raises(DataError, match="missing from wordpiece space"):
-            scorer.score_answers(seq, ["the", "zzz"])
+            scorer.score_answers([seq], ["the", "zzz"])
 
     def test_head_dimension_checked(self):
         with pytest.raises(ValueError, match="head dimension"):
             ReferenceScorer(WP, head=AffineHead.identity(3))
+
+
+def random_cloze_world(seed, n_words=240, n_questions=150, dim=16):
+    """Standard-normal (not dyadic) spaces and head, plus single-mask
+    questions of random lengths, so any change in rounding shows."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    symbols = ["[MASK]", "[UNK]"] + words
+    wp = make_space(
+        symbols, rng.standard_normal((len(symbols), dim)), SpaceKind.WORDPIECE
+    )
+    head = AffineHead(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+    seqs = []
+    for _ in range(n_questions):
+        toks = [Token.wordpiece(words[i])
+                for i in rng.integers(0, n_words, int(rng.integers(1, 7)))]
+        toks.insert(int(rng.integers(0, len(toks) + 1)), Token.mask())
+        seqs.append(TokenSequence(tuple(toks)))
+    return ReferenceScorer(wp, head=head), seqs, words
+
+
+class TestBatchInvariance:
+    @pytest.mark.parametrize("n_answers", [203, 64])
+    def test_rows_bit_identical_across_batch_sizes(self, n_answers):
+        scorer, seqs, words = random_cloze_world(seed=n_answers)
+        answers = words[:n_answers]
+        full = scorer.score_answers(seqs, answers)
+        assert full.shape == (len(seqs), n_answers)
+        for i, seq in enumerate(seqs):
+            assert np.array_equal(scorer.score_answers([seq], answers)[0], full[i])
+        for start in range(0, len(seqs), 7):
+            block = scorer.score_answers(seqs[start : start + 7], answers)
+            assert np.array_equal(block, full[start : start + 7])
+
+    def test_empty_batch(self):
+        scorer, _, words = random_cloze_world(seed=1)
+        assert scorer.score_answers([], words[:5]).shape == (0, 5)
+
+    @pytest.mark.parametrize("k", [1, 3, 10, None])
+    def test_stable_top_k_matches_sorted_ranking_with_ties(self, k):
+        # Values from a small set plant exact ties in every row; the ranking
+        # must break them toward the lower vocabulary id.
+        rng = np.random.default_rng(5)
+        n_answers = 37
+        planted = rng.integers(0, 4, size=(300, n_answers)) / 7.0
+
+        class PlantedScorer:
+            def score_answers(self, seqs, symbols):
+                return planted[[int(seq.tokens[0].text) for seq in seqs]]
+
+        vocab = Vocabulary([f"a{i}" for i in range(n_answers)])
+        seqs = [TokenSequence((Token.wordpiece(str(q)), Token.mask()))
+                for q in range(len(planted))]
+        rankings = rank_answers(seqs, PlantedScorer(), vocab, k)
+        for p, ranking in zip(planted, rankings):
+            old = sorted(range(n_answers), key=lambda i: (-p[i], i))[:k]
+            assert ranking == [(vocab.symbols[i], float(p[i])) for i in old]
