@@ -22,7 +22,6 @@ from .embeddings import (
     SpaceKind,
     Vocabulary,
     load_space,
-    lookup,
     save_space,
     shared_vocabulary,
 )

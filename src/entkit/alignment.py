@@ -58,7 +58,6 @@ def fit_alignment(
     src: EmbeddingSpace,
     tgt: EmbeddingSpace,
     pairs: Sequence[SharedSymbol],
-    l2_normalize: bool = False,
 ) -> AlignmentMap:
     """Fit W = argmin sum ||W x - y||^2 over the given symbol pairs.
 
@@ -71,17 +70,11 @@ def fit_alignment(
     src : word-and-entity space providing the x vectors (via ``wiki_id``).
     tgt : wordpiece space providing the y vectors (via ``wp_id``).
     pairs : shared vocabulary as produced by ``shared_vocabulary``.
-    l2_normalize : optionally L2-normalize every x and y before fitting.
-        Off by default; vectors are used exactly as stored.
     """
     if not pairs:
         raise ValueError("cannot fit an alignment from zero shared symbols")
     x = src.matrix[[p.wiki_id for p in pairs]].astype(np.float64)
     y = tgt.matrix[[p.wp_id for p in pairs]].astype(np.float64)
-    if l2_normalize:
-        x = _unit_rows(x)
-        y = _unit_rows(y)
-
     wt, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
     w = wt.T
     rank_deficient = rank < src.dim
@@ -96,25 +89,15 @@ def fit_alignment(
     return AlignmentMap(w, len(pairs), residual, rank_deficient)
 
 
-def _unit_rows(m: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(m, axis=1, keepdims=True)
-    norms[norms == 0.0] = 1.0
-    return m / norms
-
-
 def alignment_objective(
     w: np.ndarray,
     src: EmbeddingSpace,
     tgt: EmbeddingSpace,
     pairs: Sequence[SharedSymbol],
-    l2_normalize: bool = False,
 ) -> float:
     """Summed squared error of an arbitrary map on the given pairs."""
     x = src.matrix[[p.wiki_id for p in pairs]].astype(np.float64)
     y = tgt.matrix[[p.wp_id for p in pairs]].astype(np.float64)
-    if l2_normalize:
-        x = _unit_rows(x)
-        y = _unit_rows(y)
     return float(np.sum((x @ np.asarray(w, dtype=np.float64).T - y) ** 2))
 
 
@@ -137,7 +120,7 @@ def derive_entity_space(amap: AlignmentMap, wiki: EmbeddingSpace) -> EmbeddingSp
     if wiki.kind is not SpaceKind.WORD_AND_ENTITY:
         raise ValueError("entity derivation needs a word-and-entity space")
     if wiki.dim != amap.d_src:
-        raise ValueError(
+        raise DataError(
             f"space dimension {wiki.dim} does not match alignment source "
             f"dimension {amap.d_src}"
         )

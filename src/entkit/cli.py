@@ -13,8 +13,6 @@ import logging
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import alignment, embeddings, entity_linking, lama_bench, wikidata_client
 from .errors import DataError
 from .scorer import AffineHead, ReferenceScorer
@@ -24,8 +22,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_ENDPOINT = 3
-
-logger = logging.getLogger("entkit")
 
 
 class UsageError(Exception):
@@ -41,9 +37,6 @@ class _Parser(argparse.ArgumentParser):
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="entkit", description=__doc__)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="reserved for randomized procedures; current "
-                             "commands are deterministic regardless")
     parser.add_argument("-v", "--verbose", action="count", default=0,
                         help="log progress to stderr (-vv for debug)")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -53,8 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--src", required=True, help="word-and-entity space (word2vec text)")
     p.add_argument("--tgt", required=True, help="wordpiece space (word2vec text)")
     p.add_argument("--out", required=True, help="alignment file to write")
-    p.add_argument("--l2-normalize", action="store_true",
-                   help="L2-normalize vectors before fitting (experimental)")
     p.set_defaults(func=cmd_align)
 
     p = sub.add_parser("eval-lama",
@@ -150,7 +141,7 @@ def cmd_align(args) -> int:
     src = embeddings.load_space(args.src, embeddings.SpaceKind.WORD_AND_ENTITY)
     tgt = embeddings.load_space(args.tgt, embeddings.SpaceKind.WORDPIECE)
     pairs = embeddings.shared_vocabulary(tgt, src)
-    amap = alignment.fit_alignment(src, tgt, pairs, l2_normalize=args.l2_normalize)
+    amap = alignment.fit_alignment(src, tgt, pairs)
     alignment.save_alignment(amap, args.out)
     _write_lines(None, [
         f"shared_count\t{amap.shared_count}",
@@ -167,13 +158,13 @@ def _load_answer_vocab(path: str | None, wp: embeddings.EmbeddingSpace):
         missing = [s for s in symbols if s not in wp.vocab]
         if missing:
             raise DataError(f"answer symbols missing from wordpiece space: {missing[:5]}")
-        return embeddings.Vocabulary(symbols)
-    symbols = [
-        s for s in wp.vocab.symbols
-        if not (s.startswith("[") and s.endswith("]")) and not s.startswith("##")
-    ]
+    else:
+        symbols = [
+            s for s in wp.vocab.symbols
+            if not (s.startswith("[") and s.endswith("]")) and not s.startswith("##")
+        ]
     if not symbols:
-        raise DataError("wordpiece space leaves no usable answer symbols")
+        raise DataError(f"{path or 'wordpiece space'}: no usable answer symbols")
     return embeddings.Vocabulary(symbols)
 
 
@@ -203,7 +194,7 @@ def cmd_eval_lama(args) -> int:
     if mode is not InputMode.BERT and ent is None:
         raise UsageError(f"--mode {mode.value} requires --ent-space and --align")
 
-    dataset, rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
+    dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
     templates = lama_bench.load_templates(args.templates)
     if args.resolutions:
         mapping = wikidata_client.load_resolution_map(args.resolutions)
@@ -227,8 +218,6 @@ def cmd_eval_lama(args) -> int:
         by_relation[rel] = [
             (ranking, t.obj_surface) for ranking, t in zip(rankings, triples)
         ]
-        if rejected.get(rel):
-            logger.info("relation %s: %d rejected at load", rel, rejected[rel])
     if not by_relation:
         raise DataError(f"{args.data}: no questions to score")
 
@@ -281,6 +270,9 @@ def cmd_filter_uhn(args) -> int:
 
 
 def cmd_link(args) -> int:
+    for flag, value in (("--iterations", args.iterations), ("--max-span", args.max_span)):
+        if value < 1:
+            raise UsageError(f"entkit link: {flag} must be at least 1, got {value}")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
     ent = _load_entity_side(wp, args.ent_space, args.align)
     table = entity_linking.load_candidate_table(args.table, args.max_span)
@@ -311,6 +303,8 @@ def cmd_link(args) -> int:
             )
             examples.extend(ex)
             dropped += nd
+        if not examples:
+            raise DataError(f"{args.docs}: no candidate spans to train on")
         losses = entity_linking.train_linker(
             examples, head, eps, scorer, ent, epochs=args.epochs, step=args.step
         )
@@ -393,29 +387,20 @@ def cmd_resolve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_USAGE
-    level = logging.WARNING - 10 * min(args.verbose, 2)
-    logging.basicConfig(level=level, stream=sys.stderr, format="%(message)s")
-    np.random.seed(args.seed)
-    try:
+        args = build_parser().parse_args(argv)
+        level = logging.WARNING - 10 * min(args.verbose, 2)
+        logging.basicConfig(level=level, stream=sys.stderr, format="%(message)s")
         return args.func(args)
     except UsageError as exc:
         print(exc, file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
+    except (DataError, UnicodeDecodeError, OSError) as exc:
         print(f"entkit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except wikidata_client.TransportError as exc:
         print(f"entkit: endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
-    except OSError as exc:
-        print(f"entkit: data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
 
 
 if __name__ == "__main__":

@@ -30,21 +30,8 @@ class SpaceKind(Enum):
     WORD_AND_ENTITY = "word_and_entity"
 
 
-class SymbolClass(Enum):
-    WORD = "word"
-    ENTITY = "entity"
-    WORDPIECE = "wordpiece"
-
-
 def is_entity_symbol(symbol: str) -> bool:
     return symbol.startswith(ENTITY_PREFIX)
-
-
-def symbol_class(symbol: str, kind: SpaceKind) -> SymbolClass:
-    """Classify a symbol within a space of the given kind."""
-    if kind is SpaceKind.WORDPIECE:
-        return SymbolClass.WORDPIECE
-    return SymbolClass.ENTITY if is_entity_symbol(symbol) else SymbolClass.WORD
 
 
 class Vocabulary:
@@ -106,14 +93,6 @@ class EmbeddingSpace:
 
     def entity_symbols(self) -> list[str]:
         return [s for s in self.vocab.symbols if is_entity_symbol(s)]
-
-    def word_symbols(self) -> list[str]:
-        return [s for s in self.vocab.symbols if not is_entity_symbol(s)]
-
-
-def lookup(space: EmbeddingSpace, symbol: str) -> np.ndarray | None:
-    """Return the embedding row for ``symbol``, or None when absent."""
-    return space.row(symbol)
 
 
 def load_space(path, kind: SpaceKind) -> EmbeddingSpace:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from math import log
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -248,16 +248,23 @@ def entity_distribution(
     """
     if not candidates:
         raise ValueError("no candidates to score")
-    cands: list[tuple[np.ndarray, float]] = []
+    cands = _candidate_rows(candidates, ent_space) + [(eps.e, eps.b)]
+    return score_candidates(h, head, cands)
+
+
+def _candidate_rows(
+    candidates: Sequence[Candidate], ent_space: EmbeddingSpace
+) -> list[tuple[np.ndarray, float]]:
+    """(entity row as float64, log prior) for each candidate, in order."""
+    rows: list[tuple[np.ndarray, float]] = []
     for c in candidates:
         if not c.prior > 0.0:
             raise ValueError(f"prior for {c.entity!r} must be positive")
         row = ent_space.row(c.entity)
         if row is None:
             raise DataError(f"entity {c.entity!r} missing from entity space")
-        cands.append((row.astype(np.float64), log(c.prior)))
-    cands.append((eps.e, eps.b))
-    return score_candidates(h, head, cands)
+        rows.append((row.astype(np.float64), log(c.prior)))
+    return rows
 
 
 @dataclass(frozen=True)
@@ -312,20 +319,13 @@ def train_linker(
     if not examples:
         raise ValueError("no training examples")
     states = [scorer.mask_state(ex.seq) for ex in examples]
-    fixed: list[list[tuple[np.ndarray, float]]] = []
-    gold_idx: list[int] = []
-    for ex in examples:
-        cands = []
-        for c in ex.candidates:
-            row = ent_space.row(c.entity)
-            if row is None:
-                raise DataError(f"entity {c.entity!r} missing from entity space")
-            cands.append((row.astype(np.float64), log(c.prior)))
-        fixed.append(cands)
-        if ex.gold is None:
-            gold_idx.append(len(cands))  # the null entity, appended last
-        else:
-            gold_idx.append([c.entity for c in ex.candidates].index(ex.gold))
+    fixed = [_candidate_rows(ex.candidates, ent_space) for ex in examples]
+    # A null-entity gold indexes past the candidates, where it is appended.
+    gold_idx = [
+        len(ex.candidates) if ex.gold is None
+        else [c.entity for c in ex.candidates].index(ex.gold)
+        for ex in examples
+    ]
 
     losses: list[float] = []
     for _ in range(epochs):

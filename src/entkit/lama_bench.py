@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -167,14 +167,6 @@ def rank_answers(
     return out
 
 
-def answer_question(
-    seq: TokenSequence, scorer, answer_vocab: Vocabulary
-) -> RankedAnswers:
-    """Rank the whole answer vocabulary for one question (see
-    ``rank_answers``)."""
-    return rank_answers([seq], scorer, answer_vocab)[0]
-
-
 @dataclass
 class HitsReport:
     per_relation: dict[str, float]
@@ -298,7 +290,6 @@ def build_lama_uhn(
     answer_vocab: Vocabulary,
     top_k: int = 3,
     case_insensitive: bool = False,
-    threads: int = 1,
 ) -> UhnResult:
     """Apply the substring filter, then the name probe where eligible.
 
@@ -308,8 +299,7 @@ def build_lama_uhn(
     eligible relations is probed once, and a question is deleted when any
     part of its subject has the answer in its probe's top ``top_k``, exactly
     as ``person_name_filter`` decides. Counts are monotone: stage 0 >= stage
-    1 >= stage 2 for every relation. ``threads`` is accepted for
-    compatibility and has no effect: the probes are scored in batches.
+    1 >= stage 2 for every relation.
     """
     stage1 = {
         rel: [t for t in triples if not string_match_filter(t)]

@@ -9,14 +9,12 @@ mention becomes a Mask token.
 
 from __future__ import annotations
 
-import json
 import string
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .embeddings import ENTITY_PREFIX, EmbeddingSpace, Vocabulary, is_entity_symbol
-from .errors import DataError
 
 UNK = "[UNK]"
 MASK_WORD = "[MASK]"
@@ -81,9 +79,7 @@ class Token:
 
     def render(self) -> str:
         """Human-readable text form, used in reports and tests."""
-        if self.kind is TokenKind.WORDPIECE:
-            return self.text
-        if self.kind is TokenKind.ENTITY:
+        if self.kind in (TokenKind.WORDPIECE, TokenKind.ENTITY):
             return self.text
         if self.kind is TokenKind.MASK:
             return "[MASK]"
@@ -95,9 +91,6 @@ class Token:
 @dataclass(frozen=True)
 class TokenSequence:
     tokens: tuple[Token, ...]
-    # Optional map from token index to the (start, end) whitespace-word span
-    # it came from; purely informational.
-    provenance: Mapping[int, tuple[int, int]] | None = None
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -130,18 +123,23 @@ class InputMode(Enum):
 
 
 def wordpiece_tokenize(text: str, vocab: Vocabulary) -> list[str]:
-    """Greedy longest-match-first wordpiece tokenization.
+    """The pieces of ``wordpiece_tokens`` for the whitespace words of ``text``."""
+    return [t.text for t in wordpiece_tokens(text.split(), vocab)]
 
-    Words are whitespace tokens; within a word not present in the vocabulary,
-    each punctuation character is split off as its own unit first. Pieces
-    after the first carry the ``##`` continuation prefix. A word (or unit)
-    with no decomposition becomes a single ``[UNK]``.
+
+def wordpiece_tokens(words: Iterable[str], vocab: Vocabulary) -> list[Token]:
+    """Greedy longest-match-first wordpiece tokenization of whitespace words.
+
+    Within a word not present in the vocabulary, each punctuation character
+    is split off as its own unit first. Pieces after the first carry the
+    ``##`` continuation prefix. A word (or unit) with no decomposition
+    becomes a single ``[UNK]``.
     """
-    pieces: list[str] = []
-    for word in text.split():
+    out: list[Token] = []
+    for word in words:
         for unit in _punct_units(word, vocab):
-            pieces.extend(_wordpiece_word(unit, vocab))
-    return pieces
+            out.extend(Token.wordpiece(p) for p in _wordpiece_word(unit, vocab))
+    return out
 
 
 def _punct_units(word: str, vocab: Vocabulary) -> list[str]:
@@ -185,30 +183,6 @@ def _wordpiece_word(word: str, vocab: Vocabulary) -> list[str]:
     return pieces if pieces else [UNK]
 
 
-def _check_mentions(mentions: Sequence[MentionSpan], n_words: int, words: list[str]):
-    ordered = sorted(mentions, key=lambda m: m.start)
-    prev_end = 0
-    for m in ordered:
-        if m.end > n_words:
-            raise ValueError(
-                f"mention [{m.start}, {m.end}) exceeds sentence length {n_words}"
-            )
-        if m.start < prev_end:
-            raise ValueError("mentions overlap")
-        if MASK_WORD in words[m.start : m.end]:
-            raise ValueError("a mention span may not cover the [MASK] word")
-        prev_end = m.end
-    return ordered
-
-
-def _resolvable(mention: MentionSpan, entity_space: EmbeddingSpace | None) -> bool:
-    return (
-        mention.entity_id is not None
-        and entity_space is not None
-        and mention.entity_id in entity_space.vocab
-    )
-
-
 def build_input(
     sentence: str,
     mentions: Sequence[MentionSpan],
@@ -224,46 +198,9 @@ def build_input(
     stands in for the surface. Unresolvable mentions fall back to plain
     wordpieces individually.
     """
-    words = sentence.split()
-    ordered = _check_mentions(mentions, len(words), words)
-    by_start = {m.start: m for m in ordered}
-
-    tokens: list[Token] = [Token.control("CLS")]
-    i = 0
-    while i < len(words):
-        m = by_start.get(i)
-        if m is not None:
-            surface_words = words[m.start : m.end]
-            if mode is not InputMode.BERT and _resolvable(m, entity_space):
-                tokens.append(Token.entity(m.entity_id))
-                if mode is InputMode.CONCAT:
-                    tokens.append(Token.control("slash"))
-                    _extend_wordpieces(tokens, surface_words, vocab)
-            else:
-                _extend_wordpieces(tokens, surface_words, vocab)
-            i = m.end
-        else:
-            word = words[i]
-            if word == MASK_WORD:
-                tokens.append(Token.mask())
-            else:
-                _extend_wordpieces(tokens, [word], vocab)
-            i += 1
-    tokens.append(Token.control("SEP"))
-    return TokenSequence(tuple(tokens))
-
-
-def wordpiece_tokens(words: Iterable[str], vocab: Vocabulary) -> list[Token]:
-    """Tokenize whitespace words into wordpiece Tokens."""
-    out: list[Token] = []
-    for word in words:
-        for unit in _punct_units(word, vocab):
-            out.extend(Token.wordpiece(p) for p in _wordpiece_word(unit, vocab))
-    return out
-
-
-def _extend_wordpieces(tokens: list[Token], words: Iterable[str], vocab: Vocabulary):
-    tokens.extend(wordpiece_tokens(words, vocab))
+    return _framed_input(
+        sentence, [(m, None) for m in mentions], mode, entity_space, vocab
+    )
 
 
 def build_rc_input(
@@ -282,37 +219,63 @@ def build_rc_input(
     """
     if (subject.start, subject.end) == (object_.start, object_.end):
         raise ValueError("subject and object spans are identical")
-    words = sentence.split()
-    marked = sorted(
-        [(subject, "hash"), (object_, "dollar")], key=lambda t: t[0].start
+    return _framed_input(
+        sentence, [(subject, "hash"), (object_, "dollar")], mode, entity_space, vocab
     )
-    _check_mentions([m for m, _ in marked], len(words), words)
-    by_start = {m.start: (m, marker) for m, marker in marked}
+
+
+def _framed_input(
+    sentence: str,
+    marked: Sequence[tuple[MentionSpan, str | None]],
+    mode: InputMode,
+    entity_space: EmbeddingSpace | None,
+    vocab: Vocabulary,
+) -> TokenSequence:
+    """The input loop behind both builders: each mention is rendered per
+    ``mode`` and, when it carries a marker control, wrapped in a pair of it.
+    A mention is resolvable when ``entity_space`` holds its entity id."""
+    words = sentence.split()
+    by_start: dict[int, tuple[MentionSpan, str | None]] = {}
+    prev_end = 0
+    for m, marker in sorted(marked, key=lambda t: t[0].start):
+        if m.end > len(words):
+            raise ValueError(
+                f"mention [{m.start}, {m.end}) exceeds sentence length {len(words)}"
+            )
+        if m.start < prev_end:
+            raise ValueError("mentions overlap")
+        if MASK_WORD in words[m.start : m.end]:
+            raise ValueError("a mention span may not cover the [MASK] word")
+        by_start[m.start] = (m, marker)
+        prev_end = m.end
 
     tokens: list[Token] = [Token.control("CLS")]
     i = 0
     while i < len(words):
         entry = by_start.get(i)
-        if entry is not None:
-            m, marker = entry
-            tokens.append(Token.control(marker))
-            surface_words = words[m.start : m.end]
-            if mode is not InputMode.BERT and _resolvable(m, entity_space):
-                tokens.append(Token.entity(m.entity_id))
-                if mode is InputMode.CONCAT:
-                    tokens.append(Token.control("slash"))
-                    _extend_wordpieces(tokens, surface_words, vocab)
-            else:
-                _extend_wordpieces(tokens, surface_words, vocab)
-            tokens.append(Token.control(marker))
-            i = m.end
-        else:
+        if entry is None:
             word = words[i]
             if word == MASK_WORD:
                 tokens.append(Token.mask())
             else:
-                _extend_wordpieces(tokens, [word], vocab)
+                tokens.extend(wordpiece_tokens([word], vocab))
             i += 1
+            continue
+        m, marker = entry
+        if marker is not None:
+            tokens.append(Token.control(marker))
+        surface_words = words[m.start : m.end]
+        if (mode is not InputMode.BERT and entity_space is not None
+                and m.entity_id in entity_space.vocab):
+            tokens.append(Token.entity(m.entity_id))
+            if mode is InputMode.CONCAT:
+                tokens.append(Token.control("slash"))
+                tokens.extend(wordpiece_tokens(surface_words, vocab))
+        else:
+            tokens.extend(wordpiece_tokens(surface_words, vocab))
+        if marker is not None:
+            tokens.append(Token.control(marker))
+        i = m.end
     tokens.append(Token.control("SEP"))
     return TokenSequence(tuple(tokens))
 
@@ -350,35 +313,3 @@ def _chunk(seg: list[int], limit: int) -> list[list[int]]:
         if dist < best_dist:
             best_b, best_dist = b, dist
     return _chunk(seg[:best_b], limit) + _chunk(seg[best_b:], limit)
-
-
-def load_mention_sentences(path) -> list[tuple[str, list[MentionSpan]]]:
-    """Load sentence/mention JSON-lines: {"text", "mentions": [{start, end, entity?}]}."""
-    out: list[tuple[str, list[MentionSpan]]] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise DataError(f"{path}: line {lineno}: invalid JSON") from None
-            if "text" not in obj:
-                raise DataError(f"{path}: line {lineno}: missing 'text'")
-            words = obj["text"].split()
-            mentions = []
-            for m in obj.get("mentions", []):
-                try:
-                    span = MentionSpan(
-                        int(m["start"]),
-                        int(m["end"]),
-                        " ".join(words[int(m["start"]) : int(m["end"])]),
-                        m.get("entity"),
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DataError(
-                        f"{path}: line {lineno}: bad mention ({exc})"
-                    ) from None
-                mentions.append(span)
-            out.append((obj["text"], mentions))
-    return out

@@ -10,19 +10,21 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import re
 import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 from urllib.parse import quote, unquote, urlparse
-
-import requests
 
 from .embeddings import ENTITY_PREFIX
 from .errors import DataError
+
+if TYPE_CHECKING:
+    import requests
 
 logger = logging.getLogger(__name__)
 
@@ -81,7 +83,11 @@ class HttpTransport:
 
     At most ``rate_per_sec`` requests per second are issued (a shared lock
     makes this safe across threads). Failed requests retry up to ``retries``
-    times with exponential backoff before raising TransportError.
+    times with exponential backoff before raising TransportError. A client
+    error (4xx) raises at once, except 429, which is retried after the
+    ``Retry-After`` seconds when the response gives them. ``requests`` is
+    imported only when a transport is made, so offline commands never load
+    it.
     """
 
     def __init__(
@@ -93,6 +99,8 @@ class HttpTransport:
         timeout: float = 30.0,
         session: requests.Session | None = None,
     ):
+        import requests
+
         self.endpoint = endpoint
         self.min_interval = 1.0 / rate_per_sec if rate_per_sec > 0 else 0.0
         self.retries = retries
@@ -111,9 +119,12 @@ class HttpTransport:
             self._last_request = time.monotonic()
 
     def query(self, sparql: str) -> dict:
+        import requests
+
         last_error: Exception | None = None
         for attempt in range(self.retries):
             self._throttle()
+            wait = self.backoff * (2**attempt)
             try:
                 resp = self.session.get(
                     self.endpoint,
@@ -123,11 +134,30 @@ class HttpTransport:
                 )
                 resp.raise_for_status()
                 return resp.json()
+            except requests.HTTPError as exc:
+                status = exc.response.status_code if exc.response is not None else 0
+                if status == 429:
+                    wait = _retry_after(exc.response, wait)
+                elif 400 <= status < 500:
+                    raise TransportError(
+                        f"endpoint {self.endpoint} failed: {exc}"
+                    ) from None
+                last_error = exc
             except (requests.RequestException, ValueError) as exc:
                 last_error = exc
-                if attempt + 1 < self.retries:
-                    time.sleep(self.backoff * (2**attempt))
+            if attempt + 1 < self.retries:
+                time.sleep(wait)
         raise TransportError(f"endpoint {self.endpoint} failed: {last_error}")
+
+
+def _retry_after(resp, default: float) -> float:
+    """Seconds to wait from a ``Retry-After`` header given in seconds, else
+    ``default``."""
+    try:
+        seconds = float(resp.headers["Retry-After"])
+    except (KeyError, TypeError, ValueError):
+        return default
+    return seconds if 0.0 <= seconds < math.inf else default
 
 
 class FixtureTransport:

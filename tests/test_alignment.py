@@ -88,25 +88,6 @@ class TestFit:
         assert any("minimum-norm" in r.message for r in caplog.records)
         np.testing.assert_allclose(amap.w, (np.linalg.pinv(x) @ y).T, atol=1e-8)
 
-    def test_l2_normalize_equals_fitting_unit_rows(self):
-        rng = np.random.default_rng(2)
-        x = rng.standard_normal((20, 4)) * rng.uniform(0.1, 10, size=(20, 1))
-        y = rng.standard_normal((20, 4)) * rng.uniform(0.1, 10, size=(20, 1))
-        words = [f"w{i}" for i in range(20)]
-        wiki = make_space(words, x, SpaceKind.WORD_AND_ENTITY)
-        wp = make_space(words, y, SpaceKind.WORDPIECE)
-        pairs = shared_vocabulary(wp, wiki)
-        amap = fit_alignment(wiki, wp, pairs, l2_normalize=True)
-
-        def unit(m):
-            return m / np.linalg.norm(m, axis=1, keepdims=True)
-
-        xu, yu = unit(x), unit(y)
-        np.testing.assert_allclose(amap.w, normal_equations(xu, yu), atol=1e-8)
-        assert amap.residual == pytest.approx(
-            float(np.sum((xu @ amap.w.T - yu) ** 2)), abs=1e-10
-        )
-
     def test_zero_pairs_rejected(self):
         wiki, wp, _ = paired_spaces(0, 4, 4, 5)
         with pytest.raises(ValueError, match="zero shared symbols"):

@@ -1,10 +1,17 @@
 """End-to-end command-line behavior against the shipped toy fixtures."""
 
+import contextlib
+import io
 import json
+import shutil
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import FIXTURES
 from entkit.cli import main
@@ -167,6 +174,22 @@ class TestEvalLama:
             "--wp-space", WP, "--answer-vocab", ANSWERS,
         )
         assert_one_line_error(code, stderr, 2, "no questions to score")
+
+    def test_alignment_source_dimension_mismatch_exit_data(self, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys, *EVAL_BASE, "--ent-space", WIKI,
+            "--align", seven_column_alignment(tmp_path), "--mode", "concat",
+        )
+        assert_one_line_error(code, stderr, 2, "alignment source dimension 7")
+
+
+def seven_column_alignment(tmp_path) -> str:
+    """An 8 x 7 map, whose source dimension does not match the 8-column
+    fixture spaces."""
+    path = tmp_path / "align7.tsv"
+    rows = ["0.0 " * 6 + "0.0"] * 8
+    path.write_text("8 7 0.0 8\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    return str(path)
 
 
 def assert_one_line_error(code, stderr, expected_code, text):
@@ -342,6 +365,23 @@ class TestLink:
         assert code == 2
         assert "missing from entity space" in stderr
 
+    def test_iterations_below_one_exit_usage_before_loading(self, tmp_path, capsys):
+        # The documents file does not exist: --iterations must be rejected first.
+        code, _, stderr = run(
+            capsys, "link", "--docs", str(tmp_path / "none.jsonl"),
+            "--table", EL_TABLE, "--wp-space", WP, "--ent-space", WIKI,
+            "--align", str(tmp_path / "none.tsv"), "--eval",
+            "--out-dir", str(tmp_path / "o"), "--iterations", "0",
+        )
+        assert_one_line_error(code, stderr, 1, "--iterations must be at least 1")
+
+    def test_alignment_source_dimension_mismatch_exit_data(self, tmp_path, capsys):
+        code, _, stderr = run(
+            capsys,
+            *link_args(seven_column_alignment(tmp_path), tmp_path / "o", "--eval"),
+        )
+        assert_one_line_error(code, stderr, 2, "alignment source dimension 7")
+
     def test_train_and_eval_mutually_exclusive(self, tmp_path, capsys):
         align = fit_alignment_file(tmp_path, capsys)
         code, _, stderr = run(
@@ -439,3 +479,121 @@ class TestEntryPoint:
         code, _, stderr = run(capsys, "frobnicate")
         assert code == 1
         assert "invalid choice" in stderr
+
+    def test_import_does_not_load_requests(self):
+        # Only a live endpoint needs HTTP; every other command skips the import.
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, entkit.cli; print('requests' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == "False\n"
+
+
+# Commands the fuzzer runs, with the fixture files each reads and the numeric
+# flags it takes. "{F}" is a private copy of fixtures/ holding a fitted
+# alignment as align.tsv, and "{O}" is a scratch output directory.
+FUZZ_COMMANDS = {
+    "align": (
+        ["align", "--src", "{F}/wiki.txt", "--tgt", "{F}/wordpieces.txt",
+         "--out", "{O}/align.tsv"],
+        ["wiki.txt", "wordpieces.txt"],
+        [],
+    ),
+    "eval-lama": (
+        ["eval-lama", "--data", "{F}/lama", "--templates", "{F}/templates.json",
+         "--wp-space", "{F}/wordpieces.txt", "--ent-space", "{F}/wiki.txt",
+         "--align", "{F}/align.tsv", "--mode", "concat",
+         "--answer-vocab", "{F}/answers.txt", "--resolutions", "{F}/resolutions.tsv",
+         "--out", "{O}/report.tsv"],
+        ["lama/P103.jsonl", "lama/P176.jsonl", "templates.json", "wordpieces.txt",
+         "wiki.txt", "align.tsv", "answers.txt", "resolutions.tsv"],
+        ["--k"],
+    ),
+    "filter-uhn": (
+        ["filter-uhn", "--data", "{F}/lama", "--templates", "{F}/templates.json",
+         "--wp-space", "{F}/wordpieces.txt", "--answer-vocab", "{F}/answers.txt",
+         "--out-dir", "{O}/uhn"],
+        ["lama/P103.jsonl", "templates.json", "wordpieces.txt", "answers.txt"],
+        ["--top-k"],
+    ),
+    "link": (
+        ["link", "--docs", "{F}/el/docs.jsonl", "--table", "{F}/el/table.tsv",
+         "--redirects", "{F}/el/redirects.tsv", "--wp-space", "{F}/wordpieces.txt",
+         "--ent-space", "{F}/wiki.txt", "--align", "{F}/align.tsv",
+         "--out-dir", "{O}/link", "--eps-bias=-2.0"],
+        ["el/docs.jsonl", "el/table.tsv", "el/redirects.tsv", "wordpieces.txt",
+         "wiki.txt", "align.tsv"],
+        ["--iterations", "--max-span", "--epochs"],
+    ),
+    "resolve": (
+        ["resolve", "--surfaces", "{F}/wikidata/surfaces.txt",
+         "--fixture", "{F}/wikidata/fixture.json", "--cache", "{O}/cache.tsv",
+         "--out", "{O}/resolved.tsv"],
+        ["wikidata/surfaces.txt", "wikidata/fixture.json"],
+        ["--rate"],
+    ),
+}
+
+FLAG_VALUES = st.one_of(
+    st.integers(-2, 9).map(str),
+    st.floats(-2.0, 9.0, allow_nan=False).map(repr),
+)
+
+
+@pytest.fixture(scope="module")
+def pristine_fixtures(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz") / "fixtures"
+    shutil.copytree(FIXTURES, root)
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(["align", "--src", str(root / "wiki.txt"),
+                     "--tgt", str(root / "wordpieces.txt"),
+                     "--out", str(root / "align.tsv")])
+    assert code == 0
+    return root
+
+
+@st.composite
+def fuzz_cases(draw):
+    name = draw(st.sampled_from(sorted(FUZZ_COMMANDS)))
+    argv, files, flags = FUZZ_COMMANDS[name]
+    if name == "link":
+        argv = argv + [draw(st.sampled_from(["--eval", "--train"]))]
+    for flag in flags:
+        if draw(st.booleans()):
+            argv = argv + [flag, draw(FLAG_VALUES)]
+    damage = draw(st.one_of(
+        st.none(),
+        st.tuples(st.sampled_from(files), st.just("truncate"), st.floats(0.0, 1.0)),
+        st.tuples(st.sampled_from(files), st.integers(0, 255), st.floats(0.0, 1.0)),
+    ))
+    return argv, damage
+
+
+def damage_file(path: Path, how, where: float) -> None:
+    data = path.read_bytes()
+    at = min(int(where * len(data)), len(data) - 1)
+    if how == "truncate":
+        path.write_bytes(data[:at])
+    else:
+        path.write_bytes(data[:at] + bytes([how]) + data[at + 1 :])
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=fuzz_cases())
+def test_fuzzed_flags_and_files_keep_the_exit_code_contract(pristine_fixtures, case):
+    argv, damage = case
+    with tempfile.TemporaryDirectory() as tmp:
+        fixtures = Path(tmp) / "fixtures"
+        shutil.copytree(pristine_fixtures, fixtures)
+        if damage is not None:
+            name, how, where = damage
+            damage_file(fixtures / name, how, where)
+        argv = [a.replace("{F}", str(fixtures)).replace("{O}", str(Path(tmp) / "out"))
+                for a in argv]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    assert "Traceback" not in stderr.getvalue()

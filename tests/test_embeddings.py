@@ -9,14 +9,11 @@ from conftest import make_space
 from entkit.embeddings import (
     EmbeddingSpace,
     SpaceKind,
-    SymbolClass,
     Vocabulary,
     is_entity_symbol,
     load_space,
-    lookup,
     save_space,
     shared_vocabulary,
-    symbol_class,
 )
 from entkit.errors import DataError
 
@@ -152,11 +149,6 @@ class TestVocabularyAndClasses:
         assert not is_entity_symbol("Jean_Marais")
         assert not is_entity_symbol("entity/x")
 
-    def test_symbol_class_by_kind(self):
-        assert symbol_class("ENTITY/X", SpaceKind.WORD_AND_ENTITY) is SymbolClass.ENTITY
-        assert symbol_class("word", SpaceKind.WORD_AND_ENTITY) is SymbolClass.WORD
-        assert symbol_class("##ing", SpaceKind.WORDPIECE) is SymbolClass.WORDPIECE
-
     def test_space_shape_validation(self):
         with pytest.raises(ValueError, match="does not match"):
             EmbeddingSpace(Vocabulary(["a"]), 3, np.zeros((1, 2)), SpaceKind.WORDPIECE)
@@ -171,14 +163,12 @@ class TestVocabularyAndClasses:
         space = make_space(["a", "b"], [[1, 2], [3, 4]], SpaceKind.WORDPIECE)
         np.testing.assert_array_equal(space.row("b"), [3, 4])
         assert space.row("missing") is None
-        np.testing.assert_array_equal(lookup(space, "a"), [1, 2])
 
     def test_symbol_partition(self):
         space = make_space(
             ["a", "ENTITY/X", "b"], np.zeros((3, 2)), SpaceKind.WORD_AND_ENTITY
         )
         assert space.entity_symbols() == ["ENTITY/X"]
-        assert space.word_symbols() == ["a", "b"]
 
 
 class TestSharedVocabulary:

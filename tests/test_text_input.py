@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from conftest import ent_space_with, wp_space_with
 from entkit.embeddings import Vocabulary
-from entkit.errors import DataError
 from entkit.text_input import (
     InputMode,
     MentionSpan,
@@ -16,7 +15,6 @@ from entkit.text_input import (
     build_input,
     build_rc_input,
     chunk_document,
-    load_mention_sentences,
     wordpiece_tokenize,
     wordpiece_tokens,
 )
@@ -334,34 +332,3 @@ class TestChunkDocument:
         assert [s for chunk in chunks for s in chunk] == sizes
         assert all(sum(chunk) <= limit for chunk in chunks)
         assert all(chunk for chunk in chunks)
-
-
-class TestLoadMentionSentences:
-    def test_happy_path(self, tmp_path):
-        f = tmp_path / "m.jsonl"
-        f.write_text(
-            '{"text": "Jean Marais sat", "mentions": '
-            '[{"start": 0, "end": 2, "entity": "ENTITY/Jean_Marais"}]}\n'
-            '{"text": "the cat"}\n',
-            encoding="utf-8",
-        )
-        loaded = load_mention_sentences(f)
-        assert loaded[0][0] == "Jean Marais sat"
-        assert loaded[0][1] == [
-            MentionSpan(0, 2, "Jean Marais", "ENTITY/Jean_Marais")
-        ]
-        assert loaded[1] == ("the cat", [])
-
-    def test_errors(self, tmp_path):
-        f = tmp_path / "m.jsonl"
-        f.write_text("not json\n", encoding="utf-8")
-        with pytest.raises(DataError, match="line 1: invalid JSON"):
-            load_mention_sentences(f)
-        f.write_text('{"mentions": []}\n', encoding="utf-8")
-        with pytest.raises(DataError, match="missing 'text'"):
-            load_mention_sentences(f)
-        f.write_text(
-            '{"text": "a b", "mentions": [{"start": 1}]}\n', encoding="utf-8"
-        )
-        with pytest.raises(DataError, match="bad mention"):
-            load_mention_sentences(f)

@@ -270,6 +270,88 @@ class TestHttpTransport:
         assert len(session.calls) == 3
 
 
+class StatusSession:
+    """Stands in for requests.Session: answers each request with the next
+    (status code, headers) pair, raising ``requests.HTTPError`` from
+    ``raise_for_status`` on codes of 400 and up."""
+
+    def __init__(self, *answers):
+        self.answers = list(answers)
+        self.calls = 0
+
+    def get(self, url, params=None, headers=None, timeout=None):
+        import requests
+
+        status, resp_headers = self.answers[self.calls]
+        self.calls += 1
+
+        class Resp:
+            status_code = status
+            headers = resp_headers
+
+            def raise_for_status(self):
+                if self.status_code >= 400:
+                    raise requests.HTTPError(f"{self.status_code} error", response=self)
+
+            def json(self):
+                return {"results": {"bindings": []}}
+
+        return Resp()
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Record the backoff sleeps of the HTTP transport instead of sleeping."""
+    import entkit.wikidata_client as wikidata_client
+
+    slept = []
+    monkeypatch.setattr(wikidata_client.time, "sleep", slept.append)
+    return slept
+
+
+def status_transport(session):
+    return HttpTransport(
+        "http://example.test/sparql", rate_per_sec=0.0, retries=3,
+        backoff=5.0, session=session,
+    )
+
+
+class TestHttpStatus:
+    @pytest.mark.parametrize("status", [400, 403, 404])
+    def test_client_error_fails_at_once(self, sleeps, status):
+        session = StatusSession((status, {}), (200, {}))
+        with pytest.raises(TransportError, match=str(status)):
+            status_transport(session).query("SELECT 1")
+        assert session.calls == 1
+        assert sleeps == []
+
+    def test_too_many_requests_waits_for_retry_after(self, sleeps):
+        session = StatusSession((429, {"Retry-After": "2"}), (200, {}))
+        assert status_transport(session).query("SELECT 1") == {
+            "results": {"bindings": []}
+        }
+        assert session.calls == 2
+        assert sleeps == [2.0]
+
+    def test_too_many_requests_without_header_backs_off(self, sleeps):
+        session = StatusSession((429, {}), (429, {"Retry-After": "soon"}), (200, {}))
+        status_transport(session).query("SELECT 1")
+        assert sleeps == [5.0, 10.0]
+
+    def test_too_many_requests_stays_within_retry_budget(self, sleeps):
+        session = StatusSession(*[(429, {"Retry-After": "1"})] * 3)
+        with pytest.raises(TransportError, match="429"):
+            status_transport(session).query("SELECT 1")
+        assert session.calls == 3
+        assert sleeps == [1.0, 1.0]
+
+    def test_server_error_is_retried_with_backoff(self, sleeps):
+        session = StatusSession((503, {"Retry-After": "1"}), (200, {}))
+        status_transport(session).query("SELECT 1")
+        assert session.calls == 2
+        assert sleeps == [5.0]
+
+
 class TestUrlSymbolMapping:
     def test_percent_decoding(self):
         assert (
