@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import sys
 from pathlib import Path
 
@@ -110,7 +111,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standard-mask", action="store_true",
                    help="use a plain mask instead of the candidate-mean mask")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1)
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; linking rescores "
+                        "in batches, so it has no effect")
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("resolve",
@@ -245,6 +248,8 @@ def _write_dataset(dataset, out_dir: Path) -> None:
 
 
 def cmd_filter_uhn(args) -> int:
+    if args.top_k < 0:
+        raise UsageError(f"entkit filter-uhn: --top-k must be at least 0, got {args.top_k}")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
     answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
     dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
@@ -273,6 +278,11 @@ def cmd_link(args) -> int:
     for flag, value in (("--iterations", args.iterations), ("--max-span", args.max_span)):
         if value < 1:
             raise UsageError(f"entkit link: {flag} must be at least 1, got {value}")
+    if args.epochs < 0:
+        raise UsageError(f"entkit link: --epochs must be at least 0, got {args.epochs}")
+    for flag, value in (("--step", args.step), ("--eps-bias", args.eps_bias)):
+        if not math.isfinite(value):
+            raise UsageError(f"entkit link: {flag} must be finite, got {value}")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
     ent = _load_entity_side(wp, args.ent_space, args.align)
     table = entity_linking.load_candidate_table(args.table, args.max_span)
@@ -299,7 +309,7 @@ def cmd_link(args) -> int:
         dropped = 0
         for doc in docs:
             ex, nd = entity_linking.build_training_examples(
-                doc, table.spans, wp.vocab, args.max_span, use_emask
+                doc, table.spans, args.max_span, use_emask
             )
             examples.extend(ex)
             dropped += nd
@@ -321,7 +331,7 @@ def cmd_link(args) -> int:
         spans = entity_linking.generate_candidates(doc.tokens, table.spans, args.max_span)
         spans, steps = entity_linking.iterative_refine(
             doc.tokens, spans, scorer, head, eps,
-            iterations=args.iterations, use_emask=use_emask, threads=args.threads,
+            iterations=args.iterations, use_emask=use_emask,
         )
         decoded = sorted(
             (s.start, s.end, s.entity)

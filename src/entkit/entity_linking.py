@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import json
 import logging
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from math import log
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -23,7 +25,14 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary, is_entity_symbol
 from .errors import DataError
-from .scorer import AffineHead, HeadGradients, head_gradients, score_candidates
+from .scorer import (
+    AffineHead,
+    HeadGradients,
+    _leave_one_out,
+    _token_row,
+    head_gradients,
+    score_candidates,
+)
 from .text_input import Token, TokenSequence, wordpiece_tokens
 from .wikidata_client import url_to_entity_symbol
 
@@ -194,42 +203,127 @@ def build_el_input(
     The entity mask averages the span's candidates; with ``use_emask`` off a
     standard mask is used instead (ablation). Spans already decoded render
     as their entity token in place of their surface. Context words are
-    tokenized literally.
+    tokenized literally. ``span_mask_states`` takes the mask states of
+    these inputs for many spans at once.
     """
-    decoded = decoded or {}
-    starts = {s: (e, ent) for (s, e), ent in decoded.items()}
+    left, mask, right = _el_layout(
+        len(tokens), span, _by_start(decoded or {}), use_emask
+    )
+    seq: list[Token] = []
+    for part in left + [mask] + right:
+        if isinstance(part, range):
+            seq.extend(wordpiece_tokens(tokens[part.start : part.stop], vocab))
+        else:
+            seq.append(part)
+    return TokenSequence(tuple(seq))
 
-    def context(lo: int, hi: int) -> list[Token]:
-        out: list[Token] = []
-        i = lo
-        while i < hi:
-            hit = starts.get(i)
-            if hit is not None and hit[0] <= hi:
-                out.append(Token.entity(hit[1]))
-                i = hit[0]
-            else:
-                out.extend(wordpiece_tokens([tokens[i]], vocab))
-                i += 1
-        return out
 
-    if span.end > len(tokens):
+def _by_start(decoded: Mapping[tuple[int, int], str]) -> list[tuple[int, int, str]]:
+    """Decoded spans as sorted (start, end, entity); of two that share a
+    start, the later one in ``decoded`` wins."""
+    ends = {s: (e, ent) for (s, e), ent in decoded.items()}
+    return sorted((s, e, ent) for s, (e, ent) in ends.items())
+
+
+# One part of a linking input: a Token, or a range of document words whose
+# wordpieces are rendered literally.
+_Part = Token | range
+
+
+def _el_layout(
+    n_words: int, span: CandidateSpan, decoded: list[tuple[int, int, str]],
+    use_emask: bool,
+) -> tuple[list[_Part], Token, list[_Part]]:
+    """The linking input of ``span`` as (parts before the mask, the mask,
+    parts after it); ``build_el_input`` describes the order."""
+    if span.end > n_words:
         raise ValueError(f"span [{span.start}, {span.end}) exceeds document length")
     mask = (
         Token.emask([c.entity for c in span.candidates])
         if use_emask
         else Token.mask()
     )
-    middle: list[Token] = [mask, Token.control("slash")]
-    middle.extend(wordpiece_tokens(tokens[span.start : span.end], vocab))
-    middle.append(Token.control("star"))
-    seq = (
-        [Token.control("CLS")]
-        + context(0, span.start)
-        + middle
-        + context(span.end, len(tokens))
-        + [Token.control("SEP")]
-    )
-    return TokenSequence(tuple(seq))
+    left = [Token.control("CLS")] + _context(0, span.start, decoded)
+    right = [Token.control("slash"), range(span.start, span.end), Token.control("star")]
+    right += _context(span.end, n_words, decoded)
+    right.append(Token.control("SEP"))
+    return left, mask, right
+
+
+def _context(lo: int, hi: int, decoded: list[tuple[int, int, str]]) -> list[_Part]:
+    """Words ``lo..hi-1``, where a decoded span that starts in the range and
+    ends within it renders as its entity; every other word is literal."""
+    out: list[_Part] = []
+    i = lo
+    for s, e, ent in decoded[bisect_left(decoded, (lo,)) :]:
+        if s >= hi:
+            break
+        if s < i or e > hi:
+            continue
+        if i < s:
+            out.append(range(i, s))
+        out.append(Token.entity(ent))
+        i = e
+    if i < hi:
+        out.append(range(i, hi))
+    return out
+
+
+def span_mask_states(
+    tokens: Sequence[str],
+    spans: Sequence[CandidateSpan],
+    scorer,
+    decoded: Mapping[tuple[int, int], str] | None = None,
+    use_emask: bool = True,
+) -> np.ndarray:
+    """Mask states of many spans of one document, as an ``(S, d)`` array.
+
+    Row s is bit-identical to ``scorer.mask_state(build_el_input(tokens,
+    spans[s], scorer.wp_vocab, decoded, use_emask))`` for a reference
+    scorer. Each distinct word is tokenized once, and each distinct input
+    row is built once into a float64 bank ``B``. A span's input is an index
+    array ``idx`` into ``B`` with its mask at ``idx[pos]``, and its state is
+    the leave-one-out mean ``(B[idx].sum(0) - B[idx[pos]]) / (n - 1)``.
+    Rows are summed in input order, as ``reference_contextualize`` sums them.
+    """
+    if not spans:
+        raise ValueError("no spans to score")
+    by_start = _by_start(decoded or {})
+    layouts = [_el_layout(len(tokens), s, by_start, use_emask) for s in spans]
+
+    keys: dict[Token, int] = {}
+    by_word: dict[str, list[int]] = {}
+    for w in tokens:
+        if w not in by_word:
+            pieces = wordpiece_tokens([w], scorer.wp_vocab)
+            by_word[w] = [keys.setdefault(t, len(keys)) for t in pieces]
+    literal = np.array([k for w in tokens for k in by_word[w]], dtype=np.intp)
+    offset = [0, *accumulate(len(by_word[w]) for w in tokens)]
+
+    def indices(parts: list[_Part]) -> list:
+        return [
+            literal[offset[p.start] : offset[p.stop]] if isinstance(p, range)
+            else [keys.setdefault(p, len(keys))]
+            for p in parts
+        ]
+
+    inputs = []
+    for left, mask, right in layouts:
+        before = np.concatenate(indices(left))
+        idx = np.concatenate([before, [keys.setdefault(mask, len(keys))], *indices(right)])
+        inputs.append((idx, len(before)))
+
+    dim = scorer.wp.dim
+    bank = np.empty((len(keys), dim))
+    for tok, k in keys.items():
+        row = _token_row(tok, scorer.wp, scorer.ent)
+        if row.shape != (dim,):
+            raise ValueError("wordpiece and entity spaces have different dimensions")
+        bank[k] = row
+    states = np.empty((len(spans), dim))
+    for s, (idx, pos) in enumerate(inputs):
+        states[s] = _leave_one_out(bank[idx], pos)
+    return states
 
 
 def entity_distribution(
@@ -269,15 +363,22 @@ def _candidate_rows(
 
 @dataclass(frozen=True)
 class TrainingExample:
-    seq: TokenSequence
-    candidates: tuple[Candidate, ...]
+    """A span of a document with its gold entity; the linking input is
+    built when the linker is trained, one batch per document."""
+
+    tokens: tuple[str, ...]
+    span: CandidateSpan
     gold: str | None  # None means the null entity
+    use_emask: bool = True
+
+    @property
+    def candidates(self) -> tuple[Candidate, ...]:
+        return self.span.candidates
 
 
 def build_training_examples(
     doc: Document,
     table: Mapping[str, Sequence[Candidate]],
-    vocab: Vocabulary,
     max_span: int = 7,
     use_emask: bool = True,
 ) -> tuple[list[TrainingExample], int]:
@@ -295,8 +396,7 @@ def build_training_examples(
         if gold is not None and gold not in {c.entity for c in span.candidates}:
             dropped += 1
             continue
-        seq = build_el_input(doc.tokens, span, vocab, {}, use_emask)
-        examples.append(TrainingExample(seq, span.candidates, gold))
+        examples.append(TrainingExample(doc.tokens, span, gold, use_emask))
     return examples, dropped
 
 
@@ -312,13 +412,23 @@ def train_linker(
     """Full-batch gradient descent on the head and null-entity parameters.
 
     Entity vectors and priors are frozen; only A, c, e_eps, and b_eps move.
-    Mask states are computed once up front because the encoder takes no
-    gradient. Returns the loss trajectory: mean loss at each epoch's starting
-    parameters, plus the final loss (length ``epochs + 1``).
+    Mask states are computed once up front, one ``span_mask_states`` call
+    per document, because the encoder takes no gradient. Returns the loss
+    trajectory: mean loss at each epoch's starting parameters, plus the
+    final loss (length ``epochs + 1``).
     """
     if not examples:
         raise ValueError("no training examples")
-    states = [scorer.mask_state(ex.seq) for ex in examples]
+    by_doc: dict[tuple[tuple[str, ...], bool], list[int]] = {}
+    for i, ex in enumerate(examples):
+        by_doc.setdefault((ex.tokens, ex.use_emask), []).append(i)
+    states = [None] * len(examples)
+    for (tokens, use_emask), members in by_doc.items():
+        doc_states = span_mask_states(
+            tokens, [examples[i].span for i in members], scorer, None, use_emask
+        )
+        for i, h in zip(members, doc_states):
+            states[i] = h
     fixed = [_candidate_rows(ex.candidates, ent_space) for ex in examples]
     # A null-entity gold indexes past the candidates, where it is appended.
     gold_idx = [
@@ -374,16 +484,16 @@ def iterative_refine(
     eps: NullEntityParams,
     iterations: int = 3,
     use_emask: bool = True,
-    threads: int = 1,
 ) -> tuple[list[CandidateSpan], list[RefinementStep]]:
     """Decode spans over ``iterations`` rounds of rescoring.
 
     Each round rescores every undecided span against the current partial
-    decoding. With m spans already decoded and n undecided spans whose
-    argmax is a real entity, the round fixes the k = ceil(j (m + n) / J) - m
-    most confident of those n (by null-entity improbability, ties toward the
-    earlier span), skipping any span that overlaps an already fixed one;
-    skips do not count toward k. Rounds end early once n reaches zero.
+    decoding, with one ``span_mask_states`` call for all of them. With m
+    spans already decoded and n undecided spans whose argmax is a real
+    entity, the round fixes the k = ceil(j (m + n) / J) - m most confident
+    of those n (by null-entity improbability, ties toward the earlier span),
+    skipping any span that overlaps an already fixed one; skips do not count
+    toward k. Rounds end early once n reaches zero.
     Spans still undecided at the end are rejected.
     """
     if iterations < 1:
@@ -402,12 +512,11 @@ def iterative_refine(
         if not undecided:
             break
 
-        def score(span: CandidateSpan):
-            seq = build_el_input(tokens, span, scorer.wp_vocab, decoded_map, use_emask)
-            h = scorer.mask_state(seq)
-            return entity_distribution(h, head, span.candidates, ent_space, eps)
-
-        dists = _map_ordered(score, undecided, threads)
+        states = span_mask_states(tokens, undecided, scorer, decoded_map, use_emask)
+        dists = [
+            entity_distribution(h, head, span.candidates, ent_space, eps)
+            for span, h in zip(undecided, states)
+        ]
         selectable: list[tuple[CandidateSpan, float, str]] = []
         for span, dist in zip(undecided, dists):
             best = int(np.argmax(dist))
@@ -442,15 +551,6 @@ def iterative_refine(
         if span.state is SpanState.UNDECIDED:
             span.state = SpanState.REJECTED
     return spans, log_steps
-
-
-def _map_ordered(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 class Prf(NamedTuple):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
-from .text_input import CONTROL_PIECES, UNK, TokenKind, TokenSequence
+from .text_input import CONTROL_PIECES, UNK, Token, TokenKind, TokenSequence
 
 MASK_PIECE = "[MASK]"
 
@@ -48,27 +48,28 @@ def embed_sequence(
     Missing entities are an error; the input builders are responsible for
     falling back to surface wordpieces before this point.
     """
-    out: list[np.ndarray] = []
-    for tok in seq.tokens:
-        if tok.kind is TokenKind.WORDPIECE:
-            out.append(_wp_row(wp, tok.text))
-        elif tok.kind is TokenKind.CONTROL:
-            out.append(_wp_row(wp, CONTROL_PIECES[tok.text]))
-        elif tok.kind is TokenKind.MASK:
-            row = wp.row(MASK_PIECE)
-            if row is None:
-                raise DataError("wordpiece space has no [MASK] row")
-            out.append(row.astype(np.float64))
-        elif tok.kind is TokenKind.ENTITY:
-            out.append(_ent_row(ent, tok.text))
-        elif tok.kind is TokenKind.EMASK:
-            rows = [_ent_row(ent, c) for c in tok.candidates]
-            out.append(np.mean(rows, axis=0))
-        else:  # pragma: no cover - exhaustive over TokenKind
-            raise ValueError(f"unknown token kind {tok.kind}")
+    out = [_token_row(tok, wp, ent) for tok in seq.tokens]
     if len({v.shape for v in out}) > 1:
         raise ValueError("wordpiece and entity spaces have different dimensions")
     return out
+
+
+def _token_row(tok: Token, wp: EmbeddingSpace, ent: EmbeddingSpace | None) -> np.ndarray:
+    """The float64 input row of one token, as ``embed_sequence`` describes."""
+    if tok.kind is TokenKind.WORDPIECE:
+        return _wp_row(wp, tok.text)
+    if tok.kind is TokenKind.CONTROL:
+        return _wp_row(wp, CONTROL_PIECES[tok.text])
+    if tok.kind is TokenKind.MASK:
+        row = wp.row(MASK_PIECE)
+        if row is None:
+            raise DataError("wordpiece space has no [MASK] row")
+        return row.astype(np.float64)
+    if tok.kind is TokenKind.ENTITY:
+        return _ent_row(ent, tok.text)
+    if tok.kind is TokenKind.EMASK:
+        return np.mean([_ent_row(ent, c) for c in tok.candidates], axis=0)
+    raise ValueError(f"unknown token kind {tok.kind}")  # pragma: no cover
 
 
 def _wp_row(wp: EmbeddingSpace, piece: str) -> np.ndarray:
@@ -102,6 +103,15 @@ def reference_contextualize(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
     stack = np.asarray(vectors, dtype=np.float64)
     total = stack.sum(axis=0)
     return [(total - stack[i]) / (n - 1) for i in range(n)]
+
+
+def _leave_one_out(stack: np.ndarray, i: int) -> np.ndarray:
+    """Output ``i`` of ``reference_contextualize`` for a float64 ``(n, d)``
+    stack, in the same arithmetic and without building the other outputs."""
+    n = len(stack)
+    if n == 1:
+        return np.zeros_like(stack[0])
+    return (stack.sum(axis=0) - stack[i]) / (n - 1)
 
 
 @dataclass
@@ -239,7 +249,7 @@ class ReferenceScorer:
             raise ValueError(
                 f"expected exactly one mask position, found {len(positions)}"
             )
-        return self.contextualize(self.embed(seq))[positions[0]]
+        return _leave_one_out(np.asarray(self.embed(seq), dtype=np.float64), positions[0])
 
     def score_answers(
         self, seqs: Sequence[TokenSequence], symbols: Sequence[str]

@@ -258,6 +258,15 @@ class TestFilterUhn:
         assert code == 0
         assert "P103\t2\t2" in stdout.splitlines()
 
+    def test_negative_top_k_exit_usage_before_loading(self, tmp_path, capsys):
+        # The data directory does not exist: --top-k must be rejected first.
+        code, _, stderr = run(
+            capsys, "filter-uhn", "--data", str(tmp_path / "none"),
+            "--templates", TEMPLATES, "--wp-space", WP,
+            "--out-dir", str(tmp_path / "u"), "--top-k", "-2",
+        )
+        assert_one_line_error(code, stderr, 1, "--top-k must be at least 0")
+
     def test_threads_byte_identical(self, tmp_path, capsys):
         texts = []
         for i, threads in enumerate(("1", "3")):
@@ -374,6 +383,36 @@ class TestLink:
             "--out-dir", str(tmp_path / "o"), "--iterations", "0",
         )
         assert_one_line_error(code, stderr, 1, "--iterations must be at least 1")
+
+    @pytest.mark.parametrize("flag,value,text", [
+        ("--epochs", "-3", "--epochs must be at least 0"),
+        ("--step", "nan", "--step must be finite"),
+        ("--step", "inf", "--step must be finite"),
+        ("--eps-bias", "nan", "--eps-bias must be finite"),
+    ])
+    def test_out_of_range_training_flag_exit_usage_before_loading(
+        self, tmp_path, capsys, flag, value, text
+    ):
+        # The documents file does not exist: the flag must be rejected first.
+        code, _, stderr = run(
+            capsys, "link", "--docs", str(tmp_path / "none.jsonl"),
+            "--table", EL_TABLE, "--wp-space", WP, "--ent-space", WIKI,
+            "--align", str(tmp_path / "none.tsv"), "--train",
+            "--out-dir", str(tmp_path / "o"), flag, value,
+        )
+        assert_one_line_error(code, stderr, 1, text)
+
+    def test_zero_epochs_writes_the_starting_loss(self, tmp_path, capsys):
+        align = fit_alignment_file(tmp_path, capsys)
+        out_dir = tmp_path / "link"
+        code, _, _ = run(
+            capsys, *link_args(align, out_dir, "--train", "--epochs", "0")
+        )
+        assert code == 0
+        lines = (out_dir / "losses.tsv").read_text(encoding="utf-8").splitlines()
+        assert [line.split("\t")[0] for line in lines] == [
+            "epoch", "0", "# dropped_unreachable_golds",
+        ]
 
     def test_alignment_source_dimension_mismatch_exit_data(self, tmp_path, capsys):
         code, _, stderr = run(

@@ -1,10 +1,19 @@
 """Candidate generation, prior-biased scoring, training, iterative decoding,
 redirect canonicalization, and strong-match scoring."""
 
+import math
+
 import numpy as np
 import pytest
 
-from conftest import ent_space_with, flat_linking_world, grid_values, wp_space_with
+from conftest import (
+    SPECIAL_PIECES,
+    ent_space_with,
+    flat_linking_world,
+    grid_values,
+    make_space,
+    wp_space_with,
+)
 from entkit.entity_linking import (
     Candidate,
     CandidateSpan,
@@ -22,11 +31,13 @@ from entkit.entity_linking import (
     load_documents,
     load_redirects,
     normalize_entity,
+    span_mask_states,
     strong_match_f1,
     train_linker,
 )
+from entkit.embeddings import SpaceKind
 from entkit.errors import DataError
-from entkit.scorer import AffineHead, ReferenceScorer
+from entkit.scorer import AffineHead, ReferenceScorer, head_gradients
 
 
 def cand(name, prior=1.0):
@@ -197,6 +208,160 @@ class TestBuildElInput:
             build_el_input(["the"], self.span(0, 2, "X"), WP.vocab)
 
 
+class TestSpanMaskStates:
+    """The batched mask states against the per-span oracle
+    ``mask_state(build_el_input(...))``, bit for bit, on standard-normal
+    spaces whose sums round."""
+
+    D = 17
+    # "new-york," splits on punctuation, "walks" into "walk ##s", and
+    # "qqq" has no decomposition, so it falls back to [UNK].
+    TOKENS = (
+        "the", "new-york,", "city", "walks", "qqq", "new", "york", "city",
+        "walks", "the", "city",
+    )
+    TABLE = {
+        "new-york,": (cand("NY"),),
+        "new-york, city": (cand("NYC", 0.7), cand("NY", 0.3)),
+        "city": (cand("City", 0.6), cand("NYC", 0.4)),
+        "city walks": (cand("Walks"),),
+        "new york": (cand("NY"),),
+        "new york city": (cand("NYC"),),
+        "york city walks": (cand("Walks", 0.5), cand("City", 0.5)),
+        "the city": (cand("City"),),
+    }
+    # (1, 3) holds the scored span (2, 3), so it crosses that span's left
+    # boundary and span (1, 2)'s right boundary; (6, 9) and (5, 8) overlap,
+    # so the walk meets a start inside an entity it has already rendered.
+    DECODED = {
+        (1, 3): "ENTITY/NYC",
+        (5, 8): "ENTITY/NYC",
+        (6, 9): "ENTITY/Walks",
+        (9, 11): "ENTITY/City",
+    }
+
+    def scorer(self, with_mask=True):
+        rng = np.random.default_rng(2024)
+        pieces = [p for p in SPECIAL_PIECES if with_mask or p != "[MASK]"]
+        pieces += ["the", "new", "york", "city", "walk", "##s", "-", ","]
+        wp = make_space(
+            pieces, rng.standard_normal((len(pieces), self.D)), SpaceKind.WORDPIECE
+        )
+        ent = ent_space_with(
+            {f"ENTITY/{n}": rng.standard_normal(self.D)
+             for n in ("NY", "NYC", "City", "Walks")},
+            self.D,
+        )
+        return ReferenceScorer(wp, ent)
+
+    def oracle(self, scorer, spans, decoded, use_emask):
+        return [
+            scorer.mask_state(build_el_input(
+                self.TOKENS, span, scorer.wp_vocab, decoded, use_emask
+            ))
+            for span in spans
+        ]
+
+    @pytest.mark.parametrize("use_emask", [True, False])
+    @pytest.mark.parametrize("decoded", [{}, DECODED])
+    def test_every_span_matches_the_oracle(self, use_emask, decoded):
+        scorer = self.scorer()
+        spans = generate_candidates(self.TOKENS, self.TABLE)
+        assert any(a.overlaps(b) for a in spans for b in spans if a is not b)
+        states = span_mask_states(self.TOKENS, spans, scorer, decoded, use_emask)
+        assert states.shape == (len(spans), self.D)
+        for got, want in zip(states, self.oracle(scorer, spans, decoded, use_emask)):
+            assert np.array_equal(got, want)
+
+    def test_decoded_spans_cross_scored_boundaries(self):
+        # A decoded span renders as its entity only when it lies inside one
+        # context; (1, 3) crosses both scored spans and stays text.
+        scorer = self.scorer()
+        spans = [CandidateSpan(2, 3, (cand("City"),)), CandidateSpan(1, 2, (cand("NY"),))]
+        right = ["walk", "##s", "[UNK]", "ENTITY/NYC", "walk", "##s", "ENTITY/City", "[SEP]"]
+        assert [
+            build_el_input(self.TOKENS, s, scorer.wp_vocab, self.DECODED).render()
+            for s in spans
+        ] == [
+            ["[CLS]", "the", "new", "-", "york", ",", "[E-MASK]", "/", "city", "*"]
+            + right,
+            ["[CLS]", "the", "[E-MASK]", "/", "new", "-", "york", ",", "*", "city"]
+            + right,
+        ]
+        states = span_mask_states(self.TOKENS, spans, scorer, self.DECODED)
+        for got, want in zip(states, self.oracle(scorer, spans, self.DECODED, True)):
+            assert np.array_equal(got, want)
+
+    def test_training_path_uses_the_same_states(self, monkeypatch):
+        import entkit.entity_linking as el
+
+        scorer = self.scorer()
+        doc = Document(
+            "d", self.TOKENS,
+            (GoldAnnotation(1, 3, "ENTITY/NYC"), GoldAnnotation(5, 8, "ENTITY/NYC")),
+        )
+        other = Document("e", self.TOKENS[3:], ())
+        examples = (
+            build_training_examples(doc, self.TABLE)[0]
+            + build_training_examples(other, self.TABLE, use_emask=False)[0]
+        )
+        calls = []
+        batched = el.span_mask_states
+
+        def recording(tokens, spans, scorer_, decoded, use_emask):
+            out = batched(tokens, spans, scorer_, decoded, use_emask)
+            calls.append((tokens, spans, decoded, use_emask, out))
+            return out
+
+        monkeypatch.setattr(el, "span_mask_states", recording)
+        rng = np.random.default_rng(5)
+        head = AffineHead(rng.standard_normal((self.D, self.D)), rng.standard_normal(self.D))
+        eps = NullEntityParams(rng.standard_normal(self.D), 0.3)
+        loss = train_linker(examples, head, eps, scorer, scorer.ent, epochs=0)[0]
+
+        assert len(calls) == 2  # one call per document
+        assert sum(len(c[1]) for c in calls) == len(examples)
+        oracle_loss = 0.0
+        for ex in examples:
+            seq = build_el_input(ex.tokens, ex.span, scorer.wp_vocab, {}, ex.use_emask)
+            h = scorer.mask_state(seq)
+            tokens, spans, decoded, use_emask, out = next(
+                c for c in calls if c[0] == ex.tokens and c[3] == ex.use_emask
+            )
+            assert decoded is None
+            assert np.array_equal(out[spans.index(ex.span)], h)
+            cands = [
+                (scorer.ent.row(c.entity).astype(np.float64), math.log(c.prior))
+                for c in ex.candidates
+            ]
+            gold = (
+                len(cands) if ex.gold is None
+                else [c.entity for c in ex.candidates].index(ex.gold)
+            )
+            oracle_loss += head_gradients(h, head, cands + [(eps.e, eps.b)], gold).loss
+        assert loss == oracle_loss / len(examples)
+
+    def test_errors(self):
+        scorer = self.scorer()
+        span = CandidateSpan(0, 1, (cand("City"),))
+        with pytest.raises(ValueError, match="no spans"):
+            span_mask_states(self.TOKENS, [], scorer)
+        with pytest.raises(ValueError, match="exceeds document length"):
+            span_mask_states(
+                self.TOKENS, [span, CandidateSpan(10, 12, (cand("City"),))], scorer
+            )
+        with pytest.raises(DataError, match=r"no \[MASK\] row"):
+            span_mask_states(self.TOKENS, [span], self.scorer(with_mask=False),
+                             use_emask=False)
+        with pytest.raises(DataError, match="missing from entity space"):
+            span_mask_states(self.TOKENS, [CandidateSpan(0, 1, (cand("Mars"),))], scorer)
+        with pytest.raises(DataError, match="missing from entity space"):
+            span_mask_states(self.TOKENS, [span], scorer, {(2, 3): "ENTITY/Mars"})
+        wide = ent_space_with({"ENTITY/City": np.ones(self.D + 1)}, self.D + 1)
+        with pytest.raises(ValueError, match="different dimensions"):
+            span_mask_states(self.TOKENS, [span], ReferenceScorer(scorer.wp, wide))
+
+
 class TestEntityDistribution:
     def test_zero_head_with_suppressed_null_returns_priors(self):
         rng = np.random.default_rng(7)
@@ -288,7 +453,7 @@ def training_world(seed=11):
 class TestBuildTrainingExamples:
     def test_gold_and_null_assignment(self):
         doc, table, wp, _ = training_world()
-        examples, dropped = build_training_examples(doc, table, wp.vocab)
+        examples, dropped = build_training_examples(doc, table)
         assert dropped == 0
         assert [ex.gold for ex in examples] == [
             "ENTITY/A1", None, "ENTITY/P2",
@@ -301,7 +466,7 @@ class TestBuildTrainingExamples:
             doc.doc_id, doc.tokens,
             (GoldAnnotation(0, 1, "ENTITY/Nowhere"), doc.golds[1]),
         )
-        examples, dropped = build_training_examples(bad, table, wp.vocab)
+        examples, dropped = build_training_examples(bad, table)
         assert dropped == 1
         assert [ex.gold for ex in examples] == [None, "ENTITY/P2"]
 
@@ -309,7 +474,7 @@ class TestBuildTrainingExamples:
 class TestTrainLinker:
     def make_setup(self, seed=11):
         doc, table, wp, ent = training_world(seed)
-        examples, dropped = build_training_examples(doc, table, wp.vocab)
+        examples, dropped = build_training_examples(doc, table)
         assert dropped == 0
         rng = np.random.default_rng(seed + 100)
         head = AffineHead(grid_values(rng, DIM, DIM), grid_values(rng, DIM))
@@ -515,18 +680,16 @@ class TestIterativeRefine:
 
     def test_thread_count_does_not_change_results(self):
         tokens, table, scorer = flat_linking_world(8)
-        for threads in (1, 4):
-            spans = generate_candidates(tokens, table)
-            _, steps = iterative_refine(
-                tokens, spans, scorer, AffineHead.zeros(2),
-                NullEntityParams.zeros(2, b=-1e9), iterations=3,
-                threads=threads,
-            )
-            assert [s.decoded for s in steps] == [
-                ((0, 1, "ENTITY/E0"), (1, 2, "ENTITY/E1"), (2, 3, "ENTITY/E2")),
-                ((3, 4, "ENTITY/E3"), (4, 5, "ENTITY/E4"), (5, 6, "ENTITY/E5")),
-                ((6, 7, "ENTITY/E6"), (7, 8, "ENTITY/E7")),
-            ]
+        spans = generate_candidates(tokens, table)
+        _, steps = iterative_refine(
+            tokens, spans, scorer, AffineHead.zeros(2),
+            NullEntityParams.zeros(2, b=-1e9), iterations=3,
+        )
+        assert [s.decoded for s in steps] == [
+            ((0, 1, "ENTITY/E0"), (1, 2, "ENTITY/E1"), (2, 3, "ENTITY/E2")),
+            ((3, 4, "ENTITY/E3"), (4, 5, "ENTITY/E4"), (5, 6, "ENTITY/E5")),
+            ((6, 7, "ENTITY/E6"), (7, 8, "ENTITY/E7")),
+        ]
 
     def test_errors(self):
         tokens, table, scorer = flat_linking_world(2)

@@ -276,6 +276,22 @@ class TestReferenceScorer:
             scorer.mask_state(seq), [0.5, 0.5, 0.0, 0.0], atol=1e-12
         )
 
+    def test_mask_state_is_bitwise_the_contextualized_mask(self):
+        # Only the mask's vector is built, in the arithmetic of the
+        # whole-sequence contextualization; non-dyadic values round.
+        rng = np.random.default_rng(31)
+        wp = make_space(
+            ["[MASK]", "a", "b", "c"], rng.standard_normal((4, 19)),
+            SpaceKind.WORDPIECE,
+        )
+        scorer = ReferenceScorer(wp)
+        words = [Token.wordpiece(w) for w in rng.choice(["a", "b", "c"], 40)]
+        for pos in (0, 7, 40):
+            seq = seq_of(*words[:pos], Token.mask(), *words[pos:])
+            expected = reference_contextualize(scorer.embed(seq))[pos]
+            assert np.array_equal(scorer.mask_state(seq), expected)
+        assert np.array_equal(scorer.mask_state(seq_of(Token.mask())), np.zeros(19))
+
     def test_mask_state_requires_exactly_one_mask(self):
         scorer = ReferenceScorer(WP)
         with pytest.raises(ValueError, match="exactly one mask"):
