@@ -41,6 +41,5 @@ from .text_input import (
     TokenSequence,
     build_input,
     build_rc_input,
-    chunk_document,
     wordpiece_tokenize,
 )

@@ -316,7 +316,7 @@ def cmd_link(args) -> int:
         if not examples:
             raise DataError(f"{args.docs}: no candidate spans to train on")
         losses = entity_linking.train_linker(
-            examples, head, eps, scorer, ent, epochs=args.epochs, step=args.step
+            examples, head, eps, scorer, epochs=args.epochs, step=args.step
         )
         lines = ["epoch\tloss"]
         lines += [f"{i}\t{loss:.6f}" for i, loss in enumerate(losses)]

@@ -25,14 +25,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary, is_entity_symbol
 from .errors import DataError
-from .scorer import (
-    AffineHead,
-    HeadGradients,
-    _leave_one_out,
-    _token_row,
-    head_gradients,
-    score_candidates,
-)
+from .scorer import AffineHead, HeadGradients, head_gradients, score_candidates
 from .text_input import Token, TokenSequence, wordpiece_tokens
 from .wikidata_client import url_to_entity_symbol
 
@@ -278,13 +271,12 @@ def span_mask_states(
 ) -> np.ndarray:
     """Mask states of many spans of one document, as an ``(S, d)`` array.
 
-    Row s is bit-identical to ``scorer.mask_state(build_el_input(tokens,
-    spans[s], scorer.wp_vocab, decoded, use_emask))`` for a reference
-    scorer. Each distinct word is tokenized once, and each distinct input
-    row is built once into a float64 bank ``B``. A span's input is an index
-    array ``idx`` into ``B`` with its mask at ``idx[pos]``, and its state is
-    the leave-one-out mean ``(B[idx].sum(0) - B[idx[pos]]) / (n - 1)``.
-    Rows are summed in input order, as ``reference_contextualize`` sums them.
+    Row s is the state ``scorer.mask_state(build_el_input(tokens, spans[s],
+    scorer.wp_vocab, decoded, use_emask))`` would give, bit for bit, for a
+    reference scorer. Each distinct word is tokenized once with
+    ``scorer.wp_vocab``. Every span's input becomes an index array into one
+    list of distinct tokens, and one ``scorer.mask_states`` call embeds each
+    of those tokens once and returns all the states.
     """
     if not spans:
         raise ValueError("no spans to score")
@@ -313,17 +305,7 @@ def span_mask_states(
         idx = np.concatenate([before, [keys.setdefault(mask, len(keys))], *indices(right)])
         inputs.append((idx, len(before)))
 
-    dim = scorer.wp.dim
-    bank = np.empty((len(keys), dim))
-    for tok, k in keys.items():
-        row = _token_row(tok, scorer.wp, scorer.ent)
-        if row.shape != (dim,):
-            raise ValueError("wordpiece and entity spaces have different dimensions")
-        bank[k] = row
-    states = np.empty((len(spans), dim))
-    for s, (idx, pos) in enumerate(inputs):
-        states[s] = _leave_one_out(bank[idx], pos)
-    return states
+    return scorer.mask_states(list(keys), inputs)
 
 
 def entity_distribution(
@@ -347,9 +329,11 @@ def entity_distribution(
 
 
 def _candidate_rows(
-    candidates: Sequence[Candidate], ent_space: EmbeddingSpace
+    candidates: Sequence[Candidate], ent_space: EmbeddingSpace | None
 ) -> list[tuple[np.ndarray, float]]:
     """(entity row as float64, log prior) for each candidate, in order."""
+    if ent_space is None:
+        raise ValueError("entity linking needs a scorer with an entity space")
     rows: list[tuple[np.ndarray, float]] = []
     for c in candidates:
         if not c.prior > 0.0:
@@ -405,17 +389,17 @@ def train_linker(
     head: AffineHead,
     eps: NullEntityParams,
     scorer,
-    ent_space: EmbeddingSpace,
     epochs: int = 50,
     step: float = 0.1,
 ) -> list[float]:
     """Full-batch gradient descent on the head and null-entity parameters.
 
     Entity vectors and priors are frozen; only A, c, e_eps, and b_eps move.
-    Mask states are computed once up front, one ``span_mask_states`` call
-    per document, because the encoder takes no gradient. Returns the loss
-    trajectory: mean loss at each epoch's starting parameters, plus the
-    final loss (length ``epochs + 1``).
+    Candidate rows come from ``scorer.ent``, the space the scorer embeds
+    entity masks from. Mask states are computed once up front, one
+    ``span_mask_states`` call per document, because the encoder takes no
+    gradient. Returns the loss trajectory: mean loss at each epoch's
+    starting parameters, plus the final loss (length ``epochs + 1``).
     """
     if not examples:
         raise ValueError("no training examples")
@@ -429,7 +413,7 @@ def train_linker(
         )
         for i, h in zip(members, doc_states):
             states[i] = h
-    fixed = [_candidate_rows(ex.candidates, ent_space) for ex in examples]
+    fixed = [_candidate_rows(ex.candidates, scorer.ent) for ex in examples]
     # A null-entity gold indexes past the candidates, where it is appended.
     gold_idx = [
         len(ex.candidates) if ex.gold is None
@@ -500,9 +484,6 @@ def iterative_refine(
         raise ValueError("need at least one iteration")
     spans = list(spans)
     log_steps: list[RefinementStep] = []
-    ent_space = scorer.ent
-    if ent_space is None:
-        raise ValueError("entity linking needs a scorer with an entity space")
 
     for j in range(1, iterations + 1):
         decoded_map = {
@@ -514,7 +495,7 @@ def iterative_refine(
 
         states = span_mask_states(tokens, undecided, scorer, decoded_map, use_emask)
         dists = [
-            entity_distribution(h, head, span.candidates, ent_space, eps)
+            entity_distribution(h, head, span.candidates, scorer.ent, eps)
             for span, h in zip(undecided, states)
         ]
         selectable: list[tuple[CandidateSpan, float, str]] = []
@@ -647,42 +628,44 @@ def load_documents(path) -> list[Document]:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError:
-                raise DataError(f"{path}: line {lineno}: invalid JSON") from None
-            try:
-                doc_id = obj["doc_id"]
-                tokens = tuple(obj["tokens"])
-            except (KeyError, TypeError):
-                raise DataError(f"{path}: line {lineno}: missing doc_id/tokens") from None
-            golds = []
-            for g in obj.get("golds", []):
-                try:
-                    golds.append(
-                        GoldAnnotation(
-                            int(g["start"]),
-                            int(g["end"]),
-                            normalize_entity(g["entity"]),
-                        )
-                    )
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise DataError(
-                        f"{path}: line {lineno}: bad gold annotation ({exc})"
-                    ) from None
+                raise DataError(f"{where}: invalid JSON") from None
+            if not (isinstance(obj, dict) and "doc_id" in obj and "tokens" in obj):
+                raise DataError(f"{where}: missing doc_id/tokens")
+            doc_id, tokens, raw_golds = obj["doc_id"], obj["tokens"], obj.get("golds", [])
+            if not isinstance(doc_id, str):
+                raise DataError(f"{where}: doc_id must be a string")
+            if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+                raise DataError(f"{where}: tokens must be a list of strings")
+            if not isinstance(raw_golds, list):
+                raise DataError(f"{where}: golds must be a list")
+            golds = [_gold_annotation(g, where) for g in raw_golds]
             golds.sort(key=lambda g: (g.start, g.end))
             for a, b in zip(golds, golds[1:]):
                 if b.start < a.end:
-                    raise DataError(
-                        f"{path}: line {lineno}: overlapping gold spans in {doc_id!r}"
-                    )
+                    raise DataError(f"{where}: overlapping gold spans in {doc_id!r}")
             for g in golds:
                 if g.end > len(tokens):
-                    raise DataError(
-                        f"{path}: line {lineno}: gold span exceeds document length"
-                    )
-            docs.append(Document(doc_id, tokens, tuple(golds)))
+                    raise DataError(f"{where}: gold span exceeds document length")
+            docs.append(Document(doc_id, tuple(tokens), tuple(golds)))
     return docs
+
+
+def _gold_annotation(g, where: str) -> GoldAnnotation:
+    """One gold record: integer (not bool) offsets and an entity URL or symbol."""
+    if not (isinstance(g, dict) and {"start", "end", "entity"} <= g.keys()):
+        raise DataError(f"{where}: bad gold annotation (needs start, end and entity)")
+    start, end, entity = g["start"], g["end"], g["entity"]
+    if not (type(start) is type(end) is int and isinstance(entity, str)):
+        raise DataError(f"{where}: bad gold annotation (start and end must be "
+                        "integers, entity a string)")
+    try:
+        return GoldAnnotation(start, end, normalize_entity(entity))
+    except ValueError as exc:
+        raise DataError(f"{where}: bad gold annotation ({exc})") from None
 
 
 def load_redirects(path) -> dict[str, str]:

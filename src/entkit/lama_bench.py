@@ -346,18 +346,15 @@ def load_templates(path) -> dict[str, RelationTemplate]:
     if not isinstance(raw, list):
         raise DataError(f"{path}: expected a JSON list of templates")
     out: dict[str, RelationTemplate] = {}
-    for item in raw:
-        try:
-            template = RelationTemplate(
-                relation=item["relation"],
-                template=item["template"],
-                name_noun=item.get(
-                    "name_noun",
-                    DEFAULT_NAME_NOUN_BY_RELATION.get(item.get("relation"), "none"),
-                ),
-            )
-        except (KeyError, TypeError) as exc:
-            raise DataError(f"{path}: malformed template record ({exc})") from None
+    for n, item in enumerate(raw, start=1):
+        rel = item.get("relation") if isinstance(item, dict) else None
+        if not isinstance(rel, str):
+            raise DataError(f"{path}: malformed template record {n} (no relation string)")
+        noun = item.get("name_noun", DEFAULT_NAME_NOUN_BY_RELATION.get(rel, "none"))
+        if not (isinstance(item.get("template"), str) and isinstance(noun, str)):
+            raise DataError(f"{path}: malformed template record {n} "
+                            "(template and name_noun must be strings)")
+        template = RelationTemplate(rel, item["template"], noun)
         if template.relation in out:
             raise DataError(f"{path}: duplicate template for {template.relation!r}")
         out[template.relation] = template

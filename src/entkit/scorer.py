@@ -7,11 +7,16 @@ deliberately tiny and fully analytic: contextualization is the leave-one-out
 mean of the embedded sequence, and the head is a single affine map. That is
 enough to exercise every downstream contract without a trained network.
 
-Consumers duck-type against two members: ``wp_vocab`` (the wordpiece
-vocabulary used for tokenization) and ``score_answers(seqs, symbols)``,
-which takes a batch of Q single-mask sequences and returns a (Q, V) array
-whose row q holds the probabilities of the V answer symbols at the mask of
-``seqs[q]``. A row must not depend on the other sequences in the batch.
+This module is the only one that knows how a state or a candidate
+distribution is computed. Consumers duck-type against a small protocol.
+Cloze evaluation and filtering need ``wp_vocab`` (the wordpiece vocabulary
+used for tokenization) and ``score_answers(seqs, symbols)``, which returns
+a (Q, V) array of the V answer probabilities at the mask of each of Q
+single-mask sequences. Entity linking needs ``wp_vocab``, ``ent`` (the
+entity space of the candidate rows) and ``mask_states(tokens, inputs)``,
+which returns the (S, d) states of inputs ``(idx, pos)``, each the sequence
+``tokens[idx]`` over a list of distinct tokens with its mask at ``pos``.
+A row of either batch method must not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from .errors import DataError
 from .text_input import CONTROL_PIECES, UNK, Token, TokenKind, TokenSequence
 
 MASK_PIECE = "[MASK]"
+_MASK_KINDS = (TokenKind.MASK, TokenKind.EMASK)
 
 # Questions per head and logit product. Every product has exactly this many
 # questions (the last block of a batch is zero-padded), and the questions are
@@ -105,15 +111,6 @@ def reference_contextualize(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
     return [(total - stack[i]) / (n - 1) for i in range(n)]
 
 
-def _leave_one_out(stack: np.ndarray, i: int) -> np.ndarray:
-    """Output ``i`` of ``reference_contextualize`` for a float64 ``(n, d)``
-    stack, in the same arithmetic and without building the other outputs."""
-    n = len(stack)
-    if n == 1:
-        return np.zeros_like(stack[0])
-    return (stack.sum(axis=0) - stack[i]) / (n - 1)
-
-
 @dataclass
 class AffineHead:
     """Affine transform h -> A h + c standing in for the MLM head."""
@@ -160,9 +157,13 @@ def score_candidates(h: np.ndarray, head: AffineHead, cands: Candidates) -> np.n
     """
     if len(cands) == 0:
         raise ValueError("no candidates to score")
-    u = head.apply(h)
-    logits = np.array([np.dot(e, u) + b for e, b in cands], dtype=np.float64)
-    return _softmax(logits)
+    return _candidate_probs(head.apply(h), cands)
+
+
+def _candidate_probs(u: np.ndarray, cands: Candidates) -> np.ndarray:
+    """Softmax over ``e . u + b`` for each candidate ``(e, b)``, where ``u``
+    is the head's output."""
+    return _softmax(np.array([np.dot(e, u) + b for e, b in cands], dtype=np.float64))
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -195,7 +196,7 @@ def head_gradients(
         raise ValueError(f"gold index {gold} out of range for {len(cands)} candidates")
     h = np.asarray(h, dtype=np.float64)
     u = head.apply(h)
-    probs = score_candidates(h, head, cands)
+    probs = _candidate_probs(u, cands)
     g = probs.copy()
     g[gold] -= 1.0
     du = np.zeros_like(u)
@@ -240,24 +241,41 @@ class ReferenceScorer:
 
     def mask_state(self, seq: TokenSequence) -> np.ndarray:
         """Contextual vector at the single Mask or EMask position."""
-        positions = [
-            i
-            for i, t in enumerate(seq.tokens)
-            if t.kind in (TokenKind.MASK, TokenKind.EMASK)
-        ]
-        if len(positions) != 1:
-            raise ValueError(
-                f"expected exactly one mask position, found {len(positions)}"
-            )
-        return _leave_one_out(np.asarray(self.embed(seq), dtype=np.float64), positions[0])
+        return self.mask_states(*_index_sequences([seq]))[0]
+
+    def mask_states(
+        self, tokens: Sequence[Token], inputs: Sequence[tuple[np.ndarray, int]]
+    ) -> np.ndarray:
+        """States at the masks of many inputs over one list of distinct tokens.
+
+        Input ``(idx, pos)`` is the sequence ``tokens[idx]`` with its mask at
+        ``pos``. Each token is embedded once into a float64 bank ``B``; row s
+        is ``(B[idx].sum(0) - B[idx[pos]]) / (n - 1)`` (zero when n is 1),
+        the same rows summed in the same order as ``reference_contextualize``,
+        so it is bit-identical to that oracle's output ``pos``.
+        """
+        dim = self.wp.dim
+        bank = np.empty((len(tokens), dim))
+        for k, tok in enumerate(tokens):
+            row = _token_row(tok, self.wp, self.ent)
+            if row.shape != (dim,):
+                raise ValueError("wordpiece and entity spaces have different dimensions")
+            bank[k] = row
+        states = np.zeros((len(inputs), dim))
+        for s, (idx, pos) in enumerate(inputs):
+            if len(idx) > 1:
+                rows = bank[idx]
+                states[s] = (rows.sum(axis=0) - rows[pos]) / (len(rows) - 1)
+        return states
 
     def score_answers(
         self, seqs: Sequence[TokenSequence], symbols: Sequence[str]
     ) -> np.ndarray:
         """Probabilities over the answer symbols at the mask of each sequence.
 
-        Returns a ``(len(seqs), len(symbols))`` array. The mask states are
-        stacked into ``H`` and scored as ``softmax((H A^T + c) E^T)`` row by
+        Returns a ``(len(seqs), len(symbols))`` array. The mask states, from
+        one ``mask_states`` call over the batch's distinct tokens, are stacked
+        into ``H`` and scored as ``softmax((H A^T + c) E^T)`` row by
         row, where ``E`` holds the answer rows; the products are taken in
         transposed form, ``E (A H^T + c)``, ``ROW_BLOCK`` questions at a
         time. Every answer symbol must exist in the wordpiece space; answer
@@ -266,8 +284,7 @@ class ReferenceScorer:
         e = self._answer_matrix(symbols)
         n = len(seqs)
         h = np.zeros((-(-n // ROW_BLOCK) * ROW_BLOCK, self.wp.dim))
-        for i, seq in enumerate(seqs):
-            h[i] = self.mask_state(seq)
+        h[:n] = self.mask_states(*_index_sequences(seqs))
         probs = np.empty((n, len(symbols)))
         for start in range(0, n, ROW_BLOCK):
             u_t = self.head.a @ h[start : start + ROW_BLOCK].T + self.head.c[:, None]
@@ -288,3 +305,19 @@ class ReferenceScorer:
             rows = [self.wp.vocab.index[s] for s in key]
             self._answers = (key, self.wp.matrix[rows].astype(np.float64))
         return self._answers[1]
+
+
+def _index_sequences(
+    seqs: Sequence[TokenSequence],
+) -> tuple[list[Token], list[tuple[np.ndarray, int]]]:
+    """The distinct tokens of ``seqs`` in first-seen order, and each sequence
+    as ``(index array into them, mask position)``, for ``mask_states``."""
+    keys: dict[Token, int] = {}
+    inputs = []
+    for seq in seqs:
+        positions = [i for i, t in enumerate(seq.tokens) if t.kind in _MASK_KINDS]
+        if len(positions) != 1:
+            raise ValueError(f"expected exactly one mask position, found {len(positions)}")
+        idx = [keys.setdefault(t, len(keys)) for t in seq.tokens]
+        inputs.append((np.array(idx, dtype=np.intp), positions[0]))
+    return list(keys), inputs

@@ -279,37 +279,3 @@ def _framed_input(
     tokens.append(Token.control("SEP"))
     return TokenSequence(tuple(tokens))
 
-
-def chunk_document(sizes: Sequence[int], limit: int = 512) -> list[list[int]]:
-    """Split a document, given per-sentence wordpiece counts, to fit ``limit``.
-
-    A document over the limit is split at the sentence boundary closest to
-    its midpoint (ties toward the left boundary), recursively on both halves.
-    A single sentence longer than the limit cannot be split and is an error.
-    """
-    if limit <= 0:
-        raise ValueError("limit must be positive")
-    sizes = list(sizes)
-    for idx, s in enumerate(sizes):
-        if s > limit:
-            raise ValueError(
-                f"sentence {idx} has {s} wordpieces, over the limit of {limit}"
-            )
-    if not sizes:
-        return []
-    return _chunk(sizes, limit)
-
-
-def _chunk(seg: list[int], limit: int) -> list[list[int]]:
-    total = sum(seg)
-    if total <= limit:
-        return [seg]
-    target = total / 2.0
-    best_b, best_dist = 1, abs(seg[0] - target)
-    prefix = seg[0]
-    for b in range(2, len(seg)):
-        prefix += seg[b - 1]
-        dist = abs(prefix - target)
-        if dist < best_dist:
-            best_b, best_dist = b, dist
-    return _chunk(seg[:best_b], limit) + _chunk(seg[best_b:], limit)

@@ -189,7 +189,19 @@ class FixtureTransport:
                 raw = json.load(fh)
             except json.JSONDecodeError:
                 raise DataError(f"{path}: invalid JSON fixture") from None
-        return cls(raw.get("labels"), raw.get("sitelinks"), bool(raw.get("fail")))
+        if not isinstance(raw, dict):
+            raise DataError(f"{path}: fixture must be a JSON object")
+        labels, sitelinks = raw.get("labels", {}), raw.get("sitelinks", {})
+        fail = raw.get("fail", False)
+        if not (isinstance(labels, dict) and all(
+                isinstance(q, list) and all(isinstance(x, str) for x in q)
+                for q in labels.values())):
+            raise DataError(f"{path}: labels must map surfaces to lists of Q-ids")
+        if not (isinstance(sitelinks, dict) and all(isinstance(u, str) for u in sitelinks.values())):
+            raise DataError(f"{path}: sitelinks must map Q-ids to URL strings")
+        if not isinstance(fail, bool):
+            raise DataError(f"{path}: fail must be true or false")
+        return cls(labels, sitelinks, fail)
 
     def query(self, sparql: str) -> dict:
         if self.fail:

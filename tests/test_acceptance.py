@@ -410,7 +410,7 @@ def test_criterion_08_gradient_correctness():
         examples, head, eps, scorer, ent = linking_instance(trial)
         h1 = AffineHead(head.a.copy(), head.c.copy())
         e1 = NullEntityParams(eps.e.copy(), eps.b)
-        train_linker(examples, h1, e1, scorer, ent, epochs=1, step=1.0)
+        train_linker(examples, h1, e1, scorer, epochs=1, step=1.0)
         grad_a = head.a - h1.a
         grad_c = head.c - h1.c
         grad_e = eps.e - e1.e
@@ -419,7 +419,7 @@ def test_criterion_08_gradient_correctness():
         def loss_at(a, c, e, b):
             hh = AffineHead(a.copy(), c.copy())
             ee = NullEntityParams(e.copy(), b)
-            return train_linker(examples, hh, ee, scorer, ent, epochs=0)[0]
+            return train_linker(examples, hh, ee, scorer, epochs=0)[0]
 
         coords = [("c", i) for i in range(DIM8)] + [("e", i) for i in range(DIM8)]
         coords += [("b", None)]
@@ -450,7 +450,7 @@ def test_criterion_08_gradient_correctness():
 
     # Twenty descent steps strictly decrease the loss on a fixed batch.
     examples, head, eps, scorer, ent = linking_instance(999)
-    losses = train_linker(examples, head, eps, scorer, ent, epochs=20, step=0.1)
+    losses = train_linker(examples, head, eps, scorer, epochs=20, step=0.1)
     assert len(losses) == 21
     for before, after in zip(losses, losses[1:]):
         assert after < before

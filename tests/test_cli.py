@@ -496,6 +496,56 @@ class TestResolve:
         assert out.read_text(encoding="utf-8").startswith("surface\tqid")
 
 
+
+GOOD_DOC = {"doc_id": "d", "tokens": ["Adams", "and", "Platt"],
+            "golds": [{"start": 0, "end": 1, "entity": "ENTITY/Tony_Adams"}]}
+
+
+@pytest.mark.parametrize("change,text", [
+    ({"doc_id": 5}, "doc_id must be a string"),
+    ({"tokens": [1, 2]}, "tokens must be a list of strings"),
+    ({"tokens": "abc"}, "tokens must be a list of strings"),
+    ({"golds": 5}, "golds must be a list"),
+    ({"golds": [{"start": 0.7, "end": 1, "entity": "ENTITY/Tony_Adams"}]},
+     "bad gold annotation (start and end must be integers"),
+])
+def test_malformed_document_exit_data(tmp_path, capsys, change, text):
+    docs = tmp_path / "docs.jsonl"
+    docs.write_text(
+        json.dumps(GOOD_DOC) + "\n" + json.dumps({**GOOD_DOC, **change}) + "\n",
+        encoding="utf-8",
+    )
+    align = fit_alignment_file(tmp_path, capsys)
+    argv = link_args(align, tmp_path / "link", "--eval")
+    argv[argv.index(EL_DOCS)] = str(docs)
+    code, _, stderr = run(capsys, *argv)
+    assert_one_line_error(code, stderr, 2, f"docs.jsonl: line 2: {text}")
+
+
+def test_non_string_template_exit_data(tmp_path, capsys):
+    templates = json.loads(Path(TEMPLATES).read_text(encoding="utf-8"))
+    templates[1]["template"] = 5
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps(templates), encoding="utf-8")
+    code, _, stderr = run(
+        capsys, "eval-lama", "--data", LAMA, "--templates", str(path),
+        "--wp-space", WP, "--answer-vocab", ANSWERS, "--mode", "bert",
+    )
+    assert_one_line_error(code, stderr, 2, "templates.json: malformed template record 2")
+
+
+@pytest.mark.parametrize("fixture,text", [
+    ([], "fixture must be a JSON object"),
+    ({"labels": ["Jean Marais"]}, "labels must map surfaces to lists of Q-ids"),
+])
+def test_malformed_fixture_exit_data(tmp_path, capsys, fixture, text):
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(fixture), encoding="utf-8")
+    code, _, stderr = run(
+        capsys, "resolve", "--surfaces", WD_SURFACES, "--fixture", str(path)
+    )
+    assert_one_line_error(code, stderr, 2, f"fixture.json: {text}")
+
 class TestEntryPoint:
     def test_module_runs_as_script(self, tmp_path):
         out = tmp_path / "align.tsv"

@@ -317,7 +317,7 @@ class TestSpanMaskStates:
         rng = np.random.default_rng(5)
         head = AffineHead(rng.standard_normal((self.D, self.D)), rng.standard_normal(self.D))
         eps = NullEntityParams(rng.standard_normal(self.D), 0.3)
-        loss = train_linker(examples, head, eps, scorer, scorer.ent, epochs=0)[0]
+        loss = train_linker(examples, head, eps, scorer, epochs=0)[0]
 
         assert len(calls) == 2  # one call per document
         assert sum(len(c[1]) for c in calls) == len(examples)
@@ -340,6 +340,31 @@ class TestSpanMaskStates:
             )
             oracle_loss += head_gradients(h, head, cands + [(eps.e, eps.b)], gold).loss
         assert loss == oracle_loss / len(examples)
+
+    def test_linking_needs_only_the_linking_protocol(self):
+        class LinkingProtocolOnly:
+            """Exposes ``wp_vocab``, ``ent`` and ``mask_states`` only."""
+
+            def __init__(self, inner):
+                self.wp_vocab = inner.wp_vocab
+                self.ent = inner.ent
+                self.mask_states = inner.mask_states
+
+        def run(scorer):
+            rng = np.random.default_rng(9)
+            head = AffineHead(rng.standard_normal((self.D, self.D)), rng.standard_normal(self.D))
+            eps = NullEntityParams(rng.standard_normal(self.D), -30.0)
+            doc = Document("d", self.TOKENS, (GoldAnnotation(1, 3, "ENTITY/NYC"),))
+            examples = build_training_examples(doc, self.TABLE)[0]
+            losses = train_linker(examples, head, eps, scorer, epochs=3, step=0.1)
+            spans = generate_candidates(self.TOKENS, self.TABLE)
+            out, steps = iterative_refine(self.TOKENS, spans, scorer, head, eps, 3)
+            return losses, steps, [(s.start, s.end, s.state, s.entity) for s in out]
+
+        reference = self.scorer()
+        losses, steps, spans = run(reference)
+        assert run(LinkingProtocolOnly(reference)) == (losses, steps, spans)
+        assert any(step.decoded for step in steps)
 
     def test_errors(self):
         scorer = self.scorer()
@@ -485,11 +510,11 @@ class TestTrainLinker:
     def loss_at(self, examples, head, eps, scorer, ent):
         h = AffineHead(head.a.copy(), head.c.copy())
         e = NullEntityParams(eps.e.copy(), eps.b)
-        return train_linker(examples, h, e, scorer, ent, epochs=0)[0]
+        return train_linker(examples, h, e, scorer, epochs=0)[0]
 
     def test_loss_trajectory_length_and_decrease(self):
         examples, head, eps, scorer, ent = self.make_setup()
-        losses = train_linker(examples, head, eps, scorer, ent, epochs=20, step=0.1)
+        losses = train_linker(examples, head, eps, scorer, epochs=20, step=0.1)
         assert len(losses) == 21
         for before, after in zip(losses, losses[1:]):
             assert after < before
@@ -499,7 +524,7 @@ class TestTrainLinker:
         a0, c0 = head.a.copy(), head.c.copy()
         e0, b0 = eps.e.copy(), eps.b
         rows0 = ent.matrix.copy()
-        train_linker(examples, head, eps, scorer, ent, epochs=3, step=0.1)
+        train_linker(examples, head, eps, scorer, epochs=3, step=0.1)
         assert not np.array_equal(head.a, a0)
         assert not np.array_equal(head.c, c0)
         assert not np.array_equal(eps.e, e0)
@@ -511,7 +536,7 @@ class TestTrainLinker:
         step = 1e-3
         h1 = AffineHead(head.a.copy(), head.c.copy())
         e1 = NullEntityParams(eps.e.copy(), eps.b)
-        train_linker(examples, h1, e1, scorer, ent, epochs=1, step=step)
+        train_linker(examples, h1, e1, scorer, epochs=1, step=step)
         grads = {
             "a": (head.a - h1.a) / step,
             "c": (head.c - h1.c) / step,
@@ -546,7 +571,14 @@ class TestTrainLinker:
     def test_empty_examples_rejected(self):
         _, head, eps, scorer, ent = self.make_setup()
         with pytest.raises(ValueError, match="no training examples"):
-            train_linker([], head, eps, scorer, ent)
+            train_linker([], head, eps, scorer)
+
+    def test_scorer_without_entity_space_rejected(self):
+        doc, table, wp, _ = training_world()
+        examples = build_training_examples(doc, table, use_emask=False)[0]
+        head, eps = AffineHead.zeros(DIM), NullEntityParams.zeros(DIM)
+        with pytest.raises(ValueError, match="needs a scorer with an entity space"):
+            train_linker(examples, head, eps, ReferenceScorer(wp, None))
 
 
 def ceil_div(a, b):

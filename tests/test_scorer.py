@@ -17,7 +17,7 @@ from entkit.scorer import (
     reference_contextualize,
     score_candidates,
 )
-from entkit.text_input import Token, TokenSequence
+from entkit.text_input import Token, TokenKind, TokenSequence
 
 DIM = 4
 WP = wp_space_with(
@@ -263,6 +263,22 @@ class TestHeadGradients:
                 np.zeros(2), AffineHead.identity(2), [(np.zeros(2), 0.0)], 1
             )
 
+    def test_head_is_applied_once(self):
+        class CountingHead(AffineHead):
+            calls = 0
+
+            def apply(self, h):
+                self.calls += 1
+                return super().apply(h)
+
+        rng = np.random.default_rng(3)
+        head = CountingHead(rng.standard_normal((3, 3)), rng.standard_normal(3))
+        cands = [(rng.standard_normal(3), 0.1), (rng.standard_normal(3), -0.4)]
+        h = rng.standard_normal(3)
+        grads = head_gradients(h, head, cands, gold=1)
+        assert head.calls == 1
+        assert np.array_equal(grads.probs, score_candidates(h, head, cands))
+
 
 class TestReferenceScorer:
     def test_mask_state_is_leave_one_out_at_mask(self):
@@ -381,3 +397,112 @@ class TestBatchInvariance:
         for p, ranking in zip(planted, rankings):
             old = sorted(range(n_answers), key=lambda i: (-p[i], i))[:k]
             assert ranking == [(vocab.symbols[i], float(p[i])) for i in old]
+
+
+def mask_position(seq):
+    return next(
+        i for i, t in enumerate(seq.tokens)
+        if t.kind in (TokenKind.MASK, TokenKind.EMASK)
+    )
+
+
+def oracle_state(scorer, seq):
+    """The mask's vector of the whole-sequence embed and contextualize."""
+    vecs = embed_sequence(seq, scorer.wp, scorer.ent)
+    return reference_contextualize(vecs)[mask_position(seq)]
+
+
+def random_mixed_cloze(seed, n_questions=80, dim=13):
+    """Standard-normal spaces and head, and single-mask sequences mixing
+    wordpieces (some missing from the space, so they embed as [UNK]),
+    controls and entities around a Mask or an EMask of 1-3 candidates, plus
+    length-1 inputs."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(30)]
+    pieces = ["[MASK]", "[UNK]", "[CLS]", "[SEP]", "/"] + words
+    wp = make_space(
+        pieces, rng.standard_normal((len(pieces), dim)), SpaceKind.WORDPIECE
+    )
+    ents = [f"ENTITY/E{i}" for i in range(12)]
+    ent = make_space(
+        ents, rng.standard_normal((len(ents), dim)), SpaceKind.WORD_AND_ENTITY
+    )
+    head = AffineHead(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+
+    def token():
+        kind = int(rng.integers(4))
+        if kind == 0:
+            return Token.wordpiece(f"oov{rng.integers(3)}")
+        if kind == 1:
+            return Token.control(str(rng.choice(["CLS", "SEP", "slash"])))
+        if kind == 2:
+            return Token.entity(str(rng.choice(ents)))
+        return Token.wordpiece(str(rng.choice(words)))
+
+    def emask():
+        return Token.emask(
+            [str(e) for e in rng.choice(ents, int(rng.integers(1, 4)), replace=False)]
+        )
+
+    seqs = [seq_of(Token.mask()), seq_of(emask())]
+    for _ in range(n_questions):
+        toks = [token() for _ in range(int(rng.integers(0, 9)))]
+        mask = emask() if rng.random() < 0.5 else Token.mask()
+        toks.insert(int(rng.integers(0, len(toks) + 1)), mask)
+        seqs.append(TokenSequence(tuple(toks)))
+    rng.shuffle(seqs)
+    return ReferenceScorer(wp, ent, head), seqs, words
+
+
+class TestSingleMaskStatePath:
+    """``mask_states`` and ``score_answers`` against the whole-sequence
+    oracle ``reference_contextualize(embed_sequence(seq))[pos]``, bit for
+    bit, alone and inside a mixed batch."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mask_states_rows_are_the_oracle(self, seed):
+        scorer, seqs, _ = random_mixed_cloze(seed)
+        tokens = list(dict.fromkeys(t for seq in seqs for t in seq.tokens))
+        np.random.default_rng(seed).shuffle(tokens)
+        index = {t: k for k, t in enumerate(tokens)}
+        inputs = [
+            (np.array([index[t] for t in seq.tokens]), mask_position(seq))
+            for seq in seqs
+        ]
+        batch = scorer.mask_states(tokens, inputs)
+        assert batch.shape == (len(seqs), scorer.wp.dim)
+        for row, seq in zip(batch, seqs):
+            expected = oracle_state(scorer, seq)
+            own = list(dict.fromkeys(seq.tokens))
+            alone = scorer.mask_states(
+                own, [(np.array([own.index(t) for t in seq.tokens]), mask_position(seq))]
+            )
+            assert np.array_equal(row, expected)
+            assert np.array_equal(alone[0], expected)
+            assert np.array_equal(scorer.mask_state(seq), expected)
+        assert any(len(seq) == 1 for seq in seqs)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_score_answers_rows_use_the_oracle_states(self, seed):
+        class OracleStates(ReferenceScorer):
+            def mask_states(self, tokens, inputs):
+                seqs = [TokenSequence(tuple(tokens[i] for i in idx)) for idx, _ in inputs]
+                return np.array([oracle_state(self, seq) for seq in seqs]).reshape(
+                    len(seqs), self.wp.dim
+                )
+
+        scorer, seqs, words = random_mixed_cloze(seed)
+        oracle = OracleStates(scorer.wp, scorer.ent, scorer.head)
+        full = scorer.score_answers(seqs, words)
+        assert np.array_equal(full, oracle.score_answers(seqs, words))
+        for i, seq in enumerate(seqs):
+            assert np.array_equal(scorer.score_answers([seq], words)[0], full[i])
+            assert np.array_equal(oracle.score_answers([seq], words)[0], full[i])
+
+    def test_mask_states_checks_dimensions(self):
+        wide = ent_space_with({"ENTITY/A": np.ones(DIM + 1)}, DIM + 1)
+        scorer = ReferenceScorer(WP, wide)
+        with pytest.raises(ValueError, match="different dimensions"):
+            scorer.mask_states(
+                [Token.mask(), Token.entity("ENTITY/A")], [(np.array([0, 1]), 0)]
+            )

@@ -1,4 +1,4 @@
-"""Tokenization, input construction, and document chunking."""
+"""Tokenization and input construction."""
 
 import pytest
 from hypothesis import given, settings
@@ -14,7 +14,6 @@ from entkit.text_input import (
     TokenSequence,
     build_input,
     build_rc_input,
-    chunk_document,
     wordpiece_tokenize,
     wordpiece_tokens,
 )
@@ -263,72 +262,3 @@ class TestBuildRcInput:
                 InputMode.BERT, None, WP.vocab,
             )
 
-
-class TestChunkDocument:
-    def test_split_at_boundary_closest_to_midpoint(self):
-        assert chunk_document([200, 200, 200], 512) == [[200], [200, 200]]
-
-    def test_fits_whole(self):
-        assert chunk_document([100, 100], 512) == [[100, 100]]
-
-    def test_empty(self):
-        assert chunk_document([], 512) == []
-
-    def test_tie_goes_left(self):
-        # total 7, midpoint 3.5; boundaries after [3] and [3,1] are equally
-        # close, so the earlier one wins.
-        assert chunk_document([3, 1, 3], 5) == [[3], [1, 3]]
-
-    def test_recursive_splitting(self):
-        assert chunk_document([100, 100, 100, 100], 300) == [
-            [100, 100], [100, 100],
-        ]
-        assert chunk_document([4, 4, 4, 4], 4) == [[4], [4], [4], [4]]
-
-    def test_single_oversized_sentence_is_an_error(self):
-        with pytest.raises(ValueError, match="over the limit"):
-            chunk_document([600], 512)
-        with pytest.raises(ValueError, match="sentence 2"):
-            chunk_document([10, 10, 600], 512)
-
-    def test_nonpositive_limit_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            chunk_document([1], 0)
-
-    def test_exhaustive_small_documents(self):
-        # Brute-force oracle: recursively enumerate the same rule over every
-        # composition of small documents and compare.
-        def oracle(seg, limit):
-            if not seg:
-                return []
-            if sum(seg) <= limit:
-                return [list(seg)]
-            target = sum(seg) / 2
-            candidates = [
-                (abs(sum(seg[:b]) - target), b) for b in range(1, len(seg))
-            ]
-            _, best = min(candidates)  # ties: smallest boundary
-            return oracle(seg[:best], limit) + oracle(seg[best:], limit)
-
-        import itertools
-
-        for limit in (3, 4, 7):
-            for length in range(1, 6):
-                for seg in itertools.product(range(1, limit + 1), repeat=length):
-                    assert chunk_document(list(seg), limit) == oracle(
-                        list(seg), limit
-                    ), (seg, limit)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.integers(5, 60).flatmap(
-        lambda limit: st.tuples(
-            st.just(limit),
-            st.lists(st.integers(1, limit), min_size=0, max_size=12),
-        )
-    ))
-    def test_chunking_preserves_content_and_respects_limit(self, case):
-        limit, sizes = case
-        chunks = chunk_document(sizes, limit)
-        assert [s for chunk in chunks for s in chunk] == sizes
-        assert all(sum(chunk) <= limit for chunk in chunks)
-        assert all(chunk for chunk in chunks)
