@@ -32,7 +32,6 @@ from .scorer import (
     embed_sequence,
     head_gradients,
     reference_contextualize,
-    score_candidates,
 )
 from .text_input import (
     InputMode,

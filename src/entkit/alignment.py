@@ -162,19 +162,21 @@ def load_alignment(path) -> AlignmentMap:
         shared_count = int(header[3])
     except ValueError:
         raise DataError(f"{path}: line 1: malformed alignment header") from None
+    if d_tgt <= 0 or d_src <= 0:
+        raise DataError(f"{path}: line 1: alignment dimensions must be positive")
     if len(lines) - 1 != d_tgt:
         raise DataError(
             f"{path}: header declares {d_tgt} rows but file has {len(lines) - 1}"
         )
+    # Every row's width is checked before the header's shape is allocated.
+    for i, line in enumerate(lines[1:]):
+        width = len(line.split())
+        if width != d_src:
+            raise DataError(f"{path}: line {i + 2}: expected {d_src} values, got {width}")
     w = np.empty((d_tgt, d_src), dtype=np.float64)
     for i, line in enumerate(lines[1:]):
-        fields = line.split()
-        if len(fields) != d_src:
-            raise DataError(
-                f"{path}: line {i + 2}: expected {d_src} values, got {len(fields)}"
-            )
         try:
-            w[i] = [float(v) for v in fields]
+            w[i] = [float(v) for v in line.split()]
         except ValueError:
             raise DataError(f"{path}: line {i + 2}: unparseable number") from None
     return AlignmentMap(w, shared_count, residual)

@@ -372,6 +372,8 @@ def cmd_link(args) -> int:
 def cmd_resolve(args) -> int:
     import os
 
+    if not (0.0 < args.rate < math.inf):
+        raise UsageError(f"entkit resolve: --rate must be positive and finite, got {args.rate}")
     with open(args.surfaces, encoding="utf-8") as fh:
         surfaces = [line.strip() for line in fh if line.strip()]
     if args.fixture:

@@ -125,9 +125,12 @@ def load_space(path, kind: SpaceKind) -> EmbeddingSpace:
             f"{path}: header declares {count} rows but file has {len(data_lines)}"
         )
 
+    # A row of dim values takes 2 * dim + 1 characters or more. In a file
+    # too short for its header the loop finds a short row, so skip allocating.
+    fits = sum(map(len, data_lines)) >= count * (2 * dim + 1)
+    rows = np.empty((count, dim), dtype=np.float64) if fits else None
     symbols: list[str] = []
     seen: set[str] = set()
-    rows = np.empty((count, dim), dtype=np.float64)
     for n, line in enumerate(data_lines):
         lineno = n + 2
         fields = line.split()
@@ -141,9 +144,11 @@ def load_space(path, kind: SpaceKind) -> EmbeddingSpace:
         seen.add(sym)
         symbols.append(sym)
         try:
-            rows[n] = [float(x) for x in fields[1:]]
+            values = [float(x) for x in fields[1:]]
         except ValueError:
             raise DataError(f"{path}: line {lineno}: unparseable number") from None
+        if rows is not None:
+            rows[n] = values
 
     matrix = rows.astype(np.float32)
     if matrix.size and not np.all(np.isfinite(matrix)):

@@ -25,7 +25,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary, is_entity_symbol
 from .errors import DataError
-from .scorer import AffineHead, HeadGradients, head_gradients, score_candidates
+from .scorer import AffineHead, candidate_gradients, candidate_probs
 from .text_input import Token, TokenSequence, wordpiece_tokens
 from .wikidata_client import url_to_entity_symbol
 
@@ -308,41 +308,35 @@ def span_mask_states(
     return scorer.mask_states(list(keys), inputs)
 
 
-def entity_distribution(
-    h: np.ndarray,
-    head: AffineHead,
-    candidates: Sequence[Candidate],
-    ent_space: EmbeddingSpace,
-    eps: NullEntityParams,
-) -> np.ndarray:
-    """Posterior over candidates plus the null entity (last index).
-
-    Each candidate's logit is ``e_a . head(h) + log prior``; the null entity
-    contributes ``e_eps . head(h) + b_eps``. Scaling all priors by a common
-    factor shifts candidate logits uniformly and leaves candidate probability
-    ratios unchanged.
-    """
-    if not candidates:
-        raise ValueError("no candidates to score")
-    cands = _candidate_rows(candidates, ent_space) + [(eps.e, eps.b)]
-    return score_candidates(h, head, cands)
-
-
-def _candidate_rows(
-    candidates: Sequence[Candidate], ent_space: EmbeddingSpace | None
-) -> list[tuple[np.ndarray, float]]:
-    """(entity row as float64, log prior) for each candidate, in order."""
+def candidate_groups(
+    candidate_lists: Sequence[Sequence[Candidate]], ent_space: EmbeddingSpace | None
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The candidate lists grouped by length, as the ``(rows, e, b)`` groups
+    of ``candidate_probs``: ``rows`` index the lists, ``e`` holds the entity
+    rows as float64 and ``b`` the log priors. Scored with the null entity
+    ``(e_eps, b_eps)`` as the shared candidate, a list's probabilities are
+    its posterior, null entity last; scaling all priors by a common factor
+    leaves the candidate ratios unchanged."""
     if ent_space is None:
         raise ValueError("entity linking needs a scorer with an entity space")
-    rows: list[tuple[np.ndarray, float]] = []
-    for c in candidates:
-        if not c.prior > 0.0:
-            raise ValueError(f"prior for {c.entity!r} must be positive")
-        row = ent_space.row(c.entity)
-        if row is None:
-            raise DataError(f"entity {c.entity!r} missing from entity space")
-        rows.append((row.astype(np.float64), log(c.prior)))
-    return rows
+    index = ent_space.vocab.index
+    by_count: dict[int, list[int]] = {}
+    for i, candidates in enumerate(candidate_lists):
+        if not candidates:
+            raise ValueError("no candidates to score")
+        for c in candidates:
+            if not c.prior > 0.0:
+                raise ValueError(f"prior for {c.entity!r} must be positive")
+            if c.entity not in index:
+                raise DataError(f"entity {c.entity!r} missing from entity space")
+        by_count.setdefault(len(candidates), []).append(i)
+    groups = []
+    for members in by_count.values():
+        lists = [candidate_lists[i] for i in members]
+        rows = ent_space.matrix[[[index[c.entity] for c in cs] for cs in lists]]
+        priors = np.array([[log(c.prior) for c in cs] for cs in lists])
+        groups.append((np.array(members), rows.astype(np.float64), priors))
+    return groups
 
 
 @dataclass(frozen=True)
@@ -406,50 +400,33 @@ def train_linker(
     by_doc: dict[tuple[tuple[str, ...], bool], list[int]] = {}
     for i, ex in enumerate(examples):
         by_doc.setdefault((ex.tokens, ex.use_emask), []).append(i)
-    states = [None] * len(examples)
+    groups = candidate_groups([ex.candidates for ex in examples], scorer.ent)
+    states = np.empty((len(examples), scorer.ent.dim))
     for (tokens, use_emask), members in by_doc.items():
-        doc_states = span_mask_states(
-            tokens, [examples[i].span for i in members], scorer, None, use_emask
-        )
-        for i, h in zip(members, doc_states):
-            states[i] = h
-    fixed = [_candidate_rows(ex.candidates, scorer.ent) for ex in examples]
-    # A null-entity gold indexes past the candidates, where it is appended.
-    gold_idx = [
+        spans = [examples[i].span for i in members]
+        states[members] = span_mask_states(tokens, spans, scorer, None, use_emask)
+    # A null-entity gold indexes past the candidates, where it is scored.
+    gold = np.array([
         len(ex.candidates) if ex.gold is None
         else [c.entity for c in ex.candidates].index(ex.gold)
         for ex in examples
-    ]
+    ])
 
+    n = len(examples)
     losses: list[float] = []
-    for _ in range(epochs):
-        loss, ga, gc, ge, gb = _batch_gradients(states, fixed, gold_idx, head, eps)
-        losses.append(loss)
-        head.a = head.a - step * ga
-        head.c = head.c - step * gc
-        eps.e = eps.e - step * ge
-        eps.b = eps.b - step * gb
-    loss, *_ = _batch_gradients(states, fixed, gold_idx, head, eps)
-    losses.append(loss)
+    for epoch in range(epochs + 1):
+        u = head.apply(states)
+        # Only the null entity, the shared candidate, is trainable.
+        loss, du, g_null, _ = candidate_gradients(u, groups, gold, (eps.e, eps.b))
+        # cumsum adds the losses one by one in example order.
+        losses.append(float(np.cumsum(loss)[-1]) / n)
+        if epoch == epochs:
+            break
+        head.a = head.a - step * ((du.T @ states) / n)
+        head.c = head.c - step * (du.sum(axis=0) / n)
+        eps.e = eps.e - step * ((g_null @ u) / n)
+        eps.b = eps.b - step * (float(g_null.sum()) / n)
     return losses
-
-
-def _batch_gradients(states, fixed, gold_idx, head: AffineHead, eps: NullEntityParams):
-    n = len(states)
-    total_loss = 0.0
-    ga = np.zeros_like(head.a)
-    gc = np.zeros_like(head.c)
-    ge = np.zeros_like(eps.e)
-    gb = 0.0
-    for h, cands, gold in zip(states, fixed, gold_idx):
-        grads: HeadGradients = head_gradients(h, head, cands + [(eps.e, eps.b)], gold)
-        total_loss += grads.loss
-        ga += grads.a
-        gc += grads.c
-        de, db = grads.cands[-1]  # only the null entity is trainable
-        ge += de
-        gb += db
-    return total_loss / n, ga / n, gc / n, ge / n, gb / n
 
 
 @dataclass(frozen=True)
@@ -472,39 +449,40 @@ def iterative_refine(
     """Decode spans over ``iterations`` rounds of rescoring.
 
     Each round rescores every undecided span against the current partial
-    decoding, with one ``span_mask_states`` call for all of them. With m
-    spans already decoded and n undecided spans whose argmax is a real
-    entity, the round fixes the k = ceil(j (m + n) / J) - m most confident
-    of those n (by null-entity improbability, ties toward the earlier span),
-    skipping any span that overlaps an already fixed one; skips do not count
-    toward k. Rounds end early once n reaches zero.
-    Spans still undecided at the end are rejected.
+    decoding, with one ``span_mask_states`` and one ``candidate_probs`` call
+    for all of them. With m spans already decoded and n undecided spans
+    whose argmax is a real entity, the round fixes the k = ceil(j (m + n) /
+    J) - m most confident of those n (by null-entity improbability, ties
+    toward the earlier span), skipping any span that overlaps an already
+    fixed one; skips do not count toward k. Rounds end early once n reaches
+    zero. Spans still undecided at the end are rejected.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
     spans = list(spans)
+    groups = candidate_groups([s.candidates for s in spans], scorer.ent)
     log_steps: list[RefinementStep] = []
 
     for j in range(1, iterations + 1):
-        decoded_map = {
-            (s.start, s.end): s.entity for s in spans if s.state is SpanState.DECODED
-        }
-        undecided = [s for s in spans if s.state is SpanState.UNDECIDED]
+        taken = [s for s in spans if s.state is SpanState.DECODED]
+        decoded_map = {(s.start, s.end): s.entity for s in taken}
+        undecided = [i for i, s in enumerate(spans) if s.state is SpanState.UNDECIDED]
         if not undecided:
             break
 
-        states = span_mask_states(tokens, undecided, scorer, decoded_map, use_emask)
-        dists = [
-            entity_distribution(h, head, span.candidates, scorer.ent, eps)
-            for span, h in zip(undecided, states)
-        ]
-        selectable: list[tuple[CandidateSpan, float, str]] = []
-        for span, dist in zip(undecided, dists):
-            best = int(np.argmax(dist))
-            if best < len(span.candidates):
-                selectable.append(
-                    (span, float(dist[-1]), span.candidates[best].entity)
-                )
+        # Every span is scored; only the undecided ones have states to read.
+        states = np.zeros((len(spans), scorer.ent.dim))
+        states[undecided] = span_mask_states(
+            tokens, [spans[i] for i in undecided], scorer, decoded_map, use_emask
+        )
+        # (span, p(null), its best entity, index) of each selectable span.
+        selectable: list[tuple[CandidateSpan, float, str, int]] = []
+        probs = candidate_probs(head.apply(states), groups, (eps.e, eps.b))
+        for (rows, _, _), p in zip(groups, probs):
+            for i, best, p_null in zip(rows, p.argmax(axis=1), p[:, -1]):
+                span = spans[i]
+                if span.state is SpanState.UNDECIDED and best < len(span.candidates):
+                    selectable.append((span, float(p_null), span.candidates[best].entity, i))
         m = len(decoded_map)
         n = len(selectable)
         if n == 0:
@@ -512,21 +490,17 @@ def iterative_refine(
             break
         # k = ceil(j (m + n) / J) - m, in exact integer arithmetic
         quota = max(0, -((-j * (m + n)) // iterations) - m)
-        selectable.sort(key=lambda t: (t[1], t[0].start, t[0].end))
-        fixed_now: list[tuple[int, int, str]] = []
+        selectable.sort(key=lambda t: (t[1], t[0].start, t[0].end, t[3]))
         accepted: list[CandidateSpan] = []
-        already = [s for s in spans if s.state is SpanState.DECODED]
-        for span, _p_eps, entity in selectable:
+        for span, _p_eps, entity, _ in selectable:
             if len(accepted) == quota:
                 break
-            if any(span.overlaps(d) for d in already) or any(
-                span.overlaps(a) for a in accepted
-            ):
-                continue
-            span.decode(entity)
-            accepted.append(span)
-            fixed_now.append((span.start, span.end, entity))
-        log_steps.append(RefinementStep(j, n, quota, tuple(fixed_now)))
+            if not any(span.overlaps(t) for t in taken):
+                span.decode(entity)
+                accepted.append(span)
+                taken.append(span)
+        fixed_now = tuple((s.start, s.end, s.entity) for s in accepted)
+        log_steps.append(RefinementStep(j, n, quota, fixed_now))
 
     for span in spans:
         if span.state is SpanState.UNDECIDED:

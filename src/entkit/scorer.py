@@ -33,12 +33,13 @@ from .text_input import CONTROL_PIECES, UNK, Token, TokenKind, TokenSequence
 MASK_PIECE = "[MASK]"
 _MASK_KINDS = (TokenKind.MASK, TokenKind.EMASK)
 
-# Questions per head and logit product. Every product has exactly this many
-# questions (the last block of a batch is zero-padded), and the questions are
-# the columns of its right-hand operand, so BLAS tiles them uniformly and a
-# question's probabilities are bit-identical whatever batch it is scored in.
-# On OpenBLAS, a product whose shape follows the batch size, or that has the
-# questions as rows of its left-hand operand, changes the last bits of rows.
+# States (cloze questions or linking spans) per head product, and questions
+# per answer-logit product. Every product has exactly this many states (the
+# last block of a batch is zero-padded), and the states are the columns of
+# its right-hand operand, so BLAS tiles them uniformly and a state's
+# probabilities are bit-identical whatever batch it is scored in. On
+# OpenBLAS, a product whose shape follows the batch size, or that has the
+# states as rows of its left-hand operand, changes the last bits of rows.
 ROW_BLOCK = 64
 
 
@@ -135,7 +136,19 @@ class AffineHead:
         return self.a.shape[0]
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        return self.a @ np.asarray(h, dtype=np.float64) + self.c
+        """``A h + c`` for each row of an (S, d) stack of states, or for one
+        state as a stack of one. The stack is taken ``ROW_BLOCK`` zero-padded
+        rows at a time in transposed form, ``A H^T + c``, so a row's output
+        does not depend on the rest of its stack."""
+        h = np.asarray(h, dtype=np.float64)
+        stack = np.atleast_2d(h)
+        padded = np.zeros((-(-len(stack) // ROW_BLOCK) * ROW_BLOCK, self.dim))
+        padded[: len(stack)] = stack
+        u = np.empty_like(padded)
+        for start in range(0, len(padded), ROW_BLOCK):
+            block = padded[start : start + ROW_BLOCK]
+            u[start : start + ROW_BLOCK] = (self.a @ block.T + self.c[:, None]).T
+        return u[0] if h.ndim == 1 else u[: len(stack)]
 
     @classmethod
     def identity(cls, dim: int) -> "AffineHead":
@@ -146,24 +159,47 @@ class AffineHead:
         return cls(np.zeros((dim, dim)), np.zeros(dim))
 
 
-Candidates = Sequence[tuple[np.ndarray, float]]
+def candidate_probs(u: np.ndarray, groups, shared) -> list[np.ndarray]:
+    """Softmax over ``e . u + b`` for the candidates ``(e, b)`` of each row
+    of the (S, d) head outputs ``u``, then the ``shared`` one.
 
-
-def score_candidates(h: np.ndarray, head: AffineHead, cands: Candidates) -> np.ndarray:
-    """Softmax over ``e . (A h + c) + b`` for each candidate ``(e, b)``.
-
-    Computed with max subtraction; the result sums to 1 and is invariant to
-    adding any constant to all logits.
+    A group ``(rows, e, b)`` holds the rows with c candidates each: their
+    indices into ``u``, and their candidates' (S_c, c, d) vectors and (S_c,
+    c) biases. ``shared`` is one ``(e, b)`` candidate scored last for every
+    row. Returns one (S_c, c + 1) array per group. Rows sum to 1, are
+    invariant to adding a constant to all their logits, and, as every dot
+    product is a sum along the last axis, do not depend on their batch.
     """
-    if len(cands) == 0:
-        raise ValueError("no candidates to score")
-    return _candidate_probs(head.apply(h), cands)
+    probs = []
+    for rows, e, b in groups:
+        ug = u[rows]
+        logits = (e * ug[:, None, :]).sum(axis=-1) + b
+        last = (ug * shared[0]).sum(axis=-1) + shared[1]
+        probs.append(_softmax(np.column_stack([logits, last])))
+    return probs
 
 
-def _candidate_probs(u: np.ndarray, cands: Candidates) -> np.ndarray:
-    """Softmax over ``e . u + b`` for each candidate ``(e, b)``, where ``u``
-    is the head's output."""
-    return _softmax(np.array([np.dot(e, u) + b for e, b in cands], dtype=np.float64))
+def candidate_gradients(u: np.ndarray, groups, gold, shared):
+    """Gradients of ``-log p(gold)`` for ``candidate_probs``, where
+    ``gold[s]`` indexes row s's candidates, ``shared`` last.
+
+    With g = p - onehot(gold), returns ``(loss, du, dshared, probs)``: per
+    row, the loss, du = sum_j g_j e_j (the gradient in the head output, so
+    d/dc through an affine head and d/dA = du h^T) and the shared g (d/db;
+    d/de = g u); per group, the softmax p.
+    """
+    probs = candidate_probs(u, groups, shared)
+    loss = np.zeros(len(u))
+    du = np.zeros_like(u)
+    dshared = np.zeros(len(u))
+    for (rows, e, _), p in zip(groups, probs):
+        at_gold = (np.arange(len(p)), gold[rows])
+        g = p.copy()
+        g[at_gold] -= 1.0
+        du[rows] = (g[:, :-1, None] * e).sum(axis=1) + g[:, -1:] * shared[0]
+        dshared[rows] = g[:, -1]
+        loss[rows] = -np.log(p[at_gold])
+    return loss, du, dshared, probs
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
@@ -183,30 +219,23 @@ class HeadGradients:
     loss: float
 
 
-def head_gradients(
-    h: np.ndarray, head: AffineHead, cands: Candidates, gold: int
-) -> HeadGradients:
-    """Analytic gradients of ``-log softmax_gold`` for the affine head and
-    every candidate's embedding and bias.
-
-    With p the softmax and g_j = p_j - 1[j = gold]:
-    d/db_j = g_j, d/de_j = g_j u, d/dc = sum_j g_j e_j, d/dA = (d/dc) h^T.
-    """
+def head_gradients(h: np.ndarray, head: AffineHead, cands, gold: int) -> HeadGradients:
+    """``candidate_gradients`` of a batch of one state ``h`` whose candidates
+    are the ``(e, b)`` pairs ``cands``, the last one as the shared candidate:
+    d/dA, d/dc and each (d/de, d/db)."""
     if not 0 <= gold < len(cands):
         raise ValueError(f"gold index {gold} out of range for {len(cands)} candidates")
     h = np.asarray(h, dtype=np.float64)
-    u = head.apply(h)
-    probs = _candidate_probs(u, cands)
-    g = probs.copy()
+    u = head.apply(h[None])
+    *own, shared = cands
+    e = np.array([e for e, _ in own], dtype=np.float64).reshape(1, len(own), len(h))
+    group = ([0], e, np.array([[b for _, b in own]]))
+    loss, du, _, probs = candidate_gradients(u, [group], np.array([gold]), shared)
+    g = probs[0][0].copy()
     g[gold] -= 1.0
-    du = np.zeros_like(u)
-    cand_grads: list[tuple[np.ndarray, float]] = []
-    for gj, (e, _b) in zip(g, cands):
-        du += gj * np.asarray(e, dtype=np.float64)
-        cand_grads.append((gj * u, float(gj)))
-    grad_a = np.outer(du, h)
-    loss = float(-np.log(probs[gold]))
-    return HeadGradients(grad_a, du, cand_grads, probs, loss)
+    cand_grads = [(gj * u[0], float(gj)) for gj in g]
+    grad_a = np.outer(du[0], h)
+    return HeadGradients(grad_a, du[0], cand_grads, probs[0][0], float(loss[0]))
 
 
 @dataclass
@@ -283,12 +312,11 @@ class ReferenceScorer:
         """
         e = self._answer_matrix(symbols)
         n = len(seqs)
-        h = np.zeros((-(-n // ROW_BLOCK) * ROW_BLOCK, self.wp.dim))
-        h[:n] = self.mask_states(*_index_sequences(seqs))
+        u = np.zeros((-(-n // ROW_BLOCK) * ROW_BLOCK, self.wp.dim))
+        u[:n] = self.head.apply(self.mask_states(*_index_sequences(seqs)))
         probs = np.empty((n, len(symbols)))
         for start in range(0, n, ROW_BLOCK):
-            u_t = self.head.a @ h[start : start + ROW_BLOCK].T + self.head.c[:, None]
-            logits = np.ascontiguousarray((e @ u_t).T)
+            logits = np.ascontiguousarray((e @ u[start : start + ROW_BLOCK].T).T)
             probs[start : start + ROW_BLOCK] = _softmax(logits)[: n - start]
         return probs
 

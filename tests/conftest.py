@@ -191,3 +191,14 @@ def flat_linking_world(n_spans: int):
     table = {f"w{i}": (Candidate(f"ENTITY/E{i}", 1.0),) for i in range(n_spans)}
     scorer = ReferenceScorer(wp, ent)
     return words, table, scorer
+
+
+def span_posterior(h, head, candidates, space, eps) -> np.ndarray:
+    """One span's posterior over its candidates plus the null entity (last
+    index) at state ``h``: ``candidate_groups`` and ``candidate_probs`` with
+    a batch of one."""
+    from entkit.entity_linking import candidate_groups
+    from entkit.scorer import candidate_probs
+
+    u = head.apply(np.asarray(h, dtype=np.float64)[None])
+    return candidate_probs(u, candidate_groups([candidates], space), (eps.e, eps.b))[0][0]

@@ -22,6 +22,7 @@ from conftest import (
     paired_spaces,
     random_uhn_fixture,
     record_criterion,
+    span_posterior,
     wp_space_with,
 )
 from entkit.alignment import alignment_objective, fit_alignment
@@ -34,7 +35,6 @@ from entkit.entity_linking import (
     NullEntityParams,
     SpanState,
     build_training_examples,
-    entity_distribution,
     generate_candidates,
     iterative_refine,
     strong_match_f1,
@@ -208,7 +208,7 @@ def test_criterion_06_priors_as_biases():
         candidates = [Candidate(f"ENTITY/E{i}", float(p)) for i, p in enumerate(priors)]
         eps = NullEntityParams(rng.standard_normal(dim), b=-1e9)
         h = rng.standard_normal(dim)
-        dist = entity_distribution(h, zero_head, candidates, space, eps)
+        dist = span_posterior(h, zero_head, candidates, space, eps)
         np.testing.assert_allclose(dist[:-1], priors / priors.sum(), atol=1e-9)
         assert dist[-1] < 1e-12
 
@@ -224,8 +224,8 @@ def test_criterion_06_priors_as_biases():
         scale = float(rng.uniform(0.05, 0.95))
         base = [Candidate(f"ENTITY/E{i}", float(p)) for i, p in enumerate(priors)]
         scaled = [Candidate(c.entity, c.prior * scale) for c in base]
-        d0 = entity_distribution(h, head, base, space, eps)[:-1]
-        d1 = entity_distribution(h, head, scaled, space, eps)[:-1]
+        d0 = span_posterior(h, head, base, space, eps)[:-1]
+        d1 = span_posterior(h, head, scaled, space, eps)[:-1]
         np.testing.assert_allclose(d0 / d0.sum(), d1 / d1.sum(), atol=1e-9)
 
 

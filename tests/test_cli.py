@@ -546,6 +546,38 @@ def test_malformed_fixture_exit_data(tmp_path, capsys, fixture, text):
     )
     assert_one_line_error(code, stderr, 2, f"fixture.json: {text}")
 
+
+# "{file}" is a file holding the case's text; "{none}" is a file that does
+# not exist, so a flag rejected before anything is read exits 1, not 2.
+EVAL_ALIGNED = [*EVAL_BASE, "--ent-space", WIKI, "--mode", "concat", "--align", "{file}"]
+RESOLVE_NOTHING = ["resolve", "--surfaces", "{none}", "--fixture", WD_FIXTURE, "--rate"]
+
+
+@pytest.mark.parametrize("argv,content,expected_code,text", [
+    (EVAL_ALIGNED, "0 8 0.0 5\n", 2, "line 1: alignment dimensions must be positive"),
+    (EVAL_ALIGNED, "2 -3 0.0 5\n0.0\n0.0\n", 2,
+     "line 1: alignment dimensions must be positive"),
+    (EVAL_ALIGNED, "1 1000000000000 0.0 5\n0.0\n", 2,
+     "line 2: expected 1000000000000 values, got 1"),
+    ([*EVAL_BASE[:5], "--wp-space", "{file}", *EVAL_BASE[7:], "--mode", "bert"],
+     "1 1000000000000\na 1.0\n", 2, "line 2: expected 1000000000000 values, got 1"),
+    ([*RESOLVE_NOTHING, "0"], "", 1, "--rate must be positive and finite, got 0.0"),
+    ([*RESOLVE_NOTHING, "-2"], "", 1, "--rate must be positive and finite, got -2.0"),
+    ([*RESOLVE_NOTHING, "nan"], "", 1, "--rate must be positive and finite, got nan"),
+    ([*RESOLVE_NOTHING, "inf"], "", 1, "--rate must be positive and finite, got inf"),
+], ids=["align-zero-dim", "align-negative-dim", "align-huge-dim", "space-huge-dim",
+        "rate-zero", "rate-negative", "rate-nan", "rate-inf"])
+def test_bad_header_or_rate_exits_with_one_line(
+    tmp_path, capsys, argv, content, expected_code, text
+):
+    path = tmp_path / "input.txt"
+    path.write_text(content, encoding="utf-8")
+    argv = [a.replace("{file}", str(path)).replace("{none}", str(tmp_path / "none.txt"))
+            for a in argv]
+    code, _, stderr = run(capsys, *argv)
+    assert_one_line_error(code, stderr, expected_code, text)
+
+
 class TestEntryPoint:
     def test_module_runs_as_script(self, tmp_path):
         out = tmp_path / "align.tsv"

@@ -12,6 +12,7 @@ from conftest import (
     flat_linking_world,
     grid_values,
     make_space,
+    span_posterior,
     wp_space_with,
 )
 from entkit.entity_linking import (
@@ -23,8 +24,8 @@ from entkit.entity_linking import (
     SpanState,
     build_el_input,
     build_training_examples,
+    candidate_groups,
     canonical_entity,
-    entity_distribution,
     generate_candidates,
     iterative_refine,
     load_candidate_table,
@@ -37,7 +38,13 @@ from entkit.entity_linking import (
 )
 from entkit.embeddings import SpaceKind
 from entkit.errors import DataError
-from entkit.scorer import AffineHead, ReferenceScorer, head_gradients
+from entkit.scorer import (
+    AffineHead,
+    ReferenceScorer,
+    candidate_gradients,
+    candidate_probs,
+    head_gradients,
+)
 
 
 def cand(name, prior=1.0):
@@ -388,6 +395,8 @@ class TestSpanMaskStates:
 
 
 class TestEntityDistribution:
+    """A span's posterior from ``candidate_groups`` and ``candidate_probs``."""
+
     def test_zero_head_with_suppressed_null_returns_priors(self):
         rng = np.random.default_rng(7)
         head = AffineHead.zeros(DIM)
@@ -399,7 +408,7 @@ class TestEntityDistribution:
         priors = np.array([0.4, 0.3, 0.2, 0.1])
         candidates = [Candidate(f"ENTITY/E{i}", priors[i]) for i in range(4)]
         h = grid_values(rng, DIM)
-        dist = entity_distribution(h, head, candidates, space, eps)
+        dist = span_posterior(h, head, candidates, space, eps)
         assert dist.shape == (5,)
         np.testing.assert_allclose(dist[:-1], priors, atol=1e-9)
         assert dist[-1] <= 1e-12
@@ -415,8 +424,8 @@ class TestEntityDistribution:
         h = grid_values(rng, DIM)
         base = [Candidate(f"ENTITY/E{i}", p) for i, p in enumerate(priors)]
         scaled = [Candidate(c.entity, c.prior * 0.37) for c in base]
-        d0 = entity_distribution(h, head, base, space, eps)
-        d1 = entity_distribution(h, head, scaled, space, eps)
+        d0 = span_posterior(h, head, base, space, eps)
+        d1 = span_posterior(h, head, scaled, space, eps)
         np.testing.assert_allclose(
             d0[:-1] / d0[:-1].sum(), d1[:-1] / d1[:-1].sum(), atol=1e-9
         )
@@ -429,7 +438,7 @@ class TestEntityDistribution:
         )
         h = np.array([1.0, 0.0])
         candidates = [Candidate("ENTITY/A", 0.5), Candidate("ENTITY/B", 1.0)]
-        dist = entity_distribution(h, head, candidates, space, eps)
+        dist = span_posterior(h, head, candidates, space, eps)
         logits = np.array([1.0 + np.log(0.5), 0.0, 2.0 + 0.25])
         expected = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(dist, expected, atol=1e-12)
@@ -440,15 +449,62 @@ class TestEntityDistribution:
         space = ent_space_with({"ENTITY/A": [1.0, 0.0]}, 2)
         h = np.zeros(2)
         with pytest.raises(ValueError, match="no candidates"):
-            entity_distribution(h, head, [], space, eps)
+            span_posterior(h, head, [], space, eps)
         with pytest.raises(ValueError, match="must be positive"):
-            entity_distribution(
+            span_posterior(
                 h, head, [Candidate("ENTITY/A", 0.0)], space, eps
             )
         with pytest.raises(DataError, match="missing from entity space"):
-            entity_distribution(
+            span_posterior(
                 h, head, [Candidate("ENTITY/Zz", 1.0)], space, eps
             )
+
+
+class TestCandidateBatches:
+    """A span's probabilities and an example's loss do not depend on the
+    batch they are computed in. Standard-normal values make every product
+    round, and the spans have 1 to 9 candidates, so the softmax sums of the
+    wider ones are grouped pairwise."""
+
+    D = 12
+    N = 150  # more than one ROW_BLOCK of states
+
+    def world(self, seed):
+        rng = np.random.default_rng(seed)
+        names = [f"ENTITY/E{i}" for i in range(30)]
+        space = ent_space_with({e: rng.standard_normal(self.D) for e in names}, self.D)
+        lists = [
+            tuple(Candidate(str(e), float(rng.uniform(0.01, 1.0)))
+                  for e in rng.choice(names, size=k, replace=False))
+            for k in [*range(1, 10), *rng.integers(1, 10, size=self.N - 9)]
+        ]
+        states = rng.standard_normal((self.N, self.D))
+        head = AffineHead(rng.standard_normal((self.D, self.D)), rng.standard_normal(self.D))
+        eps = NullEntityParams(rng.standard_normal(self.D), float(rng.standard_normal()))
+        return rng, space, lists, states, head, eps
+
+    def test_probabilities_alone_and_in_a_shuffled_batch(self):
+        rng, space, lists, states, head, eps = self.world(3)
+        perm = rng.permutation(self.N)
+        groups = candidate_groups([lists[i] for i in perm], space)
+        assert len(groups) == 9
+        batched = {}
+        probs = candidate_probs(head.apply(states[perm]), groups, (eps.e, eps.b))
+        for (rows, _, _), p in zip(groups, probs):
+            batched.update(zip(perm[rows], p))
+        for i, cands in enumerate(lists):
+            alone = span_posterior(states[i], head, cands, space, eps)
+            assert np.array_equal(batched[i], alone)
+
+    def test_losses_equal_head_gradients_losses(self):
+        rng, space, lists, states, head, eps = self.world(4)
+        gold = np.array([rng.integers(0, len(c) + 1) for c in lists])
+        groups = candidate_groups(lists, space)
+        loss = candidate_gradients(head.apply(states), groups, gold, (eps.e, eps.b))[0]
+        for i, cands in enumerate(lists):
+            rows = [(space.row(c.entity).astype(np.float64), math.log(c.prior)) for c in cands]
+            one = head_gradients(states[i], head, rows + [(eps.e, eps.b)], int(gold[i]))
+            assert np.array_equal(loss[i], one.loss)
 
 
 def training_world(seed=11):

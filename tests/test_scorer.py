@@ -12,10 +12,10 @@ from entkit.lama_bench import rank_answers
 from entkit.scorer import (
     AffineHead,
     ReferenceScorer,
+    candidate_probs,
     embed_sequence,
     head_gradients,
     reference_contextualize,
-    score_candidates,
 )
 from entkit.text_input import Token, TokenKind, TokenSequence
 
@@ -128,13 +128,25 @@ class TestAffineHead:
             AffineHead(np.zeros((2, 2)), np.zeros(3))
 
 
+def one_row_probs(h, head, cands):
+    """``candidate_probs`` of a batch of one state ``h`` whose candidates are
+    the ``(e, b)`` pairs ``cands``, the last one as the shared candidate."""
+    h = np.asarray(h, dtype=np.float64)
+    *own, shared = cands
+    e = np.array([e for e, _ in own], dtype=np.float64).reshape(1, len(own), len(h))
+    group = ([0], e, np.array([[b for _, b in own]]))
+    return candidate_probs(head.apply(h[None]), [group], shared)[0][0]
+
+
 class TestScoreCandidates:
+    """Candidate probabilities, through ``candidate_probs`` with a batch of one."""
+
     def test_matches_plain_softmax(self):
         rng = np.random.default_rng(3)
         h = rng.standard_normal(DIM)
         head = AffineHead(rng.standard_normal((DIM, DIM)), rng.standard_normal(DIM))
         cands = [(rng.standard_normal(DIM), float(rng.standard_normal())) for _ in range(5)]
-        probs = score_candidates(h, head, cands)
+        probs = one_row_probs(h, head, cands)
         u = head.a @ h + head.c
         logits = np.array([e @ u + b for e, b in cands])
         expected = np.exp(logits) / np.exp(logits).sum()
@@ -147,23 +159,25 @@ class TestScoreCandidates:
         cands = [(np.array([1.0, 0.0]), 0.5), (np.array([0.0, 1.0]), -0.5)]
         shifted = [(e, b + 100.0) for e, b in cands]
         np.testing.assert_allclose(
-            score_candidates(h, head, cands),
-            score_candidates(h, head, shifted),
+            one_row_probs(h, head, cands),
+            one_row_probs(h, head, shifted),
             atol=1e-12,
         )
 
     def test_extreme_logits_stay_finite(self):
         h = np.array([1000.0])
         head = AffineHead.identity(1)
-        probs = score_candidates(
+        probs = one_row_probs(
             h, head, [(np.array([1.0]), 0.0), (np.array([-1.0]), 0.0)]
         )
         assert np.all(np.isfinite(probs))
         np.testing.assert_allclose(probs, [1.0, 0.0], atol=1e-12)
 
     def test_empty_rejected(self):
+        # Every row scores at least the shared candidate, so an empty
+        # candidate list is rejected before scoring.
         with pytest.raises(ValueError):
-            score_candidates(np.zeros(2), AffineHead.identity(2), [])
+            head_gradients(np.zeros(2), AffineHead.identity(2), [], 0)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -173,11 +187,11 @@ class TestScoreCandidates:
     def test_permutation_equivariance_and_normalization(self, biases, rnd):
         head = AffineHead.zeros(2)
         cands = [(np.zeros(2), b) for b in biases]
-        probs = score_candidates(np.zeros(2), head, cands)
+        probs = one_row_probs(np.zeros(2), head, cands)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         perm = list(range(len(biases)))
         rnd.shuffle(perm)
-        probs2 = score_candidates(np.zeros(2), head, [cands[i] for i in perm])
+        probs2 = one_row_probs(np.zeros(2), head, [cands[i] for i in perm])
         np.testing.assert_allclose(probs2, probs[perm], atol=1e-12)
 
 
@@ -210,7 +224,7 @@ class TestHeadGradients:
             gold = int(rng.integers(0, n_cands))
 
             def loss():
-                probs = score_candidates(
+                probs = one_row_probs(
                     h, AffineHead(a, c), [(e, b) for e, b in zip(es, bs)]
                 )
                 return -np.log(probs[gold])
@@ -237,7 +251,7 @@ class TestHeadGradients:
                 def loss_b():
                     trial_bs = list(bs)
                     trial_bs[j] = float(b_arr[0])
-                    probs = score_candidates(
+                    probs = one_row_probs(
                         h, AffineHead(a, c), [(e, b) for e, b in zip(es, trial_bs)]
                     )
                     return -np.log(probs[gold])
@@ -277,7 +291,7 @@ class TestHeadGradients:
         h = rng.standard_normal(3)
         grads = head_gradients(h, head, cands, gold=1)
         assert head.calls == 1
-        assert np.array_equal(grads.probs, score_candidates(h, head, cands))
+        assert np.array_equal(grads.probs, one_row_probs(h, head, cands))
 
 
 class TestReferenceScorer:
