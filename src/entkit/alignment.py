@@ -11,12 +11,19 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, SharedSymbol, SpaceKind, Vocabulary
+from .embeddings import (
+    EmbeddingSpace,
+    SharedSymbol,
+    SpaceKind,
+    Vocabulary,
+    is_entity_symbol,
+)
 from .errors import DataError
+from .scorer import ROW_BLOCK
 
 logger = logging.getLogger(__name__)
 
@@ -111,12 +118,8 @@ def apply_alignment(amap: AlignmentMap, vector: np.ndarray) -> np.ndarray:
     return amap.w @ v
 
 
-def derive_entity_space(amap: AlignmentMap, wiki: EmbeddingSpace) -> EmbeddingSpace:
-    """Map every entity row of ``wiki`` into the target space.
-
-    The result contains exactly the entity symbols of ``wiki``, in their
-    original relative order, and no words.
-    """
+def check_entity_source(amap: AlignmentMap, wiki: EmbeddingSpace) -> None:
+    """Raise unless entity rows of ``wiki`` can be mapped by ``amap``."""
     if wiki.kind is not SpaceKind.WORD_AND_ENTITY:
         raise ValueError("entity derivation needs a word-and-entity space")
     if wiki.dim != amap.d_src:
@@ -124,11 +127,46 @@ def derive_entity_space(amap: AlignmentMap, wiki: EmbeddingSpace) -> EmbeddingSp
             f"space dimension {wiki.dim} does not match alignment source "
             f"dimension {amap.d_src}"
         )
-    symbols = wiki.entity_symbols()
-    ids = [wiki.vocab.index[s] for s in symbols]
-    rows = wiki.matrix[ids].astype(np.float64) @ amap.w.T
+
+
+def derive_entity_space(
+    amap: AlignmentMap, wiki: EmbeddingSpace, symbols: Iterable[str] | None = None
+) -> EmbeddingSpace:
+    """Map entity rows of ``wiki`` into the target space.
+
+    Maps every entity row, or with ``symbols`` only those entities. The
+    result holds them in their relative order in ``wiki``, and no words.
+    Rows are mapped ``ROW_BLOCK`` at a time, the last block zero-padded, so
+    every product has one shape and a row's bits do not depend on which
+    other rows are derived. The rows stay the left-hand operand, as in a
+    single product over the whole table, whose bits they match for tables
+    of more than a few rows.
+    """
+    check_entity_source(amap, wiki)
+    index = wiki.vocab.index
+    if symbols is None:
+        ids = [index[s] for s in wiki.entity_symbols()]
+    else:
+        wanted = set(symbols)
+        words = sorted(s for s in wanted if not is_entity_symbol(s))
+        if words:
+            raise DataError(f"cannot derive symbols that are not entities: {words[:5]}")
+        missing = sorted(s for s in wanted if s not in index)
+        if missing:
+            raise DataError(f"entities missing from entity space: {missing[:5]}")
+        ids = sorted(index[s] for s in wanted)
+    rows = np.empty((len(ids), amap.d_tgt))
+    block = np.zeros((ROW_BLOCK, amap.d_src))
+    for start in range(0, len(ids), ROW_BLOCK):
+        part = ids[start : start + ROW_BLOCK]
+        block[: len(part)] = wiki.matrix[part]
+        block[len(part) :] = 0.0
+        rows[start : start + len(part)] = (block @ amap.w.T)[: len(part)]
     return EmbeddingSpace(
-        Vocabulary(symbols), amap.d_tgt, rows, SpaceKind.WORD_AND_ENTITY
+        Vocabulary([wiki.vocab.symbols[i] for i in ids]),
+        amap.d_tgt,
+        rows,
+        SpaceKind.WORD_AND_ENTITY,
     )
 
 

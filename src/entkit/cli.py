@@ -172,19 +172,22 @@ def _load_answer_vocab(path: str | None, wp: embeddings.EmbeddingSpace):
 
 
 def _load_entity_side(wp, ent_path, align_path):
+    """Load the word-and-entity space and the alignment and check that they
+    fit the wordpiece space; returns ``(wiki, amap)``, or None without
+    ``--ent-space``. The caller derives only the entities it references."""
     if ent_path is None:
         return None
     if align_path is None:
         raise UsageError("--ent-space requires --align")
     wiki = embeddings.load_space(ent_path, embeddings.SpaceKind.WORD_AND_ENTITY)
     amap = alignment.load_alignment(align_path)
-    derived = alignment.derive_entity_space(amap, wiki)
-    if derived.dim != wp.dim:
+    alignment.check_entity_source(amap, wiki)
+    if amap.d_tgt != wp.dim:
         raise DataError(
-            f"aligned entity dimension {derived.dim} does not match "
+            f"aligned entity dimension {amap.d_tgt} does not match "
             f"wordpiece dimension {wp.dim}"
         )
-    return derived
+    return wiki, amap
 
 
 def cmd_eval_lama(args) -> int:
@@ -192,9 +195,9 @@ def cmd_eval_lama(args) -> int:
         raise UsageError(f"entkit eval-lama: --k must be at least 1, got {args.k}")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
     answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
-    ent = _load_entity_side(wp, args.ent_space, args.align)
+    entity_side = _load_entity_side(wp, args.ent_space, args.align)
     mode = InputMode(args.mode)
-    if mode is not InputMode.BERT and ent is None:
+    if mode is not InputMode.BERT and entity_side is None:
         raise UsageError(f"--mode {mode.value} requires --ent-space and --align")
 
     dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
@@ -203,6 +206,15 @@ def cmd_eval_lama(args) -> int:
         mapping = wikidata_client.load_resolution_map(args.resolutions)
         dataset = lama_bench.resolve_subjects(dataset, mapping)
 
+    ent = None
+    if entity_side is not None:
+        wiki, amap = entity_side
+        # A resolved subject missing from the space falls back to wordpieces.
+        subjects = {t.sub_entity for ts in dataset.values() for t in ts}
+        ent = alignment.derive_entity_space(
+            amap, wiki, (s for s in subjects if s in wiki.vocab)
+        )
+        del wiki, entity_side  # the full space is no longer needed
     scorer = ReferenceScorer(wp, ent)
     by_relation = {}
     for rel in sorted(dataset):
@@ -284,11 +296,14 @@ def cmd_link(args) -> int:
         if not math.isfinite(value):
             raise UsageError(f"entkit link: {flag} must be finite, got {value}")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
-    ent = _load_entity_side(wp, args.ent_space, args.align)
+    wiki, amap = _load_entity_side(wp, args.ent_space, args.align)
     table = entity_linking.load_candidate_table(args.table, args.max_span)
-    missing = sorted(e for e in table.entities() if e not in ent.vocab)
+    entities = table.entities()
+    missing = sorted(e for e in entities if e not in wiki.vocab)
     if missing:
         raise DataError(f"candidate entities missing from entity space: {missing[:5]}")
+    ent = alignment.derive_entity_space(amap, wiki, entities)
+    del wiki  # the full space is no longer needed
     docs = entity_linking.load_documents(args.docs)
     redirects = (
         entity_linking.load_redirects(args.redirects) if args.redirects else {}

@@ -10,10 +10,22 @@ followed by one row per symbol, ``<symbol> <v1> ... <v_dim>``, UTF-8 encoded
 and space separated. Symbols must not contain whitespace. Numbers are parsed
 as 64-bit floats and stored as 32-bit, so a save/load round trip is exact at
 32-bit precision.
+
+``load_space`` has two parsers with one result. The fast path streams the
+rows in chunks of about ``CHUNK_CHARS`` characters, parses each chunk's
+numbers with numpy's C text parser into a float32 matrix allocated once,
+and so adds little more than one chunk to the matrix's memory. Whenever a
+chunk does not meet its checks (an odd separator, a number only ``float``
+reads, a short, long or blank row, a duplicate symbol, a row count that
+disagrees with the header), the file is parsed again line by line, one
+``float`` at a time; that path returns the same symbols and bits or raises
+the line-numbered DataError of the first bad line.
 """
 
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, NamedTuple
@@ -23,6 +35,10 @@ import numpy as np
 from .errors import DataError
 
 ENTITY_PREFIX = "ENTITY/"
+
+# Characters of lines per parse chunk of ``load_space``: the memory a chunk
+# adds on top of the matrix does not grow with the table.
+CHUNK_CHARS = 1 << 16
 
 
 class SpaceKind(Enum):
@@ -98,12 +114,82 @@ class EmbeddingSpace:
 def load_space(path, kind: SpaceKind) -> EmbeddingSpace:
     """Load an embedding space from word2vec text format.
 
-    Raises DataError with a line number on malformed headers, dimension
-    mismatches, unparseable numbers, duplicate symbols, or a row count that
-    disagrees with the header.
+    Every row is validated. Raises DataError with a line number on malformed
+    headers, dimension mismatches, unparseable numbers, duplicate symbols,
+    or a row count that disagrees with the header.
     """
     with open(path, encoding="utf-8") as fh:
-        lines = fh.read().split("\n")
+        # The fast path needs a regular file: its size bounds the allocation,
+        # and the fallback reads the file again from the start.
+        loaded = None
+        if fh.seekable():
+            loaded = _parse_chunks(fh)
+            fh.seek(0)
+        if loaded is None:
+            loaded = _parse_lines(path, fh.read())
+    vocab, matrix = loaded
+    if matrix.size and not np.all(np.isfinite(matrix)):
+        bad = int(np.argwhere(~np.isfinite(matrix).all(axis=1))[0][0])
+        raise DataError(f"{path}: non-finite value in row for {vocab.symbols[bad]!r}")
+    return EmbeddingSpace(vocab, matrix.shape[1], matrix, kind)
+
+
+def _parse_chunks(fh) -> tuple[Vocabulary, np.ndarray] | None:
+    """The fast path: rows in bounded chunks of lines, numbers by numpy's C
+    parser. Returns None when anything looks off; ``_parse_lines`` then
+    decides, so every error message comes from that one path.
+
+    A chunk is accepted only when each line's text before its first space is
+    a non-empty symbol without whitespace (so the rest holds exactly the
+    line's values) and ``np.loadtxt`` reads exactly one row of ``dim`` values
+    per line without a warning. ``np.loadtxt`` splits on the same whitespace
+    as ``str.split`` and, with ``comments=None``, accepts a subset of what
+    ``float`` accepts, with the same value; blank rests it would skip show
+    up as a short block.
+    """
+    header = fh.readline().split()
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except (IndexError, ValueError):
+        return None
+    if len(header) != 2 or count < 0 or dim <= 0:
+        return None
+    # A row of dim values takes 2 * dim + 1 characters or more, so a file
+    # too short for its header is left to the line-by-line path.
+    if os.fstat(fh.fileno()).st_size < count * (2 * dim + 1):
+        return None
+    matrix = np.empty((count, dim), dtype=np.float32)
+    symbols: list[str] = []
+    while parts := [line.partition(" ") for line in fh.readlines(CHUNK_CHARS)]:
+        start, stop = len(symbols), len(symbols) + len(parts)
+        chunk_symbols = [p[0] for p in parts]
+        if stop > count or " ".join(chunk_symbols).split() != chunk_symbols:
+            return None
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                block = np.loadtxt(
+                    [p[2] for p in parts], dtype=np.float64, comments=None, ndmin=2
+                )
+        except (ValueError, Warning):
+            return None
+        if block.shape != (stop - start, dim):
+            return None
+        with np.errstate(over="ignore"):  # load_space reports the inf
+            matrix[start:stop] = block
+        symbols += chunk_symbols
+    if len(symbols) != count:
+        return None
+    try:
+        return Vocabulary(symbols), matrix
+    except DataError:
+        return None
+
+
+def _parse_lines(path, text: str) -> tuple[Vocabulary, np.ndarray]:
+    """The reference path: one line and one ``float`` at a time, raising the
+    line-numbered DataError of the first bad line."""
+    lines = text.split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -125,8 +211,8 @@ def load_space(path, kind: SpaceKind) -> EmbeddingSpace:
             f"{path}: header declares {count} rows but file has {len(data_lines)}"
         )
 
-    # A row of dim values takes 2 * dim + 1 characters or more. In a file
-    # too short for its header the loop finds a short row, so skip allocating.
+    # In a file too short for its header the loop finds a short row, so skip
+    # allocating.
     fits = sum(map(len, data_lines)) >= count * (2 * dim + 1)
     rows = np.empty((count, dim), dtype=np.float64) if fits else None
     symbols: list[str] = []
@@ -149,12 +235,8 @@ def load_space(path, kind: SpaceKind) -> EmbeddingSpace:
             raise DataError(f"{path}: line {lineno}: unparseable number") from None
         if rows is not None:
             rows[n] = values
-
-    matrix = rows.astype(np.float32)
-    if matrix.size and not np.all(np.isfinite(matrix)):
-        bad = int(np.argwhere(~np.isfinite(matrix).all(axis=1))[0][0])
-        raise DataError(f"{path}: non-finite value in row for {symbols[bad]!r}")
-    return EmbeddingSpace(Vocabulary(symbols), dim, matrix, kind)
+    with np.errstate(over="ignore"):  # load_space reports the inf
+        return Vocabulary(symbols), rows.astype(np.float32)
 
 
 def save_space(space: EmbeddingSpace, path) -> None:

@@ -23,6 +23,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._tsv import tsv_rows
 from .embeddings import EmbeddingSpace, Vocabulary, is_entity_symbol
 from .errors import DataError
 from .scorer import AffineHead, candidate_gradients, candidate_probs
@@ -127,37 +128,27 @@ def load_candidate_table(path, max_span: int = 7) -> CandidateTable:
     """
     spans: dict[str, list[Candidate]] = {}
     rejected = 0
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            surface, entity, prior_text = fields
-            if not is_entity_symbol(entity):
-                raise DataError(
-                    f"{path}: line {lineno}: entity must be an ENTITY/ symbol"
-                )
-            try:
-                prior = float(prior_text)
-            except ValueError:
-                raise DataError(f"{path}: line {lineno}: unparseable prior") from None
-            if not (0.0 < prior <= 1.0):
-                raise DataError(
-                    f"{path}: line {lineno}: prior must lie in (0, 1], got {prior}"
-                )
-            if len(surface.split()) > max_span:
-                rejected += 1
-                continue
-            cands = spans.setdefault(surface, [])
-            if entity in {c.entity for c in cands}:
-                raise DataError(
-                    f"{path}: line {lineno}: duplicate candidate {entity!r} "
-                    f"for surface {surface!r}"
-                )
-            cands.append(Candidate(entity, prior))
+    for lineno, (surface, entity, prior_text) in tsv_rows(path, 3):
+        if not is_entity_symbol(entity):
+            raise DataError(f"{path}: line {lineno}: entity must be an ENTITY/ symbol")
+        try:
+            prior = float(prior_text)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: unparseable prior") from None
+        if not (0.0 < prior <= 1.0):
+            raise DataError(
+                f"{path}: line {lineno}: prior must lie in (0, 1], got {prior}"
+            )
+        if len(surface.split()) > max_span:
+            rejected += 1
+            continue
+        cands = spans.setdefault(surface, [])
+        if entity in {c.entity for c in cands}:
+            raise DataError(
+                f"{path}: line {lineno}: duplicate candidate {entity!r} "
+                f"for surface {surface!r}"
+            )
+        cands.append(Candidate(entity, prior))
     if rejected:
         logger.info("candidate table: rejected %d over-length keys", rejected)
     return CandidateTable(
@@ -645,16 +636,9 @@ def _gold_annotation(g, where: str) -> GoldAnnotation:
 def load_redirects(path) -> dict[str, str]:
     """Load TSV redirect rows ``from<TAB>to``; both sides normalize to symbols."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{path}: line {lineno}: expected 2 tab-separated fields")
-            src, dst = (normalize_entity(f) for f in fields)
-            if src in out:
-                raise DataError(f"{path}: line {lineno}: duplicate redirect for {src!r}")
-            out[src] = dst
+    for lineno, fields in tsv_rows(path, 2):
+        src, dst = (normalize_entity(f) for f in fields)
+        if src in out:
+            raise DataError(f"{path}: line {lineno}: duplicate redirect for {src!r}")
+        out[src] = dst
     return out

@@ -40,6 +40,7 @@ _MASK_KINDS = (TokenKind.MASK, TokenKind.EMASK)
 # probabilities are bit-identical whatever batch it is scored in. On
 # OpenBLAS, a product whose shape follows the batch size, or that has the
 # states as rows of its left-hand operand, changes the last bits of rows.
+# ``alignment.derive_entity_space`` maps entity rows in blocks of this size.
 ROW_BLOCK = 64
 
 

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 from urllib.parse import quote, unquote, urlparse
 
+from ._tsv import tsv_rows
 from .embeddings import ENTITY_PREFIX
 from .errors import DataError
 
@@ -309,26 +310,17 @@ def load_cache(path) -> dict[str, ResolutionResult]:
     never cached, so everything read back has a definite status.
     """
     cache: dict[str, ResolutionResult] = {}
-    file = Path(path)
-    if not file.exists():
+    if not Path(path).exists():
         return cache
-    with open(file, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(f"{path}: line {lineno}: expected 3 tab-separated fields")
-            surface, qid, url = fields
-            if qid:
-                cache[surface] = ResolutionResult(
-                    surface, qid, url or None, ResolutionStatus.RESOLVED
-                )
-            else:
-                cache[surface] = ResolutionResult(
-                    surface, None, None, ResolutionStatus.NOT_FOUND
-                )
+    for _lineno, (surface, qid, url) in tsv_rows(path, 3):
+        if qid:
+            cache[surface] = ResolutionResult(
+                surface, qid, url or None, ResolutionStatus.RESOLVED
+            )
+        else:
+            cache[surface] = ResolutionResult(
+                surface, None, None, ResolutionStatus.NOT_FOUND
+            )
     return cache
 
 

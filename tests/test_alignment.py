@@ -130,6 +130,60 @@ class TestApplyAndDerive:
             derive_entity_space(amap, wiki)
 
 
+class TestDeriveSubset:
+    """Deriving only some entities gives the rows of the full derivation."""
+
+    @staticmethod
+    def generic_world(n_entities=150, d_src=9, d_tgt=11):
+        # Standard-normal values and weights, so no product is exact and a
+        # shape-dependent summation order would show in the last bits.
+        rng = np.random.default_rng(17)
+        symbols = []
+        for i in range(n_entities):
+            symbols.append(f"ENTITY/E{i}")
+            if i % 7 == 0:
+                symbols.append(f"word{i}")
+        matrix = rng.standard_normal((len(symbols), d_src)).astype(np.float32)
+        wiki = make_space(symbols, matrix, SpaceKind.WORD_AND_ENTITY)
+        amap = AlignmentMap(rng.standard_normal((d_tgt, d_src)), 1, 0.0)
+        return wiki, amap, rng
+
+    @pytest.mark.parametrize("k", [1, 7, 64, 65, 150])
+    def test_subset_rows_are_the_full_rows(self, k):
+        wiki, amap, rng = self.generic_world()
+        full = derive_entity_space(amap, wiki)
+        entities = full.vocab.symbols
+        pick = sorted(rng.choice(len(entities), size=k, replace=False))
+        wanted = [entities[i] for i in pick]
+        sub = derive_entity_space(amap, wiki, reversed(wanted))
+        assert sub.vocab.symbols == tuple(wanted)  # wiki order, not call order
+        assert sub.dim == amap.d_tgt and sub.matrix.dtype == np.float64
+        assert np.array_equal(sub.matrix, full.matrix[pick])
+
+    def test_repeats_and_empty_sets(self):
+        wiki, amap, _ = self.generic_world()
+        full = derive_entity_space(amap, wiki)
+        twice = derive_entity_space(amap, wiki, ["ENTITY/E3", "ENTITY/E3"])
+        assert twice.vocab.symbols == ("ENTITY/E3",)
+        assert np.array_equal(twice.matrix, full.matrix[[3]])
+        empty = derive_entity_space(amap, wiki, [])
+        assert len(empty.vocab) == 0 and empty.matrix.shape == (0, amap.d_tgt)
+
+    def test_word_or_missing_symbol_is_a_clear_error(self):
+        wiki, amap, _ = self.generic_world()
+        with pytest.raises(DataError, match=r"not entities: \['word0'\]"):
+            derive_entity_space(amap, wiki, ["ENTITY/E1", "word0"])
+        with pytest.raises(
+            DataError, match=r"missing from entity space: \['ENTITY/Nowhere'\]"
+        ):
+            derive_entity_space(amap, wiki, ["ENTITY/E1", "ENTITY/Nowhere"])
+
+    def test_subset_checks_dimensions_first(self):
+        wiki, _, _ = self.generic_world()
+        with pytest.raises(DataError, match="does not match"):
+            derive_entity_space(AlignmentMap(np.zeros((4, 5)), 1, 0.0), wiki, ["x"])
+
+
 class TestSerialization:
     def test_round_trip_is_bit_exact(self, tmp_path):
         _, _, _, _, amap = fit_pair(4, n=30, noise=0.3)

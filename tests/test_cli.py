@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -374,6 +375,27 @@ class TestLink:
         assert code == 2
         assert "missing from entity space" in stderr
 
+    def test_missing_entities_message_lists_the_first_five(self, tmp_path, capsys):
+        # Only the table's entities are derived, but they are first checked
+        # against the whole space, and the message lists the first five.
+        align = fit_alignment_file(tmp_path, capsys)
+        table = tmp_path / "table.tsv"
+        rows = [f"Adams\tENTITY/Martian_{i}\t0.5" for i in (6, 2, 5, 1, 4, 3)]
+        rows.append("Adams\tENTITY/John_Adams\t0.5")
+        table.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys, "link", "--docs", EL_DOCS, "--table", str(table),
+            "--wp-space", WP, "--ent-space", WIKI, "--align", align,
+            "--eval", "--out-dir", str(tmp_path / "o"),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            "entkit: data error: candidate entities missing from entity space: "
+            "['ENTITY/Martian_1', 'ENTITY/Martian_2', 'ENTITY/Martian_3', "
+            "'ENTITY/Martian_4', 'ENTITY/Martian_5']\n"
+        )
+        assert not (tmp_path / "o").exists()
+
     def test_iterations_below_one_exit_usage_before_loading(self, tmp_path, capsys):
         # The documents file does not exist: --iterations must be rejected first.
         code, _, stderr = run(
@@ -601,6 +623,21 @@ class TestEntryPoint:
         assert code == 1
         assert "invalid choice" in stderr
 
+    def test_float32_overflow_in_a_space_exits_with_one_line(self, tmp_path):
+        # 1e39 is finite as a float64 but not as a float32; the cast must not
+        # print a numpy warning above the error line.
+        space = tmp_path / "wiki.txt"
+        space.write_text("2 2\na 0.5 1e39\nb 1 2\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "entkit", "align", "--src", str(space),
+             "--tgt", WP, "--out", str(tmp_path / "align.tsv")],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"entkit: data error: {space}: non-finite value in row for 'a'"
+        ]
+
     def test_import_does_not_load_requests(self):
         # Only a live endpoint needs HTTP; every other command skips the import.
         proc = subprocess.run(
@@ -718,3 +755,66 @@ def test_fuzzed_flags_and_files_keep_the_exit_code_contract(pristine_fixtures, c
             code = main(argv)
     assert code in (0, 1, 2, 3)
     assert "Traceback" not in stderr.getvalue()
+
+
+# Commands whose output must not change when the entity space gains rows
+# that nothing references ("{F}" and "{O}" as in FUZZ_COMMANDS).
+_EVAL_ENTITIES = [
+    "eval-lama", "--data", "{F}/lama", "--templates", "{F}/templates.json",
+    "--wp-space", "{F}/wordpieces.txt", "--ent-space", "{F}/wiki.txt",
+    "--align", "{F}/align.tsv", "--answer-vocab", "{F}/answers.txt",
+    "--resolutions", "{F}/resolutions.tsv", "--k", "3", "--out", "{O}/report.tsv",
+]
+_LINK_ENTITIES = [
+    "link", "--docs", "{F}/el/docs.jsonl", "--table", "{F}/el/table.tsv",
+    "--redirects", "{F}/el/redirects.tsv", "--wp-space", "{F}/wordpieces.txt",
+    "--ent-space", "{F}/wiki.txt", "--align", "{F}/align.tsv", "--out-dir", "{O}/link",
+]
+ENTITY_COMMANDS = {
+    "eval-lama-concat": [*_EVAL_ENTITIES, "--mode", "concat"],
+    "eval-lama-replace": [*_EVAL_ENTITIES, "--mode", "replace"],
+    "link-eval": [*_LINK_ENTITIES, "--eval"],
+    "link-train": [*_LINK_ENTITIES, "--train", "--epochs", "5"],
+}
+
+
+def command_outputs(fixtures: Path, out: Path, argv) -> tuple:
+    """Exit code, stdout and the bytes of every file a command writes."""
+    out.mkdir()
+    argv = [a.replace("{F}", str(fixtures)).replace("{O}", str(out)) for a in argv]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    files = {str(p.relative_to(out)): p.read_bytes()
+             for p in sorted(out.rglob("*")) if p.is_file()}
+    return code, stdout.getvalue(), files
+
+
+@pytest.fixture(scope="module")
+def entity_baseline(pristine_fixtures, tmp_path_factory):
+    out = tmp_path_factory.mktemp("baseline")
+    outputs = {name: command_outputs(pristine_fixtures, out / name, argv)
+               for name, argv in ENTITY_COMMANDS.items()}
+    assert all(code == 0 and files for code, _, files in outputs.values())
+    return outputs
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(extra=st.integers(1, 130), seed=st.integers(0, 2 ** 16))
+def test_unreferenced_entity_rows_change_no_output(
+    pristine_fixtures, entity_baseline, extra, seed
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        fixtures = Path(tmp) / "fixtures"
+        shutil.copytree(pristine_fixtures, fixtures)
+        wiki = fixtures / "wiki.txt"
+        header, body = wiki.read_text(encoding="utf-8").split("\n", 1)
+        count, dim = map(int, header.split())
+        values = np.random.default_rng(seed).standard_normal((extra, dim))
+        rows = [" ".join([f"ENTITY/Unreferenced_{i}", *map(repr, row.tolist())])
+                for i, row in enumerate(values)]
+        wiki.write_text(f"{count + extra} {dim}\n" + body + "\n".join(rows) + "\n",
+                        encoding="utf-8")
+        for name, argv in ENTITY_COMMANDS.items():
+            outputs = command_outputs(fixtures, Path(tmp) / name, argv)
+            assert outputs == entity_baseline[name], name

@@ -1,11 +1,17 @@
 """Embedding space parsing, serialization, and shared-vocabulary extraction."""
 
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_space
+from entkit import embeddings
 from entkit.embeddings import (
     EmbeddingSpace,
     SpaceKind,
@@ -83,6 +89,128 @@ class TestLoadSpace:
         f = write(tmp_path / "s.txt", "0 4\n")
         space = load_space(f, SpaceKind.WORD_AND_ENTITY)
         assert len(space.vocab) == 0 and space.dim == 4
+
+
+# Corruptions of a rendered space, each applied to its lines (header first)
+# at data line ``k`` with choice ``c``; "lone_cr" is applied to the joined
+# text by ``space_texts``.
+SEPARATORS = ["\t", "  ", "\xa0", "\x1c", "\x85", " \t"]
+ODD_VALUES = ["1_0", "0x1p3", "nan", "inf", "-inf", "1e39", "+.5", "\u0663"]
+
+
+def _corrupt(lines: list[str], op: str, k: int, c: int) -> None:
+    row = 1 + k % (len(lines) - 1)
+    fields = lines[row].split(" ")
+    j = 1 + c % max(len(fields) - 1, 1)  # a value field
+    if op == "separator":
+        # The c-th single space of the line becomes an odd separator.
+        gaps = [i for i, ch in enumerate(lines[row]) if ch == " "] or [0]
+        at = gaps[c % len(gaps)]
+        lines[row] = lines[row][:at] + SEPARATORS[k % len(SEPARATORS)] + lines[row][at + 1 :]
+    elif op == "pad":
+        pad = [" ", "\t", "  "][k % 3]
+        lines[row] = pad + lines[row] if c % 2 else lines[row] + pad
+    elif op == "hash" and j < len(fields):
+        # A '#' inside a value, often the last and never first: the text
+        # before it would still parse if '#' started a comment.
+        f = -1 if c % 2 else j
+        at = 1 + k % max(len(fields[f]), 1)
+        fields[f] = fields[f][:at] + "#" + fields[f][at:]
+        lines[row] = " ".join(fields)
+    elif op == "odd_value" and j < len(fields):
+        fields[j] = ODD_VALUES[k % len(ODD_VALUES)]
+        lines[row] = " ".join(fields)
+    elif op == "duplicate":
+        other = 1 + c % (len(lines) - 1)
+        lines[row] = lines[other].split(" ")[0] + " " + " ".join(fields[1:])
+    elif op == "short":
+        lines[row] = " ".join(fields[:-1])
+    elif op == "long":
+        lines[row] += " 0.25"
+    elif op == "blank":
+        lines.insert(row, "")
+    elif op == "count":
+        n, d = lines[0].split(" ")
+        lines[0] = f"{int(n) + (1 if c % 2 else -1)} {d}"
+
+
+@st.composite
+def space_texts(draw):
+    """The text of a small rendered space and the corruptions applied."""
+    dim = draw(st.integers(1, 4))
+    symbols = draw(st.lists(
+        st.text("abcé#/_()ENTITY.1", min_size=1, max_size=5),
+        min_size=1, max_size=6, unique=True,
+    ))
+    values = st.floats(-1e3, 1e3, allow_nan=False, width=32)
+    fmt = draw(st.sampled_from([repr, "{:.3e}".format, "{:g}".format]))
+    lines = [f"{len(symbols)} {dim}"] + [
+        " ".join([sym] + [fmt(draw(values)) for _ in range(dim)]) for sym in symbols
+    ]
+    ops = draw(st.lists(
+        st.tuples(
+            st.sampled_from(["separator", "pad", "hash", "odd_value", "duplicate",
+                             "short", "long", "blank", "count", "lone_cr"]),
+            st.integers(0, 99), st.integers(0, 99),
+        ),
+        max_size=3,
+    ))
+    for op, k, c in ops:
+        _corrupt(lines, op, k, c)
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = ending.join(lines) + (ending if draw(st.booleans()) else "")
+    for op, k, c in ops:
+        if op == "lone_cr":
+            at = (100 * k + c) % (len(text) + 1)
+            text = text[:at] + "\r" + text[at:]
+    return text, bool(ops)
+
+
+def _outcome(path):
+    try:
+        space = load_space(path, SpaceKind.WORD_AND_ENTITY)
+    except DataError as exc:
+        return "error", str(exc)
+    return "space", space.vocab.symbols, space.matrix.shape, space.matrix.tobytes()
+
+
+class TestFastPathMatchesLineParser:
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(case=space_texts(), chunk_chars=st.integers(1, 80))
+    @example(case=("1 2\na 0.5 0.25#7\n", True), chunk_chars=80)
+    @example(case=("2 1\na 0.5\nb\n", True), chunk_chars=80)
+    def test_same_symbols_and_bits_or_same_error(self, case, chunk_chars):
+        text, corrupted = case
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "space.txt"
+            path.write_bytes(text.encode("utf-8"))
+            parse_lines = mock.Mock(wraps=embeddings._parse_lines)
+            with mock.patch.object(embeddings, "CHUNK_CHARS", chunk_chars), \
+                    mock.patch.object(embeddings, "_parse_lines", parse_lines):
+                fast = _outcome(path)
+            with mock.patch.object(embeddings, "_parse_chunks", lambda fh: None):
+                reference = _outcome(path)
+        assert fast == reference
+        if not corrupted:
+            # A clean file never needs the line-by-line parser.
+            assert not parse_lines.called
+
+    def test_streaming_peak_stays_near_the_result(self, tmp_path):
+        n, dim = 20_000, 64
+        values = np.random.default_rng(5).standard_normal((n, dim)).astype(np.float32)
+        path = tmp_path / "big.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{n} {dim}\n")
+            rows = np.column_stack([np.arange(n), values])
+            np.savetxt(fh, rows, fmt=["ENTITY/E%d"] + ["%.8g"] * dim)
+        tracemalloc.start()
+        try:
+            space = load_space(path, SpaceKind.WORD_AND_ENTITY)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(space.vocab) == n and space.dim == dim
+        assert peak <= 1.5 * held, (peak, held)
 
 
 class TestSaveLoadRoundTrip:
