@@ -141,8 +141,11 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def cmd_align(args) -> int:
-    src = embeddings.load_space(args.src, embeddings.SpaceKind.WORD_AND_ENTITY)
     tgt = embeddings.load_space(args.tgt, embeddings.SpaceKind.WORDPIECE)
+    # Only a word that is also a wordpiece can be paired.
+    src = embeddings.load_space(
+        args.src, embeddings.SpaceKind.WORD_AND_ENTITY, keep=tgt.vocab.index
+    )
     pairs = embeddings.shared_vocabulary(tgt, src)
     amap = alignment.fit_alignment(src, tgt, pairs)
     alignment.save_alignment(amap, args.out)
@@ -171,15 +174,11 @@ def _load_answer_vocab(path: str | None, wp: embeddings.EmbeddingSpace):
     return embeddings.Vocabulary(symbols)
 
 
-def _load_entity_side(wp, ent_path, align_path):
-    """Load the word-and-entity space and the alignment and check that they
-    fit the wordpiece space; returns ``(wiki, amap)``, or None without
-    ``--ent-space``. The caller derives only the entities it references."""
-    if ent_path is None:
-        return None
-    if align_path is None:
-        raise UsageError("--ent-space requires --align")
-    wiki = embeddings.load_space(ent_path, embeddings.SpaceKind.WORD_AND_ENTITY)
+def _load_entity_side(wp, ent_path, align_path, keep):
+    """Load the rows of the word-and-entity space whose symbol is in
+    ``keep`` and the alignment, and check that they fit the wordpiece space;
+    returns ``(wiki, amap)``. The caller derives the entities it references."""
+    wiki = embeddings.load_space(ent_path, embeddings.SpaceKind.WORD_AND_ENTITY, keep)
     amap = alignment.load_alignment(align_path)
     alignment.check_entity_source(amap, wiki)
     if amap.d_tgt != wp.dim:
@@ -193,12 +192,13 @@ def _load_entity_side(wp, ent_path, align_path):
 def cmd_eval_lama(args) -> int:
     if args.k < 1:
         raise UsageError(f"entkit eval-lama: --k must be at least 1, got {args.k}")
+    mode = InputMode(args.mode)
+    if args.ent_space is not None and args.align is None:
+        raise UsageError("--ent-space requires --align")
+    if mode is not InputMode.BERT and args.ent_space is None:
+        raise UsageError(f"--mode {mode.value} requires --ent-space and --align")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
     answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
-    entity_side = _load_entity_side(wp, args.ent_space, args.align)
-    mode = InputMode(args.mode)
-    if mode is not InputMode.BERT and entity_side is None:
-        raise UsageError(f"--mode {mode.value} requires --ent-space and --align")
 
     dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
     templates = lama_bench.load_templates(args.templates)
@@ -207,14 +207,12 @@ def cmd_eval_lama(args) -> int:
         dataset = lama_bench.resolve_subjects(dataset, mapping)
 
     ent = None
-    if entity_side is not None:
-        wiki, amap = entity_side
+    if args.ent_space is not None:
         # A resolved subject missing from the space falls back to wordpieces.
         subjects = {t.sub_entity for ts in dataset.values() for t in ts}
-        ent = alignment.derive_entity_space(
-            amap, wiki, (s for s in subjects if s in wiki.vocab)
-        )
-        del wiki, entity_side  # the full space is no longer needed
+        wiki, amap = _load_entity_side(wp, args.ent_space, args.align, subjects)
+        ent = alignment.derive_entity_space(amap, wiki, wiki.vocab.symbols)
+        del wiki  # only the derived rows are needed
     scorer = ReferenceScorer(wp, ent)
     by_relation = {}
     for rel in sorted(dataset):
@@ -296,15 +294,22 @@ def cmd_link(args) -> int:
         if not math.isfinite(value):
             raise UsageError(f"entkit link: {flag} must be finite, got {value}")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
-    wiki, amap = _load_entity_side(wp, args.ent_space, args.align)
     table = entity_linking.load_candidate_table(args.table, args.max_span)
     entities = table.entities()
+    wiki, amap = _load_entity_side(wp, args.ent_space, args.align, entities)
     missing = sorted(e for e in entities if e not in wiki.vocab)
     if missing:
         raise DataError(f"candidate entities missing from entity space: {missing[:5]}")
-    ent = alignment.derive_entity_space(amap, wiki, entities)
-    del wiki  # the full space is no longer needed
     docs = entity_linking.load_documents(args.docs)
+    doc_spans = [
+        entity_linking.generate_candidates(doc.tokens, table.spans, args.max_span)
+        for doc in docs
+    ]
+    # Decoding and training embed only the candidates of generated spans.
+    ent = alignment.derive_entity_space(amap, wiki, {
+        c.entity for spans in doc_spans for span in spans for c in span.candidates
+    })
+    del wiki  # only the derived rows are needed
     redirects = (
         entity_linking.load_redirects(args.redirects) if args.redirects else {}
     )
@@ -342,8 +347,7 @@ def cmd_link(args) -> int:
     iter_lines = ["doc_id\titeration\tselectable\tquota\tdecoded"]
     predictions = []
     golds = []
-    for doc in docs:
-        spans = entity_linking.generate_candidates(doc.tokens, table.spans, args.max_span)
+    for doc, spans in zip(docs, doc_spans):
         spans, steps = entity_linking.iterative_refine(
             doc.tokens, spans, scorer, head, eps,
             iterations=args.iterations, use_emask=use_emask,

@@ -19,7 +19,8 @@ chunk does not meet its checks (an odd separator, a number only ``float``
 reads, a short, long or blank row, a duplicate symbol, a row count that
 disagrees with the header), the file is parsed again line by line, one
 ``float`` at a time; that path returns the same symbols and bits or raises
-the line-numbered DataError of the first bad line.
+the line-numbered DataError of the first bad line. Given a ``keep`` set,
+both paths still parse and check every row but hold only the kept ones.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple
 
 import numpy as np
 
@@ -55,11 +56,13 @@ class Vocabulary:
 
     def __init__(self, symbols: Iterable[str]):
         self.symbols: tuple[str, ...] = tuple(symbols)
-        self.index: dict[str, int] = {}
-        for i, sym in enumerate(self.symbols):
-            if sym in self.index:
-                raise DataError(f"duplicate symbol in vocabulary: {sym!r}")
-            self.index[sym] = i
+        self.index: dict[str, int] = {sym: i for i, sym in enumerate(self.symbols)}
+        if len(self.index) != len(self.symbols):
+            seen: set[str] = set()
+            for sym in self.symbols:
+                if sym in seen:
+                    raise DataError(f"duplicate symbol in vocabulary: {sym!r}")
+                seen.add(sym)
 
     def __len__(self) -> int:
         return len(self.symbols)
@@ -111,33 +114,59 @@ class EmbeddingSpace:
         return [s for s in self.vocab.symbols if is_entity_symbol(s)]
 
 
-def load_space(path, kind: SpaceKind) -> EmbeddingSpace:
+def load_space(
+    path, kind: SpaceKind, keep: Container[str] | None = None
+) -> EmbeddingSpace:
     """Load an embedding space from word2vec text format.
 
-    Every row is validated. Raises DataError with a line number on malformed
-    headers, dimension mismatches, unparseable numbers, duplicate symbols,
-    or a row count that disagrees with the header.
+    Every row is validated, kept or not. Raises DataError with a line number
+    on malformed headers, dimension mismatches, unparseable numbers,
+    duplicate symbols, or a row count that disagrees with the header; once
+    the whole file has parsed, it names the first row with a non-finite
+    value.
+
+    With ``keep``, the space holds only the rows whose symbol is in
+    ``keep``, in file order; symbols of ``keep`` the file lacks are ignored.
+    The errors are those of a full load, so a bad row outside ``keep``
+    still fails it, but the memory held grows with the kept rows.
     """
     with open(path, encoding="utf-8") as fh:
         # The fast path needs a regular file: its size bounds the allocation,
         # and the fallback reads the file again from the start.
         loaded = None
         if fh.seekable():
-            loaded = _parse_chunks(fh)
+            loaded = _parse_chunks(fh, keep)
             fh.seek(0)
         if loaded is None:
-            loaded = _parse_lines(path, fh.read())
-    vocab, matrix = loaded
-    if matrix.size and not np.all(np.isfinite(matrix)):
-        bad = int(np.argwhere(~np.isfinite(matrix).all(axis=1))[0][0])
-        raise DataError(f"{path}: non-finite value in row for {vocab.symbols[bad]!r}")
-    return EmbeddingSpace(vocab, matrix.shape[1], matrix, kind)
+            symbols, matrix = _parse_lines(path, fh.read())
+            loaded = (*_kept_rows(symbols, matrix, keep),
+                      _first_non_finite(symbols, matrix))
+    symbols, matrix, bad = loaded
+    if bad is not None:
+        raise DataError(f"{path}: non-finite value in row for {bad!r}")
+    return EmbeddingSpace(Vocabulary(symbols), matrix.shape[1], matrix, kind)
 
 
-def _parse_chunks(fh) -> tuple[Vocabulary, np.ndarray] | None:
+def _kept_rows(
+    symbols: list[str], matrix: np.ndarray, keep: Container[str] | None
+) -> tuple[list[str], np.ndarray]:
+    if keep is None:
+        return symbols, matrix
+    ids = [i for i, sym in enumerate(symbols) if sym in keep]
+    return [symbols[i] for i in ids], matrix[ids]
+
+
+def _first_non_finite(symbols: list[str], matrix: np.ndarray) -> str | None:
+    finite = np.isfinite(matrix).all(axis=1)
+    return None if finite.all() else symbols[int(finite.argmin())]
+
+
+def _parse_chunks(fh, keep) -> tuple[list[str], np.ndarray, str | None] | None:
     """The fast path: rows in bounded chunks of lines, numbers by numpy's C
-    parser. Returns None when anything looks off; ``_parse_lines`` then
-    decides, so every error message comes from that one path.
+    parser. Returns the kept symbols, their rows and the symbol of the first
+    non-finite row of the file (kept or not), or None when anything looks
+    off; ``_parse_lines`` then decides, so every line-numbered error comes
+    from that one path.
 
     A chunk is accepted only when each line's text before its first space is
     a non-empty symbol without whitespace (so the rest holds exactly the
@@ -145,7 +174,9 @@ def _parse_chunks(fh) -> tuple[Vocabulary, np.ndarray] | None:
     per line without a warning. ``np.loadtxt`` splits on the same whitespace
     as ``str.split`` and, with ``comments=None``, accepts a subset of what
     ``float`` accepts, with the same value; blank rests it would skip show
-    up as a short block.
+    up as a short block. Kept rows are written to the front of the matrix,
+    which is then shrunk in place, so rows are never copied twice and pages
+    no kept row reaches are never touched.
     """
     header = fh.readline().split()
     try:
@@ -159,11 +190,17 @@ def _parse_chunks(fh) -> tuple[Vocabulary, np.ndarray] | None:
     if os.fstat(fh.fileno()).st_size < count * (2 * dim + 1):
         return None
     matrix = np.empty((count, dim), dtype=np.float32)
-    symbols: list[str] = []
+    symbols: list[str] = []  # the kept ones
+    seen: set[str] = set()  # all of them, for duplicates
+    bad = None
+    read = 0
     while parts := [line.partition(" ") for line in fh.readlines(CHUNK_CHARS)]:
-        start, stop = len(symbols), len(symbols) + len(parts)
+        read += len(parts)
         chunk_symbols = [p[0] for p in parts]
-        if stop > count or " ".join(chunk_symbols).split() != chunk_symbols:
+        if read > count or " ".join(chunk_symbols).split() != chunk_symbols:
+            return None
+        seen.update(chunk_symbols)
+        if len(seen) != read:  # a duplicate symbol
             return None
         try:
             with warnings.catch_warnings():
@@ -173,20 +210,21 @@ def _parse_chunks(fh) -> tuple[Vocabulary, np.ndarray] | None:
                 )
         except (ValueError, Warning):
             return None
-        if block.shape != (stop - start, dim):
+        if block.shape != (len(parts), dim):
             return None
         with np.errstate(over="ignore"):  # load_space reports the inf
-            matrix[start:stop] = block
+            block = block.astype(np.float32)
+        bad = bad or _first_non_finite(chunk_symbols, block)
+        chunk_symbols, block = _kept_rows(chunk_symbols, block, keep)
+        matrix[len(symbols) : len(symbols) + len(chunk_symbols)] = block
         symbols += chunk_symbols
-    if len(symbols) != count:
+    if read != count:
         return None
-    try:
-        return Vocabulary(symbols), matrix
-    except DataError:
-        return None
+    matrix.resize((len(symbols), dim), refcheck=False)
+    return symbols, matrix, bad
 
 
-def _parse_lines(path, text: str) -> tuple[Vocabulary, np.ndarray]:
+def _parse_lines(path, text: str) -> tuple[list[str], np.ndarray]:
     """The reference path: one line and one ``float`` at a time, raising the
     line-numbered DataError of the first bad line."""
     lines = text.split("\n")
@@ -236,7 +274,7 @@ def _parse_lines(path, text: str) -> tuple[Vocabulary, np.ndarray]:
         if rows is not None:
             rows[n] = values
     with np.errstate(over="ignore"):  # load_space reports the inf
-        return Vocabulary(symbols), rows.astype(np.float32)
+        return symbols, rows.astype(np.float32)
 
 
 def save_space(space: EmbeddingSpace, path) -> None:

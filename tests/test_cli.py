@@ -157,6 +157,20 @@ class TestEvalLama:
         assert code == 1
         assert "--align" in stderr
 
+    @pytest.mark.parametrize("flags,text", [
+        (["--mode", "concat"], "--mode concat requires --ent-space"),
+        (["--ent-space", WIKI], "--ent-space requires --align"),
+    ])
+    def test_entity_flag_usage_error_comes_before_loading(
+        self, tmp_path, capsys, flags, text
+    ):
+        # The wordpiece space does not exist: the usage error must come first.
+        code, _, stderr = run(
+            capsys, "eval-lama", "--data", LAMA, "--templates", TEMPLATES,
+            "--wp-space", str(tmp_path / "none.txt"), *flags,
+        )
+        assert_one_line_error(code, stderr, 1, text)
+
     def test_k_below_one_exit_usage_before_loading(self, tmp_path, capsys):
         # The data directory does not exist: --k must be rejected first.
         code, _, stderr = run(
@@ -395,6 +409,30 @@ class TestLink:
             "'ENTITY/Martian_4', 'ENTITY/Martian_5']\n"
         )
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("mode", ["--eval", "--train"])
+    def test_missing_entity_behind_an_unmatched_surface_exit_data(
+        self, tmp_path, capsys, mode
+    ):
+        # No document holds the surface, so no span reaches the entity; the
+        # whole table is still checked against the entity space.
+        align = fit_alignment_file(tmp_path, capsys)
+        table = tmp_path / "table.tsv"
+        table.write_text(
+            Path(EL_TABLE).read_text(encoding="utf-8")
+            + "Nowhere\tENTITY/Martian\t0.5\n",
+            encoding="utf-8",
+        )
+        code, stdout, stderr = run(
+            capsys, "link", "--docs", EL_DOCS, "--table", str(table),
+            "--wp-space", WP, "--ent-space", WIKI, "--align", align,
+            mode, "--out-dir", str(tmp_path / "o"),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == (
+            "entkit: data error: candidate entities missing from entity space: "
+            "['ENTITY/Martian']\n"
+        )
 
     def test_iterations_below_one_exit_usage_before_loading(self, tmp_path, capsys):
         # The documents file does not exist: --iterations must be rejected first.
@@ -817,4 +855,55 @@ def test_unreferenced_entity_rows_change_no_output(
                         encoding="utf-8")
         for name, argv in ENTITY_COMMANDS.items():
             outputs = command_outputs(fixtures, Path(tmp) / name, argv)
+            assert outputs == entity_baseline[name], name
+
+
+def _fixture_entities() -> list[str]:
+    with open(WIKI, encoding="utf-8") as fh:
+        return [line.split(" ", 1)[0] for line in fh
+                if line.startswith("ENTITY/")]
+
+
+def _document_surfaces(max_span: int = 7) -> set[str]:
+    """Every surface of up to ``max_span`` tokens in the fixture documents."""
+    surfaces = set()
+    with open(EL_DOCS, encoding="utf-8") as fh:
+        for line in fh:
+            tokens = json.loads(line)["tokens"]
+            for start in range(len(tokens)):
+                for end in range(start + 1, min(start + max_span, len(tokens)) + 1):
+                    surfaces.add(" ".join(tokens[start:end]))
+    return surfaces
+
+
+@st.composite
+def unmatched_table_rows(draw):
+    """Candidate rows whose surface matches no fixture document and whose
+    entity is in the fixture entity space."""
+    words = sorted(_document_surfaces(1) | {"Nowhere"})
+    taken = _document_surfaces()
+    rows = draw(st.lists(
+        st.tuples(
+            st.lists(st.sampled_from(words), min_size=1, max_size=3).map(" ".join)
+            .filter(lambda surface: surface not in taken),
+            st.sampled_from(_fixture_entities()),
+            st.sampled_from(["1.0", "0.5", "0.01"]),
+        ),
+        min_size=1, max_size=12, unique_by=lambda row: row[:2],
+    ))
+    return ["\t".join(row) for row in rows]
+
+
+@settings(max_examples=6, deadline=None, derandomize=True)
+@given(rows=unmatched_table_rows())
+def test_unmatched_table_surfaces_change_no_link_output(
+    pristine_fixtures, entity_baseline, rows
+):
+    with tempfile.TemporaryDirectory() as tmp:
+        fixtures = Path(tmp) / "fixtures"
+        shutil.copytree(pristine_fixtures, fixtures)
+        with open(fixtures / "el" / "table.tsv", "a", encoding="utf-8") as fh:
+            fh.write("".join(row + "\n" for row in rows))
+        for name in ("link-eval", "link-train"):
+            outputs = command_outputs(fixtures, Path(tmp) / name, ENTITY_COMMANDS[name])
             assert outputs == entity_baseline[name], name

@@ -1,5 +1,8 @@
 """Embedding space parsing, serialization, and shared-vocabulary extraction."""
 
+import os
+import subprocess
+import sys
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -166,9 +169,9 @@ def space_texts(draw):
     return text, bool(ops)
 
 
-def _outcome(path):
+def _outcome(path, keep=None):
     try:
-        space = load_space(path, SpaceKind.WORD_AND_ENTITY)
+        space = load_space(path, SpaceKind.WORD_AND_ENTITY, keep)
     except DataError as exc:
         return "error", str(exc)
     return "space", space.vocab.symbols, space.matrix.shape, space.matrix.tobytes()
@@ -188,7 +191,7 @@ class TestFastPathMatchesLineParser:
             with mock.patch.object(embeddings, "CHUNK_CHARS", chunk_chars), \
                     mock.patch.object(embeddings, "_parse_lines", parse_lines):
                 fast = _outcome(path)
-            with mock.patch.object(embeddings, "_parse_chunks", lambda fh: None):
+            with mock.patch.object(embeddings, "_parse_chunks", lambda fh, keep: None):
                 reference = _outcome(path)
         assert fast == reference
         if not corrupted:
@@ -211,6 +214,92 @@ class TestFastPathMatchesLineParser:
             tracemalloc.stop()
         assert len(space.vocab) == n and space.dim == dim
         assert peak <= 1.5 * held, (peak, held)
+
+
+def _file_symbols(text: str) -> list[str]:
+    """The first field of each data line, in file order: what a keep set
+    picks from."""
+    return [line.split()[0] for line in text.splitlines()[1:] if line.split()]
+
+
+class TestKeep:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=space_texts(), chunk_chars=st.integers(1, 80),
+           picks=st.sets(st.integers(0, 7)), absent=st.booleans())
+    # Files whose only fault is in a row outside keep.
+    @example(case=("2 1\na 0.5\nb nan\n", True), chunk_chars=80, picks={0}, absent=False)
+    @example(case=("2 1\na 0.5\nb 1e39\n", True), chunk_chars=80, picks={0}, absent=False)
+    @example(case=("2 2\na 0.5 1\nb 1\n", True), chunk_chars=80, picks={0}, absent=False)
+    @example(case=("3 1\na 0.5\nb 1\nb 2\n", True), chunk_chars=80, picks={0}, absent=False)
+    # The first non-finite row is named even when a later one is kept.
+    @example(case=("3 1\na inf\nb 1\nc nan\n", True), chunk_chars=4, picks={2}, absent=False)
+    def test_kept_rows_of_the_full_load_or_the_same_error(
+        self, case, chunk_chars, picks, absent
+    ):
+        text, corrupted = case
+        symbols = _file_symbols(text)
+        keep = {symbols[i] for i in picks if i < len(symbols)}
+        if absent:
+            keep.add("ENTITY/not_in_the_file")
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "space.txt"
+            path.write_bytes(text.encode("utf-8"))
+            parse_lines = mock.Mock(wraps=embeddings._parse_lines)
+            with mock.patch.object(embeddings, "CHUNK_CHARS", chunk_chars), \
+                    mock.patch.object(embeddings, "_parse_lines", parse_lines):
+                full = _outcome(path)
+                fast = _outcome(path, keep)
+            with mock.patch.object(embeddings, "_parse_chunks", lambda fh, keep: None):
+                reference = _outcome(path, keep)
+        if full[0] == "error":
+            expected = full
+        else:
+            _, all_symbols, shape, data = full
+            ids = [i for i, sym in enumerate(all_symbols) if sym in keep]
+            rows = np.frombuffer(data, dtype=np.float32).reshape(shape)[ids]
+            expected = ("space", tuple(all_symbols[i] for i in ids), rows.shape,
+                        rows.tobytes())
+        assert fast == expected
+        assert reference == expected
+        if not corrupted:
+            assert not parse_lines.called
+
+    def test_keep_raises_the_memory_high_water_mark_far_less(self, tmp_path):
+        # The high-water mark of resident memory (VmHWM) is per process, so
+        # each load runs in a fresh interpreter.
+        if not Path("/proc/self/status").exists():
+            pytest.skip("needs /proc/self/status")
+        n, dim = 30_000, 64
+        values = np.random.default_rng(9).standard_normal((n, dim)).astype(np.float32)
+        path = tmp_path / "big.txt"
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"{n} {dim}\n")
+            np.savetxt(fh, np.column_stack([np.arange(n), values]),
+                       fmt=["ENTITY/E%d"] + ["%.8g"] * dim)
+        script = (
+            "import sys\n"
+            "from entkit.embeddings import SpaceKind, load_space\n"
+            "def hwm():\n"
+            "    with open('/proc/self/status') as fh:\n"
+            "        return next(int(line.split()[1]) for line in fh\n"
+            "                    if line.startswith('VmHWM:'))\n"
+            "keep = {f'ENTITY/E{i}' for i in range(0, 30_000, 300)}\n"
+            "keep = keep if sys.argv[2] == 'keep' else None\n"
+            "before = hwm()\n"
+            "space = load_space(sys.argv[1], SpaceKind.WORD_AND_ENTITY, keep)\n"
+            "print(len(space.vocab), hwm() - before)\n"
+        )
+        env = {**os.environ,
+               "PYTHONPATH": str(Path(embeddings.__file__).resolve().parents[1])}
+        grown = {}
+        for mode in ("all", "keep"):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(path), mode],
+                capture_output=True, text=True, env=env, check=True,
+            )
+            rows, grown[mode] = map(int, proc.stdout.split())
+            assert rows == (n if mode == "all" else 100)
+        assert grown["keep"] < grown["all"] / 2, grown
 
 
 class TestSaveLoadRoundTrip:
