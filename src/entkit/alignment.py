@@ -23,7 +23,7 @@ from .embeddings import (
     is_entity_symbol,
 )
 from .errors import DataError
-from .scorer import ROW_BLOCK
+from .scorer import by_blocks
 
 logger = logging.getLogger(__name__)
 
@@ -136,7 +136,7 @@ def derive_entity_space(
 
     Maps every entity row, or with ``symbols`` only those entities. The
     result holds them in their relative order in ``wiki``, and no words.
-    Rows are mapped ``ROW_BLOCK`` at a time, the last block zero-padded, so
+    Rows are mapped by ``scorer.by_blocks``, the last block zero-padded, so
     every product has one shape and a row's bits do not depend on which
     other rows are derived. The rows stay the left-hand operand, as in a
     single product over the whole table, whose bits they match for tables
@@ -155,13 +155,8 @@ def derive_entity_space(
         if missing:
             raise DataError(f"entities missing from entity space: {missing[:5]}")
         ids = sorted(index[s] for s in wanted)
-    rows = np.empty((len(ids), amap.d_tgt))
-    block = np.zeros((ROW_BLOCK, amap.d_src))
-    for start in range(0, len(ids), ROW_BLOCK):
-        part = ids[start : start + ROW_BLOCK]
-        block[: len(part)] = wiki.matrix[part]
-        block[len(part) :] = 0.0
-        rows[start : start + len(part)] = (block @ amap.w.T)[: len(part)]
+    with np.errstate(over="ignore", invalid="ignore"):  # EmbeddingSpace reports it
+        rows = by_blocks(wiki.matrix[ids], amap.d_tgt, lambda b: b @ amap.w.T)
     return EmbeddingSpace(
         Vocabulary([wiki.vocab.symbols[i] for i in ids]),
         amap.d_tgt,
@@ -217,4 +212,6 @@ def load_alignment(path) -> AlignmentMap:
             w[i] = [float(v) for v in line.split()]
         except ValueError:
             raise DataError(f"{path}: line {i + 2}: unparseable number") from None
+        if not np.all(np.isfinite(w[i])):
+            raise DataError(f"{path}: line {i + 2}: non-finite value")
     return AlignmentMap(w, shared_count, residual)

@@ -305,7 +305,7 @@ def cmd_link(args) -> int:
         entity_linking.generate_candidates(doc.tokens, table.spans, args.max_span)
         for doc in docs
     ]
-    # Decoding and training embed only the candidates of generated spans.
+    # Training and decoding read these spans and embed only their candidates.
     ent = alignment.derive_entity_space(amap, wiki, {
         c.entity for spans in doc_spans for span in spans for c in span.candidates
     })
@@ -327,16 +327,15 @@ def cmd_link(args) -> int:
     if args.train:
         examples: list = []
         dropped = 0
-        for doc in docs:
-            ex, nd = entity_linking.build_training_examples(
-                doc, table.spans, args.max_span, use_emask
-            )
+        for doc, spans in zip(docs, doc_spans):
+            ex, nd = entity_linking.build_training_examples(doc, spans)
             examples.extend(ex)
             dropped += nd
         if not examples:
             raise DataError(f"{args.docs}: no candidate spans to train on")
         losses = entity_linking.train_linker(
-            examples, head, eps, scorer, epochs=args.epochs, step=args.step
+            examples, head, eps, scorer,
+            epochs=args.epochs, step=args.step, use_emask=use_emask,
         )
         lines = ["epoch\tloss"]
         lines += [f"{i}\t{loss:.6f}" for i, loss in enumerate(losses)]

@@ -338,7 +338,6 @@ class TrainingExample:
     tokens: tuple[str, ...]
     span: CandidateSpan
     gold: str | None  # None means the null entity
-    use_emask: bool = True
 
     @property
     def candidates(self) -> tuple[Candidate, ...]:
@@ -346,12 +345,10 @@ class TrainingExample:
 
 
 def build_training_examples(
-    doc: Document,
-    table: Mapping[str, Sequence[Candidate]],
-    max_span: int = 7,
-    use_emask: bool = True,
+    doc: Document, spans: Sequence[CandidateSpan]
 ) -> tuple[list[TrainingExample], int]:
-    """Pair every generated span with its gold entity or the null entity.
+    """Pair each of the document's candidate spans, as ``generate_candidates``
+    gives them for its tokens, with its gold entity or the null entity.
 
     A span whose gold entity is not among its candidates cannot be trained
     and is dropped with a count; this pruning applies to training data only,
@@ -360,12 +357,12 @@ def build_training_examples(
     gold_by_span = {(g.start, g.end): g.entity for g in doc.golds}
     examples: list[TrainingExample] = []
     dropped = 0
-    for span in generate_candidates(doc.tokens, table, max_span):
+    for span in spans:
         gold = gold_by_span.get((span.start, span.end))
         if gold is not None and gold not in {c.entity for c in span.candidates}:
             dropped += 1
             continue
-        examples.append(TrainingExample(doc.tokens, span, gold, use_emask))
+        examples.append(TrainingExample(doc.tokens, span, gold))
     return examples, dropped
 
 
@@ -376,6 +373,7 @@ def train_linker(
     scorer,
     epochs: int = 50,
     step: float = 0.1,
+    use_emask: bool = True,
 ) -> list[float]:
     """Full-batch gradient descent on the head and null-entity parameters.
 
@@ -388,12 +386,12 @@ def train_linker(
     """
     if not examples:
         raise ValueError("no training examples")
-    by_doc: dict[tuple[tuple[str, ...], bool], list[int]] = {}
+    by_doc: dict[tuple[str, ...], list[int]] = {}
     for i, ex in enumerate(examples):
-        by_doc.setdefault((ex.tokens, ex.use_emask), []).append(i)
+        by_doc.setdefault(ex.tokens, []).append(i)
     groups = candidate_groups([ex.candidates for ex in examples], scorer.ent)
     states = np.empty((len(examples), scorer.ent.dim))
-    for (tokens, use_emask), members in by_doc.items():
+    for tokens, members in by_doc.items():
         spans = [examples[i].span for i in members]
         states[members] = span_mask_states(tokens, spans, scorer, None, use_emask)
     # A null-entity gold indexes past the candidates, where it is scored.
@@ -439,40 +437,36 @@ def iterative_refine(
 ) -> tuple[list[CandidateSpan], list[RefinementStep]]:
     """Decode spans over ``iterations`` rounds of rescoring.
 
-    Each round rescores every undecided span against the current partial
-    decoding, with one ``span_mask_states`` and one ``candidate_probs`` call
-    for all of them. With m spans already decoded and n undecided spans
-    whose argmax is a real entity, the round fixes the k = ceil(j (m + n) /
-    J) - m most confident of those n (by null-entity improbability, ties
-    toward the earlier span), skipping any span that overlaps an already
-    fixed one; skips do not count toward k. Rounds end early once n reaches
-    zero. Spans still undecided at the end are rejected.
+    Each round rescores the undecided spans, and no others, against the
+    current partial decoding with one ``span_mask_states`` and one
+    ``candidate_probs`` call. With m spans already decoded and n undecided
+    spans whose argmax is a real entity, the round fixes the k = ceil(j (m
+    + n) / J) - m most confident of those n (by null-entity improbability,
+    ties toward the earlier span), skipping any span that overlaps an
+    already fixed one; skips do not count toward k. Rounds end early once n
+    reaches zero. Spans still undecided at the end are rejected.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
     spans = list(spans)
-    groups = candidate_groups([s.candidates for s in spans], scorer.ent)
     log_steps: list[RefinementStep] = []
 
     for j in range(1, iterations + 1):
         taken = [s for s in spans if s.state is SpanState.DECODED]
         decoded_map = {(s.start, s.end): s.entity for s in taken}
-        undecided = [i for i, s in enumerate(spans) if s.state is SpanState.UNDECIDED]
+        undecided = [s for s in spans if s.state is SpanState.UNDECIDED]
         if not undecided:
             break
 
-        # Every span is scored; only the undecided ones have states to read.
-        states = np.zeros((len(spans), scorer.ent.dim))
-        states[undecided] = span_mask_states(
-            tokens, [spans[i] for i in undecided], scorer, decoded_map, use_emask
-        )
+        groups = candidate_groups([s.candidates for s in undecided], scorer.ent)
+        states = span_mask_states(tokens, undecided, scorer, decoded_map, use_emask)
         # (span, p(null), its best entity, index) of each selectable span.
         selectable: list[tuple[CandidateSpan, float, str, int]] = []
         probs = candidate_probs(head.apply(states), groups, (eps.e, eps.b))
         for (rows, _, _), p in zip(groups, probs):
             for i, best, p_null in zip(rows, p.argmax(axis=1), p[:, -1]):
-                span = spans[i]
-                if span.state is SpanState.UNDECIDED and best < len(span.candidates):
+                span = undecided[i]
+                if best < len(span.candidates):
                     selectable.append((span, float(p_null), span.candidates[best].entity, i))
         m = len(decoded_map)
         n = len(selectable)

@@ -40,8 +40,22 @@ _MASK_KINDS = (TokenKind.MASK, TokenKind.EMASK)
 # probabilities are bit-identical whatever batch it is scored in. On
 # OpenBLAS, a product whose shape follows the batch size, or that has the
 # states as rows of its left-hand operand, changes the last bits of rows.
-# ``alignment.derive_entity_space`` maps entity rows in blocks of this size.
+# ``by_blocks`` takes every such block; ``alignment.derive_entity_space`` too.
 ROW_BLOCK = 64
+
+
+def by_blocks(x: np.ndarray, width: int, f) -> np.ndarray:
+    """``f`` of the rows of ``x``, ``ROW_BLOCK`` at a time: ``f`` gets one
+    float64 ``(ROW_BLOCK, x.shape[1])`` buffer, zero-padded past the last
+    row, and returns ``(ROW_BLOCK, width)``; real rows fill the result."""
+    out = np.empty((len(x), width))
+    block = np.zeros((ROW_BLOCK, x.shape[1]))
+    for start in range(0, len(x), ROW_BLOCK):
+        part = x[start : start + ROW_BLOCK]
+        block[: len(part)] = part
+        block[len(part) :] = 0.0
+        out[start : start + len(part)] = f(block)[: len(part)]
+    return out
 
 
 def embed_sequence(
@@ -142,14 +156,10 @@ class AffineHead:
         rows at a time in transposed form, ``A H^T + c``, so a row's output
         does not depend on the rest of its stack."""
         h = np.asarray(h, dtype=np.float64)
-        stack = np.atleast_2d(h)
-        padded = np.zeros((-(-len(stack) // ROW_BLOCK) * ROW_BLOCK, self.dim))
-        padded[: len(stack)] = stack
-        u = np.empty_like(padded)
-        for start in range(0, len(padded), ROW_BLOCK):
-            block = padded[start : start + ROW_BLOCK]
-            u[start : start + ROW_BLOCK] = (self.a @ block.T + self.c[:, None]).T
-        return u[0] if h.ndim == 1 else u[: len(stack)]
+        u = by_blocks(
+            np.atleast_2d(h), self.dim, lambda b: (self.a @ b.T + self.c[:, None]).T
+        )
+        return u[0] if h.ndim == 1 else u
 
     @classmethod
     def identity(cls, dim: int) -> "AffineHead":
@@ -312,14 +322,10 @@ class ReferenceScorer:
         biases are zero in the reference implementation.
         """
         e = self._answer_matrix(symbols)
-        n = len(seqs)
-        u = np.zeros((-(-n // ROW_BLOCK) * ROW_BLOCK, self.wp.dim))
-        u[:n] = self.head.apply(self.mask_states(*_index_sequences(seqs)))
-        probs = np.empty((n, len(symbols)))
-        for start in range(0, n, ROW_BLOCK):
-            logits = np.ascontiguousarray((e @ u[start : start + ROW_BLOCK].T).T)
-            probs[start : start + ROW_BLOCK] = _softmax(logits)[: n - start]
-        return probs
+        u = self.head.apply(self.mask_states(*_index_sequences(seqs)))
+        return by_blocks(
+            u, len(symbols), lambda b: _softmax(np.ascontiguousarray((e @ b.T).T))
+        )
 
     def _answer_matrix(self, symbols: Sequence[str]) -> np.ndarray:
         key = tuple(symbols)

@@ -326,7 +326,7 @@ def linking_instance(seed):
         ("Adams", "visits", "Platt"),
         (GoldAnnotation(0, 1, "ENTITY/A1"), GoldAnnotation(2, 3, "ENTITY/P2")),
     )
-    examples, dropped = build_training_examples(doc, table)
+    examples, dropped = build_training_examples(doc, generate_candidates(doc.tokens, table))
     assert dropped == 0
     head = AffineHead(
         np.eye(DIM8) + 0.1 * rng.standard_normal((DIM8, DIM8)),

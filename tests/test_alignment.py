@@ -130,6 +130,15 @@ class TestApplyAndDerive:
             derive_entity_space(amap, wiki)
 
 
+    def test_overflowing_map_is_a_data_error_without_warnings(self):
+        # Under the suite's error::RuntimeWarning filter a numpy overflow
+        # warning would surface here as an exception instead.
+        wiki = make_space(["w", "ENTITY/E"], np.ones((2, 2)), SpaceKind.WORD_AND_ENTITY)
+        amap = AlignmentMap(np.full((2, 2), 1e308), 1, 0.0)
+        with pytest.raises(DataError, match="non-finite embedding row"):
+            derive_entity_space(amap, wiki)
+
+
 class TestDeriveSubset:
     """Deriving only some entities gives the rows of the full derivation."""
 
@@ -220,3 +229,11 @@ class TestSerialization:
         f.write_text("")
         with pytest.raises(DataError, match="empty alignment file"):
             load_alignment(f)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_value_names_its_line(self, tmp_path, value):
+        f = tmp_path / "bad.tsv"
+        f.write_text(f"2 2 0.0 4\n1.0 2.0\n3.0 {value}\n")
+        with pytest.raises(DataError) as exc:
+            load_alignment(f)
+        assert str(exc.value) == f"{f}: line 3: non-finite value"

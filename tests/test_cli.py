@@ -377,6 +377,25 @@ class TestLink:
         assert len(losses) == 11
         assert all(b < a for a, b in zip(losses, losses[1:]))
 
+    def test_train_generates_each_document_spans_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        import entkit.entity_linking as el
+
+        calls = []
+        generate = el.generate_candidates
+
+        def counting(tokens, *args):
+            calls.append(tuple(tokens))
+            return generate(tokens, *args)
+
+        monkeypatch.setattr(el, "generate_candidates", counting)
+        align = fit_alignment_file(tmp_path, capsys)
+        code, _, _ = run(capsys, *link_args(align, tmp_path / "link", "--train"))
+        assert code == 0
+        with open(EL_DOCS, encoding="utf-8") as fh:
+            assert calls == [tuple(json.loads(line)["tokens"]) for line in fh]
+
     def test_unknown_table_entity_exit_data(self, tmp_path, capsys):
         align = fit_alignment_file(tmp_path, capsys)
         table = tmp_path / "table.tsv"
@@ -674,6 +693,36 @@ class TestEntryPoint:
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [
             f"entkit: data error: {space}: non-finite value in row for 'a'"
+        ]
+
+    @staticmethod
+    def eval_lama_concat(tmp_path, align_text: str):
+        align = tmp_path / "align.tsv"
+        align.write_text(align_text, encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "entkit", *EVAL_BASE, "--ent-space", WIKI,
+             "--align", str(align), "--mode", "concat", "--resolutions", RESOLUTIONS],
+            capture_output=True, text=True,
+        )
+        return align, proc
+
+    def test_non_finite_alignment_value_exits_with_one_line(self, tmp_path):
+        rows = [" ".join(["0.5"] * 8)] * 8
+        rows[2] = "0.5 0.5 nan" + " 0.5" * 5
+        align, proc = self.eval_lama_concat(tmp_path, "8 8 0.0 8\n" + "\n".join(rows) + "\n")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"entkit: data error: {align}: line 4: non-finite value"
+        ]
+
+    def test_overflowing_alignment_exits_with_one_line(self, tmp_path):
+        # Every entry is finite, but the derived entity rows overflow; numpy's
+        # overflow warning must not print above the error line.
+        rows = [" ".join(["1e308"] * 8)] * 8
+        _, proc = self.eval_lama_concat(tmp_path, "8 8 0.0 8\n" + "\n".join(rows) + "\n")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            "entkit: data error: non-finite embedding row for symbol 'ENTITY/Jean_Marais'"
         ]
 
     def test_import_does_not_load_requests(self):

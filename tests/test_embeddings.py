@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -300,6 +301,53 @@ class TestKeep:
             rows, grown[mode] = map(int, proc.stdout.split())
             assert rows == (n if mode == "all" else 100)
         assert grown["keep"] < grown["all"] / 2, grown
+
+
+def _load_through_fifo(tmp_path, text: str, keep=None):
+    """``_outcome`` of loading ``text`` through a named pipe, with the pipe's
+    path in an error message written as ``PATH``."""
+    fifo = tmp_path / "space.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(text.encode("utf-8"))
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    parse_chunks = mock.Mock(wraps=embeddings._parse_chunks)
+    with mock.patch.object(embeddings, "_parse_chunks", parse_chunks):
+        outcome = _outcome(fifo, keep)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert not parse_chunks.called  # a pipe cannot be read twice
+    return outcome[:1] + tuple(
+        v.replace(str(fifo), "PATH") if isinstance(v, str) else v for v in outcome[1:]
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestPipeInput:
+    TEXT = "3 2\nENTITY/A 0.5 1\nb -0.25 2e-3\nENTITY/C 1e3 0\n"
+
+    @pytest.mark.parametrize("keep", [None, {"ENTITY/A", "ENTITY/C", "absent"}])
+    def test_same_symbols_and_bits_as_the_file(self, tmp_path, keep):
+        path = write(tmp_path / "space.txt", self.TEXT)
+        assert _load_through_fifo(tmp_path, self.TEXT, keep) == _outcome(path, keep)
+
+    @pytest.mark.parametrize("text", [
+        "3 2\nENTITY/A 0.5 1\nb x 2\nENTITY/C 1 0\n",
+        "3 2\nENTITY/A 0.5 1\nb nan 2\nENTITY/C 1 0\n",
+        "3 2\nENTITY/A 0.5 1\nENTITY/A 1 2\nENTITY/C 1 0\n",
+        "3 2\nENTITY/A 0.5 1\nb 1\nENTITY/C 1 0\n",
+        "4 2\nENTITY/A 0.5 1\nb 1 2\nENTITY/C 1 0\n",
+    ])
+    def test_same_error_as_the_file(self, tmp_path, text):
+        path = write(tmp_path / "space.txt", text)
+        error, message = _outcome(path, {"ENTITY/A"})
+        assert error == "error"
+        expected = ("error", message.replace(str(path), "PATH"))
+        assert _load_through_fifo(tmp_path, text, {"ENTITY/A"}) == expected
 
 
 class TestSaveLoadRoundTrip:

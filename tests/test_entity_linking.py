@@ -308,45 +308,47 @@ class TestSpanMaskStates:
             (GoldAnnotation(1, 3, "ENTITY/NYC"), GoldAnnotation(5, 8, "ENTITY/NYC")),
         )
         other = Document("e", self.TOKENS[3:], ())
-        examples = (
-            build_training_examples(doc, self.TABLE)[0]
-            + build_training_examples(other, self.TABLE, use_emask=False)[0]
-        )
-        calls = []
+        examples = [
+            ex for d in (doc, other)
+            for ex in build_training_examples(d, generate_candidates(d.tokens, self.TABLE))[0]
+        ]
         batched = el.span_mask_states
-
-        def recording(tokens, spans, scorer_, decoded, use_emask):
-            out = batched(tokens, spans, scorer_, decoded, use_emask)
-            calls.append((tokens, spans, decoded, use_emask, out))
-            return out
-
-        monkeypatch.setattr(el, "span_mask_states", recording)
         rng = np.random.default_rng(5)
         head = AffineHead(rng.standard_normal((self.D, self.D)), rng.standard_normal(self.D))
         eps = NullEntityParams(rng.standard_normal(self.D), 0.3)
-        loss = train_linker(examples, head, eps, scorer, epochs=0)[0]
 
-        assert len(calls) == 2  # one call per document
-        assert sum(len(c[1]) for c in calls) == len(examples)
-        oracle_loss = 0.0
-        for ex in examples:
-            seq = build_el_input(ex.tokens, ex.span, scorer.wp_vocab, {}, ex.use_emask)
-            h = scorer.mask_state(seq)
-            tokens, spans, decoded, use_emask, out = next(
-                c for c in calls if c[0] == ex.tokens and c[3] == ex.use_emask
-            )
-            assert decoded is None
-            assert np.array_equal(out[spans.index(ex.span)], h)
-            cands = [
-                (scorer.ent.row(c.entity).astype(np.float64), math.log(c.prior))
-                for c in ex.candidates
-            ]
-            gold = (
-                len(cands) if ex.gold is None
-                else [c.entity for c in ex.candidates].index(ex.gold)
-            )
-            oracle_loss += head_gradients(h, head, cands + [(eps.e, eps.b)], gold).loss
-        assert loss == oracle_loss / len(examples)
+        for mode in (True, False):
+            calls = []
+
+            def recording(tokens, spans, scorer_, decoded, use_emask):
+                out = batched(tokens, spans, scorer_, decoded, use_emask)
+                calls.append((tokens, spans, decoded, use_emask, out))
+                return out
+
+            monkeypatch.setattr(el, "span_mask_states", recording)
+            loss = train_linker(examples, head, eps, scorer, epochs=0, use_emask=mode)[0]
+
+            assert len(calls) == 2  # one call per document
+            assert sum(len(c[1]) for c in calls) == len(examples)
+            oracle_loss = 0.0
+            for ex in examples:
+                seq = build_el_input(ex.tokens, ex.span, scorer.wp_vocab, {}, mode)
+                h = scorer.mask_state(seq)
+                tokens, spans, decoded, use_emask, out = next(
+                    c for c in calls if c[0] == ex.tokens
+                )
+                assert decoded is None and use_emask is mode
+                assert np.array_equal(out[spans.index(ex.span)], h)
+                cands = [
+                    (scorer.ent.row(c.entity).astype(np.float64), math.log(c.prior))
+                    for c in ex.candidates
+                ]
+                gold = (
+                    len(cands) if ex.gold is None
+                    else [c.entity for c in ex.candidates].index(ex.gold)
+                )
+                oracle_loss += head_gradients(h, head, cands + [(eps.e, eps.b)], gold).loss
+            assert loss == oracle_loss / len(examples)
 
     def test_linking_needs_only_the_linking_protocol(self):
         class LinkingProtocolOnly:
@@ -362,7 +364,7 @@ class TestSpanMaskStates:
             head = AffineHead(rng.standard_normal((self.D, self.D)), rng.standard_normal(self.D))
             eps = NullEntityParams(rng.standard_normal(self.D), -30.0)
             doc = Document("d", self.TOKENS, (GoldAnnotation(1, 3, "ENTITY/NYC"),))
-            examples = build_training_examples(doc, self.TABLE)[0]
+            examples = build_training_examples(doc, generate_candidates(doc.tokens, self.TABLE))[0]
             losses = train_linker(examples, head, eps, scorer, epochs=3, step=0.1)
             spans = generate_candidates(self.TOKENS, self.TABLE)
             out, steps = iterative_refine(self.TOKENS, spans, scorer, head, eps, 3)
@@ -534,7 +536,7 @@ def training_world(seed=11):
 class TestBuildTrainingExamples:
     def test_gold_and_null_assignment(self):
         doc, table, wp, _ = training_world()
-        examples, dropped = build_training_examples(doc, table)
+        examples, dropped = build_training_examples(doc, generate_candidates(doc.tokens, table))
         assert dropped == 0
         assert [ex.gold for ex in examples] == [
             "ENTITY/A1", None, "ENTITY/P2",
@@ -547,7 +549,7 @@ class TestBuildTrainingExamples:
             doc.doc_id, doc.tokens,
             (GoldAnnotation(0, 1, "ENTITY/Nowhere"), doc.golds[1]),
         )
-        examples, dropped = build_training_examples(bad, table)
+        examples, dropped = build_training_examples(bad, generate_candidates(bad.tokens, table))
         assert dropped == 1
         assert [ex.gold for ex in examples] == [None, "ENTITY/P2"]
 
@@ -555,7 +557,7 @@ class TestBuildTrainingExamples:
 class TestTrainLinker:
     def make_setup(self, seed=11):
         doc, table, wp, ent = training_world(seed)
-        examples, dropped = build_training_examples(doc, table)
+        examples, dropped = build_training_examples(doc, generate_candidates(doc.tokens, table))
         assert dropped == 0
         rng = np.random.default_rng(seed + 100)
         head = AffineHead(grid_values(rng, DIM, DIM), grid_values(rng, DIM))
@@ -631,10 +633,10 @@ class TestTrainLinker:
 
     def test_scorer_without_entity_space_rejected(self):
         doc, table, wp, _ = training_world()
-        examples = build_training_examples(doc, table, use_emask=False)[0]
+        examples = build_training_examples(doc, generate_candidates(doc.tokens, table))[0]
         head, eps = AffineHead.zeros(DIM), NullEntityParams.zeros(DIM)
         with pytest.raises(ValueError, match="needs a scorer with an entity space"):
-            train_linker(examples, head, eps, ReferenceScorer(wp, None))
+            train_linker(examples, head, eps, ReferenceScorer(wp, None), use_emask=False)
 
 
 def ceil_div(a, b):
@@ -778,6 +780,43 @@ class TestIterativeRefine:
             ((3, 4, "ENTITY/E3"), (4, 5, "ENTITY/E4"), (5, 6, "ENTITY/E5")),
             ((6, 7, "ENTITY/E6"), (7, 8, "ENTITY/E7")),
         ]
+
+    def test_each_round_scores_only_the_undecided_spans(self, monkeypatch):
+        import entkit.entity_linking as el
+
+        tokens, table, scorer = self.overlap_world()
+        tokens = tokens * 3
+        spans = generate_candidates(tokens, table)
+        calls = []
+        groups, states = el.candidate_groups, el.span_mask_states
+
+        def recording_groups(lists, ent):
+            calls.append(("groups", list(lists), [s.state for s in spans]))
+            return groups(lists, ent)
+
+        def recording_states(tokens_, scored, *args):
+            out = states(tokens_, scored, *args)
+            calls.append(("states", list(scored), len(out)))
+            return out
+
+        monkeypatch.setattr(el, "candidate_groups", recording_groups)
+        monkeypatch.setattr(el, "span_mask_states", recording_states)
+        _, steps = iterative_refine(
+            tokens, spans, scorer, AffineHead.zeros(2),
+            NullEntityParams.zeros(2, b=-1e9), iterations=3,
+        )
+        assert len(calls) == 2 * len(steps) and len(steps) > 1
+        for (kind_g, lists, before), (kind_s, scored, n_states) in zip(
+            calls[::2], calls[1::2]
+        ):
+            assert (kind_g, kind_s) == ("groups", "states")
+            undecided = [
+                s for s, state in zip(spans, before) if state is SpanState.UNDECIDED
+            ]
+            assert scored == undecided and all(a is b for a, b in zip(scored, undecided))
+            assert lists == [s.candidates for s in undecided]
+            assert n_states == len(undecided)
+        assert len(calls[-1][1]) < len(spans)
 
     def test_errors(self):
         tokens, table, scorer = flat_linking_world(2)

@@ -10,8 +10,10 @@ from entkit.embeddings import SpaceKind, Vocabulary
 from entkit.errors import DataError
 from entkit.lama_bench import rank_answers
 from entkit.scorer import (
+    ROW_BLOCK,
     AffineHead,
     ReferenceScorer,
+    by_blocks,
     candidate_probs,
     embed_sequence,
     head_gradients,
@@ -126,6 +128,38 @@ class TestAffineHead:
             AffineHead(np.zeros((2, 3)), np.zeros(2))
         with pytest.raises(ValueError):
             AffineHead(np.zeros((2, 2)), np.zeros(3))
+
+
+class TestByBlocks:
+    def test_fixed_shape_zero_padded_blocks(self):
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((150, 5)).astype(np.float32)
+        w = rng.standard_normal((5, 7))
+        blocks = []
+
+        def f(b):
+            blocks.append(b.copy())
+            return b @ w
+
+        out = by_blocks(x, 7, f)
+        assert out.shape == (150, 7) and out.dtype == np.float64
+        assert [(b.shape, b.dtype) for b in blocks] == [((ROW_BLOCK, 5), np.float64)] * 3
+        padded = np.zeros((3 * ROW_BLOCK, 5))
+        padded[:150] = x
+        assert np.array_equal(np.concatenate(blocks), padded)
+        assert np.array_equal(out, np.concatenate(
+            [padded[s : s + ROW_BLOCK] @ w for s in range(0, len(padded), ROW_BLOCK)]
+        )[:150])
+        for start, stop in [(0, 1), (7, 8), (60, 70), (149, 150)]:
+            part = by_blocks(x[start:stop], 7, lambda b: b @ w)
+            assert np.array_equal(part, out[start:stop])
+
+    def test_zero_rows(self):
+        def f(b):
+            raise AssertionError("no block to map")
+
+        out = by_blocks(np.empty((0, 5)), 7, f)
+        assert out.shape == (0, 7)
 
 
 def one_row_probs(h, head, cands):
