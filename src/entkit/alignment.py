@@ -197,6 +197,8 @@ def load_alignment(path) -> AlignmentMap:
         raise DataError(f"{path}: line 1: malformed alignment header") from None
     if d_tgt <= 0 or d_src <= 0:
         raise DataError(f"{path}: line 1: alignment dimensions must be positive")
+    if not np.isfinite(residual):
+        raise DataError(f"{path}: line 1: non-finite residual")
     if len(lines) - 1 != d_tgt:
         raise DataError(
             f"{path}: header declares {d_tgt} rows but file has {len(lines) - 1}"

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import alignment, embeddings, entity_linking, lama_bench, wikidata_client
-from .errors import DataError
+from .errors import DataError, TransportError
 from .scorer import AffineHead, ReferenceScorer
 from .text_input import InputMode
 
@@ -428,7 +428,7 @@ def main(argv=None) -> int:
     except (DataError, UnicodeDecodeError, OSError) as exc:
         print(f"entkit: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except wikidata_client.TransportError as exc:
+    except TransportError as exc:
         print(f"entkit: endpoint error: {exc}", file=sys.stderr)
         return EXIT_ENDPOINT
 

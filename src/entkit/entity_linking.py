@@ -227,10 +227,10 @@ def _el_layout(
         if use_emask
         else Token.mask()
     )
-    left = [Token.control("CLS")] + _context(0, span.start, decoded)
-    right = [Token.control("slash"), range(span.start, span.end), Token.control("star")]
+    left = [Token.wordpiece("[CLS]")] + _context(0, span.start, decoded)
+    right = [Token.wordpiece("/"), range(span.start, span.end), Token.wordpiece("*")]
     right += _context(span.end, n_words, decoded)
-    right.append(Token.control("SEP"))
+    right.append(Token.wordpiece("[SEP]"))
     return left, mask, right
 
 
@@ -366,6 +366,7 @@ def build_training_examples(
     return examples, dropped
 
 
+@np.errstate(all="ignore")
 def train_linker(
     examples: Sequence[TrainingExample],
     head: AffineHead,
@@ -382,7 +383,8 @@ def train_linker(
     entity masks from. Mask states are computed once up front, one
     ``span_mask_states`` call per document, because the encoder takes no
     gradient. Returns the loss trajectory: mean loss at each epoch's
-    starting parameters, plus the final loss (length ``epochs + 1``).
+    starting parameters, plus the final loss (length ``epochs + 1``). A
+    non-finite loss is a DataError.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -409,6 +411,8 @@ def train_linker(
         loss, du, g_null, _ = candidate_gradients(u, groups, gold, (eps.e, eps.b))
         # cumsum adds the losses one by one in example order.
         losses.append(float(np.cumsum(loss)[-1]) / n)
+        if not np.isfinite(losses[-1]):
+            raise DataError(f"training loss of epoch {epoch} is not finite")
         if epoch == epochs:
             break
         head.a = head.a - step * ((du.T @ states) / n)
@@ -426,6 +430,7 @@ class RefinementStep:
     decoded: tuple[tuple[int, int, str], ...]
 
 
+@np.errstate(all="ignore")
 def iterative_refine(
     tokens: Sequence[str],
     spans: Sequence[CandidateSpan],

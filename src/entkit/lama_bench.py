@@ -128,9 +128,7 @@ def render_question(
     sentence_words = words[:xi] + sub_words + words[xi + 1 :]
     mentions = []
     if sub_words:
-        mentions.append(
-            MentionSpan(xi, xi + len(sub_words), triple.sub_surface, triple.sub_entity)
-        )
+        mentions.append(MentionSpan(xi, xi + len(sub_words), triple.sub_entity))
     return build_input(" ".join(sentence_words), mentions, mode, entity_space, vocab)
 
 

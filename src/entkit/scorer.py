@@ -28,9 +28,8 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
-from .text_input import CONTROL_PIECES, UNK, Token, TokenKind, TokenSequence
+from .text_input import MASK_WORD, UNK, Token, TokenKind, TokenSequence
 
-MASK_PIECE = "[MASK]"
 _MASK_KINDS = (TokenKind.MASK, TokenKind.EMASK)
 
 # States (cloze questions or linking spans) per head product, and questions
@@ -80,10 +79,8 @@ def _token_row(tok: Token, wp: EmbeddingSpace, ent: EmbeddingSpace | None) -> np
     """The float64 input row of one token, as ``embed_sequence`` describes."""
     if tok.kind is TokenKind.WORDPIECE:
         return _wp_row(wp, tok.text)
-    if tok.kind is TokenKind.CONTROL:
-        return _wp_row(wp, CONTROL_PIECES[tok.text])
     if tok.kind is TokenKind.MASK:
-        row = wp.row(MASK_PIECE)
+        row = wp.row(MASK_WORD)
         if row is None:
             raise DataError("wordpiece space has no [MASK] row")
         return row.astype(np.float64)
@@ -170,6 +167,15 @@ class AffineHead:
         return cls(np.zeros((dim, dim)), np.zeros(dim))
 
 
+def _finite(x: np.ndarray, stage: str) -> np.ndarray:
+    """``x``, or a DataError naming ``stage`` if an entry is nan or infinite:
+    huge but finite vectors can overflow where they meet."""
+    if not np.isfinite(x).all():
+        raise DataError(f"{stage} are not finite (the vectors are too large)")
+    return x
+
+
+@np.errstate(all="ignore")
 def candidate_probs(u: np.ndarray, groups, shared) -> list[np.ndarray]:
     """Softmax over ``e . u + b`` for the candidates ``(e, b)`` of each row
     of the (S, d) head outputs ``u``, then the ``shared`` one.
@@ -180,16 +186,19 @@ def candidate_probs(u: np.ndarray, groups, shared) -> list[np.ndarray]:
     row. Returns one (S_c, c + 1) array per group. Rows sum to 1, are
     invariant to adding a constant to all their logits, and, as every dot
     product is a sum along the last axis, do not depend on their batch.
+    Non-finite logits are a DataError; finite ones give finite probabilities.
     """
     probs = []
     for rows, e, b in groups:
         ug = u[rows]
         logits = (e * ug[:, None, :]).sum(axis=-1) + b
         last = (ug * shared[0]).sum(axis=-1) + shared[1]
-        probs.append(_softmax(np.column_stack([logits, last])))
+        logits = _finite(np.column_stack([logits, last]), "candidate logits")
+        probs.append(_softmax(logits))
     return probs
 
 
+@np.errstate(all="ignore")
 def candidate_gradients(u: np.ndarray, groups, gold, shared):
     """Gradients of ``-log p(gold)`` for ``candidate_probs``, where
     ``gold[s]`` indexes row s's candidates, ``shared`` last.
@@ -308,6 +317,7 @@ class ReferenceScorer:
                 states[s] = (rows.sum(axis=0) - rows[pos]) / (len(rows) - 1)
         return states
 
+    @np.errstate(all="ignore")
     def score_answers(
         self, seqs: Sequence[TokenSequence], symbols: Sequence[str]
     ) -> np.ndarray:
@@ -319,13 +329,15 @@ class ReferenceScorer:
         row, where ``E`` holds the answer rows; the products are taken in
         transposed form, ``E (A H^T + c)``, ``ROW_BLOCK`` questions at a
         time. Every answer symbol must exist in the wordpiece space; answer
-        biases are zero in the reference implementation.
+        biases are zero in the reference implementation. Non-finite
+        probabilities are a DataError.
         """
         e = self._answer_matrix(symbols)
         u = self.head.apply(self.mask_states(*_index_sequences(seqs)))
-        return by_blocks(
+        probs = by_blocks(
             u, len(symbols), lambda b: _softmax(np.ascontiguousarray((e @ b.T).T))
         )
+        return _finite(probs, "answer probabilities")
 
     def _answer_matrix(self, symbols: Sequence[str]) -> np.ndarray:
         key = tuple(symbols)

@@ -19,18 +19,7 @@ from .embeddings import ENTITY_PREFIX, EmbeddingSpace, Vocabulary, is_entity_sym
 UNK = "[UNK]"
 MASK_WORD = "[MASK]"
 
-# Control tokens and the wordpiece each one is embedded as.
-CONTROL_PIECES: dict[str, str] = {
-    "CLS": "[CLS]",
-    "SEP": "[SEP]",
-    "UNK": "[UNK]",
-    "slash": "/",
-    "hash": "#",
-    "dollar": "$",
-    "star": "*",
-}
-
-_SPECIAL_WORDS = {"[MASK]", "[CLS]", "[SEP]", "[UNK]", "[PAD]"}
+_SPECIAL_WORDS = {MASK_WORD, "[CLS]", "[SEP]", UNK, "[PAD]"}
 _PUNCT = set(string.punctuation)
 
 
@@ -39,12 +28,12 @@ class TokenKind(Enum):
     ENTITY = "entity"
     MASK = "mask"
     EMASK = "emask"
-    CONTROL = "control"
 
 
 @dataclass(frozen=True)
 class Token:
-    """One input position: a wordpiece, an entity, a mask, or a control."""
+    """One input position: a wordpiece, an entity, a mask, or an entity mask.
+    Separators such as ``[CLS]`` and ``/`` are wordpieces."""
 
     kind: TokenKind
     text: str = ""
@@ -71,21 +60,13 @@ class Token:
             raise ValueError("an entity mask needs a non-empty candidate list")
         return Token(TokenKind.EMASK, candidates=cands)
 
-    @staticmethod
-    def control(name: str) -> "Token":
-        if name not in CONTROL_PIECES:
-            raise ValueError(f"unknown control token {name!r}")
-        return Token(TokenKind.CONTROL, name)
-
     def render(self) -> str:
         """Human-readable text form, used in reports and tests."""
         if self.kind in (TokenKind.WORDPIECE, TokenKind.ENTITY):
             return self.text
         if self.kind is TokenKind.MASK:
-            return "[MASK]"
-        if self.kind is TokenKind.EMASK:
-            return "[E-MASK]"
-        return CONTROL_PIECES[self.text]
+            return MASK_WORD
+        return "[E-MASK]"
 
 
 @dataclass(frozen=True)
@@ -108,7 +89,6 @@ class MentionSpan:
 
     start: int
     end: int
-    surface: str
     entity_id: str | None = None
 
     def __post_init__(self):
@@ -220,7 +200,7 @@ def build_rc_input(
     if (subject.start, subject.end) == (object_.start, object_.end):
         raise ValueError("subject and object spans are identical")
     return _framed_input(
-        sentence, [(subject, "hash"), (object_, "dollar")], mode, entity_space, vocab
+        sentence, [(subject, "#"), (object_, "$")], mode, entity_space, vocab
     )
 
 
@@ -232,7 +212,7 @@ def _framed_input(
     vocab: Vocabulary,
 ) -> TokenSequence:
     """The input loop behind both builders: each mention is rendered per
-    ``mode`` and, when it carries a marker control, wrapped in a pair of it.
+    ``mode`` and, when it carries a marker wordpiece, wrapped in a pair of it.
     A mention is resolvable when ``entity_space`` holds its entity id."""
     words = sentence.split()
     by_start: dict[int, tuple[MentionSpan, str | None]] = {}
@@ -249,7 +229,7 @@ def _framed_input(
         by_start[m.start] = (m, marker)
         prev_end = m.end
 
-    tokens: list[Token] = [Token.control("CLS")]
+    tokens: list[Token] = [Token.wordpiece("[CLS]")]
     i = 0
     while i < len(words):
         entry = by_start.get(i)
@@ -263,19 +243,19 @@ def _framed_input(
             continue
         m, marker = entry
         if marker is not None:
-            tokens.append(Token.control(marker))
+            tokens.append(Token.wordpiece(marker))
         surface_words = words[m.start : m.end]
         if (mode is not InputMode.BERT and entity_space is not None
                 and m.entity_id in entity_space.vocab):
             tokens.append(Token.entity(m.entity_id))
             if mode is InputMode.CONCAT:
-                tokens.append(Token.control("slash"))
+                tokens.append(Token.wordpiece("/"))
                 tokens.extend(wordpiece_tokens(surface_words, vocab))
         else:
             tokens.extend(wordpiece_tokens(surface_words, vocab))
         if marker is not None:
-            tokens.append(Token.control(marker))
+            tokens.append(Token.wordpiece(marker))
         i = m.end
-    tokens.append(Token.control("SEP"))
+    tokens.append(Token.wordpiece("[SEP]"))
     return TokenSequence(tuple(tokens))
 

@@ -22,7 +22,7 @@ from urllib.parse import quote, unquote, urlparse
 
 from ._tsv import tsv_rows
 from .embeddings import ENTITY_PREFIX
-from .errors import DataError
+from .errors import DataError, TransportError
 
 if TYPE_CHECKING:
     import requests
@@ -44,10 +44,6 @@ SITELINK_QUERY = """SELECT ?id ?wikiurl WHERE {{
   ?wikiurl schema:inLanguage 'en' .
   FILTER REGEX(str(?wikiurl), '.*en.wikipedia.org.*') .
 }}"""
-
-
-class TransportError(Exception):
-    """The SPARQL endpoint could not be reached or answered garbage."""
 
 
 class ResolutionStatus(Enum):

@@ -85,8 +85,8 @@ def normal_equations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 # Wordpiece vocabulary sufficient for any linking/cloze input over the given
-# extra words: all control pieces plus [MASK]/[UNK], embedded as zero unless
-# a row is supplied.
+# extra words: the separator pieces the input builders emit plus [MASK]/[UNK],
+# embedded as zero unless a row is supplied.
 SPECIAL_PIECES = ["[CLS]", "[SEP]", "[UNK]", "[MASK]", "/", "*", "#", "$"]
 
 

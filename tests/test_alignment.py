@@ -237,3 +237,11 @@ class TestSerialization:
         with pytest.raises(DataError) as exc:
             load_alignment(f)
         assert str(exc.value) == f"{f}: line 3: non-finite value"
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e309"])
+    def test_non_finite_residual_is_rejected(self, tmp_path, value):
+        f = tmp_path / "bad.tsv"
+        f.write_text(f"1 1 {value} 3\n0.5\n")
+        with pytest.raises(DataError) as exc:
+            load_alignment(f)
+        assert str(exc.value) == f"{f}: line 1: non-finite residual"

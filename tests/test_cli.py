@@ -3,10 +3,13 @@
 import contextlib
 import io
 import json
+import math
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -715,6 +718,14 @@ class TestEntryPoint:
             f"entkit: data error: {align}: line 4: non-finite value"
         ]
 
+    def test_non_finite_residual_exits_with_one_line(self, tmp_path):
+        rows = [" ".join(["0.5"] * 8)] * 8
+        align, proc = self.eval_lama_concat(tmp_path, "8 8 nan 8\n" + "\n".join(rows) + "\n")
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [
+            f"entkit: data error: {align}: line 1: non-finite residual"
+        ]
+
     def test_overflowing_alignment_exits_with_one_line(self, tmp_path):
         # Every entry is finite, but the derived entity rows overflow; numpy's
         # overflow warning must not print above the error line.
@@ -956,3 +967,48 @@ def test_unmatched_table_surfaces_change_no_link_output(
         for name in ("link-eval", "link-train"):
             outputs = command_outputs(fixtures, Path(tmp) / name, ENTITY_COMMANDS[name])
             assert outputs == entity_baseline[name], name
+
+
+_NUMBER = re.compile(r"[-+]?(\d+\.?\d*(e[-+]?\d+)?|nan|inf(inity)?)", re.IGNORECASE)
+
+
+def _numbers_are_finite(text: str) -> bool:
+    """Whether every number among the words of a TSV, JSON or report text
+    is finite."""
+    return all(
+        math.isfinite(float(word))
+        for word in re.split(r"[\s,:{}\[\]\"]+", text)
+        if _NUMBER.fullmatch(word)
+    )
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e300"])
+@pytest.mark.parametrize("argv", [
+    [*_EVAL_ENTITIES, "--mode", "concat"],
+    [*_EVAL_ENTITIES, "--mode", "replace"],
+    [*_LINK_ENTITIES, "--eval"],
+    [*_LINK_ENTITIES, "--train", "--epochs", "3"],
+], ids=["eval-lama-concat", "eval-lama-replace", "link-eval", "link-train"])
+def test_huge_alignment_gives_finite_outputs_or_one_error_line(
+    pristine_fixtures, tmp_path, capsys, argv, scale
+):
+    # Every entry is finite and so is every derived entity row, but the
+    # products of those rows can overflow. No numpy warning may escape.
+    align = tmp_path / "huge.tsv"
+    align.write_text("8 8 0.0 5\n" + f"{' '.join([scale] * 8)}\n" * 8, encoding="utf-8")
+    argv = [str(align) if a == "{F}/align.tsv" else a for a in argv]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, stdout, files = command_outputs(pristine_fixtures, tmp_path / "out", argv)
+    stderr = capsys.readouterr().err
+    if code == 0:
+        assert stderr == ""
+        for text in [stdout, *(b.decode("utf-8") for b in files.values())]:
+            assert _numbers_are_finite(text)
+    else:
+        assert code == 2
+        assert len(stderr.splitlines()) == 1
+    if "--train" in argv:
+        # The first update overflows the head, so the next epoch's logits do.
+        assert stderr == "entkit: data error: candidate logits are not finite " \
+                         "(the vectors are too large)\n"

@@ -1,6 +1,7 @@
 """Metamorphic invariants of the CLI on small generated worlds: the output
 for one document or one relation does not depend on the other documents or
-relation files of the run."""
+relation files of the run, on the order of the documents, or on the name of
+the relation."""
 
 import contextlib
 import importlib.util
@@ -105,6 +106,31 @@ def test_a_document_links_the_same_beside_any_other_documents(ingest_world, run)
         assert got_rows[doc_id] == rows[doc_id], doc_id
 
 
+def test_training_does_not_depend_on_document_order(ingest_world, tmp_path):
+    world, docs, _ = ingest_world
+    outputs = []
+    for name, lines in (("forward", docs), ("reversed", docs[::-1])):
+        out = tmp_path / name
+        out.mkdir()
+        (out / "docs.jsonl").write_text("".join(d + "\n" for d in lines), encoding="utf-8")
+        run_quiet([
+            "link", "--docs", out / "docs.jsonl", "--table", world / "table.tsv",
+            "--wp-space", world / "wp.txt", "--ent-space", world / "wiki.txt",
+            "--align", world / "align.txt", "--train", "--epochs", "30",
+            # A low null-entity bias leaves some spans decoded after training.
+            "--eps-bias=-20", "--out-dir", out / "link",
+        ])
+        outputs.append((
+            (out / "link" / "losses.tsv").read_bytes(),
+            (out / "link" / "predictions.jsonl").read_bytes().splitlines(),
+        ))
+    (losses, predictions), (reversed_losses, reversed_predictions) = outputs
+    assert reversed_losses == losses
+    # predictions.jsonl holds one line per document, in document order.
+    assert reversed_predictions == predictions[::-1]
+    assert any(json.loads(line)["predictions"] for line in predictions)
+
+
 # ---------------------------------------------------------------- lama
 
 
@@ -153,3 +179,36 @@ def test_a_relation_scores_and_filters_the_same_without_the_others(lama_world, p
     for rel in kept:
         assert got[rel] == baseline[rel], rel
         assert len(got[rel][0]) == 1 and len(got[rel][1]) == 3
+
+
+@settings(max_examples=4, deadline=None, derandomize=True)
+@given(index=st.integers(0, 3),
+       name=st.from_regex(r"[A-Za-z][A-Za-z0-9_]{0,6}", fullmatch=True))
+def test_a_renamed_relation_scores_and_filters_the_same(lama_world, index, name):
+    # Every template of the world names its probe noun, so no relation falls
+    # back to a default noun chosen by its name.
+    world, relations, baseline = lama_world
+    old = relations[index]
+    if name in relations:
+        name = f"{name}_renamed"
+    with tempfile.TemporaryDirectory() as tmp:
+        renamed = Path(tmp) / "world"
+        shutil.copytree(world, renamed)
+        (renamed / "data" / f"{old}.jsonl").rename(renamed / "data" / f"{name}.jsonl")
+        templates = json.loads((renamed / "templates.json").read_text(encoding="utf-8"))
+        for t in templates:
+            assert "name_noun" in t
+            if t["relation"] == old:
+                t["relation"] = name
+        (renamed / "templates.json").write_text(json.dumps(templates), encoding="utf-8")
+        kept = [name if rel == old else rel for rel in relations]
+        got = lama_by_relation(renamed, kept, Path(tmp) / "run")
+    report, stats, stages = got[name]
+    old_report, old_stats, old_stages = baseline[old]
+    assert [row.split("\t")[1:] for row in report] == [
+        row.split("\t")[1:] for row in old_report
+    ]
+    assert [row.split("\t")[1:] for row in stats] == [
+        row.split("\t")[1:] for row in old_stats
+    ]
+    assert stages == old_stages

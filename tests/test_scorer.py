@@ -46,12 +46,12 @@ def seq_of(*tokens):
 class TestEmbedSequence:
     def test_dispatch_per_kind(self):
         seq = seq_of(
-            Token.control("CLS"),
+            Token.wordpiece("[CLS]"),
             Token.wordpiece("the"),
             Token.entity("ENTITY/A"),
             Token.mask(),
             Token.emask(["ENTITY/A", "ENTITY/B"]),
-            Token.control("slash"),
+            Token.wordpiece("/"),
         )
         vecs = embed_sequence(seq, WP, ENT)
         np.testing.assert_array_equal(vecs[0], np.zeros(DIM))  # [CLS] row
@@ -462,8 +462,8 @@ def oracle_state(scorer, seq):
 
 def random_mixed_cloze(seed, n_questions=80, dim=13):
     """Standard-normal spaces and head, and single-mask sequences mixing
-    wordpieces (some missing from the space, so they embed as [UNK]),
-    controls and entities around a Mask or an EMask of 1-3 candidates, plus
+    wordpieces (some missing from the space, so they embed as [UNK], and
+    some separators) and entities around a Mask or an EMask of 1-3 candidates, plus
     length-1 inputs."""
     rng = np.random.default_rng(seed)
     words = [f"w{i}" for i in range(30)]
@@ -482,7 +482,7 @@ def random_mixed_cloze(seed, n_questions=80, dim=13):
         if kind == 0:
             return Token.wordpiece(f"oov{rng.integers(3)}")
         if kind == 1:
-            return Token.control(str(rng.choice(["CLS", "SEP", "slash"])))
+            return Token.wordpiece(str(rng.choice(["[CLS]", "[SEP]", "/"])))
         if kind == 2:
             return Token.entity(str(rng.choice(ents)))
         return Token.wordpiece(str(rng.choice(words)))

@@ -95,20 +95,16 @@ class TestTokens:
         with pytest.raises(ValueError, match="non-empty"):
             Token.emask([])
 
-    def test_control_names_are_validated(self):
-        with pytest.raises(ValueError, match="unknown control"):
-            Token.control("bold")
-
     def test_render(self):
         seq = TokenSequence(
             (
-                Token.control("CLS"),
+                Token.wordpiece("[CLS]"),
                 Token.wordpiece("the"),
                 Token.entity("ENTITY/X"),
                 Token.mask(),
                 Token.emask(["ENTITY/A"]),
-                Token.control("slash"),
-                Token.control("SEP"),
+                Token.wordpiece("/"),
+                Token.wordpiece("[SEP]"),
             )
         )
         assert seq.render() == [
@@ -117,9 +113,9 @@ class TestTokens:
 
     def test_mention_span_validation(self):
         with pytest.raises(ValueError):
-            MentionSpan(2, 2, "x")
+            MentionSpan(2, 2)
         with pytest.raises(ValueError):
-            MentionSpan(-1, 1, "x")
+            MentionSpan(-1, 1)
 
 
 DIM = 2
@@ -131,7 +127,7 @@ ENT = ent_space_with({"ENTITY/Jean_Marais": [1.0, 2.0]}, DIM)
 class TestBuildInput:
     def sentence(self):
         return "Jean Marais sat", [
-            MentionSpan(0, 2, "Jean Marais", "ENTITY/Jean_Marais")
+            MentionSpan(0, 2, "ENTITY/Jean_Marais")
         ]
 
     def test_bert_mode_ignores_mentions(self):
@@ -158,8 +154,8 @@ class TestBuildInput:
     def test_unresolvable_mentions_fall_back_individually(self):
         text = "Jean Marais sat the cat"
         mentions = [
-            MentionSpan(0, 2, "Jean Marais", "ENTITY/Jean_Marais"),
-            MentionSpan(3, 5, "the cat", "ENTITY/Missing"),
+            MentionSpan(0, 2, "ENTITY/Jean_Marais"),
+            MentionSpan(3, 5, "ENTITY/Missing"),
         ]
         seq = build_input(text, mentions, InputMode.REPLACE, ENT, WP.vocab)
         assert seq.render() == [
@@ -173,22 +169,22 @@ class TestBuildInput:
 
     def test_mention_without_entity_id_falls_back(self):
         seq = build_input(
-            "Jean sat", [MentionSpan(0, 1, "Jean")], InputMode.CONCAT, ENT, WP.vocab
+            "Jean sat", [MentionSpan(0, 1)], InputMode.CONCAT, ENT, WP.vocab
         )
         assert seq.render() == ["[CLS]", "Jean", "sat", "[SEP]"]
 
     def test_mask_word_becomes_mask_token(self):
         seq = build_input("the cat [MASK]", [], InputMode.BERT, None, WP.vocab)
         assert [t.kind for t in seq.tokens] == [
-            TokenKind.CONTROL, TokenKind.WORDPIECE, TokenKind.WORDPIECE,
-            TokenKind.MASK, TokenKind.CONTROL,
+            TokenKind.WORDPIECE, TokenKind.WORDPIECE, TokenKind.WORDPIECE,
+            TokenKind.MASK, TokenKind.WORDPIECE,
         ]
 
     def test_mention_may_not_cover_mask(self):
         with pytest.raises(ValueError, match="MASK"):
             build_input(
                 "the [MASK] cat",
-                [MentionSpan(1, 3, "x", "ENTITY/Jean_Marais")],
+                [MentionSpan(1, 3, "ENTITY/Jean_Marais")],
                 InputMode.CONCAT,
                 ENT,
                 WP.vocab,
@@ -196,12 +192,12 @@ class TestBuildInput:
 
     def test_mention_bounds_and_overlap_rejected(self):
         with pytest.raises(ValueError, match="exceeds"):
-            build_input("the cat", [MentionSpan(1, 3, "x")], InputMode.BERT,
+            build_input("the cat", [MentionSpan(1, 3)], InputMode.BERT,
                         None, WP.vocab)
         with pytest.raises(ValueError, match="overlap"):
             build_input(
                 "the cat sat",
-                [MentionSpan(0, 2, "a"), MentionSpan(1, 3, "b")],
+                [MentionSpan(0, 2), MentionSpan(1, 3)],
                 InputMode.BERT, None, WP.vocab,
             )
 
@@ -210,8 +206,8 @@ class TestBuildRcInput:
     def test_markers_wrap_spans(self):
         seq = build_rc_input(
             "Jean Marais sat the cat",
-            MentionSpan(0, 2, "Jean Marais", "ENTITY/Jean_Marais"),
-            MentionSpan(3, 5, "the cat"),
+            MentionSpan(0, 2, "ENTITY/Jean_Marais"),
+            MentionSpan(3, 5),
             InputMode.REPLACE,
             ENT,
             WP.vocab,
@@ -224,8 +220,8 @@ class TestBuildRcInput:
     def test_object_may_precede_subject(self):
         seq = build_rc_input(
             "the cat sat Jean",
-            MentionSpan(3, 4, "Jean"),
-            MentionSpan(0, 2, "the cat"),
+            MentionSpan(3, 4),
+            MentionSpan(0, 2),
             InputMode.BERT,
             None,
             WP.vocab,
@@ -237,8 +233,8 @@ class TestBuildRcInput:
     def test_concat_inside_markers(self):
         seq = build_rc_input(
             "Jean Marais sat the cat",
-            MentionSpan(0, 2, "Jean Marais", "ENTITY/Jean_Marais"),
-            MentionSpan(3, 5, "the cat"),
+            MentionSpan(0, 2, "ENTITY/Jean_Marais"),
+            MentionSpan(3, 5),
             InputMode.CONCAT,
             ENT,
             WP.vocab,
@@ -251,14 +247,14 @@ class TestBuildRcInput:
     def test_identical_spans_rejected(self):
         with pytest.raises(ValueError, match="identical"):
             build_rc_input(
-                "the cat", MentionSpan(0, 1, "a"), MentionSpan(0, 1, "b"),
+                "the cat", MentionSpan(0, 1), MentionSpan(0, 1),
                 InputMode.BERT, None, WP.vocab,
             )
 
     def test_overlapping_spans_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
             build_rc_input(
-                "the cat sat", MentionSpan(0, 2, "a"), MentionSpan(1, 3, "b"),
+                "the cat sat", MentionSpan(0, 2), MentionSpan(1, 3),
                 InputMode.BERT, None, WP.vocab,
             )
 
