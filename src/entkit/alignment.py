@@ -108,16 +108,6 @@ def alignment_objective(
     return float(np.sum((x @ np.asarray(w, dtype=np.float64).T - y) ** 2))
 
 
-def apply_alignment(amap: AlignmentMap, vector: np.ndarray) -> np.ndarray:
-    """Map a single source vector into the target space."""
-    v = np.asarray(vector, dtype=np.float64)
-    if v.shape != (amap.d_src,):
-        raise ValueError(
-            f"vector has shape {v.shape}, alignment expects ({amap.d_src},)"
-        )
-    return amap.w @ v
-
-
 def check_entity_source(amap: AlignmentMap, wiki: EmbeddingSpace) -> None:
     """Raise unless entity rows of ``wiki`` can be mapped by ``amap``."""
     if wiki.kind is not SpaceKind.WORD_AND_ENTITY:

@@ -189,6 +189,15 @@ def _load_entity_side(wp, ent_path, align_path, keep):
     return wiki, amap
 
 
+def _load_templates(path, dataset):
+    """The templates of ``path``; every relation of ``dataset`` needs one."""
+    templates = lama_bench.load_templates(path)
+    for rel in sorted(dataset):
+        if rel not in templates:
+            raise DataError(f"no template for relation {rel!r}")
+    return templates
+
+
 def cmd_eval_lama(args) -> int:
     if args.k < 1:
         raise UsageError(f"entkit eval-lama: --k must be at least 1, got {args.k}")
@@ -201,7 +210,7 @@ def cmd_eval_lama(args) -> int:
     answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
 
     dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
-    templates = lama_bench.load_templates(args.templates)
+    templates = _load_templates(args.templates, dataset)
     if args.resolutions:
         mapping = wikidata_client.load_resolution_map(args.resolutions)
         dataset = lama_bench.resolve_subjects(dataset, mapping)
@@ -216,14 +225,11 @@ def cmd_eval_lama(args) -> int:
     scorer = ReferenceScorer(wp, ent)
     by_relation = {}
     for rel in sorted(dataset):
-        template = templates.get(rel)
-        if template is None:
-            raise DataError(f"no template for relation {rel!r}")
         triples = dataset[rel]
         if not triples:
             continue
         seqs = [
-            lama_bench.render_question(t, template, mode, ent, wp.vocab)
+            lama_bench.render_question(t, templates[rel], mode, ent, wp.vocab)
             for t in triples
         ]
         # Only the top k of each ranking is kept: hits@k reads no further.
@@ -263,7 +269,7 @@ def cmd_filter_uhn(args) -> int:
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
     answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
     dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
-    templates = lama_bench.load_templates(args.templates)
+    templates = _load_templates(args.templates, dataset)
     scorer = ReferenceScorer(wp)
 
     result = lama_bench.build_lama_uhn(

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import logging
-from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -27,7 +26,7 @@ from ._tsv import tsv_rows
 from .embeddings import EmbeddingSpace, Vocabulary, is_entity_symbol
 from .errors import DataError
 from .scorer import AffineHead, candidate_gradients, candidate_probs
-from .text_input import Token, TokenSequence, wordpiece_tokens
+from .text_input import Part, Token, TokenSequence, expand, layout, wordpiece_tokens
 from .wikidata_client import url_to_entity_symbol
 
 logger = logging.getLogger(__name__)
@@ -109,10 +108,10 @@ class Document:
 
 @dataclass
 class CandidateTable:
-    """Surface form to candidate list, keys at most ``max_span`` tokens."""
+    """Surface form to candidate list, with the count of keys rejected for
+    their length."""
 
     spans: dict[str, tuple[Candidate, ...]]
-    max_span: int
     rejected_long_keys: int = 0
 
     def entities(self) -> set[str]:
@@ -151,9 +150,7 @@ def load_candidate_table(path, max_span: int = 7) -> CandidateTable:
         cands.append(Candidate(entity, prior))
     if rejected:
         logger.info("candidate table: rejected %d over-length keys", rejected)
-    return CandidateTable(
-        {s: tuple(c) for s, c in spans.items()}, max_span, rejected
-    )
+    return CandidateTable({s: tuple(c) for s, c in spans.items()}, rejected)
 
 
 def generate_candidates(
@@ -185,41 +182,24 @@ def build_el_input(
     ``*``, right context, framed by CLS/SEP.
 
     The entity mask averages the span's candidates; with ``use_emask`` off a
-    standard mask is used instead (ablation). Spans already decoded render
-    as their entity token in place of their surface. Context words are
-    tokenized literally. ``span_mask_states`` takes the mask states of
-    these inputs for many spans at once.
+    standard mask is used instead (ablation). A decoded span that lies in
+    the document and does not overlap the scored span renders as its entity
+    token in place of its surface, unless it starts inside one rendered
+    before it in (start, end) order. Context words are tokenized literally.
+    ``span_mask_states`` takes the mask states of these inputs for many
+    spans at once.
     """
-    left, mask, right = _el_layout(
-        len(tokens), span, _by_start(decoded or {}), use_emask
-    )
-    seq: list[Token] = []
-    for part in left + [mask] + right:
-        if isinstance(part, range):
-            seq.extend(wordpiece_tokens(tokens[part.start : part.stop], vocab))
-        else:
-            seq.append(part)
-    return TokenSequence(tuple(seq))
+    parts, _ = _el_parts(len(tokens), span, sorted((decoded or {}).items()), use_emask)
+    return expand(parts, tokens, vocab)
 
 
-def _by_start(decoded: Mapping[tuple[int, int], str]) -> list[tuple[int, int, str]]:
-    """Decoded spans as sorted (start, end, entity); of two that share a
-    start, the later one in ``decoded`` wins."""
-    ends = {s: (e, ent) for (s, e), ent in decoded.items()}
-    return sorted((s, e, ent) for s, (e, ent) in ends.items())
-
-
-# One part of a linking input: a Token, or a range of document words whose
-# wordpieces are rendered literally.
-_Part = Token | range
-
-
-def _el_layout(
-    n_words: int, span: CandidateSpan, decoded: list[tuple[int, int, str]],
+def _el_parts(
+    n_words: int, span: CandidateSpan, decoded: list[tuple[tuple[int, int], str]],
     use_emask: bool,
-) -> tuple[list[_Part], Token, list[_Part]]:
-    """The linking input of ``span`` as (parts before the mask, the mask,
-    parts after it); ``build_el_input`` describes the order."""
+) -> tuple[list[Part], int]:
+    """The ``layout`` parts of the linking input of ``span``, and the index
+    of its mask part, from the sorted items of a decoded map;
+    ``build_el_input`` describes the input."""
     if span.end > n_words:
         raise ValueError(f"span [{span.start}, {span.end}) exceeds document length")
     mask = (
@@ -227,30 +207,14 @@ def _el_layout(
         if use_emask
         else Token.mask()
     )
-    left = [Token.wordpiece("[CLS]")] + _context(0, span.start, decoded)
-    right = [Token.wordpiece("/"), range(span.start, span.end), Token.wordpiece("*")]
-    right += _context(span.end, n_words, decoded)
-    right.append(Token.wordpiece("[SEP]"))
-    return left, mask, right
-
-
-def _context(lo: int, hi: int, decoded: list[tuple[int, int, str]]) -> list[_Part]:
-    """Words ``lo..hi-1``, where a decoded span that starts in the range and
-    ends within it renders as its entity; every other word is literal."""
-    out: list[_Part] = []
-    i = lo
-    for s, e, ent in decoded[bisect_left(decoded, (lo,)) :]:
-        if s >= hi:
-            break
-        if s < i or e > hi:
-            continue
-        if i < s:
-            out.append(range(i, s))
-        out.append(Token.entity(ent))
-        i = e
-    if i < hi:
-        out.append(range(i, hi))
-    return out
+    scored = [mask, Token.wordpiece("/"), range(span.start, span.end), Token.wordpiece("*")]
+    mentions = [
+        (s, e, [Token.entity(ent)]) for (s, e), ent in decoded
+        if (e <= span.start or span.end <= s) and e <= n_words
+    ]
+    mentions.append((span.start, span.end, scored))
+    parts = layout(n_words, mentions)
+    return parts, next(i for i, p in enumerate(parts) if p is mask)
 
 
 def span_mask_states(
@@ -271,8 +235,8 @@ def span_mask_states(
     """
     if not spans:
         raise ValueError("no spans to score")
-    by_start = _by_start(decoded or {})
-    layouts = [_el_layout(len(tokens), s, by_start, use_emask) for s in spans]
+    ordered = sorted((decoded or {}).items())
+    layouts = [_el_parts(len(tokens), s, ordered, use_emask) for s in spans]
 
     keys: dict[Token, int] = {}
     by_word: dict[str, list[int]] = {}
@@ -283,18 +247,14 @@ def span_mask_states(
     literal = np.array([k for w in tokens for k in by_word[w]], dtype=np.intp)
     offset = [0, *accumulate(len(by_word[w]) for w in tokens)]
 
-    def indices(parts: list[_Part]) -> list:
-        return [
+    inputs = []
+    for parts, at in layouts:
+        idx = [
             literal[offset[p.start] : offset[p.stop]] if isinstance(p, range)
             else [keys.setdefault(p, len(keys))]
             for p in parts
         ]
-
-    inputs = []
-    for left, mask, right in layouts:
-        before = np.concatenate(indices(left))
-        idx = np.concatenate([before, [keys.setdefault(mask, len(keys))], *indices(right)])
-        inputs.append((idx, len(before)))
+        inputs.append((np.concatenate(idx), sum(len(i) for i in idx[:at])))
 
     return scorer.mask_states(list(keys), inputs)
 

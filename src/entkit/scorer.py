@@ -175,6 +175,18 @@ def _finite(x: np.ndarray, stage: str) -> np.ndarray:
     return x
 
 
+def _candidate_logits(u: np.ndarray, groups, shared) -> list[np.ndarray]:
+    """The (S_c, c + 1) logits ``e . u + b`` of each group of
+    ``candidate_probs``, ``shared`` last; non-finite logits are a DataError."""
+    out = []
+    for rows, e, b in groups:
+        ug = u[rows]
+        logits = (e * ug[:, None, :]).sum(axis=-1) + b
+        last = (ug * shared[0]).sum(axis=-1) + shared[1]
+        out.append(_finite(np.column_stack([logits, last]), "candidate logits"))
+    return out
+
+
 @np.errstate(all="ignore")
 def candidate_probs(u: np.ndarray, groups, shared) -> list[np.ndarray]:
     """Softmax over ``e . u + b`` for the candidates ``(e, b)`` of each row
@@ -188,14 +200,7 @@ def candidate_probs(u: np.ndarray, groups, shared) -> list[np.ndarray]:
     product is a sum along the last axis, do not depend on their batch.
     Non-finite logits are a DataError; finite ones give finite probabilities.
     """
-    probs = []
-    for rows, e, b in groups:
-        ug = u[rows]
-        logits = (e * ug[:, None, :]).sum(axis=-1) + b
-        last = (ug * shared[0]).sum(axis=-1) + shared[1]
-        logits = _finite(np.column_stack([logits, last]), "candidate logits")
-        probs.append(_softmax(logits))
-    return probs
+    return [_softmax(z) for z in _candidate_logits(u, groups, shared)]
 
 
 @np.errstate(all="ignore")
@@ -206,19 +211,23 @@ def candidate_gradients(u: np.ndarray, groups, gold, shared):
     With g = p - onehot(gold), returns ``(loss, du, dshared, probs)``: per
     row, the loss, du = sum_j g_j e_j (the gradient in the head output, so
     d/dc through an affine head and d/dA = du h^T) and the shared g (d/db;
-    d/de = g u); per group, the softmax p.
+    d/de = g u); per group, the softmax p. The loss is taken from the
+    logits as ``logsumexp(logits) - logits[gold]``, so it stays finite where
+    p(gold) underflows to zero.
     """
-    probs = candidate_probs(u, groups, shared)
+    logits = _candidate_logits(u, groups, shared)
+    probs = [_softmax(z) for z in logits]
     loss = np.zeros(len(u))
     du = np.zeros_like(u)
     dshared = np.zeros(len(u))
-    for (rows, e, _), p in zip(groups, probs):
+    for (rows, e, _), z, p in zip(groups, logits, probs):
         at_gold = (np.arange(len(p)), gold[rows])
         g = p.copy()
         g[at_gold] -= 1.0
         du[rows] = (g[:, :-1, None] * e).sum(axis=1) + g[:, -1:] * shared[0]
         dshared[rows] = g[:, -1]
-        loss[rows] = -np.log(p[at_gold])
+        top = z.max(axis=1)
+        loss[rows] = (top - z[at_gold]) + np.log(np.exp(z - top[:, None]).sum(axis=1))
     return loss, du, dshared, probs
 
 

@@ -12,13 +12,12 @@ import json
 import logging
 import math
 import re
-import threading
 import time
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
-from urllib.parse import quote, unquote, urlparse
+from urllib.parse import unquote, urlparse
 
 from ._tsv import tsv_rows
 from .embeddings import ENTITY_PREFIX
@@ -78,13 +77,12 @@ def sitelink_query(qid: str) -> str:
 class HttpTransport:
     """requests-backed transport with rate limiting and retry.
 
-    At most ``rate_per_sec`` requests per second are issued (a shared lock
-    makes this safe across threads). Failed requests retry up to ``retries``
-    times with exponential backoff before raising TransportError. A client
-    error (4xx) raises at once, except 429, which is retried after the
-    ``Retry-After`` seconds when the response gives them. ``requests`` is
-    imported only when a transport is made, so offline commands never load
-    it.
+    At most ``rate_per_sec`` requests per second are issued. Failed requests
+    retry up to ``retries`` times with exponential backoff before raising
+    TransportError. A client error (4xx) raises at once, except 429, which
+    is retried after the ``Retry-After`` seconds when the response gives
+    them. ``requests`` is imported only when a transport is made, so offline
+    commands never load it.
     """
 
     def __init__(
@@ -104,16 +102,13 @@ class HttpTransport:
         self.backoff = backoff
         self.timeout = timeout
         self.session = session or requests.Session()
-        self._lock = threading.Lock()
         self._last_request = 0.0
 
     def _throttle(self):
-        with self._lock:
-            now = time.monotonic()
-            wait = self._last_request + self.min_interval - now
-            if wait > 0:
-                time.sleep(wait)
-            self._last_request = time.monotonic()
+        wait = self._last_request + self.min_interval - time.monotonic()
+        if wait > 0:
+            time.sleep(wait)
+        self._last_request = time.monotonic()
 
     def query(self, sparql: str) -> dict:
         import requests
@@ -158,16 +153,15 @@ def _retry_after(resp, default: float) -> float:
 
 
 class FixtureTransport:
-    """Canned transport answering the two query shapes from a fixture dict.
+    """Canned transport answering the client's own queries from a fixture dict.
 
     The fixture maps surfaces to Q-id lists and Q-ids to Wikipedia URLs:
     ``{"labels": {"Jean Marais": ["Q168359"]}, "sitelinks": {...},
-    "fail": false}``. With ``fail`` set, every query raises TransportError,
-    which is how endpoint outages are simulated.
+    "fail": false}``. Each entry answers the exact text ``surface_query`` or
+    ``sitelink_query`` makes for it, and any other query has no bindings.
+    With ``fail`` set, every query raises TransportError, which is how
+    endpoint outages are simulated.
     """
-
-    _SURFACE_RE = re.compile(r"VALUES \?str \{ '(.*)'@en \}")
-    _QID_RE = re.compile(r"VALUES \?id \{ wd:(Q\d+) \}")
 
     def __init__(
         self,
@@ -178,6 +172,17 @@ class FixtureTransport:
         self.labels = dict(labels or {})
         self.sitelinks = dict(sitelinks or {})
         self.fail = fail
+        self._answers = {
+            surface_query(surface): [
+                {"id": {"value": f"http://www.wikidata.org/entity/{qid}"}}
+                for qid in qids
+            ]
+            for surface, qids in self.labels.items()
+        }
+        self._answers.update(
+            (sitelink_query(qid), [{"wikiurl": {"value": url}}] if url else [])
+            for qid, url in self.sitelinks.items() if QID_PATTERN.fullmatch(qid)
+        )
 
     @classmethod
     def from_json(cls, path) -> "FixtureTransport":
@@ -203,20 +208,7 @@ class FixtureTransport:
     def query(self, sparql: str) -> dict:
         if self.fail:
             raise TransportError("fixture endpoint is configured to fail")
-        m = self._SURFACE_RE.search(sparql)
-        if m:
-            surface = m.group(1).replace("\\'", "'").replace("\\\\", "\\")
-            bindings = [
-                {"id": {"value": f"http://www.wikidata.org/entity/{qid}"}}
-                for qid in self.labels.get(surface, [])
-            ]
-            return {"results": {"bindings": bindings}}
-        m = self._QID_RE.search(sparql)
-        if m:
-            url = self.sitelinks.get(m.group(1))
-            bindings = [{"wikiurl": {"value": url}}] if url else []
-            return {"results": {"bindings": bindings}}
-        return {"results": {"bindings": []}}
+        return {"results": {"bindings": self._answers.get(sparql, [])}}
 
 
 def _bindings(data: dict) -> list[dict]:
@@ -289,14 +281,6 @@ def url_to_entity_symbol(url: str) -> str:
     if not title:
         raise DataError(f"URL has no article title: {url!r}")
     return ENTITY_PREFIX + title
-
-
-def entity_symbol_to_url(symbol: str) -> str:
-    """Inverse of ``url_to_entity_symbol`` up to percent-encoding."""
-    if not symbol.startswith(ENTITY_PREFIX):
-        raise ValueError(f"not an ENTITY/ symbol: {symbol!r}")
-    title = symbol[len(ENTITY_PREFIX) :]
-    return "https://en.wikipedia.org/wiki/" + quote(title, safe="()_',.-")
 
 
 def load_cache(path) -> dict[str, ResolutionResult]:

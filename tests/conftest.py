@@ -8,6 +8,7 @@ storage rounding.
 
 from __future__ import annotations
 
+import importlib.util
 import time
 from pathlib import Path
 
@@ -16,6 +17,7 @@ import numpy as np
 from entkit.embeddings import EmbeddingSpace, SpaceKind, Vocabulary
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+_WORLD_PY = Path(__file__).resolve().parent.parent / "bench" / "world.py"
 
 ACCEPTANCE_RESULTS: list[str] = []
 _SESSION_T0 = time.perf_counter()
@@ -202,3 +204,13 @@ def span_posterior(h, head, candidates, space, eps) -> np.ndarray:
 
     u = head.apply(np.asarray(h, dtype=np.float64)[None])
     return candidate_probs(u, candidate_groups([candidates], space), (eps.e, eps.b))[0][0]
+
+
+def make_world(root: Path, workload: str, seed: int) -> Path:
+    """Write the tiny ``workload`` world of ``seed`` under ``root`` with the
+    benchmark's world generator."""
+    spec = importlib.util.spec_from_file_location("entkit_bench_world", _WORLD_PY)
+    world = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(world)
+    world.make_world(root, workload, seed, "tiny")
+    return root

@@ -9,7 +9,6 @@ from conftest import make_space, normal_equations, paired_spaces
 from entkit.alignment import (
     AlignmentMap,
     alignment_objective,
-    apply_alignment,
     derive_entity_space,
     fit_alignment,
     load_alignment,
@@ -95,17 +94,6 @@ class TestFit:
 
 
 class TestApplyAndDerive:
-    def test_apply_is_matrix_vector_product(self):
-        amap = AlignmentMap(np.array([[2.0, 0.0], [1.0, 3.0]]), 4, 0.0)
-        np.testing.assert_array_equal(
-            apply_alignment(amap, np.array([1.0, 2.0])), [2.0, 7.0]
-        )
-
-    def test_apply_rejects_wrong_shape(self):
-        amap = AlignmentMap(np.zeros((2, 3)), 4, 0.0)
-        with pytest.raises(ValueError, match="expects"):
-            apply_alignment(amap, np.zeros(2))
-
     def test_derive_entity_space_maps_only_entities(self):
         wiki, wp, _, w_star, amap = fit_pair(9, n=20, n_entities=3)
         derived = derive_entity_space(amap, wiki)

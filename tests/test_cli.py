@@ -14,10 +14,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import FIXTURES
+from conftest import FIXTURES, make_world
 from entkit.cli import main
 
 WIKI = str(FIXTURES / "wiki.txt")
@@ -604,6 +604,29 @@ def test_malformed_document_exit_data(tmp_path, capsys, change, text):
     assert_one_line_error(code, stderr, 2, f"docs.jsonl: line 2: {text}")
 
 
+@pytest.mark.parametrize("command", ["eval-lama", "filter-uhn"])
+def test_relation_without_template_exit_data_before_scoring(
+    tmp_path, capsys, monkeypatch, command
+):
+    # P103 is a name-probe relation; filter-uhn must not keep its questions
+    # unprobed, and neither command may score anything first.
+    templates = tmp_path / "templates.json"
+    records = json.loads(Path(TEMPLATES).read_text(encoding="utf-8"))
+    templates.write_text(
+        json.dumps([r for r in records if r["relation"] != "P103"]), encoding="utf-8"
+    )
+    monkeypatch.setattr("entkit.scorer.ReferenceScorer.score_answers", None)
+    out = (["--out", str(tmp_path / "report.tsv")] if command == "eval-lama"
+           else ["--out-dir", str(tmp_path / "uhn")])
+    code, stdout, stderr = run(
+        capsys, command, "--data", LAMA, "--templates", str(templates),
+        "--wp-space", WP, "--answer-vocab", ANSWERS, *out,
+    )
+    assert_one_line_error(code, stderr, 2, "no template for relation 'P103'")
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == [templates]
+
+
 def test_non_string_template_exit_data(tmp_path, capsys):
     templates = json.loads(Path(TEMPLATES).read_text(encoding="utf-8"))
     templates[1]["template"] = 5
@@ -982,33 +1005,83 @@ def _numbers_are_finite(text: str) -> bool:
     )
 
 
-@pytest.mark.parametrize("scale", ["1e160", "1e300"])
-@pytest.mark.parametrize("argv", [
-    [*_EVAL_ENTITIES, "--mode", "concat"],
-    [*_EVAL_ENTITIES, "--mode", "replace"],
-    [*_LINK_ENTITIES, "--eval"],
-    [*_LINK_ENTITIES, "--train", "--epochs", "3"],
-], ids=["eval-lama-concat", "eval-lama-replace", "link-eval", "link-train"])
-def test_huge_alignment_gives_finite_outputs_or_one_error_line(
-    pristine_fixtures, tmp_path, capsys, argv, scale
-):
-    # Every entry is finite and so is every derived entity row, but the
-    # products of those rows can overflow. No numpy warning may escape.
-    align = tmp_path / "huge.tsv"
-    align.write_text("8 8 0.0 5\n" + f"{' '.join([scale] * 8)}\n" * 8, encoding="utf-8")
+# The commands that map entities with an alignment, each writing to "{O}".
+ALIGNED_COMMANDS = {
+    "eval-lama-concat": [*_EVAL_ENTITIES, "--mode", "concat"],
+    "eval-lama-replace": [*_EVAL_ENTITIES, "--mode", "replace"],
+    "link-eval": [*_LINK_ENTITIES, "--eval"],
+    "link-train": [*_LINK_ENTITIES, "--train", "--epochs", "3"],
+}
+
+
+def aligned_stderr(fixtures: Path, out: Path, align: Path, argv) -> str:
+    """Run ``argv`` with the alignment ``align``, where no numpy warning may
+    escape, and return its stderr after checking that an exit 0 wrote only
+    finite numbers and any other exit is 2 with one stderr line."""
     argv = [str(align) if a == "{F}/align.tsv" else a for a in argv]
-    with warnings.catch_warnings():
+    stderr = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(stderr):
         warnings.simplefilter("error")
-        code, stdout, files = command_outputs(pristine_fixtures, tmp_path / "out", argv)
-    stderr = capsys.readouterr().err
+        code, stdout, files = command_outputs(fixtures, out, argv)
     if code == 0:
-        assert stderr == ""
+        assert stderr.getvalue() == ""
         for text in [stdout, *(b.decode("utf-8") for b in files.values())]:
             assert _numbers_are_finite(text)
     else:
         assert code == 2
-        assert len(stderr.splitlines()) == 1
+        assert len(stderr.getvalue().splitlines()) == 1
+    return stderr.getvalue()
+
+
+@pytest.mark.parametrize("scale", ["1e160", "1e300"])
+@pytest.mark.parametrize("argv", ALIGNED_COMMANDS.values(), ids=ALIGNED_COMMANDS)
+def test_huge_alignment_gives_finite_outputs_or_one_error_line(
+    pristine_fixtures, tmp_path, argv, scale
+):
+    # Every entry is finite and so is every derived entity row, but the
+    # products of those rows can overflow.
+    align = tmp_path / "huge.tsv"
+    align.write_text("8 8 0.0 5\n" + f"{' '.join([scale] * 8)}\n" * 8, encoding="utf-8")
+    stderr = aligned_stderr(pristine_fixtures, tmp_path / "out", align, argv)
     if "--train" in argv:
         # The first update overflows the head, so the next epoch's logits do.
         assert stderr == "entkit: data error: candidate logits are not finite " \
                          "(the vectors are too large)\n"
+
+
+def test_suppressed_null_entity_trains_with_finite_losses(tmp_path, capsys):
+    # With --eps-bias=-1e9 a span whose gold is the null entity has p(gold)
+    # = 0 in float64; its loss is large but finite, not infinite.
+    world = make_world(tmp_path / "world", "ingest", 5)
+    align = str(tmp_path / "align.txt")
+    assert run(capsys, "align", "--src", str(world / "wiki.txt"),
+               "--tgt", str(world / "wp.txt"), "--out", align)[0] == 0
+    out = tmp_path / "link"
+    code, _, stderr = run(
+        capsys, "link", "--docs", str(world / "docs.jsonl"),
+        "--table", str(world / "table.tsv"), "--wp-space", str(world / "wp.txt"),
+        "--ent-space", str(world / "wiki.txt"), "--align", align,
+        "--train", "--epochs", "3", "--eps-bias=-1e9", "--out-dir", str(out),
+    )
+    assert (code, stderr) == (0, "")
+    rows = (out / "losses.tsv").read_text(encoding="utf-8").splitlines()
+    losses = [float(row.split("\t")[1]) for row in rows[1:5]]
+    assert all(1e8 < loss < math.inf for loss in losses)
+    assert losses == sorted(losses, reverse=True)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(k=st.integers(-300, 300))
+@example(k=-300)
+@example(k=300)
+def test_alignment_scaled_by_a_power_of_ten_gives_finite_outputs_or_one_error_line(
+    pristine_fixtures, k
+):
+    # The fitted fixture alignment times 10^k.
+    header, *rows = (pristine_fixtures / "align.tsv").read_text(encoding="utf-8").splitlines()
+    scaled = [" ".join(repr(float(v) * 10.0 ** k) for v in row.split()) for row in rows]
+    with tempfile.TemporaryDirectory() as tmp:
+        align = Path(tmp) / "scaled.tsv"
+        align.write_text("\n".join([header, *scaled]) + "\n", encoding="utf-8")
+        for name, argv in ALIGNED_COMMANDS.items():
+            aligned_stderr(pristine_fixtures, Path(tmp) / name, align, argv)

@@ -1,0 +1,163 @@
+"""The input builders against a renderer written from their definitions.
+
+The renderer walks the words one at a time and does not use
+``text_input.layout``, so cloze, relation-marked and linking inputs, and the
+linking mask states, are each checked against code they do not share.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from conftest import SPECIAL_PIECES, ent_space_with, make_space
+from entkit.embeddings import SpaceKind
+from entkit.entity_linking import (
+    Candidate,
+    CandidateSpan,
+    build_el_input,
+    span_mask_states,
+)
+from entkit.scorer import ReferenceScorer
+from entkit.text_input import (
+    MASK_WORD,
+    InputMode,
+    MentionSpan,
+    Token,
+    TokenSequence,
+    build_input,
+    build_rc_input,
+    wordpiece_tokens,
+)
+
+DIM = 5
+_RNG = np.random.default_rng(12)
+_PIECES = [*SPECIAL_PIECES, "the", "cat", "sat", "walk", "##s", "new", "york", "-", ","]
+WP = make_space(_PIECES, _RNG.standard_normal((len(_PIECES), DIM)), SpaceKind.WORDPIECE)
+ENT = ent_space_with({e: _RNG.standard_normal(DIM) for e in ("ENTITY/A", "ENTITY/B")}, DIM)
+# "walks" and "new-york," split into several pieces, "qqq" becomes [UNK].
+WORDS = ["the", "cat", "sat", "walks", "new-york,", "qqq", "york"]
+# Mention entities: two with a vector in ENT, one without.
+ENTITY_IDS = [None, "ENTITY/A", "ENTITY/B", "ENTITY/Missing"]
+
+
+def pieces(words) -> list[Token]:
+    return [t for w in words for t in wordpiece_tokens([w], WP.vocab)]
+
+
+@st.composite
+def cloze_inputs(draw):
+    """Words with [MASK] among them, and mentions (in any order) over
+    disjoint, possibly adjacent runs of words without [MASK]."""
+    words = draw(st.lists(st.sampled_from([*WORDS, MASK_WORD]), min_size=1, max_size=12))
+    cuts = draw(st.sets(st.integers(1, len(words) - 1))) if len(words) > 1 else set()
+    bounds = [0, *sorted(cuts), len(words)]
+    mentions = [
+        MentionSpan(s, e, draw(st.sampled_from(ENTITY_IDS)))
+        for s, e in zip(bounds, bounds[1:])
+        if MASK_WORD not in words[s:e] and draw(st.booleans())
+    ]
+    mode = draw(st.sampled_from(list(InputMode)))
+    space = draw(st.sampled_from([ENT, None]))
+    return words, draw(st.permutations(mentions)), mode, space
+
+
+def render_cloze(words, marked, mode, space) -> list[Token]:
+    """[CLS], then word by word: a mention's words become its marker (if
+    any), then its entity when injected (in concat mode followed by ``/`` and
+    its wordpieces) or else its wordpieces, then its marker again; a [MASK]
+    word becomes a mask; any other word its wordpieces. Then [SEP]."""
+    at = {m.start: (m, marker) for m, marker in marked}
+    out = [Token.wordpiece("[CLS]")]
+    i = 0
+    while i < len(words):
+        if i in at:
+            m, marker = at[i]
+            wrap = [Token.wordpiece(marker)] if marker else []
+            surface = pieces(words[m.start : m.end])
+            if mode is not InputMode.BERT and space is not None and m.entity_id in space.vocab:
+                body = [Token.entity(m.entity_id)]
+                if mode is InputMode.CONCAT:
+                    body += [Token.wordpiece("/"), *surface]
+            else:
+                body = surface
+            out += wrap + body + wrap
+            i = m.end
+        else:
+            out += [Token.mask()] if words[i] == MASK_WORD else pieces([words[i]])
+            i += 1
+    return out + [Token.wordpiece("[SEP]")]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=cloze_inputs())
+def test_build_input_matches_the_word_by_word_renderer(case):
+    words, mentions, mode, space = case
+    seq = build_input(" ".join(words), mentions, mode, space, WP.vocab)
+    assert list(seq.tokens) == render_cloze(words, [(m, None) for m in mentions], mode, space)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=cloze_inputs())
+def test_build_rc_input_matches_the_word_by_word_renderer(case):
+    words, mentions, mode, space = case
+    assume(len(mentions) >= 2)
+    subject, object_ = mentions[:2]
+    seq = build_rc_input(" ".join(words), subject, object_, mode, space, WP.vocab)
+    want = render_cloze(words, [(subject, "#"), (object_, "$")], mode, space)
+    assert list(seq.tokens) == want
+
+
+@st.composite
+def linking_inputs(draw):
+    """A document, spans to score, and a decoded map whose spans may overlap
+    the scored spans and each other, or share a start."""
+    tokens = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12))
+    n = len(tokens)
+
+    def span():
+        start = draw(st.integers(0, n - 1))
+        return start, draw(st.integers(start + 1, min(n, start + 4)))
+
+    candidates = (Candidate("ENTITY/A", 0.5), Candidate("ENTITY/B", 0.25))
+    scored = [CandidateSpan(*span(), candidates) for _ in range(draw(st.integers(1, 4)))]
+    decoded = {span(): draw(st.sampled_from(["ENTITY/A", "ENTITY/B"]))
+               for _ in range(draw(st.integers(0, 5)))}
+    return tokens, scored, decoded, draw(st.booleans())
+
+
+def render_linking(tokens, span, decoded, use_emask) -> list[Token]:
+    """[CLS], then word by word: at the scored span, the mask, ``/``, the
+    span's wordpieces and ``*``; at a word where decoded spans that do not
+    overlap the scored span start, the entity of the shortest, skipping its
+    words; any other word its wordpieces. Then [SEP]."""
+    mask = (Token.emask([c.entity for c in span.candidates]) if use_emask
+            else Token.mask())
+    out = [Token.wordpiece("[CLS]")]
+    i = 0
+    while i < len(tokens):
+        ends = sorted(e for s, e in decoded
+                      if s == i and (e <= span.start or span.end <= s))
+        if i == span.start:
+            out += [mask, Token.wordpiece("/"), *pieces(tokens[span.start : span.end]),
+                    Token.wordpiece("*")]
+            i = span.end
+        elif ends:
+            out.append(Token.entity(decoded[(i, ends[0])]))
+            i = ends[0]
+        else:
+            out += pieces([tokens[i]])
+            i += 1
+    return out + [Token.wordpiece("[SEP]")]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=linking_inputs())
+def test_linking_inputs_and_states_match_the_word_by_word_renderer(case):
+    tokens, spans, decoded, use_emask = case
+    scorer = ReferenceScorer(WP, ENT)
+    states = span_mask_states(tokens, spans, scorer, decoded, use_emask)
+    for span, state in zip(spans, states):
+        want = render_linking(tokens, span, decoded, use_emask)
+        seq = build_el_input(tokens, span, WP.vocab, decoded, use_emask)
+        assert list(seq.tokens) == want
+        assert np.array_equal(state, scorer.mask_state(TokenSequence(tuple(want))))

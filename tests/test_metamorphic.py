@@ -4,7 +4,6 @@ relation files of the run, on the order of the documents, or on the name of
 the relation."""
 
 import contextlib
-import importlib.util
 import io
 import json
 import random
@@ -16,19 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_world
 from entkit.cli import main
-
-_WORLD_PY = Path(__file__).resolve().parents[1] / "bench" / "world.py"
-
-
-def make_world(root: Path, workload: str, seed: int) -> Path:
-    """Write the tiny ``workload`` world of ``seed`` under ``root`` with the
-    benchmark's world generator."""
-    spec = importlib.util.spec_from_file_location("entkit_bench_world", _WORLD_PY)
-    world = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(world)
-    world.make_world(root, workload, seed, "tiny")
-    return root
 
 
 def run_quiet(argv) -> None:

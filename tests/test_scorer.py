@@ -305,6 +305,15 @@ class TestHeadGradients:
         assert total == pytest.approx(0.0, abs=1e-12)
         assert grads.cands[2][1] == pytest.approx(grads.probs[2] - 1.0, abs=1e-12)
 
+    def test_underflowing_gold_probability_gives_a_finite_loss(self):
+        # p(gold) = exp(-2000) is 0 in float64, so -log p(gold) would be
+        # infinite; the loss is logsumexp(logits) - logit(gold) instead.
+        cands = [(np.array([1.0]), 0.0), (np.array([-1.0]), 0.0)]
+        grads = head_gradients(np.array([1000.0]), AffineHead.identity(1), cands, 1)
+        logits = np.array([1000.0, -1000.0])
+        assert grads.probs[1] == 0.0
+        assert grads.loss == np.logaddexp.reduce(logits) - logits[1] == 2000.0
+
     def test_gold_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):
             head_gradients(

@@ -1,6 +1,7 @@
 """Surface resolution over canned SPARQL fixtures, caching, and URL mapping."""
 
 import json
+from urllib.parse import quote
 
 import pytest
 
@@ -12,7 +13,6 @@ from entkit.wikidata_client import (
     ResolutionStatus,
     TransportError,
     append_cache_line,
-    entity_symbol_to_url,
     load_cache,
     load_resolution_map,
     qid_to_wikipedia_url,
@@ -384,11 +384,9 @@ class TestUrlSymbolMapping:
         ],
     )
     def test_symbol_url_round_trip(self, symbol):
-        assert url_to_entity_symbol(entity_symbol_to_url(symbol)) == symbol
-
-    def test_symbol_to_url_requires_prefix(self):
-        with pytest.raises(ValueError, match="not an ENTITY/ symbol"):
-            entity_symbol_to_url("Jean_Marais")
+        # Any percent-encoding of the title decodes back to the symbol.
+        url = "https://en.wikipedia.org/wiki/" + quote(symbol.removeprefix("ENTITY/"))
+        assert url_to_entity_symbol(url) == symbol
 
 
 class TestCache:
