@@ -3,6 +3,9 @@
 Commands compose through files: TSV and JSON-lines in, TSV and JSON-lines
 out, byte-identical across runs and thread counts for fixed inputs. Exit
 codes: 0 success, 1 usage error, 2 data error, 3 endpoint error.
+
+Each command imports the modules it uses when it runs, so ``resolve`` never
+imports numpy and the cloze commands never import the linker.
 """
 
 from __future__ import annotations
@@ -14,9 +17,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import alignment, embeddings, entity_linking, lama_bench, wikidata_client
 from .errors import DataError, TransportError
-from .scorer import AffineHead, ReferenceScorer
 from .text_input import InputMode
 
 EXIT_OK = 0
@@ -141,6 +142,8 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 
 
 def cmd_align(args) -> int:
+    from . import alignment, embeddings
+
     tgt = embeddings.load_space(args.tgt, embeddings.SpaceKind.WORDPIECE)
     # Only a word that is also a wordpiece can be paired.
     src = embeddings.load_space(
@@ -157,7 +160,9 @@ def cmd_align(args) -> int:
     return EXIT_OK
 
 
-def _load_answer_vocab(path: str | None, wp: embeddings.EmbeddingSpace):
+def _load_answer_vocab(path: str | None, wp):
+    from . import embeddings
+
     if path:
         with open(path, encoding="utf-8") as fh:
             symbols = [line.strip() for line in fh if line.strip()]
@@ -178,6 +183,8 @@ def _load_entity_side(wp, ent_path, align_path, keep):
     """Load the rows of the word-and-entity space whose symbol is in
     ``keep`` and the alignment, and check that they fit the wordpiece space;
     returns ``(wiki, amap)``. The caller derives the entities it references."""
+    from . import alignment, embeddings
+
     wiki = embeddings.load_space(ent_path, embeddings.SpaceKind.WORD_AND_ENTITY, keep)
     amap = alignment.load_alignment(align_path)
     alignment.check_entity_source(amap, wiki)
@@ -191,14 +198,17 @@ def _load_entity_side(wp, ent_path, align_path, keep):
 
 def _load_templates(path, dataset):
     """The templates of ``path``; every relation of ``dataset`` needs one."""
+    from . import lama_bench
+
     templates = lama_bench.load_templates(path)
-    for rel in sorted(dataset):
-        if rel not in templates:
-            raise DataError(f"no template for relation {rel!r}")
+    lama_bench.require_templates(dataset, templates)
     return templates
 
 
 def cmd_eval_lama(args) -> int:
+    from . import alignment, embeddings, lama_bench, wikidata_client
+    from .scorer import ReferenceScorer
+
     if args.k < 1:
         raise UsageError(f"entkit eval-lama: --k must be at least 1, got {args.k}")
     mode = InputMode(args.mode)
@@ -264,6 +274,9 @@ def _write_dataset(dataset, out_dir: Path) -> None:
 
 
 def cmd_filter_uhn(args) -> int:
+    from . import embeddings, lama_bench
+    from .scorer import ReferenceScorer
+
     if args.top_k < 0:
         raise UsageError(f"entkit filter-uhn: --top-k must be at least 0, got {args.top_k}")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
@@ -291,6 +304,9 @@ def cmd_filter_uhn(args) -> int:
 
 
 def cmd_link(args) -> int:
+    from . import alignment, embeddings, entity_linking
+    from .scorer import AffineHead, ReferenceScorer
+
     for flag, value in (("--iterations", args.iterations), ("--max-span", args.max_span)):
         if value < 1:
             raise UsageError(f"entkit link: {flag} must be at least 1, got {value}")
@@ -348,20 +364,25 @@ def cmd_link(args) -> int:
         lines.append(f"# dropped_unreachable_golds\t{dropped}")
         _write_lines(out / "losses.tsv", lines)
 
+    spans, steps = entity_linking.iterative_refine(
+        [(doc.tokens, spans) for doc, spans in zip(docs, doc_spans)], scorer, head, eps,
+        iterations=args.iterations, use_emask=use_emask,
+    )
+    steps_of = [[] for _ in docs]
+    for step in steps:
+        steps_of[step.doc].append(step)
     pred_lines: list[str] = []
     iter_lines = ["doc_id\titeration\tselectable\tquota\tdecoded"]
     predictions = []
     golds = []
-    for doc, spans in zip(docs, doc_spans):
-        spans, steps = entity_linking.iterative_refine(
-            doc.tokens, spans, scorer, head, eps,
-            iterations=args.iterations, use_emask=use_emask,
-        )
+    at = 0
+    for doc, n_spans, doc_steps in zip(docs, map(len, doc_spans), steps_of):
         decoded = sorted(
             (s.start, s.end, s.entity)
-            for s in spans
+            for s in spans[at : at + n_spans]
             if s.state is entity_linking.SpanState.DECODED
         )
+        at += n_spans
         predictions.append(decoded)
         golds.append([(g.start, g.end, g.entity) for g in doc.golds])
         pred_lines.append(json.dumps(
@@ -374,7 +395,7 @@ def cmd_link(args) -> int:
             },
             sort_keys=True, ensure_ascii=False,
         ))
-        for step in steps:
+        for step in doc_steps:
             iter_lines.append(
                 f"{doc.doc_id}\t{step.iteration}\t{step.selectable}"
                 f"\t{step.quota}\t{len(step.decoded)}"
@@ -395,6 +416,8 @@ def cmd_link(args) -> int:
 
 def cmd_resolve(args) -> int:
     import os
+
+    from . import wikidata_client
 
     if not (0.0 < args.rate < math.inf):
         raise UsageError(f"entkit resolve: --rate must be positive and finite, got {args.rate}")

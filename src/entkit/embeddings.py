@@ -34,8 +34,7 @@ from typing import Container, Iterable, NamedTuple
 import numpy as np
 
 from .errors import DataError
-
-ENTITY_PREFIX = "ENTITY/"
+from .symbols import is_entity_symbol
 
 # Characters of lines per parse chunk of ``load_space``: the memory a chunk
 # adds on top of the matrix does not grow with the table.
@@ -45,10 +44,6 @@ CHUNK_CHARS = 1 << 16
 class SpaceKind(Enum):
     WORDPIECE = "wordpiece"
     WORD_AND_ENTITY = "word_and_entity"
-
-
-def is_entity_symbol(symbol: str) -> bool:
-    return symbol.startswith(ENTITY_PREFIX)
 
 
 class Vocabulary:

@@ -16,18 +16,18 @@ import json
 import logging
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
+from itertools import accumulate, chain
 from math import log
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ._tsv import tsv_rows
-from .embeddings import EmbeddingSpace, Vocabulary, is_entity_symbol
+from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
 from .scorer import AffineHead, candidate_gradients, candidate_probs
-from .text_input import Part, Token, TokenSequence, expand, layout, wordpiece_tokens
-from .wikidata_client import url_to_entity_symbol
+from .symbols import is_entity_symbol
+from .text_input import Token, TokenSequence, expand, layout, wordpiece_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -187,76 +187,224 @@ def build_el_input(
     token in place of its surface, unless it starts inside one rendered
     before it in (start, end) order. Context words are tokenized literally.
     ``span_mask_states`` takes the mask states of these inputs for many
-    spans at once.
+    spans at once; this builder is its oracle.
     """
-    parts, _ = _el_parts(len(tokens), span, sorted((decoded or {}).items()), use_emask)
-    return expand(parts, tokens, vocab)
-
-
-def _el_parts(
-    n_words: int, span: CandidateSpan, decoded: list[tuple[tuple[int, int], str]],
-    use_emask: bool,
-) -> tuple[list[Part], int]:
-    """The ``layout`` parts of the linking input of ``span``, and the index
-    of its mask part, from the sorted items of a decoded map;
-    ``build_el_input`` describes the input."""
-    if span.end > n_words:
+    if span.end > len(tokens):
         raise ValueError(f"span [{span.start}, {span.end}) exceeds document length")
-    mask = (
-        Token.emask([c.entity for c in span.candidates])
-        if use_emask
-        else Token.mask()
-    )
-    scored = [mask, Token.wordpiece("/"), range(span.start, span.end), Token.wordpiece("*")]
+    scored = [_mask_token(span, use_emask), Token.wordpiece("/"),
+              range(span.start, span.end), Token.wordpiece("*")]
     mentions = [
-        (s, e, [Token.entity(ent)]) for (s, e), ent in decoded
-        if (e <= span.start or span.end <= s) and e <= n_words
+        (s, e, [Token.entity(ent)]) for (s, e), ent in sorted((decoded or {}).items())
+        if (e <= span.start or span.end <= s) and e <= len(tokens)
     ]
     mentions.append((span.start, span.end, scored))
-    parts = layout(n_words, mentions)
-    return parts, next(i for i, p in enumerate(parts) if p is mask)
+    return expand(layout(len(tokens), mentions), tokens, vocab)
+
+
+def _mask_token(span: CandidateSpan, use_emask: bool) -> Token:
+    if use_emask:
+        return Token.emask([c.entity for c in span.candidates])
+    return Token.mask()
+
+
+# Spans per block of documents: a refinement round and a training pass take
+# their documents in blocks of whole documents holding at most this many
+# spans between them (a document with more is a block of its own), so the
+# arrays of a block stay bounded. No result depends on the block size.
+SPAN_BLOCK = 128
+
+
+def _blocks(items: Sequence, size) -> Iterable[list]:
+    """Consecutive runs of ``items`` whose ``size`` adds up to at most
+    ``SPAN_BLOCK``, or a single item that is larger on its own."""
+    block: list = []
+    total = 0
+    for item in items:
+        if block and total + size(item) > SPAN_BLOCK:
+            yield block
+            block, total = [], 0
+        block.append(item)
+        total += size(item)
+    if block:
+        yield block
+
+
+class _InputKeys:
+    """An integer key for each distinct token of a run's linking inputs.
+    Each distinct word is tokenized once, and each candidate list's mask
+    and each decoded entity's token are built once."""
+
+    def __init__(self, vocab: Vocabulary, use_emask: bool):
+        self.tokens: list[Token] = []
+        self._keys: dict[Token, int] = {}
+        self._words: dict[str, list[int]] = {}
+        self._masks: dict[tuple[Candidate, ...], int] = {}
+        self._entities: dict[str, int] = {}
+        self._vocab = vocab
+        self._use_emask = use_emask
+        self.cls, self.sep, self.slash, self.star = (
+            self.key(Token.wordpiece(p)) for p in ("[CLS]", "[SEP]", "/", "*")
+        )
+
+    def key(self, token: Token) -> int:
+        k = self._keys.get(token)
+        if k is None:
+            k = self._keys[token] = len(self.tokens)
+            self.tokens.append(token)
+        return k
+
+    def words(self, tokens: Sequence[str]) -> tuple[np.ndarray, list[int]]:
+        """The keys of the wordpieces of ``tokens`` in order, and the offset
+        of each word's first piece among them (one more for the end)."""
+        per_word = []
+        for w in tokens:
+            keys = self._words.get(w)
+            if keys is None:
+                keys = self._words[w] = [
+                    self.key(t) for t in wordpiece_tokens([w], self._vocab)
+                ]
+            per_word.append(keys)
+        offset = [0, *accumulate(len(k) for k in per_word)]
+        return np.fromiter(chain.from_iterable(per_word), np.intp, offset[-1]), offset
+
+    def mask(self, span: CandidateSpan) -> int:
+        k = self._masks.get(span.candidates)
+        if k is None:
+            k = self._masks[span.candidates] = self.key(_mask_token(span, self._use_emask))
+        return k
+
+    def entity(self, entity: str) -> int:
+        k = self._entities.get(entity)
+        if k is None:
+            k = self._entities[entity] = self.key(Token.entity(entity))
+        return k
+
+
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indices of the ranges ``start[i] .. start[i] + length[i] - 1``,
+    end to end, as int32."""
+    end = np.cumsum(length)
+    out = np.repeat((start - (end - length)).astype(np.int32), length)
+    out += np.arange(len(out), dtype=np.int32)
+    return out
+
+
+def _block_inputs(keys: _InputKeys, block) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The linking inputs of a block of ``(tokens, spans, decoded)``
+    documents, whose decoded lists hold sorted, pairwise disjoint ``(start,
+    end, entity)`` spans inside the document: every input's keys end to
+    end, each input's length, and each input's mask position.
+
+    Each document is laid out once as its base: framed, with every decoded
+    span as its entity. An input is its document's base up to the scored
+    span, with a decoded span that overlaps the scored one reverted to its
+    words, then the mask, ``/``, the span's pieces and ``*``, then the
+    words of that reverted span past the scored one and the rest of the
+    base. So each input is eight ranges of one key array (``/``, ``*``,
+    the masks, then each document's base and pieces), and one gather takes
+    every input of the block.
+    """
+    n_spans = sum(len(spans) for _, spans, _ in block)
+    parts: list = [[keys.slash, keys.star], [keys.mask(s) for _, spans, _ in block for s in spans]]
+    starts, lengths, positions = [], [], []
+    at = 2 + n_spans  # where the next document's base starts
+    for tokens, spans, decoded in block:
+        literal, offset = keys.words(tokens)
+        parts.append([keys.cls])
+        # Where each word starts in the base (words inside a decoded span
+        # have no place of their own), and each inner boundary of a decoded
+        # span mapped to the span's start and end.
+        at_word, left_of, right_of = [], {}, {}
+        shift, w = at + 1, 0
+        for a, b, entity in decoded:
+            parts += [literal[offset[w] : offset[a]], [keys.entity(entity)]]
+            at_word += [shift + offset[v] for v in range(w, a + 1)]
+            at_word += [None] * (b - a - 1)
+            shift -= offset[b] - offset[a] - 1
+            left_of.update(dict.fromkeys(range(a + 1, b), a))
+            right_of.update(dict.fromkeys(range(a + 1, b), b))
+            w = b
+        parts += [literal[offset[w] :], [keys.sep]]
+        at_word += [shift + offset[v] for v in range(w, len(tokens) + 1)]
+        lit = at_word[-1] + 1  # the document's pieces follow its base
+        for s in spans:
+            x, y = s.start, s.end
+            if y > len(tokens):
+                raise ValueError(f"span [{x}, {y}) exceeds document length")
+            left, right = left_of.get(x, x), right_of.get(y, y)
+            cut, resume = at_word[left], at_word[right]
+            starts.append((at, lit + offset[left], 2 + len(positions), 0,
+                           lit + offset[x], 1, lit + offset[y], resume))
+            lengths.append((cut - at, offset[x] - offset[left], 1, 1, offset[y] - offset[x],
+                            1, offset[right] - offset[y], lit - resume))
+            positions.append(cut - at + offset[x] - offset[left])
+        parts.append(literal)
+        at = lit + len(literal)
+    src = np.concatenate(parts).astype(np.int32)
+    length = np.array(lengths, dtype=np.intp)
+    index = _ranges(np.array(starts, dtype=np.intp).ravel(), length.ravel())
+    return src[index], length.sum(axis=1), positions
+
+
+def _rendered(decoded: list[tuple[int, int, str]], span: CandidateSpan):
+    """The decoded spans that ``build_el_input`` renders beside ``span``:
+    in order, those that do not overlap it and do not start inside one
+    rendered before."""
+    out, at = [], 0
+    for a, b, entity in decoded:
+        if a >= at and (b <= span.start or span.end <= a):
+            out.append((a, b, entity))
+            at = b
+    return out
 
 
 def span_mask_states(
-    tokens: Sequence[str],
-    spans: Sequence[CandidateSpan],
+    docs: Sequence[tuple[Sequence[str], Sequence[CandidateSpan],
+                         Mapping[tuple[int, int], str] | None]],
     scorer,
-    decoded: Mapping[tuple[int, int], str] | None = None,
     use_emask: bool = True,
+    keys: _InputKeys | None = None,
 ) -> np.ndarray:
-    """Mask states of many spans of one document, as an ``(S, d)`` array.
+    """Mask states of the spans of many documents, as one ``(S, d)`` array.
 
-    Row s is the state ``scorer.mask_state(build_el_input(tokens, spans[s],
-    scorer.wp_vocab, decoded, use_emask))`` would give, bit for bit, for a
-    reference scorer. Each distinct word is tokenized once with
-    ``scorer.wp_vocab``. Every span's input becomes an index array into one
-    list of distinct tokens, and one ``scorer.mask_states`` call embeds each
-    of those tokens once and returns all the states.
+    ``docs`` holds ``(tokens, spans, decoded)`` triples; row s, counted
+    through the documents' spans in order, is the state
+    ``scorer.mask_state(build_el_input(tokens, span, scorer.wp_vocab,
+    decoded, use_emask))`` would give, bit for bit, for a reference scorer.
+    Documents go in blocks of ``SPAN_BLOCK`` spans; each block's inputs are
+    index arrays gathered from its documents' key arrays (see
+    ``_block_inputs``), and one ``scorer.mask_states`` call embeds each
+    distinct token of the block once. ``keys`` carries the tokenized words
+    and the masks from one call to the next.
     """
-    if not spans:
+    keys = keys or _InputKeys(scorer.wp_vocab, use_emask)
+    flat = []
+    for tokens, spans, decoded in docs:
+        ordered = sorted(
+            (a, b, entity) for (a, b), entity in (decoded or {}).items() if b <= len(tokens)
+        )
+        for a, b, _ in ordered:
+            if not 0 <= a < b:
+                raise ValueError(f"bad decoded span [{a}, {b})")
+        if all(b <= a for (_, b, _), (a, _, _) in zip(ordered, ordered[1:])):
+            flat.append((tokens, spans, ordered))
+        else:
+            # Only a library caller passes decoded spans that overlap each
+            # other; each span then gets the ones rendered beside it.
+            flat += [(tokens, [s], _rendered(ordered, s)) for s in spans]
+    if not any(spans for _, spans, _ in flat):
         raise ValueError("no spans to score")
-    ordered = sorted((decoded or {}).items())
-    layouts = [_el_parts(len(tokens), s, ordered, use_emask) for s in spans]
 
-    keys: dict[Token, int] = {}
-    by_word: dict[str, list[int]] = {}
-    for w in tokens:
-        if w not in by_word:
-            pieces = wordpiece_tokens([w], scorer.wp_vocab)
-            by_word[w] = [keys.setdefault(t, len(keys)) for t in pieces]
-    literal = np.array([k for w in tokens for k in by_word[w]], dtype=np.intp)
-    offset = [0, *accumulate(len(by_word[w]) for w in tokens)]
-
-    inputs = []
-    for parts, at in layouts:
-        idx = [
-            literal[offset[p.start] : offset[p.stop]] if isinstance(p, range)
-            else [keys.setdefault(p, len(keys))]
-            for p in parts
-        ]
-        inputs.append((np.concatenate(idx), sum(len(i) for i in idx[:at])))
-
-    return scorer.mask_states(list(keys), inputs)
+    states = []
+    for block in _blocks([d for d in flat if d[1]], lambda d: len(d[1])):
+        keyed, length, pos = _block_inputs(keys, block)
+        # The block's tokens, and its inputs as indices into them.
+        used = np.flatnonzero(np.bincount(keyed, minlength=len(keys.tokens)))
+        local = np.zeros(len(keys.tokens), dtype=np.int32)
+        local[used] = np.arange(len(used))
+        inputs = zip(np.split(local[keyed], np.cumsum(length)[:-1]), pos)
+        states.append(scorer.mask_states([keys.tokens[k] for k in used], list(inputs)))
+    return np.concatenate(states)
 
 
 def candidate_groups(
@@ -340,9 +488,9 @@ def train_linker(
 
     Entity vectors and priors are frozen; only A, c, e_eps, and b_eps move.
     Candidate rows come from ``scorer.ent``, the space the scorer embeds
-    entity masks from. Mask states are computed once up front, one
-    ``span_mask_states`` call per document, because the encoder takes no
-    gradient. Returns the loss trajectory: mean loss at each epoch's
+    entity masks from. Mask states are computed once up front, by one
+    ``span_mask_states`` call over the documents, because the encoder takes
+    no gradient. Returns the loss trajectory: mean loss at each epoch's
     starting parameters, plus the final loss (length ``epochs + 1``). A
     non-finite loss is a DataError.
     """
@@ -353,9 +501,11 @@ def train_linker(
         by_doc.setdefault(ex.tokens, []).append(i)
     groups = candidate_groups([ex.candidates for ex in examples], scorer.ent)
     states = np.empty((len(examples), scorer.ent.dim))
-    for tokens, members in by_doc.items():
-        spans = [examples[i].span for i in members]
-        states[members] = span_mask_states(tokens, spans, scorer, None, use_emask)
+    states[[i for members in by_doc.values() for i in members]] = span_mask_states(
+        [(tokens, [examples[i].span for i in members], None)
+         for tokens, members in by_doc.items()],
+        scorer, use_emask,
+    )
     # A null-entity gold indexes past the candidates, where it is scored.
     gold = np.array([
         len(ex.candidates) if ex.gold is None
@@ -388,74 +538,109 @@ class RefinementStep:
     selectable: int
     quota: int
     decoded: tuple[tuple[int, int, str], ...]
+    doc: int = 0  # the document's index among those refined together
 
 
 @np.errstate(all="ignore")
 def iterative_refine(
-    tokens: Sequence[str],
-    spans: Sequence[CandidateSpan],
+    docs: Sequence[tuple[Sequence[str], Sequence[CandidateSpan]]],
     scorer,
     head: AffineHead,
     eps: NullEntityParams,
     iterations: int = 3,
     use_emask: bool = True,
 ) -> tuple[list[CandidateSpan], list[RefinementStep]]:
-    """Decode spans over ``iterations`` rounds of rescoring.
+    """Decode the spans of each ``(tokens, spans)`` document over
+    ``iterations`` rounds of rescoring.
 
-    Each round rescores the undecided spans, and no others, against the
-    current partial decoding with one ``span_mask_states`` and one
-    ``candidate_probs`` call. With m spans already decoded and n undecided
-    spans whose argmax is a real entity, the round fixes the k = ceil(j (m
-    + n) / J) - m most confident of those n (by null-entity improbability,
-    ties toward the earlier span), skipping any span that overlaps an
-    already fixed one; skips do not count toward k. Rounds end early once n
-    reaches zero. Spans still undecided at the end are rejected.
+    Each round rescores the undecided spans, and no others, against their
+    document's current partial decoding, with one ``candidate_groups``,
+    one ``span_mask_states`` and one ``candidate_probs`` call per block of
+    documents (see ``SPAN_BLOCK``). Within a document, with m spans already
+    decoded and n undecided spans whose argmax is a real entity, the round
+    fixes the k = ceil(j (m + n) / J) - m most confident of those n (by
+    null-entity improbability, ties toward the earlier span), skipping any
+    span that overlaps an already fixed one; skips do not count toward k.
+    A document's rounds end early once its n reaches zero. Spans still
+    undecided at the end are rejected. Returns every document's spans, in
+    document order, and the steps of each document's rounds, in document
+    order.
     """
     if iterations < 1:
         raise ValueError("need at least one iteration")
-    spans = list(spans)
-    log_steps: list[RefinementStep] = []
+    docs = [(tokens, list(spans)) for tokens, spans in docs]
+    keys = _InputKeys(scorer.wp_vocab, use_emask)
+    steps: list[list[RefinementStep]] = [[] for _ in docs]
+    going = range(len(docs))
 
     for j in range(1, iterations + 1):
-        taken = [s for s in spans if s.state is SpanState.DECODED]
-        decoded_map = {(s.start, s.end): s.entity for s in taken}
-        undecided = [s for s in spans if s.state is SpanState.UNDECIDED]
-        if not undecided:
-            break
+        # (document, its decoded spans, its undecided spans) of this round.
+        rounds = []
+        for d in going:
+            spans = docs[d][1]
+            undecided = [s for s in spans if s.state is SpanState.UNDECIDED]
+            if undecided:
+                taken = [s for s in spans if s.state is SpanState.DECODED]
+                rounds.append((d, taken, undecided))
+        going = []
+        for block in _blocks(rounds, lambda r: len(r[2])):
+            undecided = [s for _, _, und in block for s in und]
+            groups = candidate_groups([s.candidates for s in undecided], scorer.ent)
+            states = span_mask_states(
+                [(docs[d][0], und, {(s.start, s.end): s.entity for s in taken})
+                 for d, taken, und in block],
+                scorer, use_emask, keys,
+            )
+            best = np.empty(len(undecided), dtype=np.intp)
+            p_null = np.empty(len(undecided))
+            for (rows, _, _), p in zip(groups, candidate_probs(
+                    head.apply(states), groups, (eps.e, eps.b))):
+                best[rows] = p.argmax(axis=1)
+                p_null[rows] = p[:, -1]
+            at = 0
+            for d, taken, und in block:
+                step = _decode_round(d, j, iterations, taken, und,
+                                     best[at : at + len(und)].tolist(),
+                                     p_null[at : at + len(und)].tolist())
+                at += len(und)
+                steps[d].append(step)
+                if step.selectable:
+                    going.append(d)
 
-        groups = candidate_groups([s.candidates for s in undecided], scorer.ent)
-        states = span_mask_states(tokens, undecided, scorer, decoded_map, use_emask)
-        # (span, p(null), its best entity, index) of each selectable span.
-        selectable: list[tuple[CandidateSpan, float, str, int]] = []
-        probs = candidate_probs(head.apply(states), groups, (eps.e, eps.b))
-        for (rows, _, _), p in zip(groups, probs):
-            for i, best, p_null in zip(rows, p.argmax(axis=1), p[:, -1]):
-                span = undecided[i]
-                if best < len(span.candidates):
-                    selectable.append((span, float(p_null), span.candidates[best].entity, i))
-        m = len(decoded_map)
-        n = len(selectable)
-        if n == 0:
-            log_steps.append(RefinementStep(j, 0, 0, ()))
-            break
-        # k = ceil(j (m + n) / J) - m, in exact integer arithmetic
-        quota = max(0, -((-j * (m + n)) // iterations) - m)
-        selectable.sort(key=lambda t: (t[1], t[0].start, t[0].end, t[3]))
-        accepted: list[CandidateSpan] = []
-        for span, _p_eps, entity, _ in selectable:
-            if len(accepted) == quota:
-                break
-            if not any(span.overlaps(t) for t in taken):
-                span.decode(entity)
-                accepted.append(span)
-                taken.append(span)
-        fixed_now = tuple((s.start, s.end, s.entity) for s in accepted)
-        log_steps.append(RefinementStep(j, n, quota, fixed_now))
-
+    spans = [s for _, doc_spans in docs for s in doc_spans]
     for span in spans:
         if span.state is SpanState.UNDECIDED:
             span.state = SpanState.REJECTED
-    return spans, log_steps
+    return spans, [step for doc_steps in steps for step in doc_steps]
+
+
+def _decode_round(doc: int, j: int, iterations: int, taken: list[CandidateSpan],
+                  undecided: list[CandidateSpan], best: list[int],
+                  p_null: list[float]) -> RefinementStep:
+    """Round j of one document, as ``iterative_refine`` describes it, from
+    each undecided span's best candidate and null-entity probability."""
+    # (p(null), start, end, index) of each selectable span.
+    selectable = sorted(
+        (p, s.start, s.end, i)
+        for i, (s, b, p) in enumerate(zip(undecided, best, p_null))
+        if b < len(s.candidates)
+    )
+    m = len({(s.start, s.end) for s in taken})
+    n = len(selectable)
+    if n == 0:
+        return RefinementStep(j, 0, 0, (), doc)
+    # k = ceil(j (m + n) / J) - m, in exact integer arithmetic
+    quota = max(0, -((-j * (m + n)) // iterations) - m)
+    accepted: list[CandidateSpan] = []
+    for *_, i in selectable:
+        if len(accepted) == quota:
+            break
+        span = undecided[i]
+        if not any(span.overlaps(t) for t in taken):
+            span.decode(span.candidates[best[i]].entity)
+            accepted.append(span)
+            taken.append(span)
+    return RefinementStep(j, n, quota, tuple((s.start, s.end, s.entity) for s in accepted), doc)
 
 
 class Prf(NamedTuple):
@@ -537,6 +722,9 @@ def normalize_entity(value: str) -> str:
     if is_entity_symbol(value):
         return value
     if value.startswith("http://") or value.startswith("https://"):
+        # Imported here: a run whose golds are all symbols never needs it.
+        from .wikidata_client import url_to_entity_symbol
+
         return url_to_entity_symbol(value)
     raise DataError(f"not an entity URL or ENTITY/ symbol: {value!r}")
 

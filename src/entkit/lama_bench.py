@@ -25,8 +25,9 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, Vocabulary, is_entity_symbol
+from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
+from .symbols import is_entity_symbol
 from .text_input import (
     MASK_WORD,
     InputMode,
@@ -297,8 +298,10 @@ def build_lama_uhn(
     eligible relations is probed once, and a question is deleted when any
     part of its subject has the answer in its probe's top ``top_k``, exactly
     as ``person_name_filter`` decides. Counts are monotone: stage 0 >= stage
-    1 >= stage 2 for every relation.
+    1 >= stage 2 for every relation. Every relation needs a template, as
+    ``require_templates`` checks.
     """
+    require_templates(dataset, templates)
     stage1 = {
         rel: [t for t in triples if not string_match_filter(t)]
         for rel, triples in dataset.items()
@@ -308,7 +311,7 @@ def build_lama_uhn(
         nouns = {
             rel: templates[rel].name_noun
             for rel in dataset
-            if rel in templates and templates[rel].name_noun != "none"
+            if templates[rel].name_noun != "none"
         }
     parts_by_noun: dict[str, list[str]] = {}
     for rel, noun in nouns.items():
@@ -332,6 +335,14 @@ def build_lama_uhn(
         for rel, triples in dataset.items()
     }
     return UhnResult(stage1, stage2, stats)
+
+
+def require_templates(dataset: Dataset, templates: Mapping[str, RelationTemplate]) -> None:
+    """A DataError naming the first relation of ``dataset``, in sorted
+    order, that has no template."""
+    for rel in sorted(dataset):
+        if rel not in templates:
+            raise DataError(f"no template for relation {rel!r}")
 
 
 def load_templates(path) -> dict[str, RelationTemplate]:

@@ -69,35 +69,62 @@ def embed_sequence(
     Missing entities are an error; the input builders are responsible for
     falling back to surface wordpieces before this point.
     """
-    out = [_token_row(tok, wp, ent) for tok in seq.tokens]
-    if len({v.shape for v in out}) > 1:
-        raise ValueError("wordpiece and entity spaces have different dimensions")
-    return out
+    return list(_token_rows(seq.tokens, wp, ent))
 
 
-def _token_row(tok: Token, wp: EmbeddingSpace, ent: EmbeddingSpace | None) -> np.ndarray:
-    """The float64 input row of one token, as ``embed_sequence`` describes."""
-    if tok.kind is TokenKind.WORDPIECE:
-        return _wp_row(wp, tok.text)
+def _token_rows(
+    tokens: Sequence[Token], wp: EmbeddingSpace, ent: EmbeddingSpace | None
+) -> np.ndarray:
+    """The float64 input rows of ``tokens``, one per row, as
+    ``embed_sequence`` describes. Each distinct entity row is fetched once,
+    and the entity masks with c candidates are averaged together: their
+    rows added in candidate order, starting from zero, and divided by c."""
+    rows = np.empty((len(tokens), wp.dim))
+    pieces: list[int] = []  # positions of wordpieces and masks
+    ids: list[int] = []  # and their wordpiece rows
+    entities: dict[str, int] = {}
+    single: list[int] = []  # positions of entities
+    slots: list[int] = []  # and their entity rows
+    means: dict[int, tuple[list[int], list[list[int]]]] = {}
+    for k, tok in enumerate(tokens):
+        if tok.kind is TokenKind.WORDPIECE or tok.kind is TokenKind.MASK:
+            pieces.append(k)
+            ids.append(_wp_index(wp, tok))
+        elif tok.kind is TokenKind.ENTITY:
+            single.append(k)
+            slots.append(entities.setdefault(tok.text, len(entities)))
+        else:
+            at, cands = means.setdefault(len(tok.candidates), ([], []))
+            at.append(k)
+            cands.append([entities.setdefault(c, len(entities)) for c in tok.candidates])
+    rows[pieces] = wp.matrix[ids]
+    if entities:
+        table = np.array([_ent_row(ent, e) for e in entities])
+        if table.shape[1] != wp.dim:
+            raise ValueError("wordpiece and entity spaces have different dimensions")
+        rows[single] = table[slots]
+        for count, (at, cands) in means.items():
+            cands = np.array(cands)
+            total = np.zeros((len(at), wp.dim))
+            for j in range(count):
+                total += table[cands[:, j]]
+            rows[at] = total / count
+    return rows
+
+
+def _wp_index(wp: EmbeddingSpace, tok: Token) -> int:
+    """The wordpiece row of a wordpiece (``[UNK]`` when missing) or a mask."""
     if tok.kind is TokenKind.MASK:
-        row = wp.row(MASK_WORD)
-        if row is None:
+        i = wp.vocab.index.get(MASK_WORD)
+        if i is None:
             raise DataError("wordpiece space has no [MASK] row")
-        return row.astype(np.float64)
-    if tok.kind is TokenKind.ENTITY:
-        return _ent_row(ent, tok.text)
-    if tok.kind is TokenKind.EMASK:
-        return np.mean([_ent_row(ent, c) for c in tok.candidates], axis=0)
-    raise ValueError(f"unknown token kind {tok.kind}")  # pragma: no cover
-
-
-def _wp_row(wp: EmbeddingSpace, piece: str) -> np.ndarray:
-    row = wp.row(piece)
-    if row is None:
-        row = wp.row(UNK)
-        if row is None:
-            raise DataError(f"wordpiece {piece!r} missing and no [UNK] row to fall back on")
-    return row.astype(np.float64)
+        return i
+    i = wp.vocab.index.get(tok.text)
+    if i is None:
+        i = wp.vocab.index.get(UNK)
+        if i is None:
+            raise DataError(f"wordpiece {tok.text!r} missing and no [UNK] row to fall back on")
+    return i
 
 
 def _ent_row(ent: EmbeddingSpace | None, entity_id: str) -> np.ndarray:
@@ -112,7 +139,8 @@ def _ent_row(ent: EmbeddingSpace | None, entity_id: str) -> np.ndarray:
 def reference_contextualize(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Leave-one-out mean: output i is the mean of all inputs except i.
 
-    A length-1 sequence contextualizes to a single zero vector.
+    The total adds the inputs one by one in order, starting from zero. A
+    length-1 sequence contextualizes to a single zero vector.
     """
     n = len(vectors)
     if n == 0:
@@ -120,7 +148,9 @@ def reference_contextualize(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
     if n == 1:
         return [np.zeros_like(np.asarray(vectors[0], dtype=np.float64))]
     stack = np.asarray(vectors, dtype=np.float64)
-    total = stack.sum(axis=0)
+    total = np.zeros(stack.shape[1:])
+    for row in stack:
+        total += row
     return [(total - stack[i]) / (n - 1) for i in range(n)]
 
 
@@ -307,23 +337,33 @@ class ReferenceScorer:
         """States at the masks of many inputs over one list of distinct tokens.
 
         Input ``(idx, pos)`` is the sequence ``tokens[idx]`` with its mask at
-        ``pos``. Each token is embedded once into a float64 bank ``B``; row s
+        ``pos``. The tokens are embedded once into a float64 bank ``B``; row s
         is ``(B[idx].sum(0) - B[idx[pos]]) / (n - 1)`` (zero when n is 1),
-        the same rows summed in the same order as ``reference_contextualize``,
-        so it is bit-identical to that oracle's output ``pos``.
+        the rows added one by one in input order as ``reference_contextualize``
+        adds them, so it is bit-identical to that oracle's output ``pos``.
+        ``ROW_BLOCK`` inputs at a time are padded to the longest of them with
+        a ``-0.0`` row, which leaves every sum as it is, and summed one
+        column (one position of every input) at a time, so a row does not
+        depend on the rest of its batch.
         """
         dim = self.wp.dim
-        bank = np.empty((len(tokens), dim))
-        for k, tok in enumerate(tokens):
-            row = _token_row(tok, self.wp, self.ent)
-            if row.shape != (dim,):
-                raise ValueError("wordpiece and entity spaces have different dimensions")
-            bank[k] = row
+        pad = len(tokens)
+        bank = np.full((pad + 1, dim), -0.0)
+        bank[:pad] = _token_rows(tokens, self.wp, self.ent)
         states = np.zeros((len(inputs), dim))
-        for s, (idx, pos) in enumerate(inputs):
-            if len(idx) > 1:
-                rows = bank[idx]
-                states[s] = (rows.sum(axis=0) - rows[pos]) / (len(rows) - 1)
+        for start in range(0, len(inputs), ROW_BLOCK):
+            part = inputs[start : start + ROW_BLOCK]
+            n = np.array([len(idx) for idx, _ in part])
+            cols = np.full((len(part), n.max()), pad)
+            cols[np.arange(n.max()) < n[:, None]] = np.concatenate([idx for idx, _ in part])
+            total = np.zeros((len(part), dim))
+            for col in cols.T:
+                total += bank[col]
+            own = bank[cols[np.arange(len(part)), [pos for _, pos in part]]]
+            many = n > 1
+            states[start + np.flatnonzero(many)] = (
+                (total[many] - own[many]) / (n[many] - 1)[:, None]
+            )
         return states
 
     @np.errstate(all="ignore")

@@ -12,9 +12,12 @@ from __future__ import annotations
 import string
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .embeddings import ENTITY_PREFIX, EmbeddingSpace, Vocabulary, is_entity_symbol
+from .symbols import ENTITY_PREFIX, is_entity_symbol
+
+if TYPE_CHECKING:
+    from .embeddings import EmbeddingSpace, Vocabulary
 
 UNK = "[UNK]"
 MASK_WORD = "[MASK]"

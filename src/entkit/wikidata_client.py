@@ -20,8 +20,8 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 from urllib.parse import unquote, urlparse
 
 from ._tsv import tsv_rows
-from .embeddings import ENTITY_PREFIX
 from .errors import DataError, TransportError
+from .symbols import ENTITY_PREFIX
 
 if TYPE_CHECKING:
     import requests

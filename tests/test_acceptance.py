@@ -240,7 +240,7 @@ def test_criterion_07_refinement_schedule():
             tokens, table, scorer = flat_linking_world(n)
             spans = generate_candidates(tokens, table)
             spans, steps = iterative_refine(
-                tokens, spans, scorer, AffineHead.zeros(2),
+                [(tokens, spans)], scorer, AffineHead.zeros(2),
                 NullEntityParams.zeros(2, b=-1e9), iterations=j_total,
             )
             cumulative = 0
@@ -264,7 +264,7 @@ def test_criterion_07_refinement_schedule():
     for iterations in (1, 2, 3):
         spans = generate_candidates(["a", "b", "c"], table)
         out, _ = iterative_refine(
-            ["a", "b", "c"], spans, scorer, AffineHead.zeros(2),
+            [(["a", "b", "c"], spans)], scorer, AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=-1e9), iterations=iterations,
         )
         decoded = [s for s in out if s.state is SpanState.DECODED]
@@ -289,7 +289,7 @@ def test_criterion_07_refinement_schedule():
     spans = generate_candidates(words, table)
     assert len(spans) == 11
     out, _ = iterative_refine(
-        words, spans, scorer, AffineHead.zeros(2),
+        [(words, spans)], scorer, AffineHead.zeros(2),
         NullEntityParams.zeros(2, b=-1e9), iterations=2,
     )
     decoded = [s for s in out if s.state is SpanState.DECODED]

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import shutil
 import subprocess
@@ -17,6 +18,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import entkit
 from conftest import FIXTURES, make_world
 from entkit.cli import main
 
@@ -566,6 +568,25 @@ class TestResolve:
         )
         assert code == 1
         assert "not allowed with" in stderr
+
+    def test_resolve_never_imports_numpy(self, tmp_path):
+        # Each command imports its own modules, so resolve starts without
+        # numpy; a fresh interpreter shows what the command itself imported.
+        script = (
+            "import sys\n"
+            "from entkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, 'numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(entkit.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, "resolve", "--surfaces", WD_SURFACES,
+             "--fixture", WD_FIXTURE, "--cache", str(tmp_path / "cache.tsv"),
+             "--out", str(tmp_path / "res.tsv")],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout == "0 False\n"
+        assert (tmp_path / "res.tsv").read_text(encoding="utf-8").startswith("surface\tqid")
 
     def test_out_file(self, tmp_path, capsys):
         out = tmp_path / "res.tsv"

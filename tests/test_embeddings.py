@@ -20,12 +20,12 @@ from entkit.embeddings import (
     EmbeddingSpace,
     SpaceKind,
     Vocabulary,
-    is_entity_symbol,
     load_space,
     save_space,
     shared_vocabulary,
 )
 from entkit.errors import DataError
+from entkit.symbols import is_entity_symbol
 
 
 def write(path, text):

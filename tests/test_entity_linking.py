@@ -275,7 +275,7 @@ class TestSpanMaskStates:
         scorer = self.scorer()
         spans = generate_candidates(self.TOKENS, self.TABLE)
         assert any(a.overlaps(b) for a in spans for b in spans if a is not b)
-        states = span_mask_states(self.TOKENS, spans, scorer, decoded, use_emask)
+        states = span_mask_states([(self.TOKENS, spans, decoded)], scorer, use_emask)
         assert states.shape == (len(spans), self.D)
         for got, want in zip(states, self.oracle(scorer, spans, decoded, use_emask)):
             assert np.array_equal(got, want)
@@ -295,7 +295,7 @@ class TestSpanMaskStates:
             ["[CLS]", "the", "[E-MASK]", "/", "new", "-", "york", ",", "*", "city"]
             + right,
         ]
-        states = span_mask_states(self.TOKENS, spans, scorer, self.DECODED)
+        states = span_mask_states([(self.TOKENS, spans, self.DECODED)], scorer)
         for got, want in zip(states, self.oracle(scorer, spans, self.DECODED, True)):
             assert np.array_equal(got, want)
 
@@ -320,15 +320,18 @@ class TestSpanMaskStates:
         for mode in (True, False):
             calls = []
 
-            def recording(tokens, spans, scorer_, decoded, use_emask):
-                out = batched(tokens, spans, scorer_, decoded, use_emask)
-                calls.append((tokens, spans, decoded, use_emask, out))
+            def recording(docs, scorer_, use_emask):
+                out = batched(docs, scorer_, use_emask)
+                at = 0
+                for tokens, spans, decoded in docs:
+                    calls.append((tokens, spans, decoded, use_emask, out[at : at + len(spans)]))
+                    at += len(spans)
                 return out
 
             monkeypatch.setattr(el, "span_mask_states", recording)
             loss = train_linker(examples, head, eps, scorer, epochs=0, use_emask=mode)[0]
 
-            assert len(calls) == 2  # one call per document
+            assert len(calls) == 2  # one entry per document
             assert sum(len(c[1]) for c in calls) == len(examples)
             oracle_loss = 0.0
             for ex in examples:
@@ -367,7 +370,7 @@ class TestSpanMaskStates:
             examples = build_training_examples(doc, generate_candidates(doc.tokens, self.TABLE))[0]
             losses = train_linker(examples, head, eps, scorer, epochs=3, step=0.1)
             spans = generate_candidates(self.TOKENS, self.TABLE)
-            out, steps = iterative_refine(self.TOKENS, spans, scorer, head, eps, 3)
+            out, steps = iterative_refine([(self.TOKENS, spans)], scorer, head, eps, 3)
             return losses, steps, [(s.start, s.end, s.state, s.entity) for s in out]
 
         reference = self.scorer()
@@ -379,21 +382,28 @@ class TestSpanMaskStates:
         scorer = self.scorer()
         span = CandidateSpan(0, 1, (cand("City"),))
         with pytest.raises(ValueError, match="no spans"):
-            span_mask_states(self.TOKENS, [], scorer)
+            span_mask_states([(self.TOKENS, [], None)], scorer)
         with pytest.raises(ValueError, match="exceeds document length"):
             span_mask_states(
-                self.TOKENS, [span, CandidateSpan(10, 12, (cand("City"),))], scorer
+                [(self.TOKENS, [span, CandidateSpan(10, 12, (cand("City"),))], None)], scorer
             )
         with pytest.raises(DataError, match=r"no \[MASK\] row"):
-            span_mask_states(self.TOKENS, [span], self.scorer(with_mask=False),
+            span_mask_states([(self.TOKENS, [span], None)], self.scorer(with_mask=False),
                              use_emask=False)
         with pytest.raises(DataError, match="missing from entity space"):
-            span_mask_states(self.TOKENS, [CandidateSpan(0, 1, (cand("Mars"),))], scorer)
+            span_mask_states([(self.TOKENS, [CandidateSpan(0, 1, (cand("Mars"),))], None)], scorer)
         with pytest.raises(DataError, match="missing from entity space"):
-            span_mask_states(self.TOKENS, [span], scorer, {(2, 3): "ENTITY/Mars"})
+            span_mask_states([(self.TOKENS, [span], {(2, 3): "ENTITY/Mars"})], scorer)
         wide = ent_space_with({"ENTITY/City": np.ones(self.D + 1)}, self.D + 1)
         with pytest.raises(ValueError, match="different dimensions"):
-            span_mask_states(self.TOKENS, [span], ReferenceScorer(scorer.wp, wide))
+            span_mask_states([(self.TOKENS, [span], None)], ReferenceScorer(scorer.wp, wide))
+
+
+    @pytest.mark.parametrize("bad", [(3, 3), (4, 2), (-1, 2)])
+    def test_bad_decoded_span_is_an_error(self, bad):
+        span = CandidateSpan(0, 1, (cand("City"),))
+        with pytest.raises(ValueError, match=r"bad decoded span"):
+            span_mask_states([(self.TOKENS, [span], {bad: "ENTITY/NYC"})], self.scorer())
 
 
 class TestEntityDistribution:
@@ -651,7 +661,7 @@ class TestIterativeRefine:
         head = AffineHead.zeros(2)
         eps = NullEntityParams.zeros(2, b=-1e9)
         return iterative_refine(
-            tokens, spans, scorer, head, eps, iterations=j_total
+            [(tokens, spans)], scorer, head, eps, iterations=j_total
         )
 
     @pytest.mark.parametrize("n,j_total", [(1, 1), (5, 3), (7, 5), (20, 4), (3, 5)])
@@ -694,7 +704,7 @@ class TestIterativeRefine:
         spans = generate_candidates(tokens, table)
         assert [(s.start, s.end) for s in spans] == [(0, 1), (0, 2), (1, 3)]
         out, steps = iterative_refine(
-            tokens, spans, scorer, AffineHead.zeros(2),
+            [(tokens, spans)], scorer, AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=-1e9), iterations=1,
         )
         by_span = {(s.start, s.end): s.state for s in out}
@@ -714,7 +724,7 @@ class TestIterativeRefine:
         tokens, table, scorer = self.overlap_world()
         spans = generate_candidates(tokens, table)
         out, steps = iterative_refine(
-            tokens, spans, scorer, AffineHead.zeros(2),
+            [(tokens, spans)], scorer, AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=-1e9), iterations=2,
         )
         assert [len(s.decoded) for s in steps] == [2, 0]
@@ -730,7 +740,7 @@ class TestIterativeRefine:
         tokens = ["a", "b"]
         spans = generate_candidates(tokens, table)
         _, steps = iterative_refine(
-            tokens, spans, ReferenceScorer(wp, ent), AffineHead.zeros(2),
+            [(tokens, spans)], ReferenceScorer(wp, ent), AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=-1.0), iterations=2,
         )
         # The prior-1.0 span is more confidently an entity, so it goes first.
@@ -743,7 +753,7 @@ class TestIterativeRefine:
         table = {"a": (cand("A", 0.25),)}
         spans = generate_candidates(["a"], table)
         out, steps = iterative_refine(
-            ["a"], spans, ReferenceScorer(wp, ent), AffineHead.zeros(2),
+            [(["a"], spans)], ReferenceScorer(wp, ent), AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=0.0), iterations=3,
         )
         # log 0.25 < 0: the null entity wins the argmax, nothing is selectable.
@@ -756,7 +766,7 @@ class TestIterativeRefine:
         for iterations in (1, 3):
             spans = generate_candidates(tokens, table)
             out, _ = iterative_refine(
-                tokens, spans, scorer, AffineHead.zeros(2),
+                [(tokens, spans)], scorer, AffineHead.zeros(2),
                 NullEntityParams.zeros(2, b=-1e9), iterations=iterations,
             )
             results.append(
@@ -772,7 +782,7 @@ class TestIterativeRefine:
         tokens, table, scorer = flat_linking_world(8)
         spans = generate_candidates(tokens, table)
         _, steps = iterative_refine(
-            tokens, spans, scorer, AffineHead.zeros(2),
+            [(tokens, spans)], scorer, AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=-1e9), iterations=3,
         )
         assert [s.decoded for s in steps] == [
@@ -794,15 +804,15 @@ class TestIterativeRefine:
             calls.append(("groups", list(lists), [s.state for s in spans]))
             return groups(lists, ent)
 
-        def recording_states(tokens_, scored, *args):
-            out = states(tokens_, scored, *args)
-            calls.append(("states", list(scored), len(out)))
+        def recording_states(docs, *args):
+            out = states(docs, *args)
+            calls.append(("states", [s for _, scored, _ in docs for s in scored], len(out)))
             return out
 
         monkeypatch.setattr(el, "candidate_groups", recording_groups)
         monkeypatch.setattr(el, "span_mask_states", recording_states)
         _, steps = iterative_refine(
-            tokens, spans, scorer, AffineHead.zeros(2),
+            [(tokens, spans)], scorer, AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=-1e9), iterations=3,
         )
         assert len(calls) == 2 * len(steps) and len(steps) > 1
@@ -823,13 +833,13 @@ class TestIterativeRefine:
         spans = generate_candidates(tokens, table)
         with pytest.raises(ValueError, match="at least one iteration"):
             iterative_refine(
-                tokens, spans, scorer, AffineHead.zeros(2),
+                [(tokens, spans)], scorer, AffineHead.zeros(2),
                 NullEntityParams.zeros(2), iterations=0,
             )
         no_ent = ReferenceScorer(scorer.wp, None)
         with pytest.raises(ValueError, match="entity space"):
             iterative_refine(
-                tokens, spans, no_ent, AffineHead.zeros(2),
+                [(tokens, spans)], no_ent, AffineHead.zeros(2),
                 NullEntityParams.zeros(2),
             )
 

@@ -398,10 +398,21 @@ class TestBuildLamaUhn:
                 if not person_name_filter(t, templates[rel], scorer, answers)
             ]
 
-    def test_relation_without_template_gets_string_filter_only(self):
-        dataset = {"RX": [KbTriple("RX", "alpha french", "french")]}
-        result = build_lama_uhn(dataset, {}, PROBE_SCORER, ANSWERS)
-        assert result.stats["RX"] == (1, 0, 0)
+    def test_relation_without_template_is_a_data_error_before_scoring(self):
+        # P103 is a name relation: with a template it would be probed, so
+        # keeping its questions unprobed would pass them through stage 2.
+        class NeverScores(TableScorer):
+            def score_answers(self, seqs, symbols):
+                raise AssertionError("scored before the templates were checked")
+
+        dataset = {
+            "P103": [KbTriple("P103", "AA", "gold"), KbTriple("P103", "BB", "gold")],
+            "R1": [KbTriple("R1", "AA", "gold")],
+        }
+        for top_k in (0, 3):
+            with pytest.raises(DataError, match="^no template for relation 'P103'$"):
+                build_lama_uhn(dataset, {"R1": ELIGIBLE}, NeverScores(PROBE_VOCAB, RANKS),
+                               ANSWERS, top_k=top_k)
 
 
 class TestLoaders:

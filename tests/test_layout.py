@@ -6,10 +6,12 @@ linking mask states, are each checked against code they do not share.
 """
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SPECIAL_PIECES, ent_space_with, make_space
+from entkit import entity_linking
 from entkit.embeddings import SpaceKind
 from entkit.entity_linking import (
     Candidate,
@@ -155,9 +157,41 @@ def render_linking(tokens, span, decoded, use_emask) -> list[Token]:
 def test_linking_inputs_and_states_match_the_word_by_word_renderer(case):
     tokens, spans, decoded, use_emask = case
     scorer = ReferenceScorer(WP, ENT)
-    states = span_mask_states(tokens, spans, scorer, decoded, use_emask)
+    states = span_mask_states([(tokens, spans, decoded)], scorer, use_emask)
     for span, state in zip(spans, states):
         want = render_linking(tokens, span, decoded, use_emask)
         seq = build_el_input(tokens, span, WP.vocab, decoded, use_emask)
         assert list(seq.tokens) == want
         assert np.array_equal(state, scorer.mask_state(TokenSequence(tuple(want))))
+
+
+@pytest.mark.parametrize("block", [1, 3, 10**6])
+@pytest.mark.parametrize("use_emask", [True, False])
+def test_decoded_spans_at_scored_span_edges_match_the_renderer(monkeypatch, block, use_emask):
+    """Decoded spans that cross a scored span's left or right edge, lie
+    inside it, contain it or touch it, for the spans of several documents
+    in one call and in blocks of any size, against the renderer."""
+    monkeypatch.setattr(entity_linking, "SPAN_BLOCK", block)
+    tokens = ["the", "cat", "sat", "walks", "new-york,", "qqq", "york", "the", "cat"]
+    candidates = (Candidate("ENTITY/A", 0.5), Candidate("ENTITY/B", 0.25))
+    spans = [CandidateSpan(s, e, candidates) for s, e in ((3, 6), (0, 1), (4, 5), (6, 9))]
+    decoded_maps = [
+        {},
+        {(2, 4): "ENTITY/A"},  # crosses the left edge of (3, 6)
+        {(5, 7): "ENTITY/B"},  # crosses its right edge
+        {(4, 5): "ENTITY/A"},  # lies inside it
+        {(2, 7): "ENTITY/B"},  # contains it
+        {(1, 3): "ENTITY/A", (6, 8): "ENTITY/B"},  # touches both edges
+        {(0, 1): "ENTITY/B", (2, 4): "ENTITY/A", (5, 8): "ENTITY/B"},
+        {(0, 2): "ENTITY/A", (3, 4): "ENTITY/B", (4, 6): "ENTITY/A", (8, 9): "ENTITY/A"},
+        {(2, 4): "ENTITY/A", (3, 6): "ENTITY/B", (5, 9): "ENTITY/A"},  # overlapping
+    ]
+    docs = [(tokens[: 9 - i % 2], spans[: 4 - i % 2], d) for i, d in enumerate(decoded_maps)]
+    scorer = ReferenceScorer(WP, ENT)
+    states = span_mask_states(docs, scorer, use_emask)
+    want = [
+        scorer.mask_state(TokenSequence(tuple(render_linking(doc, span, decoded, use_emask))))
+        for doc, doc_spans, decoded in docs for span in doc_spans
+    ]
+    assert states.shape == (len(want), DIM)
+    assert np.array_equal(states.view(np.int64), np.array(want).view(np.int64))

@@ -10,12 +10,14 @@ import random
 import shutil
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_world
+from entkit import entity_linking
 from entkit.cli import main
 
 
@@ -77,6 +79,8 @@ def document_runs(draw, n_docs: int = 10):
 def test_a_document_links_the_same_beside_any_other_documents(ingest_world, run):
     world, docs, (predictions, rows) = ingest_world
     assert len(docs) == 10
+    # The baseline ran in one block; blocks of 5 spans split this run.
+    block = mock.patch.object(entity_linking, "SPAN_BLOCK", 5)
     lines, kept = [], []
     for n, (kind, what) in enumerate(run):
         if kind == "kept":
@@ -87,11 +91,50 @@ def test_a_document_links_the_same_beside_any_other_documents(ingest_world, run)
             tokens = list(json.loads(docs[source])["tokens"])
             random.Random(seed).shuffle(tokens)
             lines.append(json.dumps({"doc_id": f"added-{n}", "tokens": tokens}))
-    with tempfile.TemporaryDirectory() as tmp:
+    with tempfile.TemporaryDirectory() as tmp, block:
         got_predictions, got_rows = link_by_doc(world, lines, Path(tmp) / "run")
     for doc_id in kept:
         assert got_predictions[doc_id] == predictions[doc_id], doc_id
         assert got_rows[doc_id] == rows[doc_id], doc_id
+
+
+@pytest.mark.parametrize("mode", [
+    ["--eval"],
+    # A low null-entity bias leaves some spans decoded after training.
+    ["--train", "--epochs", "5", "--eps-bias=-20"],
+])
+def test_block_size_changes_no_output(ingest_world, tmp_path, monkeypatch, mode):
+    world, docs, _ = ingest_world
+    blocks = []
+    inputs = entity_linking._block_inputs
+
+    def counted(*args):
+        blocks[-1] += 1
+        return inputs(*args)
+
+    monkeypatch.setattr(entity_linking, "_block_inputs", counted)
+    outputs = []
+    for size in (1, 3, 12, 10**9):
+        monkeypatch.setattr(entity_linking, "SPAN_BLOCK", size)
+        blocks.append(0)
+        out = tmp_path / str(size)
+        run_quiet([
+            "link", "--docs", world / "docs.jsonl", "--table", world / "table.tsv",
+            "--wp-space", world / "wp.txt", "--ent-space", world / "wiki.txt",
+            "--align", world / "align.txt", *mode, "--out-dir", out,
+        ])
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert all(output == outputs[0] for output in outputs)
+    assert sorted(outputs[0]) == sorted(
+        ["iterations.tsv", "predictions.jsonl", "report.tsv"]
+        + (["losses.tsv"] if "--train" in mode else []))
+    # Blocks of one document each (every document here has more than 3
+    # spans to score), of a few documents, and of all: training takes one
+    # pass, then each round one.
+    training = "--train" in mode
+    rounds = len(outputs[0]["iterations.tsv"].splitlines()) - 1
+    assert blocks[0] == blocks[1] == rounds + training * len(docs)
+    assert blocks[1] > blocks[2] > blocks[3] == 3 + training
 
 
 def test_training_does_not_depend_on_document_order(ingest_world, tmp_path):

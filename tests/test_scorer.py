@@ -61,6 +61,22 @@ class TestEmbedSequence:
         np.testing.assert_array_equal(vecs[4], [1, 2, 0, 0])  # candidate mean
         assert all(v.dtype == np.float64 for v in vecs)
 
+    def test_entity_masks_average_their_candidates_in_order(self):
+        # Masks of 1 to 9 candidates, repeats among them, in one sequence:
+        # each row is the candidate rows added one by one from zero, over c.
+        rng = np.random.default_rng(7)
+        names = [f"ENTITY/E{i}" for i in range(6)]
+        ent = ent_space_with({n: rng.standard_normal(DIM) * 1e3 for n in names}, DIM)
+        masks = [Token.emask(list(rng.choice(names, c))) for c in range(1, 10)]
+        vecs = embed_sequence(seq_of(Token.wordpiece("the"), *masks, Token.entity(names[0])),
+                              WP, ent)
+        for tok, vec in zip(masks, vecs[1:]):
+            total = np.zeros(DIM)
+            for name in tok.candidates:
+                total = total + ent.row(name).astype(np.float64)
+            assert np.array_equal(vec.view(np.int64), (total / len(tok.candidates)).view(np.int64))
+        assert np.array_equal(vecs[-1], ent.row(names[0]).astype(np.float64))
+
     def test_unknown_wordpiece_falls_back_to_unk(self):
         vecs = embed_sequence(seq_of(Token.wordpiece("zzz")), WP, None)
         np.testing.assert_array_equal(vecs[0], WP.row("[UNK]").astype(np.float64))
@@ -538,6 +554,48 @@ class TestSingleMaskStatePath:
             assert np.array_equal(alone[0], expected)
             assert np.array_equal(scorer.mask_state(seq), expected)
         assert any(len(seq) == 1 for seq in seqs)
+
+    @pytest.mark.parametrize("seed", [3, 4])
+    def test_mask_states_rows_do_not_depend_on_the_batch(self, seed):
+        # -0.0 entries (and a row of them) in both spaces: a pad row or a
+        # sum that started anywhere but +0.0 would show in the bits.
+        scorer, seqs, _ = random_mixed_cloze(seed, n_questions=3 * ROW_BLOCK)
+        rng = np.random.default_rng(seed)
+
+        def with_negative_zeros(space):
+            matrix = space.matrix.copy()
+            matrix[rng.random(matrix.shape) < 0.3] = -0.0
+            matrix[0] = -0.0
+            return make_space(list(space.vocab.symbols), matrix, space.kind)
+
+        scorer = ReferenceScorer(
+            with_negative_zeros(scorer.wp), with_negative_zeros(scorer.ent), scorer.head
+        )
+        # Inputs whose rows are all -0.0 ([MASK] and ENTITY/E0 have row 0),
+        # and inputs of up to 60 tokens, so sub-batches pad to other widths.
+        seqs += [seq_of(Token.mask(), Token.entity("ENTITY/E0")),
+                 seq_of(Token.entity("ENTITY/E0"), Token.emask(["ENTITY/E0"]))]
+        words = [t for seq in seqs for t in seq.tokens if t.kind is TokenKind.WORDPIECE]
+        seqs += [seq_of(*words[i : i + 6 * i], Token.mask()) for i in range(1, 11)]
+
+        def states(batch):
+            tokens = list(dict.fromkeys(t for seq in batch for t in seq.tokens))
+            rng.shuffle(tokens)
+            index = {t: k for k, t in enumerate(tokens)}
+            return scorer.mask_states(tokens, [
+                (np.array([index[t] for t in seq.tokens]), mask_position(seq))
+                for seq in batch
+            ])
+
+        bits = states(seqs).view(np.int64)
+        for seq, row in zip(seqs, bits):
+            assert np.array_equal(oracle_state(scorer, seq).view(np.int64), row)
+        order = rng.permutation(len(seqs))
+        cuts = np.sort(rng.choice(np.arange(1, len(seqs)), 8, replace=False))
+        for part in np.split(order, cuts):
+            assert np.array_equal(states([seqs[i] for i in part]).view(np.int64), bits[part])
+        assert any(len(seq) == 1 for seq in seqs)
+        assert np.signbit(scorer.wp.matrix).any() and np.signbit(scorer.ent.matrix).any()
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_score_answers_rows_use_the_oracle_states(self, seed):
