@@ -179,13 +179,16 @@ def _load_answer_vocab(path: str | None, wp):
     return embeddings.Vocabulary(symbols)
 
 
-def _load_entity_side(wp, ent_path, align_path, keep):
+def _load_entity_side(wp, ent_path, align_path, keep, absent=None):
     """Load the rows of the word-and-entity space whose symbol is in
     ``keep`` and the alignment, and check that they fit the wordpiece space;
-    returns ``(wiki, amap)``. The caller derives the entities it references."""
+    returns ``(wiki, amap)``. The caller derives the entities it references.
+    ``absent`` is passed on to ``load_space``."""
     from . import alignment, embeddings
 
-    wiki = embeddings.load_space(ent_path, embeddings.SpaceKind.WORD_AND_ENTITY, keep)
+    wiki = embeddings.load_space(
+        ent_path, embeddings.SpaceKind.WORD_AND_ENTITY, keep, absent
+    )
     amap = alignment.load_alignment(align_path)
     alignment.check_entity_source(amap, wiki)
     if amap.d_tgt != wp.dim:
@@ -317,20 +320,23 @@ def cmd_link(args) -> int:
             raise UsageError(f"entkit link: {flag} must be finite, got {value}")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
     table = entity_linking.load_candidate_table(args.table, args.max_span)
-    entities = table.entities()
-    wiki, amap = _load_entity_side(wp, args.ent_space, args.align, entities)
-    missing = sorted(e for e in entities if e not in wiki.vocab)
-    if missing:
-        raise DataError(f"candidate entities missing from entity space: {missing[:5]}")
     docs = entity_linking.load_documents(args.docs)
     doc_spans = [
         entity_linking.generate_candidates(doc.tokens, table.spans, args.max_span)
         for doc in docs
     ]
-    # Training and decoding read these spans and embed only their candidates.
-    ent = alignment.derive_entity_space(amap, wiki, {
-        c.entity for spans in doc_spans for span in spans for c in span.candidates
-    })
+    missing = table.entities()
+    del table  # the spans hold every candidate the run can reach
+    # Training and decoding read these spans and embed only their candidates;
+    # the load empties ``missing`` of every symbol the space holds.
+    reached = {c.entity for spans in doc_spans for span in spans for c in span.candidates}
+    wiki, amap = _load_entity_side(wp, args.ent_space, args.align, reached, missing)
+    if missing:
+        raise DataError(
+            f"candidate entities missing from entity space: {sorted(missing)[:5]}"
+        )
+    del missing  # empty now, but a set keeps the table it grew to
+    ent = alignment.derive_entity_space(amap, wiki, reached)
     del wiki  # only the derived rows are needed
     redirects = (
         entity_linking.load_redirects(args.redirects) if args.redirects else {}

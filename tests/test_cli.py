@@ -458,6 +458,68 @@ class TestLink:
             "['ENTITY/Martian']\n"
         )
 
+    def test_malformed_docs_win_over_a_missing_table_entity(self, tmp_path, capsys):
+        # The documents are read before the entity space, so their error is
+        # the one reported.
+        align = fit_alignment_file(tmp_path, capsys)
+        table = tmp_path / "table.tsv"
+        table.write_text("Adams\tENTITY/Martian\t0.5\n", encoding="utf-8")
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text("{not json\n", encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys, "link", "--docs", str(docs), "--table", str(table),
+            "--wp-space", WP, "--ent-space", WIKI, "--align", align,
+            "--eval", "--out-dir", str(tmp_path / "o"),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"entkit: data error: {docs}: line 1: invalid JSON\n"
+
+    @pytest.mark.parametrize("mode", ["--eval", "--train"])
+    @pytest.mark.parametrize("source", ["fixtures", "world"])
+    def test_entity_space_holds_only_the_rows_the_spans_reach(
+        self, tmp_path, capsys, monkeypatch, source, mode
+    ):
+        from entkit import embeddings
+        from entkit import entity_linking as el
+
+        if source == "fixtures":
+            docs, table, wp, wiki = EL_DOCS, EL_TABLE, WP, WIKI
+        else:
+            world = make_world(tmp_path / "world", "ingest", 5)
+            docs, table, wp, wiki = (
+                str(world / name) for name in ("docs.jsonl", "table.tsv", "wp.txt", "wiki.txt")
+            )
+        align = str(tmp_path / "align.tsv")
+        assert run(capsys, "align", "--src", wiki, "--tgt", wp, "--out", align)[0] == 0
+        loaded = []
+        load_space = embeddings.load_space
+
+        def recording(*args, **kwargs):
+            loaded.append(load_space(*args, **kwargs))
+            return loaded[-1]
+
+        monkeypatch.setattr(embeddings, "load_space", recording)
+        code, _, stderr = run(
+            capsys, "link", "--docs", docs, "--table", table, "--wp-space", wp,
+            "--ent-space", wiki, "--align", align, mode, "--epochs", "2",
+            "--out-dir", str(tmp_path / "o"),
+        )
+        assert (code, stderr) == (0, "")
+        spans = el.load_candidate_table(table).spans
+        reached = {
+            c.entity
+            for doc in el.load_documents(docs)
+            for span in el.generate_candidates(doc.tokens, spans)
+            for c in span.candidates
+        }
+        assert [space.kind for space in loaded] == [
+            embeddings.SpaceKind.WORDPIECE, embeddings.SpaceKind.WORD_AND_ENTITY,
+        ]
+        assert set(loaded[1].vocab.symbols) == reached
+        if source == "world":
+            # The table names entities no span reaches; they are not held.
+            assert reached < el.load_candidate_table(table).entities()
+
     def test_iterations_below_one_exit_usage_before_loading(self, tmp_path, capsys):
         # The documents file does not exist: --iterations must be rejected first.
         code, _, stderr = run(

@@ -170,9 +170,9 @@ def space_texts(draw):
     return text, bool(ops)
 
 
-def _outcome(path, keep=None):
+def _outcome(path, keep=None, absent=None):
     try:
-        space = load_space(path, SpaceKind.WORD_AND_ENTITY, keep)
+        space = load_space(path, SpaceKind.WORD_AND_ENTITY, keep, absent)
     except DataError as exc:
         return "error", str(exc)
     return "space", space.vocab.symbols, space.matrix.shape, space.matrix.tobytes()
@@ -192,7 +192,7 @@ class TestFastPathMatchesLineParser:
             with mock.patch.object(embeddings, "CHUNK_CHARS", chunk_chars), \
                     mock.patch.object(embeddings, "_parse_lines", parse_lines):
                 fast = _outcome(path)
-            with mock.patch.object(embeddings, "_parse_chunks", lambda fh, keep: None):
+            with mock.patch.object(embeddings, "_parse_chunks", lambda *args: None):
                 reference = _outcome(path)
         assert fast == reference
         if not corrupted:
@@ -223,6 +223,42 @@ def _file_symbols(text: str) -> list[str]:
     return [line.split()[0] for line in text.splitlines()[1:] if line.split()]
 
 
+def _check_kept_rows(case, chunk_chars, picks, absent, collide=False):
+    """Loading with a keep set, by either path, gives the kept rows of the
+    full load or its error, and empties an ``absent`` set of every symbol of
+    the file."""
+    text, corrupted = case
+    symbols = _file_symbols(text)
+    keep = {symbols[i] for i in picks if i < len(symbols)}
+    if absent:
+        keep.add("ENTITY/not_in_the_file")
+    left = {"fast": set(keep), "reference": set(keep)}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "space.txt"
+        path.write_bytes(text.encode("utf-8"))
+        parse_lines = mock.Mock(wraps=embeddings._parse_lines)
+        with mock.patch.object(embeddings, "CHUNK_CHARS", chunk_chars), \
+                mock.patch.object(embeddings, "_parse_lines", parse_lines):
+            full = _outcome(path)
+            fast = _outcome(path, keep, left["fast"])
+        with mock.patch.object(embeddings, "_parse_chunks", lambda *args: None):
+            reference = _outcome(path, keep, left["reference"])
+    if full[0] == "error":
+        expected = full
+    else:
+        _, all_symbols, shape, data = full
+        ids = [i for i, sym in enumerate(all_symbols) if sym in keep]
+        rows = np.frombuffer(data, dtype=np.float32).reshape(shape)[ids]
+        expected = ("space", tuple(all_symbols[i] for i in ids), rows.shape,
+                    rows.tobytes())
+        assert left["fast"] == left["reference"] == keep - set(all_symbols)
+    assert fast == expected
+    assert reference == expected
+    if not corrupted:
+        # A clean file needs the line-by-line parser only for a collision.
+        assert parse_lines.called == (collide and len(symbols) > 1)
+
+
 class TestKeep:
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(case=space_texts(), chunk_chars=st.integers(1, 80),
@@ -237,70 +273,80 @@ class TestKeep:
     def test_kept_rows_of_the_full_load_or_the_same_error(
         self, case, chunk_chars, picks, absent
     ):
-        text, corrupted = case
-        symbols = _file_symbols(text)
-        keep = {symbols[i] for i in picks if i < len(symbols)}
-        if absent:
-            keep.add("ENTITY/not_in_the_file")
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "space.txt"
-            path.write_bytes(text.encode("utf-8"))
-            parse_lines = mock.Mock(wraps=embeddings._parse_lines)
-            with mock.patch.object(embeddings, "CHUNK_CHARS", chunk_chars), \
-                    mock.patch.object(embeddings, "_parse_lines", parse_lines):
-                full = _outcome(path)
-                fast = _outcome(path, keep)
-            with mock.patch.object(embeddings, "_parse_chunks", lambda fh, keep: None):
-                reference = _outcome(path, keep)
-        if full[0] == "error":
-            expected = full
-        else:
-            _, all_symbols, shape, data = full
-            ids = [i for i, sym in enumerate(all_symbols) if sym in keep]
-            rows = np.frombuffer(data, dtype=np.float32).reshape(shape)[ids]
-            expected = ("space", tuple(all_symbols[i] for i in ids), rows.shape,
-                        rows.tobytes())
-        assert fast == expected
-        assert reference == expected
-        if not corrupted:
-            assert not parse_lines.called
+        _check_kept_rows(case, chunk_chars, picks, absent)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(case=space_texts(), chunk_chars=st.integers(1, 80),
+           picks=st.sets(st.integers(0, 7)), absent=st.booleans())
+    def test_colliding_hashes_change_no_result(self, case, chunk_chars, picks, absent):
+        # Every symbol hashes alike, so every file of two or more rows looks
+        # like it holds a duplicate, and the line-by-line path decides.
+        with mock.patch.object(embeddings, "_symbol_hash", lambda sym: 0):
+            _check_kept_rows(case, chunk_chars, picks, absent, collide=True)
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_duplicate_in_another_chunk_names_its_line(self, tmp_path, collide):
+        path = write(tmp_path / "space.txt", "3 1\na 0.5\nb 1\na 2\n")
+        with mock.patch.object(embeddings, "CHUNK_CHARS", 1), \
+                mock.patch.object(embeddings, "_symbol_hash",
+                                  (lambda sym: 0) if collide else hash):
+            with pytest.raises(DataError, match=r"line 4: duplicate symbol 'a'"):
+                load_space(path, SpaceKind.WORD_AND_ENTITY, {"b"})
 
     def test_keep_raises_the_memory_high_water_mark_far_less(self, tmp_path):
-        # The high-water mark of resident memory (VmHWM) is per process, so
-        # each load runs in a fresh interpreter.
-        if not Path("/proc/self/status").exists():
-            pytest.skip("needs /proc/self/status")
-        n, dim = 30_000, 64
-        values = np.random.default_rng(9).standard_normal((n, dim)).astype(np.float32)
-        path = tmp_path / "big.txt"
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(f"{n} {dim}\n")
-            np.savetxt(fh, np.column_stack([np.arange(n), values]),
-                       fmt=["ENTITY/E%d"] + ["%.8g"] * dim)
-        script = (
-            "import sys\n"
-            "from entkit.embeddings import SpaceKind, load_space\n"
-            "def hwm():\n"
-            "    with open('/proc/self/status') as fh:\n"
-            "        return next(int(line.split()[1]) for line in fh\n"
-            "                    if line.startswith('VmHWM:'))\n"
-            "keep = {f'ENTITY/E{i}' for i in range(0, 30_000, 300)}\n"
-            "keep = keep if sys.argv[2] == 'keep' else None\n"
-            "before = hwm()\n"
-            "space = load_space(sys.argv[1], SpaceKind.WORD_AND_ENTITY, keep)\n"
-            "print(len(space.vocab), hwm() - before)\n"
-        )
-        env = {**os.environ,
-               "PYTHONPATH": str(Path(embeddings.__file__).resolve().parents[1])}
+        n = 30_000
+        path = _write_entity_space(tmp_path / "big.txt", n, 64, seed=9)
         grown = {}
-        for mode in ("all", "keep"):
-            proc = subprocess.run(
-                [sys.executable, "-c", script, str(path), mode],
-                capture_output=True, text=True, env=env, check=True,
-            )
-            rows, grown[mode] = map(int, proc.stdout.split())
+        for mode, keep in (("all", "None"),
+                           ("keep", "{f'ENTITY/E{i}' for i in range(0, 30_000, 300)}")):
+            rows, grown[mode] = _load_in_a_fresh_process(path, keep)
             assert rows == (n if mode == "all" else 100)
         assert grown["keep"] < grown["all"] / 2, grown
+
+    def test_duplicate_check_costs_a_few_bytes_per_file_row(self, tmp_path):
+        # Duplicates are found from one 8-byte hash per row, not from a set
+        # of every symbol (about 100 bytes per row).
+        n = 300_000
+        path = _write_entity_space(tmp_path / "tall.txt", n, 4, seed=10)
+        rows, grown_kib = _load_in_a_fresh_process(path, "{'ENTITY/E7'}")
+        assert rows == 1
+        assert grown_kib * 1024 < 48 * n, grown_kib
+
+
+def _write_entity_space(path, n: int, dim: int, seed: int):
+    """A space of ``n`` random rows named ``ENTITY/E0`` to ``ENTITY/E{n-1}``."""
+    values = np.random.default_rng(seed).standard_normal((n, dim)).astype(np.float32)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{n} {dim}\n")
+        np.savetxt(fh, np.column_stack([np.arange(n), values]),
+                   fmt=["ENTITY/E%d"] + ["%.8g"] * dim)
+    return path
+
+
+def _load_in_a_fresh_process(path, keep: str) -> tuple[int, int]:
+    """Load ``path`` keeping the set the expression ``keep`` builds, in a new
+    interpreter, and return the rows held and how many KiB the load raised
+    the high-water mark of resident memory (VmHWM, which is per process)."""
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    script = (
+        "import sys\n"
+        "from entkit.embeddings import SpaceKind, load_space\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        f"keep = {keep}\n"
+        "before = hwm()\n"
+        "space = load_space(sys.argv[1], SpaceKind.WORD_AND_ENTITY, keep)\n"
+        "print(len(space.vocab), hwm() - before)\n"
+    )
+    env = {**os.environ,
+           "PYTHONPATH": str(Path(embeddings.__file__).resolve().parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script, str(path)],
+                          capture_output=True, text=True, env=env, check=True)
+    rows, grown = map(int, proc.stdout.split())
+    return rows, grown
 
 
 def _load_through_fifo(tmp_path, text: str, keep=None):
