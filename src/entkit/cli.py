@@ -319,23 +319,23 @@ def cmd_link(args) -> int:
         if not math.isfinite(value):
             raise UsageError(f"entkit link: {flag} must be finite, got {value}")
     wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
-    table = entity_linking.load_candidate_table(args.table, args.max_span)
     docs = entity_linking.load_documents(args.docs)
+    # The table holds candidates only for the surfaces the documents' spans
+    # can take, and the entities of all its rows.
+    table = entity_linking.load_candidate_table(
+        args.table, args.max_span, [doc.tokens for doc in docs]
+    )
     doc_spans = [
         entity_linking.generate_candidates(doc.tokens, table.spans, args.max_span)
         for doc in docs
     ]
-    missing = table.entities()
-    del table  # the spans hold every candidate the run can reach
     # Training and decoding read these spans and embed only their candidates;
-    # the load empties ``missing`` of every symbol the space holds.
+    # the load strikes every symbol the space holds from the table's entities.
     reached = {c.entity for spans in doc_spans for span in spans for c in span.candidates}
-    wiki, amap = _load_entity_side(wp, args.ent_space, args.align, reached, missing)
-    if missing:
-        raise DataError(
-            f"candidate entities missing from entity space: {sorted(missing)[:5]}"
-        )
-    del missing  # empty now, but a set keeps the table it grew to
+    wiki, amap = _load_entity_side(wp, args.ent_space, args.align, reached, table.entities)
+    if absent := table.entities.remaining():
+        raise DataError(f"candidate entities missing from entity space: {absent[:5]}")
+    del table  # the spans hold every candidate the run can reach
     ent = alignment.derive_entity_space(amap, wiki, reached)
     del wiki  # only the derived rows are needed
     redirects = (

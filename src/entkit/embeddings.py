@@ -119,7 +119,7 @@ def load_space(
     path,
     kind: SpaceKind,
     keep: Container[str] | None = None,
-    absent: set[str] | None = None,
+    absent=None,
 ) -> EmbeddingSpace:
     """Load an embedding space from word2vec text format.
 
@@ -134,8 +134,9 @@ def load_space(
     The errors are those of a full load, so a bad row outside ``keep``
     still fails it, but the memory held grows with the kept rows.
 
-    With ``absent``, every symbol of the file is removed from that set, kept
-    or not, so what is left is what the file lacks.
+    With ``absent``, a set or any object with a set's ``difference_update``,
+    every symbol of the file is removed from it, kept or not, so what is
+    left is what the file lacks.
     """
     with open(path, encoding="utf-8") as fh:
         # The fast path needs a regular file: its size bounds the allocation,
@@ -231,17 +232,22 @@ def _parse_chunks(fh, keep, absent) -> tuple[list[str], np.ndarray, str | None] 
         symbols += kept
         if absent is not None:
             absent.difference_update(chunk_symbols)
-    if read != count:
-        return None
-    # A stable sort and count_nonzero, not the default sort and ``.any()``:
-    # code a first call touches stays resident, and on x86-64 (numpy 2.4) the
-    # default sort's SIMD code is about 0.2 MiB more, while the cloze ranking's
-    # stable argsort touches the stable sort's code anyway.
-    hashes.sort(kind="stable")
-    if np.count_nonzero(hashes[1:] == hashes[:-1]):  # a duplicate, or a collision
+    if read != count or has_tie(hashes):  # a duplicate, or a collision
         return None
     matrix.resize((len(symbols), dim), refcheck=False)
     return symbols, matrix, bad
+
+
+def has_tie(hashes: np.ndarray) -> bool:
+    """Sort ``hashes`` in place and tell whether two of them are equal.
+
+    A stable sort and count_nonzero, not the default sort and ``.any()``:
+    code a first call touches stays resident, and on x86-64 (numpy 2.4) the
+    default sort's SIMD code is about 0.2 MiB more, while the cloze ranking's
+    stable argsort touches the stable sort's code anyway.
+    """
+    hashes.sort(kind="stable")
+    return bool(np.count_nonzero(hashes[1:] == hashes[:-1]))
 
 
 def _parse_lines(path, text: str) -> tuple[list[str], np.ndarray]:

@@ -12,6 +12,7 @@ import sys
 import tempfile
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -474,6 +475,61 @@ class TestLink:
         assert (code, stdout) == (2, "")
         assert stderr == f"entkit: data error: {docs}: line 1: invalid JSON\n"
 
+    def test_malformed_docs_win_over_a_malformed_table(self, tmp_path, capsys):
+        # The documents decide which table rows are held, so they are read
+        # first and their error is the one reported.
+        table = tmp_path / "table.tsv"
+        table.write_text("Adams\tENTITY/Tony_Adams\n", encoding="utf-8")
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text('{"doc_id": "d"}\n', encoding="utf-8")
+        code, stdout, stderr = run(
+            capsys, "link", "--docs", str(docs), "--table", str(table),
+            "--wp-space", WP, "--ent-space", WIKI, "--align", str(tmp_path / "none.tsv"),
+            "--eval", "--out-dir", str(tmp_path / "o"),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == f"entkit: data error: {docs}: line 1: missing doc_id/tokens\n"
+
+    def test_missing_entity_hashing_like_a_space_symbol_exit_data(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # ENTITY/Martian is not in the space but hashes like ENTITY/John_Adams,
+        # which is: the string comparison still finds it missing.
+        from entkit import entity_linking as el
+
+        align = fit_alignment_file(tmp_path, capsys)
+        table = tmp_path / "table.tsv"
+        table.write_text("Adams\tENTITY/John_Adams\t0.5\nAdams\tENTITY/Martian\t0.5\n",
+                         encoding="utf-8")
+        monkeypatch.setattr(el, "_table_hash", lambda item: hash(
+            "ENTITY/John_Adams" if item == "ENTITY/Martian" else item))
+        code, stdout, stderr = run(
+            capsys, "link", "--docs", EL_DOCS, "--table", str(table),
+            "--wp-space", WP, "--ent-space", WIKI, "--align", align,
+            "--eval", "--out-dir", str(tmp_path / "o"),
+        )
+        assert (code, stdout) == (2, "")
+        assert stderr == ("entkit: data error: candidate entities missing from "
+                          "entity space: ['ENTITY/Martian']\n")
+
+    def test_verbose_logs_the_rows_the_table_keeps(self, tmp_path, capsys):
+        align = fit_alignment_file(tmp_path, capsys)
+        table = tmp_path / "table.tsv"
+        table.write_text(Path(EL_TABLE).read_text(encoding="utf-8")
+                         + "Nowhere\tENTITY/Jean_Marais\t0.5\n", encoding="utf-8")
+        argv = [sys.executable, "-m", "entkit", "link", "--docs", EL_DOCS,
+                "--table", str(table), "--wp-space", WP, "--ent-space", WIKI,
+                "--align", align, "--eval"]
+        stderr = {}
+        for verbose in ([], ["-v"]):
+            out_dir = str(tmp_path / f"o{len(verbose)}")
+            proc = subprocess.run([*argv[:3], *verbose, *argv[3:], "--out-dir", out_dir],
+                                  capture_output=True, text=True)
+            assert proc.returncode == 0, proc.stderr
+            stderr[bool(verbose)] = proc.stderr
+        assert stderr[False] == ""
+        assert "candidate table: kept 4 of 5 rows (2 surfaces)\n" in stderr[True]
+
     @pytest.mark.parametrize("mode", ["--eval", "--train"])
     @pytest.mark.parametrize("source", ["fixtures", "world"])
     def test_entity_space_holds_only_the_rows_the_spans_reach(
@@ -518,7 +574,7 @@ class TestLink:
         assert set(loaded[1].vocab.symbols) == reached
         if source == "world":
             # The table names entities no span reaches; they are not held.
-            assert reached < el.load_candidate_table(table).entities()
+            assert reached < set(el.load_candidate_table(table).entities.remaining())
 
     def test_iterations_below_one_exit_usage_before_loading(self, tmp_path, capsys):
         # The documents file does not exist: --iterations must be rejected first.
@@ -1073,6 +1129,64 @@ def test_unmatched_table_surfaces_change_no_link_output(
         for name in ("link-eval", "link-train"):
             outputs = command_outputs(fixtures, Path(tmp) / name, ENTITY_COMMANDS[name])
             assert outputs == entity_baseline[name], name
+
+
+@pytest.mark.parametrize("name", ["link-eval", "link-train"])
+def test_colliding_table_hashes_change_no_link_output(
+    pristine_fixtures, entity_baseline, tmp_path, name
+):
+    # Every pair, surface and entity hashes alike: the exact check runs, every
+    # surface is held and every entity is confirmed by string.
+    from entkit import entity_linking as el
+
+    with mock.patch.object(el, "_table_hash", lambda item: 0):
+        outputs = command_outputs(pristine_fixtures, tmp_path / name, ENTITY_COMMANDS[name])
+    assert outputs == entity_baseline[name]
+
+
+def _link_hwm_growth_kib(tmp_path, table: Path, align: str) -> int:
+    """KiB by which ``link --eval`` on the fixture documents and ``table``
+    raises the high-water mark of resident memory (VmHWM) of a new
+    interpreter that has already imported the linker."""
+    script = (
+        "import sys\n"
+        "import entkit.entity_linking\n"
+        "from entkit.cli import main\n"
+        "def hwm():\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        return next(int(line.split()[1]) for line in fh\n"
+        "                    if line.startswith('VmHWM:'))\n"
+        "before = hwm()\n"
+        "assert main(sys.argv[1:]) == 0\n"
+        "print(hwm() - before)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(entkit.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "link", "--docs", EL_DOCS, "--table", str(table),
+         "--wp-space", WP, "--ent-space", WIKI, "--align", align, "--eval",
+         "--out-dir", str(tmp_path / table.stem)],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    return int(proc.stdout.split()[-1])
+
+
+def test_link_memory_grows_little_with_unreached_table_rows(tmp_path, capsys):
+    # The documents reach 4 of the table's rows; a row they do not reach
+    # costs a few hashes and its entity's bytes, not a candidate object.
+    if not Path("/proc/self/status").exists():
+        pytest.skip("needs /proc/self/status")
+    align = fit_alignment_file(tmp_path, capsys)
+    entities = _fixture_entities()
+    grown = {}
+    for n in (1_000, 101_000):
+        table = tmp_path / f"table{n}.tsv"
+        with open(table, "w", encoding="utf-8") as fh:
+            fh.write(Path(EL_TABLE).read_text(encoding="utf-8"))
+            fh.writelines(f"unreached {i}\t{entities[i % len(entities)]}\t0.5\n"
+                          for i in range(n))
+        grown[n] = _link_hwm_growth_kib(tmp_path, table, align)
+    per_row = (grown[101_000] - grown[1_000]) * 1024 / 100_000
+    assert per_row <= 120, (grown, per_row)
 
 
 _NUMBER = re.compile(r"[-+]?(\d+\.?\d*(e[-+]?\d+)?|nan|inf(inity)?)", re.IGNORECASE)

@@ -2,9 +2,14 @@
 redirect canonicalization, and strong-match scoring."""
 
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SPECIAL_PIECES,
@@ -15,12 +20,15 @@ from conftest import (
     span_posterior,
     wp_space_with,
 )
+from entkit import entity_linking
+from entkit._tsv import tsv_rows
 from entkit.entity_linking import (
     Candidate,
     CandidateSpan,
     Document,
     GoldAnnotation,
     NullEntityParams,
+    PackedSymbols,
     SpanState,
     build_el_input,
     build_training_examples,
@@ -92,9 +100,9 @@ class TestLoadCandidateTable:
             Candidate("ENTITY/Platt_Bridge", 0.3),
         )
         assert table.rejected_long_keys == 0
-        assert table.entities() == {
-            "ENTITY/David_Platt", "ENTITY/Platt_Bridge", "ENTITY/Abc",
-        }
+        assert table.entities.remaining() == [
+            "ENTITY/Abc", "ENTITY/David_Platt", "ENTITY/Platt_Bridge",
+        ]
 
     def test_long_keys_rejected_and_counted(self, tmp_path):
         f = tmp_path / "t.tsv"
@@ -123,6 +131,143 @@ class TestLoadCandidateTable:
         f.write_text(row, encoding="utf-8")
         with pytest.raises(DataError, match=msg):
             load_candidate_table(f)
+
+
+def _reference_table(path, max_span: int):
+    """One exact pass over a candidate table that holds every row: the
+    candidates of every surface, the entities of the rows within the length
+    limit and the count of longer rows, or the DataError of the first bad
+    row."""
+    spans: dict[str, list[Candidate]] = {}
+    rejected = 0
+    for lineno, (surface, entity, prior_text) in tsv_rows(path, 3):
+        if not entity.startswith("ENTITY/"):
+            raise DataError(f"{path}: line {lineno}: entity must be an ENTITY/ symbol")
+        try:
+            prior = float(prior_text)
+        except ValueError:
+            raise DataError(f"{path}: line {lineno}: unparseable prior") from None
+        if not (0.0 < prior <= 1.0):
+            raise DataError(f"{path}: line {lineno}: prior must lie in (0, 1], got {prior}")
+        if len(surface.split()) > max_span:
+            rejected += 1
+            continue
+        cands = spans.setdefault(surface, [])
+        if entity in {c.entity for c in cands}:
+            raise DataError(f"{path}: line {lineno}: duplicate candidate {entity!r} "
+                            f"for surface {surface!r}")
+        cands.append(Candidate(entity, prior))
+    entities = {c.entity for cands in spans.values() for c in cands}
+    return {s: tuple(c) for s, c in spans.items()}, entities, rejected
+
+
+def _surfaces(docs, max_span: int) -> set[str]:
+    return {" ".join(tokens[start:end])
+            for tokens in docs for start in range(len(tokens))
+            for end in range(start + 1, min(start + max_span, len(tokens)) + 1)}
+
+
+_WORDS = ["a", "b", "c d", "é"]
+_TABLE_LINES = st.lists(
+    st.one_of(
+        st.tuples(
+            st.lists(st.sampled_from(_WORDS), min_size=1, max_size=3).map(" ".join),
+            st.sampled_from(["ENTITY/X", "ENTITY/Y", "ENTITY/Ü", "ENTITY/X "]),
+            st.sampled_from(["0.5", "1", "0.25"]),
+        ).map("\t".join),
+        # Rarer bad rows: a bad entity or prior, a missing field, a blank line.
+        st.sampled_from(["a\tX\t0.5", "b\tENTITY/X\t2", "c\tENTITY/Y\tp",
+                         "a\tENTITY/X", ""]),
+    ),
+    max_size=12,
+)
+
+
+class TestStreamedTable:
+    """``load_candidate_table`` with documents streams the file once and
+    holds only the surfaces their spans can take; the reference pass holds
+    every row."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lines=_TABLE_LINES,
+           docs=st.lists(st.lists(st.sampled_from(["a", "b", "c", "d", "é"]), max_size=5),
+                         max_size=3),
+           max_span=st.integers(1, 3), collide=st.booleans())
+    # A duplicate pair before a bad row: the duplicate's line is named.
+    @example(lines=["a\tENTITY/X\t0.5", "a\tENTITY/X\t1", "a\tX\t0.5"], docs=[["a"]],
+             max_span=1, collide=False)
+    def test_same_candidates_entities_and_errors_as_one_exact_pass(
+        self, lines, docs, max_span, collide
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "table.tsv"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            try:
+                expected = _reference_table(path, max_span)
+            except DataError as exc:
+                expected = str(exc)
+            # A constant hash makes every pair, surface and entity collide.
+            with mock.patch.object(entity_linking, "_table_hash",
+                                   (lambda item: 0) if collide else hash):
+                try:
+                    table = load_candidate_table(path, max_span, docs)
+                except DataError as exc:
+                    assert str(exc) == expected
+                    return
+        spans, entities, rejected = expected
+        assert table.rejected_long_keys == rejected
+        assert table.entities.remaining() == sorted(entities)
+        reached = _surfaces(docs, max_span)
+        assert {s: c for s, c in table.spans.items() if s in reached} == \
+            {s: c for s, c in spans.items() if s in reached}
+        # A surface kept on a hash collision keeps its full candidate list.
+        assert all(spans[s] == c for s, c in table.spans.items())
+        if collide:
+            assert table.spans == (spans if reached else {})
+
+    @pytest.mark.parametrize("collide", [False, True])
+    def test_duplicate_pair_gives_the_exact_line_numbered_error(self, tmp_path, collide):
+        f = tmp_path / "t.tsv"
+        f.write_text("x\tENTITY/X\t0.5\ny\tENTITY/Y\t0.5\n"
+                     "x\tENTITY/X\t0.4\nz\tZ\t0.5\n", encoding="utf-8")
+        with mock.patch.object(entity_linking, "_table_hash",
+                               (lambda item: 0) if collide else hash):
+            with pytest.raises(DataError) as exc:
+                load_candidate_table(f, 7, [["y"]])
+        assert str(exc.value) == (
+            f"{f}: line 3: duplicate candidate 'ENTITY/X' for surface 'x'"
+        )
+
+    def test_holds_only_the_surfaces_the_documents_reach(self, tmp_path):
+        f = tmp_path / "t.tsv"
+        f.write_text("a b\tENTITY/Ab\t1\nb\tENTITY/B\t1\nc\tENTITY/C\t1\n"
+                     "b c\tENTITY/Bc\t0.5\n", encoding="utf-8")
+        table = load_candidate_table(f, 2, [("a", "b"), ()])
+        assert table.spans == {"a b": (Candidate("ENTITY/Ab", 1.0),),
+                               "b": (Candidate("ENTITY/B", 1.0),)}
+        assert table.entities.remaining() == [
+            "ENTITY/Ab", "ENTITY/B", "ENTITY/Bc", "ENTITY/C",
+        ]
+        assert load_candidate_table(f, 2, []).spans == {}
+
+
+class TestPackedSymbols:
+    def test_equal_hashes_are_confirmed_by_string(self):
+        with mock.patch.object(entity_linking, "_table_hash", lambda item: 0):
+            symbols = PackedSymbols()
+            symbols.update(["ENTITY/A", "ENTITY/Ü"])
+            symbols.update(["ENTITY/B", "ENTITY/A", ""])
+            symbols.difference_update(["ENTITY/A", "ENTITY/C", "ENTITY/"])
+            assert symbols.remaining() == ["", "ENTITY/B", "ENTITY/Ü"]
+
+    def test_removes_only_symbols_it_holds(self):
+        symbols = PackedSymbols()
+        symbols.update([])
+        symbols.update(["ENTITY/A"])
+        symbols.difference_update([])
+        symbols.difference_update(["ENTITY/B", "ENTITY/A"])
+        assert symbols.remaining() == []
+        assert PackedSymbols().remaining() == []
 
 
 class TestGenerateCandidates:
