@@ -14,17 +14,18 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate, chain
 from math import log
-from operator import eq
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from ._candidate_table import Candidate, CandidateTable, stream_table, whole_table
 from ._tsv import tsv_rows
-from .embeddings import EmbeddingSpace, Vocabulary, has_tie
+from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
 from .scorer import AffineHead, candidate_gradients, candidate_probs
 from .symbols import is_entity_symbol
@@ -33,11 +34,6 @@ from .text_input import Token, TokenSequence, expand, layout, wordpiece_tokens
 logger = logging.getLogger(__name__)
 
 REDIRECT_DEPTH_LIMIT = 16
-
-
-class Candidate(NamedTuple):
-    entity: str
-    prior: float
 
 
 class SpanState(Enum):
@@ -107,105 +103,6 @@ class Document:
     golds: tuple[GoldAnnotation, ...] = ()
 
 
-# The hash the candidate table's checks compare by: table surfaces against
-# the documents' span keys, (surface, entity) pairs against each other, and
-# table entities against a space's symbols. Equal hashes only ever lead to
-# an exact comparison, so a collision costs time, not results.
-_table_hash = hash
-
-# Rows of the candidate table handled at a time: matched against the span
-# keys as they stream, or compared with a space's symbols.
-TABLE_CHUNK_ROWS = 1024
-
-
-def _hashes(items: Iterable) -> np.ndarray:
-    """The ``_table_hash`` of each item, as int64."""
-    return np.fromiter(map(_table_hash, items), dtype=np.int64)
-
-
-class PackedSymbols:
-    """A multiset of strings held as one UTF-8 buffer with offsets and an
-    int64 hash per string, not as string objects.
-
-    ``difference_update`` removes every copy of each symbol it is given, as
-    a set's does: the hash finds the strings that may equal a symbol and a
-    byte comparison confirms each, so an equal hash never removes a
-    different string. Symbols are removed in batches of at least
-    ``TABLE_CHUNK_ROWS``, and the last batch when ``remaining`` is asked.
-    Strings are added before the first removal.
-    """
-
-    def __init__(self):
-        self._text = bytearray()
-        # Native int64s: string i is _text[_bounds[i]:_bounds[i + 1]].
-        self._bounds = bytearray(8)
-        self._hashes = bytearray()
-        self._order = None
-        self._pending: list[str] = []  # symbols to remove in the next batch
-
-    def update(self, symbols: Sequence[str]) -> None:
-        encoded = [sym.encode("utf-8") for sym in symbols]
-        ends = np.fromiter(map(len, encoded), dtype=np.int64).cumsum() + len(self._text)
-        self._bounds += ends.tobytes()
-        self._text += b"".join(encoded)
-        self._hashes += _hashes(symbols).tobytes()
-
-    def _index(self) -> None:
-        """Sort the hashes in place once; ``_order`` maps each sorted
-        position to its string."""
-        if self._order is None:
-            self._sorted = np.frombuffer(self._hashes, dtype=np.int64)
-            self._order = np.argsort(self._sorted, kind="stable")
-            self._sorted.sort(kind="stable")
-            self._left = np.ones(len(self._order), dtype=bool)
-
-    def _strings(self, at: np.ndarray) -> list[bytearray]:
-        """The strings at the sorted positions ``at``."""
-        i = self._order[at]
-        bounds = np.frombuffer(self._bounds, dtype=np.int64)
-        return [self._text[s:e] for s, e in zip(bounds[i].tolist(), bounds[i + 1].tolist())]
-
-    def difference_update(self, symbols: Iterable[str]) -> None:
-        self._pending += symbols
-        if len(self._pending) >= TABLE_CHUNK_ROWS:
-            self._remove_pending()
-
-    def _remove_pending(self) -> None:
-        self._index()
-        symbols, self._pending = self._pending, []
-        hashes = _hashes(symbols)
-        # Looking the hashes up in ascending order keeps the searches local.
-        by_hash = np.argsort(hashes, kind="stable")
-        hashes = hashes[by_hash]
-        lo = self._sorted.searchsorted(hashes, side="left")
-        count = self._sorted.searchsorted(hashes, side="right") - lo
-        at = _ranges(lo, count)  # each sorted position a symbol's hash finds
-        of = np.repeat(by_hash, count)  # and the symbol
-        for b in range(0, len(at), TABLE_CHUNK_ROWS):
-            block = at[b : b + TABLE_CHUNK_ROWS]
-            want = [symbols[k].encode("utf-8")
-                    for k in of[b : b + TABLE_CHUNK_ROWS].tolist()]
-            same = np.fromiter(map(eq, self._strings(block), want), dtype=bool,
-                               count=len(want))
-            self._left[block[same]] = False
-
-    def remaining(self) -> list[str]:
-        """The distinct strings not removed, sorted."""
-        self._remove_pending()
-        return sorted({s.decode("utf-8") for s in self._strings(np.flatnonzero(self._left))})
-
-
-@dataclass
-class CandidateTable:
-    """The candidates of the surfaces a run can reach, the entities of every
-    row within the length limit, and the count of rows rejected for their
-    length."""
-
-    spans: dict[str, tuple[Candidate, ...]]
-    entities: PackedSymbols
-    rejected_long_keys: int = 0
-
-
 def span_keys(tokens: Sequence[str], max_span: int) -> Iterator[tuple[int, int, str]]:
     """``(start, end, surface)`` of every span of up to ``max_span`` tokens,
     in (start, end) lexicographic order: the keys a table is looked up by."""
@@ -223,112 +120,37 @@ def load_candidate_table(
     Duplicate (surface, entity) rows are an error. Keys longer than
     ``max_span`` whitespace tokens are rejected and counted.
 
-    Given ``docs``, token sequences, the table holds candidates only for
-    surfaces among their ``span_keys`` (and, on a hash collision, perhaps a
-    few more), so its memory grows with the documents, not with the file.
-    Every row is still checked, and ``entities`` holds the entities of every
-    row within the length limit. The file is streamed once, with one hash
-    per (surface, entity) pair; a bad row or two equal hashes send it to
-    ``_check_rows``, which raises the line-numbered error of the first bad
-    row, or finds none and lets the stream run again without the hashes.
+    Given ``docs``, token sequences, and a regular file, the table holds
+    candidates only for surfaces among their ``span_keys`` (and, on a hash
+    collision, perhaps a few more), so its memory grows with the documents,
+    not with the file. Every row is still checked, and ``entities`` holds
+    the entities of every row within the length limit. The file is streamed
+    with one hash per (surface, entity) pair; a bad row or two equal hashes
+    make ``whole_table`` read it again, which raises the line-numbered
+    error of the first bad row, or finds none when the hashes merely
+    collide. Without ``docs`` (the whole table, as tests load it), or from
+    a file that cannot be read twice, such as a pipe, ``whole_table``'s one
+    exact pass holding every row is the load.
     """
-    keys = None
-    if docs is not None:
-        keys = _hashes(key for tokens in docs for _, _, key in span_keys(tokens, max_span))
-        keys.sort(kind="stable")
-    try:
-        table = _stream_table(path, max_span, keys, check_pairs=True)
-    except (DataError, UnicodeDecodeError):
-        table = None
-    if table is None:
-        _check_rows(path, max_span)
-        table = _stream_table(path, max_span, keys, check_pairs=False)
-    return table
-
-
-def _candidate_rows(path) -> Iterator[tuple[int, str, str, float]]:
-    """``(line number, surface, entity, prior)`` of each row, raising the
-    DataError of a row with a bad entity or prior."""
-    for lineno, (surface, entity, prior_text) in tsv_rows(path, 3):
-        if not is_entity_symbol(entity):
-            raise DataError(f"{path}: line {lineno}: entity must be an ENTITY/ symbol")
+    if docs is None or not os.path.isfile(path):
+        table = whole_table(path, max_span)
+    else:
+        surfaces = (key for tokens in docs for _, _, key in span_keys(tokens, max_span))
         try:
-            prior = float(prior_text)
-        except ValueError:
-            raise DataError(f"{path}: line {lineno}: unparseable prior") from None
-        if not (0.0 < prior <= 1.0):
-            raise DataError(
-                f"{path}: line {lineno}: prior must lie in (0, 1], got {prior}"
-            )
-        yield lineno, surface, entity, prior
-
-
-def _stream_table(
-    path, max_span: int, keys: np.ndarray | None, check_pairs: bool
-) -> CandidateTable | None:
-    """The table, or None when two (surface, entity) pairs hash alike."""
-    spans: dict[str, list[Candidate]] = {}
-    entities = PackedSymbols()
-    # Native int64 hashes of the (surface, entity) pairs.
-    pairs = bytearray() if check_pairs else None
-    rows = rejected = 0
-    chunk: list[tuple[str, str, float]] = []
-    for _, surface, entity, prior in _candidate_rows(path):
-        rows += 1
-        if len(surface.split()) > max_span:
-            rejected += 1
-            continue
-        chunk.append((surface, entity, prior))
-        if len(chunk) == TABLE_CHUNK_ROWS:
-            _take_chunk(chunk, keys, spans, entities, pairs)
-            chunk = []
-    _take_chunk(chunk, keys, spans, entities, pairs)
-    if pairs is not None and has_tie(np.frombuffer(pairs, dtype=np.int64)):
-        return None
-    if rejected:
-        logger.info("candidate table: rejected %d over-length keys", rejected)
+            table, tie = stream_table(path, max_span, surfaces)
+        except (DataError, UnicodeDecodeError):
+            table, tie = None, True
+        if tie:
+            # Raises the first bad row's error. A file that changed since the
+            # stream read it loads as it reads now.
+            whole = whole_table(path, max_span)
+            table = whole if table is None else table
+    if table.rejected_long_keys:
+        logger.info("candidate table: rejected %d over-length keys", table.rejected_long_keys)
     logger.info("candidate table: kept %d of %d rows (%d surfaces)",
-                sum(map(len, spans.values())), rows, len(spans))
-    return CandidateTable({s: tuple(c) for s, c in spans.items()}, entities, rejected)
-
-
-def _take_chunk(
-    chunk: list[tuple[str, str, float]],
-    keys: np.ndarray | None,
-    spans: dict[str, list[Candidate]],
-    entities: PackedSymbols,
-    pairs: bytearray | None,
-) -> None:
-    """Add a chunk of rows within the length limit: the entity of each, the
-    hash of each (surface, entity) pair to ``pairs``, and candidates for the
-    rows whose surface hash is among ``keys`` (every row without ``keys``)."""
-    entities.update([row[1] for row in chunk])
-    if pairs is not None:
-        pairs.extend(_hashes(row[:2] for row in chunk).tobytes())
-    if keys is not None:
-        if not (len(keys) and chunk):
-            return
-        hashes = _hashes(row[0] for row in chunk)
-        at = np.searchsorted(keys, hashes).clip(max=len(keys) - 1)
-        chunk = [row for row, hit in zip(chunk, (keys[at] == hashes).tolist()) if hit]
-    for surface, entity, prior in chunk:
-        spans.setdefault(surface, []).append(Candidate(entity, prior))
-
-
-def _check_rows(path, max_span: int) -> None:
-    """The exact check: raise the DataError of the first bad row or
-    duplicate (surface, entity) pair of a table, holding every row."""
-    seen: dict[str, set[str]] = {}
-    for lineno, surface, entity, _ in _candidate_rows(path):
-        if len(surface.split()) > max_span:
-            continue
-        entities = seen.setdefault(surface, set())
-        if entity in entities:
-            raise DataError(
-                f"{path}: line {lineno}: duplicate candidate {entity!r} "
-                f"for surface {surface!r}"
-            )
-        entities.add(entity)
+                sum(map(len, table.spans.values())),
+                len(table.entities) + table.rejected_long_keys, len(table.spans))
+    return table
 
 
 def generate_candidates(

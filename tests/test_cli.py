@@ -495,13 +495,13 @@ class TestLink:
     ):
         # ENTITY/Martian is not in the space but hashes like ENTITY/John_Adams,
         # which is: the string comparison still finds it missing.
-        from entkit import entity_linking as el
+        from entkit import _candidate_table
 
         align = fit_alignment_file(tmp_path, capsys)
         table = tmp_path / "table.tsv"
         table.write_text("Adams\tENTITY/John_Adams\t0.5\nAdams\tENTITY/Martian\t0.5\n",
                          encoding="utf-8")
-        monkeypatch.setattr(el, "_table_hash", lambda item: hash(
+        monkeypatch.setattr(_candidate_table, "_table_hash", lambda item: hash(
             "ENTITY/John_Adams" if item == "ENTITY/Martian" else item))
         code, stdout, stderr = run(
             capsys, "link", "--docs", EL_DOCS, "--table", str(table),
@@ -1137,9 +1137,9 @@ def test_colliding_table_hashes_change_no_link_output(
 ):
     # Every pair, surface and entity hashes alike: the exact check runs, every
     # surface is held and every entity is confirmed by string.
-    from entkit import entity_linking as el
+    from entkit import _candidate_table
 
-    with mock.patch.object(el, "_table_hash", lambda item: 0):
+    with mock.patch.object(_candidate_table, "_table_hash", lambda item: 0):
         outputs = command_outputs(pristine_fixtures, tmp_path / name, ENTITY_COMMANDS[name])
     assert outputs == entity_baseline[name]
 

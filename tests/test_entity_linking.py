@@ -2,7 +2,9 @@
 redirect canonicalization, and strong-match scoring."""
 
 import math
+import os
 import tempfile
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -20,7 +22,8 @@ from conftest import (
     span_posterior,
     wp_space_with,
 )
-from entkit import entity_linking
+from entkit import _candidate_table
+from entkit._candidate_table import PackedSymbols
 from entkit._tsv import tsv_rows
 from entkit.entity_linking import (
     Candidate,
@@ -28,7 +31,6 @@ from entkit.entity_linking import (
     Document,
     GoldAnnotation,
     NullEntityParams,
-    PackedSymbols,
     SpanState,
     build_el_input,
     build_training_examples,
@@ -184,7 +186,7 @@ _TABLE_LINES = st.lists(
 
 
 class TestStreamedTable:
-    """``load_candidate_table`` with documents streams the file once and
+    """``load_candidate_table`` with documents streams a regular file and
     holds only the surfaces their spans can take; the reference pass holds
     every row."""
 
@@ -207,7 +209,7 @@ class TestStreamedTable:
             except DataError as exc:
                 expected = str(exc)
             # A constant hash makes every pair, surface and entity collide.
-            with mock.patch.object(entity_linking, "_table_hash",
+            with mock.patch.object(_candidate_table, "_table_hash",
                                    (lambda item: 0) if collide else hash):
                 try:
                     table = load_candidate_table(path, max_span, docs)
@@ -230,7 +232,7 @@ class TestStreamedTable:
         f = tmp_path / "t.tsv"
         f.write_text("x\tENTITY/X\t0.5\ny\tENTITY/Y\t0.5\n"
                      "x\tENTITY/X\t0.4\nz\tZ\t0.5\n", encoding="utf-8")
-        with mock.patch.object(entity_linking, "_table_hash",
+        with mock.patch.object(_candidate_table, "_table_hash",
                                (lambda item: 0) if collide else hash):
             with pytest.raises(DataError) as exc:
                 load_candidate_table(f, 7, [["y"]])
@@ -251,9 +253,58 @@ class TestStreamedTable:
         assert load_candidate_table(f, 2, []).spans == {}
 
 
+def _table_outcome(path, docs):
+    """What ``load_candidate_table`` gives for ``path``: the candidates of the
+    surfaces ``docs`` reach, the entities and the rejected count, or the
+    error message with the path written as ``PATH``."""
+    try:
+        table = load_candidate_table(path, 2, docs)
+    except DataError as exc:
+        return str(exc).replace(str(path), "PATH")
+    reached = _surfaces(docs, 2)
+    return ({s: c for s, c in table.spans.items() if s in reached},
+            table.entities.remaining(), table.rejected_long_keys)
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+class TestPipeTable:
+    """A pipe cannot be read twice, so a table read from one is loaded in
+    one exact pass."""
+
+    DOCS = [["a", "b"]]
+
+    @pytest.mark.parametrize("text", [
+        "a\tENTITY/A\t0.5\nb\tENTITY/B\t1\nc d e\tENTITY/C\t1\nz\tENTITY/Z\t1\n",
+        "a\tENTITY/A\t0.5\nb\tENTITY/B\t2\n",
+        "a\tENTITY/A\t0.5\na\tENTITY/A\t1\nb\tB\t1\n",
+        "a\tENTITY/A\t0.5\nb\tENTITY/B\n",
+    ])
+    def test_same_table_or_error_as_the_file(self, tmp_path, text):
+        path = tmp_path / "table.tsv"
+        path.write_text(text, encoding="utf-8")
+        fifo = tmp_path / "table.fifo"
+        os.mkfifo(fifo)
+
+        def feed():
+            with open(fifo, "wb") as fh:
+                fh.write(text.encode("utf-8"))
+
+        outcome = []
+        writer = threading.Thread(target=feed, daemon=True)
+        # A second open of the pipe would wait for a writer forever.
+        loader = threading.Thread(
+            target=lambda: outcome.append(_table_outcome(fifo, self.DOCS)), daemon=True)
+        writer.start()
+        loader.start()
+        loader.join(timeout=10)
+        assert not loader.is_alive(), "the pipe was opened a second time"
+        writer.join(timeout=10)
+        assert outcome == [_table_outcome(path, self.DOCS)]
+
+
 class TestPackedSymbols:
     def test_equal_hashes_are_confirmed_by_string(self):
-        with mock.patch.object(entity_linking, "_table_hash", lambda item: 0):
+        with mock.patch.object(_candidate_table, "_table_hash", lambda item: 0):
             symbols = PackedSymbols()
             symbols.update(["ENTITY/A", "ENTITY/Ü"])
             symbols.update(["ENTITY/B", "ENTITY/A", ""])
