@@ -1,22 +1,23 @@
-"""The rows of a candidate table, read in one of two ways.
+"""The rows of a candidate table, read by ``read_table`` in one pass.
 
-``whole_table`` holds every row and checks each exactly. ``stream_table``
-holds candidates only for the surfaces it is given, checks every row from
-hashes and packs the table's entities into one buffer, so its memory grows
-with those surfaces, not with the file. ``entity_linking.load_candidate_table``
-chooses between them.
+The pass checks every row and holds candidates for every surface, or only
+for the surfaces it is given; then it hashes the (surface, entity) pairs
+and packs the table's entities into one buffer, so its memory grows with
+the held surfaces, not with the file. ``entity_linking.load_candidate_table``
+chooses the surfaces.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from operator import eq
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ._tsv import tsv_rows
-from .embeddings import has_tie
+from .embeddings import has_tie, hashes
 from .errors import DataError
 from .symbols import is_entity_symbol
 
@@ -26,20 +27,18 @@ class Candidate(NamedTuple):
     prior: float
 
 
-# The hash the streamed table's checks compare by: table surfaces against
-# the surfaces a run can reach, (surface, entity) pairs against each other,
-# and table entities against a space's symbols. Equal hashes only ever lead to
-# an exact comparison, so a collision costs time, not results.
-_table_hash = hash
-
 # Rows of the candidate table handled at a time: matched against the
 # surfaces as they stream, or compared with a space's symbols.
 TABLE_CHUNK_ROWS = 1024
 
 
-def _hashes(items: Iterable) -> np.ndarray:
-    """The ``_table_hash`` of each item, as int64."""
-    return np.fromiter(map(_table_hash, items), dtype=np.int64)
+def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The indices of the ranges ``start[i] .. start[i] + length[i] - 1``,
+    end to end, as int32."""
+    end = np.cumsum(length)
+    out = np.repeat((start - (end - length)).astype(np.int32), length)
+    out += np.arange(len(out), dtype=np.int32)
+    return out
 
 
 class PackedSymbols:
@@ -70,7 +69,7 @@ class PackedSymbols:
         ends = np.fromiter(map(len, encoded), dtype=np.int64).cumsum() + len(self._text)
         self._bounds += ends.tobytes()
         self._text += b"".join(encoded)
-        self._hashes += _hashes(symbols).tobytes()
+        self._hashes += hashes(symbols).tobytes()
 
     def _index(self) -> None:
         """Sort the hashes in place once; ``_order`` maps each sorted
@@ -95,17 +94,16 @@ class PackedSymbols:
     def _remove_pending(self) -> None:
         self._index()
         symbols, self._pending = self._pending, []
-        hashes = _hashes(symbols)
+        wanted = hashes(symbols)
         # Looking the hashes up in ascending order keeps the searches local.
-        by_hash = np.argsort(hashes, kind="stable")
-        hashes = hashes[by_hash]
-        lo = self._sorted.searchsorted(hashes, side="left")
-        count = self._sorted.searchsorted(hashes, side="right") - lo
+        by_hash = np.argsort(wanted, kind="stable")
+        wanted = wanted[by_hash]
+        lo = self._sorted.searchsorted(wanted, side="left")
+        count = self._sorted.searchsorted(wanted, side="right") - lo
         # Each sorted position a symbol's hash finds, and the symbol. A table
         # row's position fits in int32, which halves these arrays when a
         # batch finds many rows.
-        at = np.repeat((lo - (count.cumsum() - count)).astype(np.int32), count)
-        at += np.arange(len(at), dtype=np.int32)
+        at = _ranges(lo, count)
         of = np.repeat(by_hash.astype(np.int32), count)
         for b in range(0, len(at), TABLE_CHUNK_ROWS):
             block = at[b : b + TABLE_CHUNK_ROWS]
@@ -149,69 +147,58 @@ def _candidate_rows(path) -> Iterator[tuple[int, str, str, float]]:
         yield lineno, surface, entity, prior
 
 
-def whole_table(path, max_span: int) -> CandidateTable:
-    """One exact pass holding every row: the whole table, or the DataError
-    of its first bad row or duplicate (surface, entity) pair."""
-    spans: dict[str, list[Candidate]] = {}
-    rejected = 0
-    for lineno, surface, entity, prior in _candidate_rows(path):
-        if len(surface.split()) > max_span:
-            rejected += 1
-            continue
-        cands = spans.setdefault(surface, [])
-        if entity in {c.entity for c in cands}:
-            raise DataError(
-                f"{path}: line {lineno}: duplicate candidate {entity!r} "
-                f"for surface {surface!r}"
-            )
-        cands.append(Candidate(entity, prior))
-    entities = PackedSymbols()
-    entities.update([c.entity for cands in spans.values() for c in cands])
-    return CandidateTable({s: tuple(c) for s, c in spans.items()}, entities, rejected)
-
-
-def stream_table(
-    path, max_span: int, surfaces: Iterable[str]
+def read_table(
+    path, max_span: int, surfaces: Iterable[str] | None = None
 ) -> tuple[CandidateTable, bool]:
-    """The table holding the candidates of the rows whose surface hashes
-    like one of ``surfaces``, and whether two (surface, entity) pairs hash
-    alike."""
-    keys = _hashes(surfaces)
-    keys.sort(kind="stable")
-    spans: dict[str, list[Candidate]] = {}
+    """The table of the rows within ``max_span`` tokens, and whether two of
+    their (surface, entity) pairs hash alike.
+
+    The table holds the candidates of every row, or, given ``surfaces``, of
+    the rows whose surface hashes like one of them. Raises the line-numbered
+    DataError of the first bad row, or of the first held row that repeats a
+    held (surface, entity) pair: with every row held, the first duplicate.
+    A repeat among rows not held shows only as a tie of the pair hashes.
+    """
+    keys = None if surfaces is None else np.sort(hashes(surfaces), kind="stable")
+    spans: dict[str, dict[str, float]] = {}  # a surface's candidates, in row order
     entities = PackedSymbols()
     pairs = bytearray()  # native int64 hashes of the (surface, entity) pairs
     rejected = 0
-    chunk: list[tuple[str, str, float]] = []
-    for _, surface, entity, prior in _candidate_rows(path):
-        if len(surface.split()) > max_span:
-            rejected += 1
-            continue
-        chunk.append((surface, entity, prior))
-        if len(chunk) == TABLE_CHUNK_ROWS:
-            _take_chunk(chunk, keys, spans, entities, pairs)
-            chunk = []
-    _take_chunk(chunk, keys, spans, entities, pairs)
-    table = CandidateTable({s: tuple(c) for s, c in spans.items()}, entities, rejected)
+    chunk: list[tuple[int, str, str, float]] = []
+
+    def take_chunk() -> None:
+        """Add the entity and the pair hash of each row of ``chunk``, hold
+        the candidates of its rows whose surface is kept, and empty it."""
+        nonlocal chunk
+        rows, chunk = chunk, []
+        entities.update([row[2] for row in rows])
+        pairs.extend(hashes(row[1:3] for row in rows).tobytes())
+        if keys is not None:
+            found = hashes(row[1] for row in rows)
+            at = keys.searchsorted(found).clip(max=len(keys) - 1)
+            rows = compress(rows, (keys[at] == found).tolist() if len(keys) else ())
+        for lineno, surface, entity, prior in rows:
+            cands = spans.setdefault(surface, {})
+            if entity in cands:
+                raise DataError(
+                    f"{path}: line {lineno}: duplicate candidate {entity!r} "
+                    f"for surface {surface!r}"
+                )
+            cands[entity] = prior
+
+    try:
+        for row in _candidate_rows(path):
+            if len(row[1].split()) > max_span:
+                rejected += 1
+                continue
+            chunk.append(row)
+            if len(chunk) == TABLE_CHUNK_ROWS:
+                take_chunk()
+    finally:
+        # Also on a bad row, so a duplicate held before it is the error.
+        take_chunk()
+    table = CandidateTable(
+        {s: tuple(map(Candidate, c, c.values())) for s, c in spans.items()},
+        entities, rejected,
+    )
     return table, has_tie(np.frombuffer(pairs, dtype=np.int64))
-
-
-def _take_chunk(
-    chunk: list[tuple[str, str, float]],
-    keys: np.ndarray,
-    spans: dict[str, list[Candidate]],
-    entities: PackedSymbols,
-    pairs: bytearray,
-) -> None:
-    """Add a chunk of rows within the length limit: the entity of each, the
-    hash of each (surface, entity) pair to ``pairs``, and candidates for the
-    rows whose surface hash is among ``keys``."""
-    entities.update([row[1] for row in chunk])
-    pairs.extend(_hashes(row[:2] for row in chunk).tobytes())
-    if not (len(keys) and chunk):
-        return
-    hashes = _hashes(row[0] for row in chunk)
-    at = np.searchsorted(keys, hashes).clip(max=len(keys) - 1)
-    for (surface, entity, prior), hit in zip(chunk, (keys[at] == hashes).tolist()):
-        if hit:
-            spans.setdefault(surface, []).append(Candidate(entity, prior))

@@ -370,7 +370,7 @@ def cmd_link(args) -> int:
         lines.append(f"# dropped_unreachable_golds\t{dropped}")
         _write_lines(out / "losses.tsv", lines)
 
-    spans, steps = entity_linking.iterative_refine(
+    _, steps = entity_linking.iterative_refine(
         [(doc.tokens, spans) for doc, spans in zip(docs, doc_spans)], scorer, head, eps,
         iterations=args.iterations, use_emask=use_emask,
     )
@@ -381,14 +381,11 @@ def cmd_link(args) -> int:
     iter_lines = ["doc_id\titeration\tselectable\tquota\tdecoded"]
     predictions = []
     golds = []
-    at = 0
-    for doc, n_spans, doc_steps in zip(docs, map(len, doc_spans), steps_of):
+    for doc, spans, doc_steps in zip(docs, doc_spans, steps_of):
         decoded = sorted(
             (s.start, s.end, s.entity)
-            for s in spans[at : at + n_spans]
-            if s.state is entity_linking.SpanState.DECODED
+            for s in spans if s.state is entity_linking.SpanState.DECODED
         )
-        at += n_spans
         predictions.append(decoded)
         golds.append([(g.start, g.end, g.entity) for g in doc.golds])
         pred_lines.append(json.dumps(

@@ -42,9 +42,11 @@ from .symbols import is_entity_symbol
 # adds on top of the matrix does not grow with the table.
 CHUNK_CHARS = 1 << 16
 
-# The hash ``_parse_chunks`` finds duplicate symbols by. Equal hashes send
-# the load to the line-by-line path, so a collision costs time, not results.
-_symbol_hash = hash
+# The one hash strings are compared by before an exact comparison: a space's
+# symbols against each other here, and a candidate table's surfaces, (surface,
+# entity) pairs and entities in ``_candidate_table``. Equal hashes only ever
+# lead to an exact check, so a collision costs time, not results.
+_hash = hash
 
 
 class SpaceKind(Enum):
@@ -202,7 +204,7 @@ def _parse_chunks(fh, keep, absent) -> tuple[list[str], np.ndarray, str | None] 
     if os.fstat(fh.fileno()).st_size < count * (2 * dim + 1):
         return None
     matrix = np.empty((count, dim), dtype=np.float32)
-    hashes = np.empty(count, dtype=np.int64)
+    row_hashes = np.empty(count, dtype=np.int64)
     symbols: list[str] = []  # the kept ones
     bad = None
     read = 0
@@ -211,9 +213,7 @@ def _parse_chunks(fh, keep, absent) -> tuple[list[str], np.ndarray, str | None] 
         chunk_symbols = [p[0] for p in parts]
         if read > count or " ".join(chunk_symbols).split() != chunk_symbols:
             return None
-        hashes[read - len(parts) : read] = np.fromiter(
-            map(_symbol_hash, chunk_symbols), dtype=np.int64, count=len(parts)
-        )
+        row_hashes[read - len(parts) : read] = hashes(chunk_symbols)
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
@@ -232,10 +232,15 @@ def _parse_chunks(fh, keep, absent) -> tuple[list[str], np.ndarray, str | None] 
         symbols += kept
         if absent is not None:
             absent.difference_update(chunk_symbols)
-    if read != count or has_tie(hashes):  # a duplicate, or a collision
+    if read != count or has_tie(row_hashes):  # a duplicate, or a collision
         return None
     matrix.resize((len(symbols), dim), refcheck=False)
     return symbols, matrix, bad
+
+
+def hashes(items: Iterable) -> np.ndarray:
+    """The ``_hash`` of each item, as int64."""
+    return np.fromiter(map(_hash, items), dtype=np.int64)
 
 
 def has_tie(hashes: np.ndarray) -> bool:

@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from ._candidate_table import Candidate, CandidateTable, stream_table, whole_table
+from ._candidate_table import Candidate, CandidateTable, _ranges, read_table
 from ._tsv import tsv_rows
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
@@ -124,26 +124,27 @@ def load_candidate_table(
     candidates only for surfaces among their ``span_keys`` (and, on a hash
     collision, perhaps a few more), so its memory grows with the documents,
     not with the file. Every row is still checked, and ``entities`` holds
-    the entities of every row within the length limit. The file is streamed
-    with one hash per (surface, entity) pair; a bad row or two equal hashes
-    make ``whole_table`` read it again, which raises the line-numbered
+    the entities of every row within the length limit. Duplicate pairs
+    among the rows not held are found from one hash per (surface, entity)
+    pair; a bad row or two equal hashes make ``read_table`` read the file
+    again holding every row, the exact pass, which raises the line-numbered
     error of the first bad row, or finds none when the hashes merely
     collide. Without ``docs`` (the whole table, as tests load it), or from
-    a file that cannot be read twice, such as a pipe, ``whole_table``'s one
-    exact pass holding every row is the load.
+    a file that cannot be read twice, such as a pipe, the exact pass is the
+    load.
     """
     if docs is None or not os.path.isfile(path):
-        table = whole_table(path, max_span)
+        table, _ = read_table(path, max_span)
     else:
         surfaces = (key for tokens in docs for _, _, key in span_keys(tokens, max_span))
         try:
-            table, tie = stream_table(path, max_span, surfaces)
+            table, tie = read_table(path, max_span, surfaces)
         except (DataError, UnicodeDecodeError):
             table, tie = None, True
         if tie:
             # Raises the first bad row's error. A file that changed since the
-            # stream read it loads as it reads now.
-            whole = whole_table(path, max_span)
+            # first pass read it loads as it reads now.
+            whole, _ = read_table(path, max_span)
             table = whole if table is None else table
     if table.rejected_long_keys:
         logger.info("candidate table: rejected %d over-length keys", table.rejected_long_keys)
@@ -228,15 +229,12 @@ def _blocks(items: Sequence, size) -> Iterable[list]:
 
 class _InputKeys:
     """An integer key for each distinct token of a run's linking inputs.
-    Each distinct word is tokenized once, and each candidate list's mask
-    and each decoded entity's token are built once."""
+    Each distinct word is tokenized once."""
 
     def __init__(self, vocab: Vocabulary, use_emask: bool):
         self.tokens: list[Token] = []
         self._keys: dict[Token, int] = {}
         self._words: dict[str, list[int]] = {}
-        self._masks: dict[tuple[Candidate, ...], int] = {}
-        self._entities: dict[str, int] = {}
         self._vocab = vocab
         self._use_emask = use_emask
         self.cls, self.sep, self.slash, self.star = (
@@ -265,25 +263,7 @@ class _InputKeys:
         return np.fromiter(chain.from_iterable(per_word), np.intp, offset[-1]), offset
 
     def mask(self, span: CandidateSpan) -> int:
-        k = self._masks.get(span.candidates)
-        if k is None:
-            k = self._masks[span.candidates] = self.key(_mask_token(span, self._use_emask))
-        return k
-
-    def entity(self, entity: str) -> int:
-        k = self._entities.get(entity)
-        if k is None:
-            k = self._entities[entity] = self.key(Token.entity(entity))
-        return k
-
-
-def _ranges(start: np.ndarray, length: np.ndarray) -> np.ndarray:
-    """The indices of the ranges ``start[i] .. start[i] + length[i] - 1``,
-    end to end, as int32."""
-    end = np.cumsum(length)
-    out = np.repeat((start - (end - length)).astype(np.int32), length)
-    out += np.arange(len(out), dtype=np.int32)
-    return out
+        return self.key(_mask_token(span, self._use_emask))
 
 
 def _block_inputs(keys: _InputKeys, block) -> tuple[np.ndarray, np.ndarray, list[int]]:
@@ -314,7 +294,7 @@ def _block_inputs(keys: _InputKeys, block) -> tuple[np.ndarray, np.ndarray, list
         at_word, left_of, right_of = [], {}, {}
         shift, w = at + 1, 0
         for a, b, entity in decoded:
-            parts += [literal[offset[w] : offset[a]], [keys.entity(entity)]]
+            parts += [literal[offset[w] : offset[a]], [keys.key(Token.entity(entity))]]
             at_word += [shift + offset[v] for v in range(w, a + 1)]
             at_word += [None] * (b - a - 1)
             shift -= offset[b] - offset[a] - 1
@@ -343,18 +323,6 @@ def _block_inputs(keys: _InputKeys, block) -> tuple[np.ndarray, np.ndarray, list
     return src[index], length.sum(axis=1), positions
 
 
-def _rendered(decoded: list[tuple[int, int, str]], span: CandidateSpan):
-    """The decoded spans that ``build_el_input`` renders beside ``span``:
-    in order, those that do not overlap it and do not start inside one
-    rendered before."""
-    out, at = [], 0
-    for a, b, entity in decoded:
-        if a >= at and (b <= span.start or span.end <= a):
-            out.append((a, b, entity))
-            at = b
-    return out
-
-
 def span_mask_states(
     docs: Sequence[tuple[Sequence[str], Sequence[CandidateSpan],
                          Mapping[tuple[int, int], str] | None]],
@@ -368,32 +336,34 @@ def span_mask_states(
     through the documents' spans in order, is the state
     ``scorer.mask_state(build_el_input(tokens, span, scorer.wp_vocab,
     decoded, use_emask))`` would give, bit for bit, for a reference scorer.
+    The decoded spans that end inside a document must be disjoint, as the
+    decoder makes them: one that is empty, starts before 0 or overlaps
+    another is a ValueError. Those past the document's end are ignored.
     Documents go in blocks of ``SPAN_BLOCK`` spans; each block's inputs are
     index arrays gathered from its documents' key arrays (see
     ``_block_inputs``), and one ``scorer.mask_states`` call embeds each
     distinct token of the block once. ``keys`` carries the tokenized words
-    and the masks from one call to the next.
+    and the token keys from one call to the next.
     """
     keys = keys or _InputKeys(scorer.wp_vocab, use_emask)
-    flat = []
+    scored = []
     for tokens, spans, decoded in docs:
         ordered = sorted(
             (a, b, entity) for (a, b), entity in (decoded or {}).items() if b <= len(tokens)
         )
+        end = 0
         for a, b, _ in ordered:
-            if not 0 <= a < b:
-                raise ValueError(f"bad decoded span [{a}, {b})")
-        if all(b <= a for (_, b, _), (a, _, _) in zip(ordered, ordered[1:])):
-            flat.append((tokens, spans, ordered))
-        else:
-            # Only a library caller passes decoded spans that overlap each
-            # other; each span then gets the ones rendered beside it.
-            flat += [(tokens, [s], _rendered(ordered, s)) for s in spans]
-    if not any(spans for _, spans, _ in flat):
+            if not end <= a < b:
+                raise ValueError(f"bad decoded span [{a}, {b}): empty, before 0 "
+                                 "or overlapping another")
+            end = b
+        if spans:
+            scored.append((tokens, spans, ordered))
+    if not scored:
         raise ValueError("no spans to score")
 
     states = []
-    for block in _blocks([d for d in flat if d[1]], lambda d: len(d[1])):
+    for block in _blocks(scored, lambda d: len(d[1])):
         keyed, length, pos = _block_inputs(keys, block)
         # The block's tokens, and its inputs as indices into them.
         used = np.flatnonzero(np.bincount(keyed, minlength=len(keys.tokens)))
@@ -547,7 +517,7 @@ def iterative_refine(
     iterations: int = 3,
     use_emask: bool = True,
 ) -> tuple[list[CandidateSpan], list[RefinementStep]]:
-    """Decode the spans of each ``(tokens, spans)`` document over
+    """Decode, in place, the spans of each ``(tokens, spans)`` document over
     ``iterations`` rounds of rescoring.
 
     Each round rescores the undecided spans, and no others, against their

@@ -281,14 +281,14 @@ class TestKeep:
     def test_colliding_hashes_change_no_result(self, case, chunk_chars, picks, absent):
         # Every symbol hashes alike, so every file of two or more rows looks
         # like it holds a duplicate, and the line-by-line path decides.
-        with mock.patch.object(embeddings, "_symbol_hash", lambda sym: 0):
+        with mock.patch.object(embeddings, "_hash", lambda sym: 0):
             _check_kept_rows(case, chunk_chars, picks, absent, collide=True)
 
     @pytest.mark.parametrize("collide", [False, True])
     def test_duplicate_in_another_chunk_names_its_line(self, tmp_path, collide):
         path = write(tmp_path / "space.txt", "3 1\na 0.5\nb 1\na 2\n")
         with mock.patch.object(embeddings, "CHUNK_CHARS", 1), \
-                mock.patch.object(embeddings, "_symbol_hash",
+                mock.patch.object(embeddings, "_hash",
                                   (lambda sym: 0) if collide else hash):
             with pytest.raises(DataError, match=r"line 4: duplicate symbol 'a'"):
                 load_space(path, SpaceKind.WORD_AND_ENTITY, {"b"})

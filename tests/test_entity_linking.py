@@ -5,6 +5,7 @@ import math
 import os
 import tempfile
 import threading
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -22,7 +23,7 @@ from conftest import (
     span_posterior,
     wp_space_with,
 )
-from entkit import _candidate_table
+from entkit import embeddings
 from entkit._candidate_table import PackedSymbols
 from entkit._tsv import tsv_rows
 from entkit.entity_linking import (
@@ -115,6 +116,16 @@ class TestLoadCandidateTable:
         assert "a b c" not in table.spans
         assert table.rejected_long_keys == 1
         assert set(table.spans) == {"x"}
+
+    def test_the_exact_pass_is_linear_in_a_surface_s_candidates(self, tmp_path):
+        # A quadratic duplicate check takes seconds here.
+        n = 10_000
+        f = tmp_path / "t.tsv"
+        f.write_text("".join(f"x\tENTITY/E{i}\t0.5\n" for i in range(n)), encoding="utf-8")
+        started = time.perf_counter()
+        table = load_candidate_table(f, 7)
+        assert time.perf_counter() - started < 1.0
+        assert table.spans["x"] == tuple(Candidate(f"ENTITY/E{i}", 0.5) for i in range(n))
 
     @pytest.mark.parametrize(
         "row,msg",
@@ -209,7 +220,7 @@ class TestStreamedTable:
             except DataError as exc:
                 expected = str(exc)
             # A constant hash makes every pair, surface and entity collide.
-            with mock.patch.object(_candidate_table, "_table_hash",
+            with mock.patch.object(embeddings, "_hash",
                                    (lambda item: 0) if collide else hash):
                 try:
                     table = load_candidate_table(path, max_span, docs)
@@ -232,7 +243,7 @@ class TestStreamedTable:
         f = tmp_path / "t.tsv"
         f.write_text("x\tENTITY/X\t0.5\ny\tENTITY/Y\t0.5\n"
                      "x\tENTITY/X\t0.4\nz\tZ\t0.5\n", encoding="utf-8")
-        with mock.patch.object(_candidate_table, "_table_hash",
+        with mock.patch.object(embeddings, "_hash",
                                (lambda item: 0) if collide else hash):
             with pytest.raises(DataError) as exc:
                 load_candidate_table(f, 7, [["y"]])
@@ -304,7 +315,7 @@ class TestPipeTable:
 
 class TestPackedSymbols:
     def test_equal_hashes_are_confirmed_by_string(self):
-        with mock.patch.object(_candidate_table, "_table_hash", lambda item: 0):
+        with mock.patch.object(embeddings, "_hash", lambda item: 0):
             symbols = PackedSymbols()
             symbols.update(["ENTITY/A", "ENTITY/Ü"])
             symbols.update(["ENTITY/B", "ENTITY/A", ""])
@@ -434,12 +445,12 @@ class TestSpanMaskStates:
         "the city": (cand("City"),),
     }
     # (1, 3) holds the scored span (2, 3), so it crosses that span's left
-    # boundary and span (1, 2)'s right boundary; (6, 9) and (5, 8) overlap,
-    # so the walk meets a start inside an entity it has already rendered.
+    # boundary and span (1, 2)'s right boundary; (5, 8), (8, 9) and (9, 11)
+    # lie end to end, so one entity follows another with no word between.
     DECODED = {
         (1, 3): "ENTITY/NYC",
         (5, 8): "ENTITY/NYC",
-        (6, 9): "ENTITY/Walks",
+        (8, 9): "ENTITY/Walks",
         (9, 11): "ENTITY/City",
     }
 
@@ -481,7 +492,7 @@ class TestSpanMaskStates:
         # context; (1, 3) crosses both scored spans and stays text.
         scorer = self.scorer()
         spans = [CandidateSpan(2, 3, (cand("City"),)), CandidateSpan(1, 2, (cand("NY"),))]
-        right = ["walk", "##s", "[UNK]", "ENTITY/NYC", "walk", "##s", "ENTITY/City", "[SEP]"]
+        right = ["walk", "##s", "[UNK]", "ENTITY/NYC", "ENTITY/Walks", "ENTITY/City", "[SEP]"]
         assert [
             build_el_input(self.TOKENS, s, scorer.wp_vocab, self.DECODED).render()
             for s in spans
@@ -600,6 +611,18 @@ class TestSpanMaskStates:
         span = CandidateSpan(0, 1, (cand("City"),))
         with pytest.raises(ValueError, match=r"bad decoded span"):
             span_mask_states([(self.TOKENS, [span], {bad: "ENTITY/NYC"})], self.scorer())
+
+    def test_decoded_spans_in_the_document_must_be_disjoint(self):
+        scorer = self.scorer()
+        span = CandidateSpan(0, 1, (cand("City"),))
+        with pytest.raises(ValueError, match=r"bad decoded span \[6, 9\)"):
+            span_mask_states(
+                [(self.TOKENS, [span], {(5, 8): "ENTITY/NYC", (6, 9): "ENTITY/Walks"})], scorer
+            )
+        # Spans past the document's end are ignored, overlapping or not.
+        past = {(9, 11): "ENTITY/City", (10, 12): "ENTITY/NYC", (11, 13): "ENTITY/NY"}
+        states = span_mask_states([(self.TOKENS, [span], past)], scorer)
+        assert np.array_equal(states, self.oracle(scorer, [span], {(9, 11): "ENTITY/City"}, True))
 
 
 class TestEntityDistribution:

@@ -111,8 +111,8 @@ def test_build_rc_input_matches_the_word_by_word_renderer(case):
 
 @st.composite
 def linking_inputs(draw):
-    """A document, spans to score, and a decoded map whose spans may overlap
-    the scored spans and each other, or share a start."""
+    """A document, spans to score, and a decoded map whose spans are
+    disjoint, as the decoder makes them, and may overlap the scored spans."""
     tokens = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=12))
     n = len(tokens)
 
@@ -122,8 +122,11 @@ def linking_inputs(draw):
 
     candidates = (Candidate("ENTITY/A", 0.5), Candidate("ENTITY/B", 0.25))
     scored = [CandidateSpan(*span(), candidates) for _ in range(draw(st.integers(1, 4)))]
-    decoded = {span(): draw(st.sampled_from(["ENTITY/A", "ENTITY/B"]))
-               for _ in range(draw(st.integers(0, 5)))}
+    decoded = {}
+    for _ in range(draw(st.integers(0, 5))):
+        start, end = span()
+        if all(end <= s or e <= start for s, e in decoded):
+            decoded[start, end] = draw(st.sampled_from(["ENTITY/A", "ENTITY/B"]))
     return tokens, scored, decoded, draw(st.booleans())
 
 
@@ -184,7 +187,7 @@ def test_decoded_spans_at_scored_span_edges_match_the_renderer(monkeypatch, bloc
         {(1, 3): "ENTITY/A", (6, 8): "ENTITY/B"},  # touches both edges
         {(0, 1): "ENTITY/B", (2, 4): "ENTITY/A", (5, 8): "ENTITY/B"},
         {(0, 2): "ENTITY/A", (3, 4): "ENTITY/B", (4, 6): "ENTITY/A", (8, 9): "ENTITY/A"},
-        {(2, 4): "ENTITY/A", (3, 6): "ENTITY/B", (5, 9): "ENTITY/A"},  # overlapping
+        {(2, 4): "ENTITY/A", (4, 6): "ENTITY/B", (6, 9): "ENTITY/A"},  # end to end
     ]
     docs = [(tokens[: 9 - i % 2], spans[: 4 - i % 2], d) for i, d in enumerate(decoded_maps)]
     scorer = ReferenceScorer(WP, ENT)
