@@ -10,6 +10,7 @@ the geometry the shared words induce.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -27,6 +28,9 @@ from .scorer import by_blocks
 
 logger = logging.getLogger(__name__)
 
+# Shared pairs gathered into float64 at a time by fit_alignment.
+FIT_BLOCK = 512
+
 
 @dataclass
 class AlignmentMap:
@@ -35,16 +39,18 @@ class AlignmentMap:
     Attributes
     ----------
     w : ndarray of shape (d_tgt, d_src), float64
-        The least-squares solution.
+        The least-squares solution; its bytes do not depend on the BLAS
+        thread count. It holds no negative zero.
     shared_count : int
         Number of vocabulary pairs the fit used.
     residual : float
-        Summed squared error of the fit, recomputable as
+        Summed squared error of the fit: the part of Y the QR leaves
+        outside the span of X. Equal, up to rounding, to
         ``sum(||W x - y||^2)`` over the training pairs.
     rank_deficient : bool
-        True when the source vectors did not span the source space and the
-        minimum-norm solution was taken. Not serialized; loading a map from
-        disk resets it to False.
+        True when the source vectors did not span the source space, by
+        ``np.linalg.lstsq``'s rank rule, and the minimum-norm solution was
+        taken. Not serialized; loading a map from disk resets it to False.
     """
 
     w: np.ndarray
@@ -68,9 +74,22 @@ def fit_alignment(
 ) -> AlignmentMap:
     """Fit W = argmin sum ||W x - y||^2 over the given symbol pairs.
 
-    Solved in float64 through an orthogonal factorization (SVD-based lstsq),
-    never by forming normal equations. A rank-deficient system yields the
-    minimum-norm solution and sets the ``rank_deficient`` flag.
+    Solved in float64 by a row-blocked Householder QR of ``[X | Y]``, never
+    by forming normal equations. ``FIT_BLOCK`` pairs are gathered at a time
+    and stacked under the running d_src x (d_src + d_tgt) triangle
+    ``[R | C]``; d_src reflections zero their X part, and the squares of what
+    is left of their Y part add to the residual. So memory is bounded by the
+    block, not by the number of pairs. Every reduction is numpy's own
+    (``einsum`` without ``optimize``, ``add.reduce``), never BLAS, so the
+    bytes do not depend on the BLAS thread count. W comes from R W^T = C by
+    back-substitution.
+
+    The rank is lstsq's: singular values of R (those of X) above
+    ``eps * max(n, d_src) * s_max``. ``_full_rank`` proves full rank from
+    norms of R and its inverse; only when that proof fails are the singular
+    values computed, and a rank-deficient system then takes the
+    minimum-norm solution of R W^T = C through ``np.linalg.lstsq`` and sets
+    the ``rank_deficient`` flag.
 
     Parameters
     ----------
@@ -80,20 +99,79 @@ def fit_alignment(
     """
     if not pairs:
         raise ValueError("cannot fit an alignment from zero shared symbols")
-    x = src.matrix[[p.wiki_id for p in pairs]].astype(np.float64)
-    y = tgt.matrix[[p.wp_id for p in pairs]].astype(np.float64)
-    wt, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
-    w = wt.T
-    rank_deficient = rank < src.dim
+    d = src.dim
+    tri = np.zeros((d, d + tgt.dim))
+    residual = 0.0
+    for start in range(0, len(pairs), FIT_BLOCK):
+        chunk = pairs[start : start + FIT_BLOCK]
+        cols = np.empty((d + tgt.dim, len(chunk)))  # the block, transposed
+        cols[:d] = src.matrix[[p.wiki_id for p in chunk]].T
+        cols[d:] = tgt.matrix[[p.wp_id for p in chunk]].T
+        _reduce_block(tri, cols)
+        residual += float(np.add.reduce(cols[d:] ** 2, axis=None))
+    r, c = tri[:, :d], tri[:, d:]
+    cutoff = float(np.finfo(np.float64).eps) * max(len(pairs), d)
+    if _full_rank(r, cutoff):
+        rank = d
+    else:
+        s = np.linalg.svd(r, compute_uv=False)
+        rank = int(np.count_nonzero(s > cutoff * s[0]))
+    rank_deficient = rank < d
     if rank_deficient:
         logger.warning(
             "shared vectors span only %d of %d source dimensions; "
             "minimum-norm solution taken",
             rank,
-            src.dim,
+            d,
         )
-    residual = float(np.sum((x @ wt - y) ** 2))
-    return AlignmentMap(w, len(pairs), residual, rank_deficient)
+        wt = np.linalg.lstsq(r, c, rcond=cutoff)[0]
+        residual += float(np.add.reduce((np.einsum("ij,jk->ik", r, wt) - c) ** 2, axis=None))
+    else:
+        wt = _back_substitute(r, c)
+    return AlignmentMap(wt.T + 0.0, len(pairs), residual, rank_deficient)
+
+
+def _reduce_block(tri: np.ndarray, cols: np.ndarray) -> None:
+    """Zero the first d rows of ``cols`` (a block of rows, transposed) by
+    Householder reflections of ``[tri; cols.T]``, in place, where
+    ``tri`` is d x k and upper triangular in its first d columns, so
+    reflection j touches only row j of ``tri``. Rows of ``cols`` are
+    contiguous, so every product is a contiguous ``einsum`` reduction."""
+    for j in range(len(tri)):
+        below = cols[j]
+        sigma = float(np.einsum("i,i->", below, below))
+        if sigma == 0.0:
+            continue
+        top = tri[j, j]
+        alpha = -math.copysign(math.sqrt(top * top + sigma), top)
+        head = top - alpha  # the reflector is (head, below); no cancellation
+        tau = head / -alpha  # 2 / ||v||^2 for v = (1, below / head)
+        rest = cols[j + 1 :]
+        proj = tri[j, j + 1 :] + np.einsum("ji,i->j", rest, below) / head
+        tri[j, j] = alpha
+        tri[j, j + 1 :] -= tau * proj
+        rest -= np.multiply.outer(proj, below * (tau / head))
+
+
+def _back_substitute(r: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Solve the upper-triangular system r x = c, row by row from the last."""
+    x = np.empty_like(c)
+    for i in range(len(r) - 1, -1, -1):
+        x[i] = (c[i] - np.einsum("j,jk->k", r[i, i + 1 :], x[i + 1 :])) / r[i, i]
+    return x
+
+
+def _full_rank(r: np.ndarray, cutoff: float) -> bool:
+    """True when the upper-triangular ``r`` certainly has every singular
+    value above ``cutoff * s_max``: since s_max <= ||r||_F and
+    s_min >= 1 / ||r^-1||_F, ``||r||_F * ||r^-1||_F < 1 / cutoff`` suffices.
+    False means only that this bound cannot tell."""
+    if not np.all(np.diagonal(r)):
+        return False
+    with np.errstate(over="ignore", invalid="ignore"):
+        inv = _back_substitute(r, np.eye(len(r)))
+        size = math.sqrt(np.einsum("ij,ij->", r, r) * np.einsum("ij,ij->", inv, inv))
+    return size * cutoff < 1.0
 
 
 def alignment_objective(

@@ -5,7 +5,9 @@ out, byte-identical across runs and thread counts for fixed inputs. Exit
 codes: 0 success, 1 usage error, 2 data error, 3 endpoint error.
 
 Each command imports the modules it uses when it runs, so ``resolve`` never
-imports numpy and the cloze commands never import the linker.
+imports numpy and the cloze commands never import the linker. ``eval-lama``
+imports the alignment only with ``--ent-space`` and the Wikidata client only
+with ``--resolutions``.
 """
 
 from __future__ import annotations
@@ -209,7 +211,7 @@ def _load_templates(path, dataset):
 
 
 def cmd_eval_lama(args) -> int:
-    from . import alignment, embeddings, lama_bench, wikidata_client
+    from . import embeddings, lama_bench
     from .scorer import ReferenceScorer
 
     if args.k < 1:
@@ -225,11 +227,15 @@ def cmd_eval_lama(args) -> int:
     dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
     templates = _load_templates(args.templates, dataset)
     if args.resolutions:
+        from . import wikidata_client
+
         mapping = wikidata_client.load_resolution_map(args.resolutions)
         dataset = lama_bench.resolve_subjects(dataset, mapping)
 
     ent = None
     if args.ent_space is not None:
+        from . import alignment
+
         # A resolved subject missing from the space falls back to wordpieces.
         subjects = {t.sub_entity for ts in dataset.values() for t in ts}
         wiki, amap = _load_entity_side(wp, args.ent_space, args.align, subjects)

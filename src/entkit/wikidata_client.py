@@ -8,6 +8,7 @@ trouble; it reports an ``endpoint_error`` status instead.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
@@ -304,11 +305,11 @@ def load_cache(path) -> dict[str, ResolutionResult]:
     return cache
 
 
-def append_cache_line(path, result: ResolutionResult) -> None:
-    with open(path, "a", encoding="utf-8") as fh:
-        fh.write(
-            f"{result.surface}\t{result.qid or ''}\t{result.wikipedia_url or ''}\n"
-        )
+def append_cache_line(fh, result: ResolutionResult) -> None:
+    """Write one cache line to the open text file ``fh`` and flush it, so
+    an interrupted run keeps every line written before it stopped."""
+    fh.write(f"{result.surface}\t{result.qid or ''}\t{result.wikipedia_url or ''}\n")
+    fh.flush()
 
 
 def resolve_batch(
@@ -319,20 +320,25 @@ def resolve_batch(
     Cached surfaces are not re-queried. New definite results (resolved or
     not-found) are appended to the cache immediately, so an interrupted run
     resumes where it stopped. Endpoint errors are returned but not cached.
+    The cache is opened once, when the first new result arrives.
     """
     cache = load_cache(cache_path) if cache_path else {}
     results: list[ResolutionResult] = []
-    for surface in surfaces:
-        hit = cache.get(surface)
-        if hit is not None:
-            results.append(hit)
-            continue
-        result = resolve_surface(surface, transport)
-        results.append(result)
-        if result.status is not ResolutionStatus.ENDPOINT_ERROR:
-            cache[surface] = result
-            if cache_path:
-                append_cache_line(cache_path, result)
+    with contextlib.ExitStack() as stack:
+        out = None
+        for surface in surfaces:
+            hit = cache.get(surface)
+            if hit is not None:
+                results.append(hit)
+                continue
+            result = resolve_surface(surface, transport)
+            results.append(result)
+            if result.status is not ResolutionStatus.ENDPOINT_ERROR:
+                cache[surface] = result
+                if cache_path:
+                    if out is None:
+                        out = stack.enter_context(open(cache_path, "a", encoding="utf-8"))
+                    append_cache_line(out, result)
     return results
 
 

@@ -1,12 +1,14 @@
 """Least-squares alignment: recovery, optimality, oracles, serialization."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import make_space, normal_equations, paired_spaces
 from entkit.alignment import (
+    FIT_BLOCK,
     AlignmentMap,
     alignment_objective,
     derive_entity_space,
@@ -91,6 +93,63 @@ class TestFit:
         wiki, wp, _ = paired_spaces(0, 4, 4, 5)
         with pytest.raises(ValueError, match="zero shared symbols"):
             fit_alignment(wiki, wp, [])
+
+
+class TestBlockedFit:
+    """The fit reduces FIT_BLOCK pairs at a time; no count of pairs may
+    change what it computes."""
+
+    D_SRC, D_TGT = 8, 5
+
+    @pytest.mark.parametrize("n", [
+        1, D_SRC - 1, D_SRC, FIT_BLOCK, FIT_BLOCK + 1, 3 * FIT_BLOCK + 7,
+    ])
+    def test_every_block_edge_matches_lstsq(self, n):
+        wiki, wp, pairs, _, amap = fit_pair(n, self.D_SRC, self.D_TGT, n, noise=0.01)
+        x = wiki.matrix[[p.wiki_id for p in pairs]].astype(np.float64)
+        y = wp.matrix[[p.wp_id for p in pairs]].astype(np.float64)
+        wt, _, rank, _ = np.linalg.lstsq(x, y, rcond=None)
+        assert amap.rank_deficient == (rank < self.D_SRC)
+        np.testing.assert_allclose(amap.w, wt.T, rtol=0.0, atol=1e-10)
+        assert amap.residual == pytest.approx(
+            alignment_objective(amap.w, wiki, wp, pairs), abs=1e-12
+        )
+        assert not np.any(np.signbit(amap.w) & (amap.w == 0.0))
+
+    @pytest.mark.parametrize("ratio", [1e-3, 0.5, 2.0, 10.0, 1e6])
+    def test_rank_is_lstsq_s_near_the_cutoff(self, ratio):
+        # Half the singular values are 1, half are ratio * lstsq's cutoff.
+        # Below the cutoff the system is rank deficient. At 2 the bound on
+        # R cannot tell, and its singular values decide.
+        rng = np.random.default_rng(int(ratio * 1000))
+        n, d = 40, 6
+        cutoff = np.finfo(np.float64).eps * n
+        u, _ = np.linalg.qr(rng.standard_normal((n, d)))
+        v, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        s = np.repeat([1.0, ratio * cutoff], d // 2)
+        x = (u * s) @ v.T
+        y = rng.standard_normal((n, 3))
+        symbols = [f"w{i}" for i in range(n)]
+        wiki = make_space(symbols, x, SpaceKind.WORD_AND_ENTITY)
+        wp = make_space(symbols, y, SpaceKind.WORDPIECE)
+        amap = fit_alignment(wiki, wp, shared_vocabulary(wp, wiki))
+        assert amap.rank_deficient == (np.linalg.lstsq(x, y, rcond=None)[2] < d)
+        assert amap.rank_deficient == (ratio < 1.0)
+
+    def test_memory_is_bounded_by_the_block_not_the_pairs(self):
+        n, d = 20_000, 16
+        wiki, wp, _ = paired_spaces(0, d, d, n, noise=0.01)
+        pairs = shared_vocabulary(wp, wiki)
+        bound = 6 * FIT_BLOCK * (2 * d) * 8
+        assert n * (2 * d) * 8 > bound  # the float64 copies of every pair
+        tracemalloc.start()
+        try:
+            amap = fit_alignment(wiki, wp, pairs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert amap.shared_count == n and not amap.rank_deficient
+        assert peak < bound, peak
 
 
 class TestApplyAndDerive:

@@ -95,6 +95,34 @@ class TestAlign:
         assert code == 1
         assert "--out" in stderr
 
+    def test_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        # Large enough that a threaded BLAS splits its products: 2,000
+        # shared words of 64 noisy dimensions.
+        rng = np.random.default_rng(5)
+        words = [f"w{i}" for i in range(2000)]
+        x = rng.standard_normal((len(words), 64))
+        y = x @ rng.standard_normal((64, 64)) + 0.1 * rng.standard_normal((len(words), 64))
+        for name, rows in (("src.txt", x), ("tgt.txt", y)):
+            with open(tmp_path / name, "w", encoding="utf-8") as fh:
+                fh.write(f"{len(words)} 64\n")
+                fh.writelines(
+                    w + " " + " ".join(f"{v:.6f}" for v in row) + "\n"
+                    for w, row in zip(words, rows)
+                )
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"align{threads}.tsv"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+            proc = subprocess.run(
+                [sys.executable, "-m", "entkit", "align", "--src", str(tmp_path / "src.txt"),
+                 "--tgt", str(tmp_path / "tgt.txt"), "--out", str(out)],
+                capture_output=True, env=env, check=True,
+            )
+            outputs.append((proc.stdout, out.read_bytes()))
+        assert outputs[0][0].startswith(b"shared_count\t2000\n")
+        assert outputs[0] == outputs[1]
+
 
 EVAL_BASE = [
     "eval-lama", "--data", LAMA, "--templates", TEMPLATES,
@@ -103,6 +131,28 @@ EVAL_BASE = [
 
 
 class TestEvalLama:
+    @pytest.mark.parametrize("flags, imported", [
+        ([], []),
+        (["--resolutions", RESOLUTIONS], ["wikidata_client"]),
+        (["--ent-space", WIKI, "--align", "{align}", "--mode", "replace"], ["alignment"]),
+    ])
+    def test_imports_only_what_its_flags_use(self, tmp_path, capsys, flags, imported):
+        align = fit_alignment_file(tmp_path, capsys)
+        script = (
+            "import sys\n"
+            "from entkit.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, [m for m in ('alignment', 'wikidata_client')\n"
+            "             if 'entkit.' + m in sys.modules])\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(entkit.__file__).resolve().parents[1])}
+        proc = subprocess.run(
+            [sys.executable, "-c", script, *EVAL_BASE, "--out", str(tmp_path / "r.tsv"),
+             *(f.replace("{align}", align) for f in flags)],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        assert proc.stdout == f"0 {imported}\n"
+
     def test_enhanced_inputs_answer_everything(self, tmp_path, capsys):
         align = fit_alignment_file(tmp_path, capsys)
         code, stdout, _ = run(

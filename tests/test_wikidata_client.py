@@ -1,6 +1,8 @@
 """Surface resolution over canned SPARQL fixtures, caching, and URL mapping."""
 
 import json
+from pathlib import Path
+from unittest import mock
 from urllib.parse import quote
 
 import pytest
@@ -403,8 +405,9 @@ class TestCache:
             ResolutionResult("Ghost Town", "Q555", None, ResolutionStatus.RESOLVED),
             ResolutionResult("Nobody", None, None, ResolutionStatus.NOT_FOUND),
         ]
-        for r in results:
-            append_cache_line(f, r)
+        with open(f, "a", encoding="utf-8") as fh:
+            for r in results:
+                append_cache_line(fh, r)
         cache = load_cache(f)
         assert cache["Jean Marais"] == results[0]
         assert cache["Ghost Town"] == results[1]
@@ -477,6 +480,33 @@ class TestResolveBatch:
         assert [r.surface for r in results] == ["Jean Marais", "Ghost Town"]
         # Only Ghost Town needed queries: one label, one (empty) sitelink.
         assert transport.count == 2
+
+    def test_cache_opens_once_and_each_line_is_flushed_before_the_next_query(
+        self, tmp_path
+    ):
+        cache = tmp_path / "c.tsv"
+        on_disk = []
+
+        class Peeking:
+            def query(self, sparql):
+                on_disk.append(cache.read_text(encoding="utf-8") if cache.exists() else "")
+                return healthy().query(sparql)
+
+        opened = []
+        real_open = open
+
+        def counting_open(file, *args, **kwargs):
+            if Path(file) == cache:
+                opened.append(args)
+            return real_open(file, *args, **kwargs)
+
+        with mock.patch("builtins.open", counting_open):
+            resolve_batch(self.SURFACES, Peeking(), cache)
+        assert opened == [("a",)]
+        lines = cache.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert len(lines) == 3
+        # Before each surface's first query, every earlier line is on disk.
+        assert sorted(set(on_disk)) == ["", lines[0], lines[0] + lines[1]]
 
     def test_ambiguity_status_degrades_to_resolved_in_cache(self, tmp_path):
         cache = tmp_path / "c.tsv"
