@@ -85,11 +85,9 @@ def fit_alignment(
     back-substitution.
 
     The rank is lstsq's: singular values of R (those of X) above
-    ``eps * max(n, d_src) * s_max``. ``_full_rank`` proves full rank from
-    norms of R and its inverse; only when that proof fails are the singular
-    values computed, and a rank-deficient system then takes the
-    minimum-norm solution of R W^T = C through ``np.linalg.lstsq`` and sets
-    the ``rank_deficient`` flag.
+    ``eps * max(n, d_src) * s_max``. They only set the ``rank_deficient``
+    flag; a rank-deficient system takes the minimum-norm solution of
+    R W^T = C through ``np.linalg.lstsq``.
 
     Parameters
     ----------
@@ -111,11 +109,8 @@ def fit_alignment(
         residual += float(np.add.reduce(cols[d:] ** 2, axis=None))
     r, c = tri[:, :d], tri[:, d:]
     cutoff = float(np.finfo(np.float64).eps) * max(len(pairs), d)
-    if _full_rank(r, cutoff):
-        rank = d
-    else:
-        s = np.linalg.svd(r, compute_uv=False)
-        rank = int(np.count_nonzero(s > cutoff * s[0]))
+    s = np.linalg.svd(r, compute_uv=False)
+    rank = int(np.count_nonzero(s > cutoff * s[0]))
     rank_deficient = rank < d
     if rank_deficient:
         logger.warning(
@@ -159,19 +154,6 @@ def _back_substitute(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     for i in range(len(r) - 1, -1, -1):
         x[i] = (c[i] - np.einsum("j,jk->k", r[i, i + 1 :], x[i + 1 :])) / r[i, i]
     return x
-
-
-def _full_rank(r: np.ndarray, cutoff: float) -> bool:
-    """True when the upper-triangular ``r`` certainly has every singular
-    value above ``cutoff * s_max``: since s_max <= ||r||_F and
-    s_min >= 1 / ||r^-1||_F, ``||r||_F * ||r^-1||_F < 1 / cutoff`` suffices.
-    False means only that this bound cannot tell."""
-    if not np.all(np.diagonal(r)):
-        return False
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv = _back_substitute(r, np.eye(len(r)))
-        size = math.sqrt(np.einsum("ij,ij->", r, r) * np.einsum("ij,ij->", inv, inv))
-    return size * cutoff < 1.0
 
 
 def alignment_objective(

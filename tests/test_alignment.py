@@ -119,8 +119,8 @@ class TestBlockedFit:
     @pytest.mark.parametrize("ratio", [1e-3, 0.5, 2.0, 10.0, 1e6])
     def test_rank_is_lstsq_s_near_the_cutoff(self, ratio):
         # Half the singular values are 1, half are ratio * lstsq's cutoff.
-        # Below the cutoff the system is rank deficient. At 2 the bound on
-        # R cannot tell, and its singular values decide.
+        # Below the cutoff the system is rank deficient; at 0.5 and 2 those
+        # of R must land on the same side of it as those of X.
         rng = np.random.default_rng(int(ratio * 1000))
         n, d = 40, 6
         cutoff = np.finfo(np.float64).eps * n
