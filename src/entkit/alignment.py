@@ -156,18 +156,6 @@ def _back_substitute(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x
 
 
-def alignment_objective(
-    w: np.ndarray,
-    src: EmbeddingSpace,
-    tgt: EmbeddingSpace,
-    pairs: Sequence[SharedSymbol],
-) -> float:
-    """Summed squared error of an arbitrary map on the given pairs."""
-    x = src.matrix[[p.wiki_id for p in pairs]].astype(np.float64)
-    y = tgt.matrix[[p.wp_id for p in pairs]].astype(np.float64)
-    return float(np.sum((x @ np.asarray(w, dtype=np.float64).T - y) ** 2))
-
-
 def check_entity_source(amap: AlignmentMap, wiki: EmbeddingSpace) -> None:
     """Raise unless entity rows of ``wiki`` can be mapped by ``amap``."""
     if wiki.kind is not SpaceKind.WORD_AND_ENTITY:

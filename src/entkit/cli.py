@@ -431,7 +431,11 @@ def cmd_resolve(args) -> int:
     if not (0.0 < args.rate < math.inf):
         raise UsageError(f"entkit resolve: --rate must be positive and finite, got {args.rate}")
     with open(args.surfaces, encoding="utf-8") as fh:
-        surfaces = [line.strip() for line in fh if line.strip()]
+        surfaces = [line.strip() for line in fh]
+    for lineno, surface in enumerate(surfaces, start=1):
+        if "\t" in surface:  # the cache and the result TSV are tab-separated
+            raise DataError(f"{args.surfaces}: line {lineno}: surface holds a tab")
+    surfaces = [s for s in surfaces if s]
     if args.fixture:
         transport = wikidata_client.FixtureTransport.from_json(args.fixture)
     else:

@@ -8,8 +8,8 @@ used throughout the codebase.
 File layout is the classic text format: a header line ``<count> <dim>``
 followed by one row per symbol, ``<symbol> <v1> ... <v_dim>``, UTF-8 encoded
 and space separated. Symbols must not contain whitespace. Numbers are parsed
-as 64-bit floats and stored as 32-bit, so a save/load round trip is exact at
-32-bit precision.
+as 64-bit floats and stored as 32-bit, so float32 values written in full
+(as ``str`` of a numpy float32 writes them) load back exactly.
 
 ``load_space`` has two parsers with one result. The fast path streams the
 rows in chunks of about ``CHUNK_CHARS`` characters, parses each chunk's
@@ -306,15 +306,6 @@ def _parse_lines(path, text: str) -> tuple[list[str], np.ndarray]:
             rows[n] = values
     with np.errstate(over="ignore"):  # load_space reports the inf
         return symbols, rows.astype(np.float32)
-
-
-def save_space(space: EmbeddingSpace, path) -> None:
-    """Write a space in word2vec text format (values serialized as float32)."""
-    values = space.matrix.astype(np.float32)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(space.vocab)} {space.dim}\n")
-        for sym, row in zip(space.vocab.symbols, values):
-            fh.write(sym + " " + " ".join(str(v) for v in row) + "\n")
 
 
 class SharedSymbol(NamedTuple):

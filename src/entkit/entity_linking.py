@@ -29,7 +29,7 @@ from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
 from .scorer import AffineHead, candidate_gradients, candidate_probs
 from .symbols import is_entity_symbol
-from .text_input import Token, TokenSequence, expand, layout, wordpiece_tokens
+from .text_input import Token, wordpiece_tokens
 
 logger = logging.getLogger(__name__)
 
@@ -169,36 +169,6 @@ def generate_candidates(
     ]
 
 
-def build_el_input(
-    tokens: Sequence[str],
-    span: CandidateSpan,
-    vocab: Vocabulary,
-    decoded: Mapping[tuple[int, int], str] | None = None,
-    use_emask: bool = True,
-) -> TokenSequence:
-    """Linking input: left context, entity mask, ``/``, surface pieces,
-    ``*``, right context, framed by CLS/SEP.
-
-    The entity mask averages the span's candidates; with ``use_emask`` off a
-    standard mask is used instead (ablation). A decoded span that lies in
-    the document and does not overlap the scored span renders as its entity
-    token in place of its surface, unless it starts inside one rendered
-    before it in (start, end) order. Context words are tokenized literally.
-    ``span_mask_states`` takes the mask states of these inputs for many
-    spans at once; this builder is its oracle.
-    """
-    if span.end > len(tokens):
-        raise ValueError(f"span [{span.start}, {span.end}) exceeds document length")
-    scored = [_mask_token(span, use_emask), Token.wordpiece("/"),
-              range(span.start, span.end), Token.wordpiece("*")]
-    mentions = [
-        (s, e, [Token.entity(ent)]) for (s, e), ent in sorted((decoded or {}).items())
-        if (e <= span.start or span.end <= s) and e <= len(tokens)
-    ]
-    mentions.append((span.start, span.end, scored))
-    return expand(layout(len(tokens), mentions), tokens, vocab)
-
-
 def _mask_token(span: CandidateSpan, use_emask: bool) -> Token:
     if use_emask:
         return Token.emask([c.entity for c in span.candidates])
@@ -333,12 +303,14 @@ def span_mask_states(
     """Mask states of the spans of many documents, as one ``(S, d)`` array.
 
     ``docs`` holds ``(tokens, spans, decoded)`` triples; row s, counted
-    through the documents' spans in order, is the state
-    ``scorer.mask_state(build_el_input(tokens, span, scorer.wp_vocab,
-    decoded, use_emask))`` would give, bit for bit, for a reference scorer.
-    The decoded spans that end inside a document must be disjoint, as the
-    decoder makes them: one that is empty, starts before 0 or overlaps
-    another is a ValueError. Those past the document's end are ignored.
+    through the documents' spans in order, is the state at the mask of the
+    linking input of span s: ``[CLS]``, the words before it, the entity mask
+    (the mean of its candidates; a plain mask without ``use_emask``), ``/``,
+    its wordpieces, ``*``, the words after it, ``[SEP]``, where a decoded
+    span that does not overlap it renders as its entity. The decoded spans
+    that end inside a document must be disjoint, as the decoder makes them:
+    one that is empty, starts before 0 or overlaps another is a ValueError.
+    Those past the document's end are ignored.
     Documents go in blocks of ``SPAN_BLOCK`` spans; each block's inputs are
     index arrays gathered from its documents' key arrays (see
     ``_block_inputs``), and one ``scorer.mask_states`` call embeds each
@@ -549,6 +521,8 @@ def iterative_refine(
             if undecided:
                 taken = [s for s in spans if s.state is SpanState.DECODED]
                 rounds.append((d, taken, undecided))
+        if not rounds:
+            break
         going = []
         for block in _blocks(rounds, lambda r: len(r[2])):
             undecided = [s for _, _, und in block for s in und]

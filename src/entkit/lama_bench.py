@@ -207,35 +207,6 @@ def string_match_filter(triple: KbTriple) -> bool:
     return triple.obj_surface.lower() in triple.sub_surface.lower()
 
 
-def person_name_filter(
-    triple: KbTriple,
-    template: RelationTemplate,
-    scorer,
-    answer_vocab: Vocabulary,
-    top_k: int = 3,
-    case_insensitive: bool = False,
-) -> bool:
-    """True when the question must be deleted: some whitespace part of the
-    subject surface alone puts the answer in the probe's top ``top_k``.
-
-    The probe question is built in plain wordpiece mode, so entity knowledge
-    never influences the deletion decision. ``top_k = 0`` deletes nothing; a
-    subject with no parts is kept. The answer match is exact unless
-    ``case_insensitive`` is set.
-    """
-    if template.name_noun == "none":
-        raise ValueError(
-            f"relation {template.relation!r} is not eligible for the name probe"
-        )
-    if top_k <= 0:
-        return False
-    tops = _probe_tops(
-        triple.sub_surface.split(), template.name_noun, scorer, answer_vocab,
-        top_k, case_insensitive,
-    )
-    return _name_gives_answer(triple, tops, case_insensitive)
-
-
 def _probe_tops(
     parts: Iterable[str],
     noun: str,
@@ -296,8 +267,11 @@ def build_lama_uhn(
     additionally applies the name probe to relations whose template declares
     a noun. Each distinct (part, noun) pair among the stage-1 subjects of the
     eligible relations is probed once, and a question is deleted when any
-    part of its subject has the answer in its probe's top ``top_k``, exactly
-    as ``person_name_filter`` decides. Counts are monotone: stage 0 >= stage
+    whitespace part of its subject has the answer in its probe's top
+    ``top_k``. Probes render in plain wordpiece mode, so entity knowledge
+    never influences a deletion; the answer match is exact unless
+    ``case_insensitive`` is set; ``top_k = 0`` deletes nothing, and a
+    subject with no parts is kept. Counts are monotone: stage 0 >= stage
     1 >= stage 2 for every relation. Every relation needs a template, as
     ``require_templates`` checks.
     """
@@ -408,6 +382,8 @@ def load_lama_dir(
                     raise DataError(
                         f"{file}: line {lineno}: sub_label and obj_label must be strings"
                     )
+                if MASK_WORD in sub.split():
+                    raise DataError(f"{file}: line {lineno}: sub_label holds {MASK_WORD}")
                 if len(answer.split()) != 1 or (
                     answer_vocab is not None and answer not in answer_vocab
                 ):

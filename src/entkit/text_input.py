@@ -105,11 +105,6 @@ class InputMode(Enum):
     REPLACE = "replace"
 
 
-def wordpiece_tokenize(text: str, vocab: Vocabulary) -> list[str]:
-    """The pieces of ``wordpiece_tokens`` for the whitespace words of ``text``."""
-    return [t.text for t in wordpiece_tokens(text.split(), vocab)]
-
-
 def wordpiece_tokens(words: Iterable[str], vocab: Vocabulary) -> list[Token]:
     """Greedy longest-match-first wordpiece tokenization of whitespace words.
 

@@ -8,6 +8,7 @@ storage rounding.
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 import time
 from pathlib import Path
@@ -206,11 +207,16 @@ def span_posterior(h, head, candidates, space, eps) -> np.ndarray:
     return candidate_probs(u, candidate_groups([candidates], space), (eps.e, eps.b))[0][0]
 
 
-def make_world(root: Path, workload: str, seed: int) -> Path:
-    """Write the tiny ``workload`` world of ``seed`` under ``root`` with the
-    benchmark's world generator."""
+@functools.cache
+def _world_module():
     spec = importlib.util.spec_from_file_location("entkit_bench_world", _WORLD_PY)
     world = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(world)
-    world.make_world(root, workload, seed, "tiny")
+    return world
+
+
+def make_world(root: Path, workload: str, seed: int) -> Path:
+    """Write the tiny ``workload`` world of ``seed`` under ``root`` with the
+    benchmark's world generator, loaded once per test run."""
+    _world_module().make_world(root, workload, seed, "tiny")
     return root

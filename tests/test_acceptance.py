@@ -25,7 +25,8 @@ from conftest import (
     span_posterior,
     wp_space_with,
 )
-from entkit.alignment import alignment_objective, fit_alignment
+from oracles import alignment_objective, head_gradients, person_name_filter
+from entkit.alignment import fit_alignment
 from entkit.cli import main as cli_main
 from entkit.embeddings import Vocabulary, shared_vocabulary
 from entkit.entity_linking import (
@@ -45,10 +46,9 @@ from entkit.lama_bench import (
     RelationTemplate,
     build_lama_uhn,
     hits_at_k,
-    person_name_filter,
     string_match_filter,
 )
-from entkit.scorer import AffineHead, ReferenceScorer, head_gradients
+from entkit.scorer import AffineHead, ReferenceScorer
 from entkit.wikidata_client import (
     FixtureTransport,
     ResolutionStatus,

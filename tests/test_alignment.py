@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from conftest import make_space, normal_equations, paired_spaces
+from oracles import alignment_objective
 from entkit.alignment import (
     FIT_BLOCK,
     AlignmentMap,
-    alignment_objective,
     derive_entity_space,
     fit_alignment,
     load_alignment,

@@ -290,6 +290,20 @@ def test_non_string_label_exit_data(tmp_path, capsys, command, field):
     assert_one_line_error(code, stderr, 2, "P103.jsonl: line 2:")
 
 
+@pytest.mark.parametrize("command", ["eval-lama", "filter-uhn"])
+def test_subject_holding_the_mask_word_exit_data(tmp_path, capsys, command):
+    data = tmp_path / "lama"
+    shutil.copytree(LAMA, data)
+    with open(data / "P103.jsonl", "a", encoding="utf-8") as fh:
+        fh.write('{"sub_label": "Jean [MASK]", "obj_label": "French"}\n')
+    extra = ["--out-dir", str(tmp_path / "uhn")] if command == "filter-uhn" else []
+    code, _, stderr = run(
+        capsys, command, "--data", str(data), "--templates", TEMPLATES,
+        "--wp-space", WP, "--answer-vocab", ANSWERS, *extra,
+    )
+    assert_one_line_error(code, stderr, 2, "P103.jsonl: line 3: sub_label holds [MASK]")
+
+
 STATS_LINES = (
     "relation\tstage\tquestions\n"
     "P1001\t0\t1\nP1001\t1\t0\nP1001\t2\t0\n"
@@ -728,6 +742,19 @@ class TestResolve:
         )
         assert code == 3
         assert not cache.exists()
+
+    def test_surface_holding_a_tab_exit_data_before_any_query(self, tmp_path, capsys):
+        # The cache and the result are tab-separated: such a surface would
+        # write a cache line that the next run cannot read back.
+        surfaces = tmp_path / "surfaces.txt"
+        surfaces.write_text("Jean Marais\nJean\tMarais\n", encoding="utf-8")
+        cache = tmp_path / "cache.tsv"
+        code, stdout, stderr = run(
+            capsys, "resolve", "--surfaces", str(surfaces),
+            "--fixture", WD_FIXTURE, "--cache", str(cache),
+        )
+        assert_one_line_error(code, stderr, 2, "surfaces.txt: line 2: surface holds a tab")
+        assert stdout == "" and not cache.exists()
 
     def test_endpoint_and_fixture_conflict(self, capsys):
         code, _, stderr = run(

@@ -15,13 +15,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import make_space
+from oracles import write_space
 from entkit import embeddings
 from entkit.embeddings import (
     EmbeddingSpace,
     SpaceKind,
     Vocabulary,
     load_space,
-    save_space,
     shared_vocabulary,
 )
 from entkit.errors import DataError
@@ -407,20 +407,10 @@ class TestSaveLoadRoundTrip:
             SpaceKind.WORD_AND_ENTITY,
         )
         f = tmp_path / "round.txt"
-        save_space(space, f)
+        write_space(space, f)
         again = load_space(f, SpaceKind.WORD_AND_ENTITY)
         assert again.vocab.symbols == space.vocab.symbols
         np.testing.assert_array_equal(again.matrix, values)
-
-    def test_save_format(self, tmp_path):
-        space = make_space(["x"], [[0.1, -2.5]], SpaceKind.WORDPIECE)
-        f = tmp_path / "fmt.txt"
-        save_space(space, f)
-        header, row = f.read_text().splitlines()
-        assert header == "1 2"
-        sym, *vals = row.split(" ")
-        assert sym == "x"
-        assert vals == [str(np.float32(0.1)), str(np.float32(-2.5))]
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -439,7 +429,7 @@ class TestSaveLoadRoundTrip:
             ["sym"], np.array([values], dtype=np.float32), SpaceKind.WORDPIECE
         )
         f = tmp / "one.txt"
-        save_space(space, f)
+        write_space(space, f)
         again = load_space(f, SpaceKind.WORDPIECE)
         np.testing.assert_array_equal(again.matrix, space.matrix.astype(np.float32))
 

@@ -23,6 +23,7 @@ from conftest import (
     span_posterior,
     wp_space_with,
 )
+from oracles import el_input, head_gradients, mask_state
 from entkit import embeddings
 from entkit._candidate_table import PackedSymbols
 from entkit._tsv import tsv_rows
@@ -33,7 +34,6 @@ from entkit.entity_linking import (
     GoldAnnotation,
     NullEntityParams,
     SpanState,
-    build_el_input,
     build_training_examples,
     candidate_groups,
     canonical_entity,
@@ -49,13 +49,7 @@ from entkit.entity_linking import (
 )
 from entkit.embeddings import SpaceKind
 from entkit.errors import DataError
-from entkit.scorer import (
-    AffineHead,
-    ReferenceScorer,
-    candidate_gradients,
-    candidate_probs,
-    head_gradients,
-)
+from entkit.scorer import AffineHead, ReferenceScorer, candidate_gradients, candidate_probs
 
 
 def cand(name, prior=1.0):
@@ -357,75 +351,70 @@ class TestGenerateCandidates:
 
 
 DIM = 3
-EL_WORDS = ["the", "cat", "sat", "Adams", "visits", "Platt"]
-WP = wp_space_with({w: [0.0] * DIM for w in EL_WORDS}, DIM)
+_RNG = np.random.default_rng(17)
+EL_SCORER = ReferenceScorer(
+    wp_space_with({w: _RNG.standard_normal(DIM) for w in ("the", "cat", "sat")}, DIM),
+    ent_space_with({f"ENTITY/{n}": _RNG.standard_normal(DIM)
+                    for n in ("Cat", "Sat", "The", "The_Cat", "Cat_Sat")}, DIM),
+)
 
 
 class TestBuildElInput:
+    """Hand-written linking inputs: the oracle ``el_input`` renders each,
+    and the library's state of each span is the oracle state of that input."""
+
     def span(self, start, end, *names):
         return CandidateSpan(start, end, tuple(cand(n) for n in names))
 
+    def render(self, tokens, span, decoded=None, use_emask=True):
+        seq = el_input(tokens, span, decoded or {}, use_emask, EL_SCORER.wp_vocab)
+        state = span_mask_states([(tokens, [span], decoded)], EL_SCORER, use_emask)[0]
+        assert np.array_equal(state, mask_state(seq, EL_SCORER.wp, EL_SCORER.ent))
+        return seq.render()
+
     def test_rendering_shape(self):
-        seq = build_el_input(
-            ["the", "cat", "sat"], self.span(1, 2, "Cat"), WP.vocab
-        )
-        assert seq.render() == [
+        assert self.render(["the", "cat", "sat"], self.span(1, 2, "Cat")) == [
             "[CLS]", "the", "[E-MASK]", "/", "cat", "*", "sat", "[SEP]",
         ]
 
     def test_plain_mask_variant(self):
-        seq = build_el_input(
-            ["the", "cat", "sat"], self.span(1, 2, "Cat"), WP.vocab,
-            use_emask=False,
-        )
-        assert seq.render() == [
-            "[CLS]", "the", "[MASK]", "/", "cat", "*", "sat", "[SEP]",
-        ]
+        assert self.render(
+            ["the", "cat", "sat"], self.span(1, 2, "Cat"), use_emask=False
+        ) == ["[CLS]", "the", "[MASK]", "/", "cat", "*", "sat", "[SEP]"]
 
     def test_decoded_spans_render_as_entities(self):
-        seq = build_el_input(
-            ["the", "cat", "sat"], self.span(2, 3, "Sat"), WP.vocab,
-            decoded={(0, 2): "ENTITY/The_Cat"},
-        )
-        assert seq.render() == [
-            "[CLS]", "ENTITY/The_Cat", "[E-MASK]", "/", "sat", "*", "[SEP]",
-        ]
+        assert self.render(
+            ["the", "cat", "sat"], self.span(2, 3, "Sat"), {(0, 2): "ENTITY/The_Cat"}
+        ) == ["[CLS]", "ENTITY/The_Cat", "[E-MASK]", "/", "sat", "*", "[SEP]"]
 
     def test_decoded_span_in_right_context(self):
-        seq = build_el_input(
-            ["the", "cat", "sat"], self.span(0, 1, "The"), WP.vocab,
-            decoded={(1, 3): "ENTITY/Cat_Sat"},
-        )
-        assert seq.render() == [
-            "[CLS]", "[E-MASK]", "/", "the", "*", "ENTITY/Cat_Sat", "[SEP]",
-        ]
+        assert self.render(
+            ["the", "cat", "sat"], self.span(0, 1, "The"), {(1, 3): "ENTITY/Cat_Sat"}
+        ) == ["[CLS]", "[E-MASK]", "/", "the", "*", "ENTITY/Cat_Sat", "[SEP]"]
 
     def test_decoded_span_straddling_window_falls_back_to_text(self):
         # A decoded record reaching past the context window renders as plain
         # wordpieces rather than leaking an entity token across the boundary.
-        seq = build_el_input(
-            ["the", "cat", "sat"], self.span(2, 3, "Sat"), WP.vocab,
-            decoded={(1, 3): "ENTITY/Cat_Sat"},
-        )
-        assert seq.render() == [
-            "[CLS]", "the", "cat", "[E-MASK]", "/", "sat", "*", "[SEP]",
-        ]
+        assert self.render(
+            ["the", "cat", "sat"], self.span(2, 3, "Sat"), {(1, 3): "ENTITY/Cat_Sat"}
+        ) == ["[CLS]", "the", "cat", "[E-MASK]", "/", "sat", "*", "[SEP]"]
 
     def test_unknown_context_word_falls_back_to_unk(self):
-        seq = build_el_input(["xyzzy", "cat"], self.span(1, 2, "Cat"), WP.vocab)
-        assert seq.render() == [
+        assert self.render(["xyzzy", "cat"], self.span(1, 2, "Cat")) == [
             "[CLS]", "[UNK]", "[E-MASK]", "/", "cat", "*", "[SEP]",
         ]
 
     def test_span_beyond_document_rejected(self):
+        # Also when the span is in the second document of the call.
+        ok = ["the", "cat"], [self.span(0, 1, "The")], None
         with pytest.raises(ValueError, match="exceeds document length"):
-            build_el_input(["the"], self.span(0, 2, "X"), WP.vocab)
+            span_mask_states([ok, (["the"], [self.span(0, 2, "The")], None)], EL_SCORER)
 
 
 class TestSpanMaskStates:
     """The batched mask states against the per-span oracle
-    ``mask_state(build_el_input(...))``, bit for bit, on standard-normal
-    spaces whose sums round."""
+    ``mask_state(el_input(...))``, bit for bit, on standard-normal spaces
+    whose sums round."""
 
     D = 17
     # "new-york," splits on punctuation, "walks" into "walk ##s", and
@@ -470,9 +459,8 @@ class TestSpanMaskStates:
 
     def oracle(self, scorer, spans, decoded, use_emask):
         return [
-            scorer.mask_state(build_el_input(
-                self.TOKENS, span, scorer.wp_vocab, decoded, use_emask
-            ))
+            mask_state(el_input(self.TOKENS, span, decoded, use_emask, scorer.wp_vocab),
+                       scorer.wp, scorer.ent)
             for span in spans
         ]
 
@@ -494,7 +482,7 @@ class TestSpanMaskStates:
         spans = [CandidateSpan(2, 3, (cand("City"),)), CandidateSpan(1, 2, (cand("NY"),))]
         right = ["walk", "##s", "[UNK]", "ENTITY/NYC", "ENTITY/Walks", "ENTITY/City", "[SEP]"]
         assert [
-            build_el_input(self.TOKENS, s, scorer.wp_vocab, self.DECODED).render()
+            el_input(self.TOKENS, s, self.DECODED, True, scorer.wp_vocab).render()
             for s in spans
         ] == [
             ["[CLS]", "the", "new", "-", "york", ",", "[E-MASK]", "/", "city", "*"]
@@ -542,8 +530,8 @@ class TestSpanMaskStates:
             assert sum(len(c[1]) for c in calls) == len(examples)
             oracle_loss = 0.0
             for ex in examples:
-                seq = build_el_input(ex.tokens, ex.span, scorer.wp_vocab, {}, mode)
-                h = scorer.mask_state(seq)
+                seq = el_input(ex.tokens, ex.span, {}, mode, scorer.wp_vocab)
+                h = mask_state(seq, scorer.wp, scorer.ent)
                 tokens, spans, decoded, use_emask, out = next(
                     c for c in calls if c[0] == ex.tokens
                 )
@@ -1046,6 +1034,28 @@ class TestIterativeRefine:
             assert lists == [s.candidates for s in undecided]
             assert n_states == len(undecided)
         assert len(calls[-1][1]) < len(spans)
+
+    def test_rounds_stop_once_no_document_is_left_going(self, monkeypatch):
+        import entkit.entity_linking as el
+
+        tokens, table, scorer = flat_linking_world(2)
+        docs = [([w], generate_candidates([w], table)) for w in tokens]
+        calls = []
+        blocks = el._blocks
+
+        def counting(items, size):
+            calls.append(len(items))
+            return blocks(items, size)
+
+        monkeypatch.setattr(el, "_blocks", counting)
+        out, steps = iterative_refine(
+            docs, scorer, AffineHead.zeros(2), NullEntityParams.zeros(2, b=-1e9),
+            iterations=1000,
+        )
+        assert all(s.state is SpanState.DECODED for s in out)
+        assert [(s.doc, s.iteration) for s in steps] == [(0, 1), (1, 1)]
+        # One round decodes both documents; no later round takes a block.
+        assert calls == [2, 2]
 
     def test_errors(self):
         tokens, table, scorer = flat_linking_world(2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TableScorer, ent_space_with, random_uhn_fixture, wp_space_with
+from oracles import person_name_filter
 from entkit.embeddings import Vocabulary
 from entkit.errors import DataError
 from entkit.lama_bench import (
@@ -17,7 +18,6 @@ from entkit.lama_bench import (
     hits_at_k,
     load_lama_dir,
     load_templates,
-    person_name_filter,
     rank_answers,
     render_question,
     resolve_subjects,
@@ -255,59 +255,57 @@ PROBE_SCORER = TableScorer(PROBE_VOCAB, RANKS)
 ELIGIBLE = RelationTemplate("R1", "[X] speaks [MASK].", name_noun="language")
 
 
+def name_probe_deletes(triple, **kwargs) -> bool:
+    """Whether the name probe deletes ``triple`` under ``ELIGIBLE``, after
+    checking that ``build_lama_uhn`` on a one-question dataset agrees with
+    the per-question oracle."""
+    want = person_name_filter(triple, ELIGIBLE, PROBE_SCORER, ANSWERS, **kwargs)
+    result = build_lama_uhn({"R1": [triple]}, {"R1": ELIGIBLE}, PROBE_SCORER, ANSWERS, **kwargs)
+    assert result.stage1["R1"] == [triple]
+    assert (result.stage2["R1"] == []) is want
+    return want
+
+
 class TestPersonNameFilter:
     def test_any_part_in_top_k_deletes(self):
-        assert person_name_filter(
-            KbTriple("R1", "AA BB", "gold"), ELIGIBLE, PROBE_SCORER, ANSWERS
-        ) is True
-        assert person_name_filter(
-            KbTriple("R1", "BB DD", "gold"), ELIGIBLE, PROBE_SCORER, ANSWERS
-        ) is True
+        assert name_probe_deletes(KbTriple("R1", "AA BB", "gold")) is True
+        assert name_probe_deletes(KbTriple("R1", "BB DD", "gold")) is True
 
     def test_all_parts_below_top_k_keeps(self):
-        assert person_name_filter(
-            KbTriple("R1", "BB CC", "gold"), ELIGIBLE, PROBE_SCORER, ANSWERS
-        ) is False
+        assert name_probe_deletes(KbTriple("R1", "BB CC", "gold")) is False
 
     def test_top_k_zero_never_deletes(self):
-        assert person_name_filter(
-            KbTriple("R1", "DD", "gold"), ELIGIBLE, PROBE_SCORER, ANSWERS, top_k=0
-        ) is False
+        assert name_probe_deletes(KbTriple("R1", "DD", "gold"), top_k=0) is False
 
     def test_wider_top_k_deletes_rank_four(self):
-        assert person_name_filter(
-            KbTriple("R1", "BB CC", "gold"), ELIGIBLE, PROBE_SCORER, ANSWERS,
-            top_k=4,
-        ) is True
+        assert name_probe_deletes(KbTriple("R1", "BB CC", "gold"), top_k=4) is True
 
     def test_empty_subject_kept(self):
-        assert person_name_filter(
-            KbTriple("R1", "", "gold"), ELIGIBLE, PROBE_SCORER, ANSWERS
-        ) is False
+        assert name_probe_deletes(KbTriple("R1", "", "gold")) is False
 
     def test_ineligible_template_rejected(self):
+        # A relation without a probe noun is never probed, so its questions
+        # pass stage 2 even where the probe would delete them.
+        class NeverScores(TableScorer):
+            def score_answers(self, seqs, symbols):
+                raise AssertionError("an ineligible relation was probed")
+
+        triples = [KbTriple("R2", "AA", "gold"), KbTriple("R2", "DD", "gold")]
         plain = RelationTemplate("R2", "[X] speaks [MASK].")
-        with pytest.raises(ValueError, match="not eligible"):
-            person_name_filter(
-                KbTriple("R2", "AA", "gold"), plain, PROBE_SCORER, ANSWERS
-            )
+        result = build_lama_uhn({"R2": triples}, {"R2": plain}, NeverScores(PROBE_VOCAB, RANKS),
+                                ANSWERS)
+        assert result.stage2["R2"] == triples
 
     def test_case_sensitivity_flag(self):
         triple = KbTriple("R1", "DD", "GOLD")
-        assert person_name_filter(
-            triple, ELIGIBLE, PROBE_SCORER, ANSWERS
-        ) is False
-        assert person_name_filter(
-            triple, ELIGIBLE, PROBE_SCORER, ANSWERS, case_insensitive=True
-        ) is True
+        assert name_probe_deletes(triple) is False
+        assert name_probe_deletes(triple, case_insensitive=True) is True
 
     def test_probe_ignores_entity_knowledge(self):
         # The probe renders in plain wordpiece mode: a scorer keyed on entity
         # symbols never sees them, so resolution cannot affect deletion.
         resolved = KbTriple("R1", "AA", "gold", sub_entity="ENTITY/AA")
-        assert person_name_filter(
-            resolved, ELIGIBLE, PROBE_SCORER, ANSWERS
-        ) is True
+        assert name_probe_deletes(resolved) is True
 
 
 def is_ordered_subset(sub, seq):

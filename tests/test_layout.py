@@ -1,8 +1,9 @@
 """The input builders against a renderer written from their definitions.
 
-The renderer walks the words one at a time and does not use
-``text_input.layout``, so cloze, relation-marked and linking inputs, and the
-linking mask states, are each checked against code they do not share.
+The renderers walk the words one at a time and do not use
+``text_input.layout``, so cloze and relation-marked inputs, and the linking
+mask states (against ``oracles.el_input`` and ``oracles.mask_state``), are
+each checked against code they do not share.
 """
 
 import numpy as np
@@ -11,21 +12,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import SPECIAL_PIECES, ent_space_with, make_space
+from oracles import el_input, mask_state
 from entkit import entity_linking
 from entkit.embeddings import SpaceKind
-from entkit.entity_linking import (
-    Candidate,
-    CandidateSpan,
-    build_el_input,
-    span_mask_states,
-)
+from entkit.entity_linking import Candidate, CandidateSpan, span_mask_states
 from entkit.scorer import ReferenceScorer
 from entkit.text_input import (
     MASK_WORD,
     InputMode,
     MentionSpan,
     Token,
-    TokenSequence,
     build_input,
     build_rc_input,
     wordpiece_tokens,
@@ -130,31 +126,6 @@ def linking_inputs(draw):
     return tokens, scored, decoded, draw(st.booleans())
 
 
-def render_linking(tokens, span, decoded, use_emask) -> list[Token]:
-    """[CLS], then word by word: at the scored span, the mask, ``/``, the
-    span's wordpieces and ``*``; at a word where decoded spans that do not
-    overlap the scored span start, the entity of the shortest, skipping its
-    words; any other word its wordpieces. Then [SEP]."""
-    mask = (Token.emask([c.entity for c in span.candidates]) if use_emask
-            else Token.mask())
-    out = [Token.wordpiece("[CLS]")]
-    i = 0
-    while i < len(tokens):
-        ends = sorted(e for s, e in decoded
-                      if s == i and (e <= span.start or span.end <= s))
-        if i == span.start:
-            out += [mask, Token.wordpiece("/"), *pieces(tokens[span.start : span.end]),
-                    Token.wordpiece("*")]
-            i = span.end
-        elif ends:
-            out.append(Token.entity(decoded[(i, ends[0])]))
-            i = ends[0]
-        else:
-            out += pieces([tokens[i]])
-            i += 1
-    return out + [Token.wordpiece("[SEP]")]
-
-
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(case=linking_inputs())
 def test_linking_inputs_and_states_match_the_word_by_word_renderer(case):
@@ -162,10 +133,8 @@ def test_linking_inputs_and_states_match_the_word_by_word_renderer(case):
     scorer = ReferenceScorer(WP, ENT)
     states = span_mask_states([(tokens, spans, decoded)], scorer, use_emask)
     for span, state in zip(spans, states):
-        want = render_linking(tokens, span, decoded, use_emask)
-        seq = build_el_input(tokens, span, WP.vocab, decoded, use_emask)
-        assert list(seq.tokens) == want
-        assert np.array_equal(state, scorer.mask_state(TokenSequence(tuple(want))))
+        want = mask_state(el_input(tokens, span, decoded, use_emask, WP.vocab), WP, ENT)
+        assert np.array_equal(state.view(np.int64), want.view(np.int64))
 
 
 @pytest.mark.parametrize("block", [1, 3, 10**6])
@@ -193,7 +162,7 @@ def test_decoded_spans_at_scored_span_edges_match_the_renderer(monkeypatch, bloc
     scorer = ReferenceScorer(WP, ENT)
     states = span_mask_states(docs, scorer, use_emask)
     want = [
-        scorer.mask_state(TokenSequence(tuple(render_linking(doc, span, decoded, use_emask))))
+        mask_state(el_input(doc, span, decoded, use_emask, WP.vocab), WP, ENT)
         for doc, doc_spans, decoded in docs for span in doc_spans
     ]
     assert states.shape == (len(want), DIM)

@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ent_space_with, make_space, wp_space_with
+from oracles import head_gradients, mask_state
 from entkit.embeddings import SpaceKind, Vocabulary
+from entkit.entity_linking import candidate_groups
 from entkit.errors import DataError
 from entkit.lama_bench import rank_answers
 from entkit.scorer import (
@@ -16,7 +18,6 @@ from entkit.scorer import (
     by_blocks,
     candidate_probs,
     embed_sequence,
-    head_gradients,
     reference_contextualize,
 )
 from entkit.text_input import Token, TokenKind, TokenSequence
@@ -226,8 +227,8 @@ class TestScoreCandidates:
     def test_empty_rejected(self):
         # Every row scores at least the shared candidate, so an empty
         # candidate list is rejected before scoring.
-        with pytest.raises(ValueError):
-            head_gradients(np.zeros(2), AffineHead.identity(2), [], 0)
+        with pytest.raises(ValueError, match="no candidates"):
+            candidate_groups([[]], ENT)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -329,28 +330,6 @@ class TestHeadGradients:
         logits = np.array([1000.0, -1000.0])
         assert grads.probs[1] == 0.0
         assert grads.loss == np.logaddexp.reduce(logits) - logits[1] == 2000.0
-
-    def test_gold_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            head_gradients(
-                np.zeros(2), AffineHead.identity(2), [(np.zeros(2), 0.0)], 1
-            )
-
-    def test_head_is_applied_once(self):
-        class CountingHead(AffineHead):
-            calls = 0
-
-            def apply(self, h):
-                self.calls += 1
-                return super().apply(h)
-
-        rng = np.random.default_rng(3)
-        head = CountingHead(rng.standard_normal((3, 3)), rng.standard_normal(3))
-        cands = [(rng.standard_normal(3), 0.1), (rng.standard_normal(3), -0.4)]
-        h = rng.standard_normal(3)
-        grads = head_gradients(h, head, cands, gold=1)
-        assert head.calls == 1
-        assert np.array_equal(grads.probs, one_row_probs(h, head, cands))
 
 
 class TestReferenceScorer:
@@ -479,12 +458,6 @@ def mask_position(seq):
     )
 
 
-def oracle_state(scorer, seq):
-    """The mask's vector of the whole-sequence embed and contextualize."""
-    vecs = embed_sequence(seq, scorer.wp, scorer.ent)
-    return reference_contextualize(vecs)[mask_position(seq)]
-
-
 def random_mixed_cloze(seed, n_questions=80, dim=13):
     """Standard-normal spaces and head, and single-mask sequences mixing
     wordpieces (some missing from the space, so they embed as [UNK], and
@@ -528,9 +501,9 @@ def random_mixed_cloze(seed, n_questions=80, dim=13):
 
 
 class TestSingleMaskStatePath:
-    """``mask_states`` and ``score_answers`` against the whole-sequence
-    oracle ``reference_contextualize(embed_sequence(seq))[pos]``, bit for
-    bit, alone and inside a mixed batch."""
+    """``mask_states`` and ``score_answers`` against the token-by-token
+    oracle ``oracles.mask_state``, bit for bit, alone and inside a mixed
+    batch."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_mask_states_rows_are_the_oracle(self, seed):
@@ -545,7 +518,7 @@ class TestSingleMaskStatePath:
         batch = scorer.mask_states(tokens, inputs)
         assert batch.shape == (len(seqs), scorer.wp.dim)
         for row, seq in zip(batch, seqs):
-            expected = oracle_state(scorer, seq)
+            expected = mask_state(seq, scorer.wp, scorer.ent)
             own = list(dict.fromkeys(seq.tokens))
             alone = scorer.mask_states(
                 own, [(np.array([own.index(t) for t in seq.tokens]), mask_position(seq))]
@@ -589,7 +562,7 @@ class TestSingleMaskStatePath:
 
         bits = states(seqs).view(np.int64)
         for seq, row in zip(seqs, bits):
-            assert np.array_equal(oracle_state(scorer, seq).view(np.int64), row)
+            assert np.array_equal(mask_state(seq, scorer.wp, scorer.ent).view(np.int64), row)
         order = rng.permutation(len(seqs))
         cuts = np.sort(rng.choice(np.arange(1, len(seqs)), 8, replace=False))
         for part in np.split(order, cuts):
@@ -602,7 +575,7 @@ class TestSingleMaskStatePath:
         class OracleStates(ReferenceScorer):
             def mask_states(self, tokens, inputs):
                 seqs = [TokenSequence(tuple(tokens[i] for i in idx)) for idx, _ in inputs]
-                return np.array([oracle_state(self, seq) for seq in seqs]).reshape(
+                return np.array([mask_state(seq, self.wp, self.ent) for seq in seqs]).reshape(
                     len(seqs), self.wp.dim
                 )
 

@@ -14,7 +14,6 @@ from entkit.text_input import (
     TokenSequence,
     build_input,
     build_rc_input,
-    wordpiece_tokenize,
     wordpiece_tokens,
 )
 
@@ -25,6 +24,11 @@ VOCAB = Vocabulary(
         "end", "won't",
     ]
 )
+
+
+def wordpiece_tokenize(text, vocab):
+    """The pieces of ``wordpiece_tokens`` for the whitespace words of ``text``."""
+    return [t.text for t in wordpiece_tokens(text.split(), vocab)]
 
 
 class TestWordpieceTokenize:
