@@ -168,31 +168,27 @@ def check_entity_source(amap: AlignmentMap, wiki: EmbeddingSpace) -> None:
 
 
 def derive_entity_space(
-    amap: AlignmentMap, wiki: EmbeddingSpace, symbols: Iterable[str] | None = None
+    amap: AlignmentMap, wiki: EmbeddingSpace, symbols: Iterable[str]
 ) -> EmbeddingSpace:
-    """Map entity rows of ``wiki`` into the target space.
+    """Map the entity rows ``symbols`` of ``wiki`` into the target space.
 
-    Maps every entity row, or with ``symbols`` only those entities. The
-    result holds them in their relative order in ``wiki``, and no words.
-    Rows are mapped by ``scorer.by_blocks``, the last block zero-padded, so
-    every product has one shape and a row's bits do not depend on which
-    other rows are derived. The rows stay the left-hand operand, as in a
-    single product over the whole table, whose bits they match for tables
-    of more than a few rows.
+    The result holds those entities in their relative order in ``wiki``, and
+    no words. Rows are mapped by ``scorer.by_blocks``, the last block
+    zero-padded, so every product has one shape and a row's bits do not
+    depend on which other rows are derived. The rows stay the left-hand
+    operand, as in a single product over the whole table, whose bits they
+    match for tables of more than a few rows.
     """
     check_entity_source(amap, wiki)
     index = wiki.vocab.index
-    if symbols is None:
-        ids = [index[s] for s in wiki.entity_symbols()]
-    else:
-        wanted = set(symbols)
-        words = sorted(s for s in wanted if not is_entity_symbol(s))
-        if words:
-            raise DataError(f"cannot derive symbols that are not entities: {words[:5]}")
-        missing = sorted(s for s in wanted if s not in index)
-        if missing:
-            raise DataError(f"entities missing from entity space: {missing[:5]}")
-        ids = sorted(index[s] for s in wanted)
+    wanted = set(symbols)
+    words = sorted(s for s in wanted if not is_entity_symbol(s))
+    if words:
+        raise DataError(f"cannot derive symbols that are not entities: {words[:5]}")
+    missing = sorted(s for s in wanted if s not in index)
+    if missing:
+        raise DataError(f"entities missing from entity space: {missing[:5]}")
+    ids = sorted(index[s] for s in wanted)
     with np.errstate(over="ignore", invalid="ignore"):  # EmbeddingSpace reports it
         rows = by_blocks(wiki.matrix[ids], amap.d_tgt, lambda b: b @ amap.w.T)
     return EmbeddingSpace(

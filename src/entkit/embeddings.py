@@ -113,9 +113,6 @@ class EmbeddingSpace:
         i = self.vocab.index.get(symbol)
         return None if i is None else self.matrix[i]
 
-    def entity_symbols(self) -> list[str]:
-        return [s for s in self.vocab.symbols if is_entity_symbol(s)]
-
 
 def load_space(
     path,

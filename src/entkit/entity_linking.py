@@ -674,7 +674,9 @@ def load_documents(path) -> list[Document]:
     """Load JSON-lines documents: {"doc_id", "tokens", "golds"?}.
 
     Gold entities normalize to ENTITY/ symbols. Overlapping gold spans are
-    rejected; the strong-match scorer assumes disjoint references.
+    rejected; the strong-match scorer assumes disjoint references. A token
+    that is empty or holds whitespace is rejected too: span surfaces join
+    tokens with spaces, so it would match a table surface of another length.
     """
     docs: list[Document] = []
     with open(path, encoding="utf-8") as fh:
@@ -693,6 +695,9 @@ def load_documents(path) -> list[Document]:
                 raise DataError(f"{where}: doc_id must be a string")
             if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
                 raise DataError(f"{where}: tokens must be a list of strings")
+            if " ".join(tokens).split() != tokens:
+                bad = next(t for t in tokens if t.split() != [t])
+                raise DataError(f"{where}: token {bad!r} is empty or contains whitespace")
             if not isinstance(raw_golds, list):
                 raise DataError(f"{where}: golds must be a list")
             golds = [_gold_annotation(g, where) for g in raw_golds]

@@ -209,11 +209,13 @@ def _framed_input(
     entity_space: EmbeddingSpace | None,
     vocab: Vocabulary,
 ) -> TokenSequence:
-    """The layout behind both builders: each mention is rendered per
-    ``mode`` and, when it carries a marker wordpiece, wrapped in a pair of it.
-    A mention is resolvable when ``entity_space`` holds its entity id."""
+    """The walk behind both builders: ``[CLS]``, then each word in order,
+    then ``[SEP]``. A ``[MASK]`` word is a Mask token and any other word
+    outside the mentions is its wordpieces. Each mention is rendered per
+    ``mode`` and, when it carries a marker wordpiece, wrapped in a pair of
+    it. A mention is resolvable when ``entity_space`` holds its entity id."""
     words = sentence.split()
-    mentions = [(i, i + 1, [Token.mask()]) for i, w in enumerate(words) if w == MASK_WORD]
+    rendered: dict[int, tuple[int, list[Token]]] = {}
     prev_end = 0
     for m, marker in sorted(marked, key=lambda t: t[0].start):
         if m.end > len(words):
@@ -222,58 +224,31 @@ def _framed_input(
             )
         if m.start < prev_end:
             raise ValueError("mentions overlap")
-        if MASK_WORD in words[m.start : m.end]:
+        surface = words[m.start : m.end]
+        if MASK_WORD in surface:
             raise ValueError("a mention span may not cover the [MASK] word")
         prev_end = m.end
-        parts: list[Part] = [range(m.start, m.end)]
         if (mode is not InputMode.BERT and entity_space is not None
                 and m.entity_id in entity_space.vocab):
-            entity = Token.entity(m.entity_id)
+            part = [Token.entity(m.entity_id)]
             if mode is InputMode.CONCAT:
-                parts = [entity, Token.wordpiece("/"), *parts]
-            else:
-                parts = [entity]
-        if marker is not None:
-            parts = [Token.wordpiece(marker), *parts, Token.wordpiece(marker)]
-        mentions.append((m.start, m.end, parts))
-    return expand(layout(len(words), mentions), words, vocab)
-
-
-# One part of a framed input: a Token, or a range of words rendered as their
-# wordpieces.
-Part = Token | range
-
-
-def layout(n_words: int, mentions: Iterable[tuple[int, int, Sequence[Part]]]) -> list[Part]:
-    """The parts of a ``[CLS] … [SEP]`` frame over words ``0 .. n_words-1``.
-
-    Each mention ``(start, end, parts)``, taken in start order, stands in for
-    words ``start .. end-1``; a mention that starts inside an earlier one is
-    skipped, so of two that share a start the first wins. Every run of words
-    between mentions is one range part.
-    """
-    out: list[Part] = [Token.wordpiece("[CLS]")]
-    i = 0
-    for start, end, parts in sorted(mentions, key=lambda m: m[0]):
-        if start < i:
-            continue
-        if i < start:
-            out.append(range(i, start))
-        out.extend(parts)
-        i = end
-    if i < n_words:
-        out.append(range(i, n_words))
-    out.append(Token.wordpiece("[SEP]"))
-    return out
-
-
-def expand(parts: Iterable[Part], words: Sequence[str], vocab: Vocabulary) -> TokenSequence:
-    """The token sequence of ``parts``, each range replaced by the
-    wordpieces of its words."""
-    tokens: list[Token] = []
-    for part in parts:
-        if isinstance(part, range):
-            tokens.extend(wordpiece_tokens(words[part.start : part.stop], vocab))
+                part += [Token.wordpiece("/"), *wordpiece_tokens(surface, vocab)]
         else:
-            tokens.append(part)
+            part = wordpiece_tokens(surface, vocab)
+        if marker is not None:
+            part = [Token.wordpiece(marker), *part, Token.wordpiece(marker)]
+        rendered[m.start] = (m.end, part)
+    tokens = [Token.wordpiece("[CLS]")]
+    i = 0
+    while i < len(words):
+        if i in rendered:
+            i, part = rendered[i]
+            tokens.extend(part)
+            continue
+        if words[i] == MASK_WORD:
+            tokens.append(Token.mask())
+        else:
+            tokens.extend(wordpiece_tokens([words[i]], vocab))
+        i += 1
+    tokens.append(Token.wordpiece("[SEP]"))
     return TokenSequence(tuple(tokens))

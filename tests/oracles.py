@@ -4,7 +4,7 @@ Each oracle computes one thing the library computes in batches, the slow and
 plain way, so a test can compare the two:
 
 - ``el_input`` renders a linking input word by word, without
-  ``text_input.layout`` or ``expand``;
+  ``entity_linking._block_inputs``;
 - ``mask_state`` embeds one sequence token by token and takes the
   leave-one-out mean at its mask, without ``mask_states``, ``_token_rows``
   or ``embed_sequence``, and matches ``mask_states`` bit for bit;

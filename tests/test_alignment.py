@@ -155,8 +155,9 @@ class TestBlockedFit:
 class TestApplyAndDerive:
     def test_derive_entity_space_maps_only_entities(self):
         wiki, wp, _, w_star, amap = fit_pair(9, n=20, n_entities=3)
-        derived = derive_entity_space(amap, wiki)
-        assert derived.vocab.symbols == tuple(wiki.entity_symbols())
+        entities = ["ENTITY/E2", "ENTITY/E0", "ENTITY/E1"]
+        derived = derive_entity_space(amap, wiki, entities)
+        assert derived.vocab.symbols == ("ENTITY/E0", "ENTITY/E1", "ENTITY/E2")
         assert derived.dim == amap.d_tgt
         for sym in derived.vocab.symbols:
             np.testing.assert_allclose(
@@ -168,13 +169,13 @@ class TestApplyAndDerive:
     def test_derive_rejects_wordpiece_space(self):
         wiki, wp, _, _, amap = fit_pair(1)
         with pytest.raises(ValueError, match="word-and-entity"):
-            derive_entity_space(amap, wp)
+            derive_entity_space(amap, wp, [])
 
     def test_derive_rejects_dimension_mismatch(self):
         wiki, _, _ = paired_spaces(0, 6, 6, 15, n_entities=1)
         amap = AlignmentMap(np.zeros((6, 4)), 1, 0.0)
         with pytest.raises(ValueError, match="does not match"):
-            derive_entity_space(amap, wiki)
+            derive_entity_space(amap, wiki, ["ENTITY/E0"])
 
 
     def test_overflowing_map_is_a_data_error_without_warnings(self):
@@ -183,20 +184,22 @@ class TestApplyAndDerive:
         wiki = make_space(["w", "ENTITY/E"], np.ones((2, 2)), SpaceKind.WORD_AND_ENTITY)
         amap = AlignmentMap(np.full((2, 2), 1e308), 1, 0.0)
         with pytest.raises(DataError, match="non-finite embedding row"):
-            derive_entity_space(amap, wiki)
+            derive_entity_space(amap, wiki, ["ENTITY/E"])
 
 
 class TestDeriveSubset:
     """Deriving only some entities gives the rows of the full derivation."""
 
-    @staticmethod
-    def generic_world(n_entities=150, d_src=9, d_tgt=11):
+    ENTITIES = [f"ENTITY/E{i}" for i in range(150)]
+
+    @classmethod
+    def generic_world(cls, d_src=9, d_tgt=11):
         # Standard-normal values and weights, so no product is exact and a
         # shape-dependent summation order would show in the last bits.
         rng = np.random.default_rng(17)
         symbols = []
-        for i in range(n_entities):
-            symbols.append(f"ENTITY/E{i}")
+        for i, entity in enumerate(cls.ENTITIES):
+            symbols.append(entity)
             if i % 7 == 0:
                 symbols.append(f"word{i}")
         matrix = rng.standard_normal((len(symbols), d_src)).astype(np.float32)
@@ -207,10 +210,9 @@ class TestDeriveSubset:
     @pytest.mark.parametrize("k", [1, 7, 64, 65, 150])
     def test_subset_rows_are_the_full_rows(self, k):
         wiki, amap, rng = self.generic_world()
-        full = derive_entity_space(amap, wiki)
-        entities = full.vocab.symbols
-        pick = sorted(rng.choice(len(entities), size=k, replace=False))
-        wanted = [entities[i] for i in pick]
+        full = derive_entity_space(amap, wiki, self.ENTITIES)
+        pick = sorted(rng.choice(len(self.ENTITIES), size=k, replace=False))
+        wanted = [self.ENTITIES[i] for i in pick]
         sub = derive_entity_space(amap, wiki, reversed(wanted))
         assert sub.vocab.symbols == tuple(wanted)  # wiki order, not call order
         assert sub.dim == amap.d_tgt and sub.matrix.dtype == np.float64
@@ -218,7 +220,7 @@ class TestDeriveSubset:
 
     def test_repeats_and_empty_sets(self):
         wiki, amap, _ = self.generic_world()
-        full = derive_entity_space(amap, wiki)
+        full = derive_entity_space(amap, wiki, self.ENTITIES)
         twice = derive_entity_space(amap, wiki, ["ENTITY/E3", "ENTITY/E3"])
         assert twice.vocab.symbols == ("ENTITY/E3",)
         assert np.array_equal(twice.matrix, full.matrix[[3]])

@@ -806,6 +806,9 @@ GOOD_DOC = {"doc_id": "d", "tokens": ["Adams", "and", "Platt"],
     ({"golds": 5}, "golds must be a list"),
     ({"golds": [{"start": 0.7, "end": 1, "entity": "ENTITY/Tony_Adams"}]},
      "bad gold annotation (start and end must be integers"),
+    ({"tokens": ["New York", "and", "Platt"]},
+     "token 'New York' is empty or contains whitespace"),
+    ({"tokens": ["Adams", "", "Platt"]}, "token '' is empty or contains whitespace"),
 ])
 def test_malformed_document_exit_data(tmp_path, capsys, change, text):
     docs = tmp_path / "docs.jsonl"

@@ -465,12 +465,6 @@ class TestVocabularyAndClasses:
         np.testing.assert_array_equal(space.row("b"), [3, 4])
         assert space.row("missing") is None
 
-    def test_symbol_partition(self):
-        space = make_space(
-            ["a", "ENTITY/X", "b"], np.zeros((3, 2)), SpaceKind.WORD_AND_ENTITY
-        )
-        assert space.entity_symbols() == ["ENTITY/X"]
-
 
 class TestSharedVocabulary:
     def test_order_follows_wordpiece_ids(self):

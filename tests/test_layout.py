@@ -1,7 +1,7 @@
 """The input builders against a renderer written from their definitions.
 
-The renderers walk the words one at a time and do not use
-``text_input.layout``, so cloze and relation-marked inputs, and the linking
+The renderers walk the words one at a time without
+``text_input._framed_input``, so cloze and relation-marked inputs, and the linking
 mask states (against ``oracles.el_input`` and ``oracles.mask_state``), are
 each checked against code they do not share.
 """

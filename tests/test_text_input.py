@@ -198,12 +198,15 @@ class TestBuildInput:
         with pytest.raises(ValueError, match="exceeds"):
             build_input("the cat", [MentionSpan(1, 3)], InputMode.BERT,
                         None, WP.vocab)
-        with pytest.raises(ValueError, match="overlap"):
-            build_input(
-                "the cat sat",
-                [MentionSpan(0, 2), MentionSpan(1, 3)],
-                InputMode.BERT, None, WP.vocab,
-            )
+        overlapping = [
+            [MentionSpan(0, 2), MentionSpan(1, 3)],
+            [MentionSpan(1, 3), MentionSpan(0, 2)],  # reverse start order
+            [MentionSpan(0, 2), MentionSpan(0, 1)],  # a shared start
+            [MentionSpan(0, 1), MentionSpan(0, 2)],
+        ]
+        for mentions in overlapping:
+            with pytest.raises(ValueError, match="overlap"):
+                build_input("the cat sat", mentions, InputMode.BERT, None, WP.vocab)
 
 
 class TestBuildRcInput:
@@ -256,9 +259,15 @@ class TestBuildRcInput:
             )
 
     def test_overlapping_spans_rejected(self):
-        with pytest.raises(ValueError, match="overlap"):
-            build_rc_input(
-                "the cat sat", MentionSpan(0, 2), MentionSpan(1, 3),
-                InputMode.BERT, None, WP.vocab,
-            )
+        pairs = [
+            (MentionSpan(0, 2), MentionSpan(1, 3)),
+            (MentionSpan(1, 3), MentionSpan(0, 2)),  # reverse start order
+            (MentionSpan(0, 2), MentionSpan(0, 1)),  # a shared start
+            (MentionSpan(0, 1), MentionSpan(0, 2)),
+        ]
+        for subject, object_ in pairs:
+            with pytest.raises(ValueError, match="overlap"):
+                build_rc_input(
+                    "the cat sat", subject, object_, InputMode.BERT, None, WP.vocab
+                )
 
