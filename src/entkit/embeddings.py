@@ -73,12 +73,6 @@ class Vocabulary:
     def __contains__(self, symbol: str) -> bool:
         return symbol in self.index
 
-    def __iter__(self):
-        return iter(self.symbols)
-
-    def __repr__(self) -> str:
-        return f"Vocabulary({len(self.symbols)} symbols)"
-
 
 @dataclass
 class EmbeddingSpace:

@@ -1,11 +1,12 @@
 """Pluggable masked-LM scoring contract and its reference implementation.
 
-A scorer turns a token sequence into per-position vectors (embed), mixes in
-context (contextualize), and transforms the state at a mask position with a
-head before dotting it against output embeddings. The reference scorer is
-deliberately tiny and fully analytic: contextualization is the leave-one-out
-mean of the embedded sequence, and the head is a single affine map. That is
-enough to exercise every downstream contract without a trained network.
+A scorer embeds the tokens of its inputs, takes the state at each input's
+mask from the rest of the input, and transforms that state with a head
+before dotting it against output embeddings. The reference scorer is
+deliberately tiny and fully analytic: the state is the leave-one-out mean
+of the embedded input at its mask, and the head is a single affine map.
+That is enough to exercise every downstream contract without a trained
+network.
 
 This module is the only one that knows how a state or a candidate
 distribution is computed. Consumers duck-type against a small protocol.
@@ -57,28 +58,17 @@ def by_blocks(x: np.ndarray, width: int, f) -> np.ndarray:
     return out
 
 
-def embed_sequence(
-    seq: TokenSequence,
-    wp: EmbeddingSpace,
-    ent: EmbeddingSpace | None = None,
-) -> list[np.ndarray]:
-    """Embed every token: wordpiece rows, entity rows, mask row, or the
-    componentwise mean of candidate entity rows for an entity mask.
-
-    Wordpieces missing from the vocabulary fall back to the ``[UNK]`` row.
-    Missing entities are an error; the input builders are responsible for
-    falling back to surface wordpieces before this point.
-    """
-    return list(_token_rows(seq.tokens, wp, ent))
-
-
 def _token_rows(
     tokens: Sequence[Token], wp: EmbeddingSpace, ent: EmbeddingSpace | None
 ) -> np.ndarray:
-    """The float64 input rows of ``tokens``, one per row, as
-    ``embed_sequence`` describes. Each distinct entity row is fetched once,
-    and the entity masks with c candidates are averaged together: their
-    rows added in candidate order, starting from zero, and divided by c."""
+    """The float64 input rows of ``tokens``, one per row: a wordpiece's row,
+    or the ``[UNK]`` row for a wordpiece missing from ``wp``; the ``[MASK]``
+    row for a mask; an entity's row; and for an entity mask the mean of its
+    candidates' rows. A missing entity is a DataError: the input builders
+    fall back to surface wordpieces before this point. Each distinct entity
+    row is fetched once, and the entity masks with c candidates are averaged
+    together: their rows added in candidate order, starting from zero, and
+    divided by c."""
     rows = np.empty((len(tokens), wp.dim))
     pieces: list[int] = []  # positions of wordpieces and masks
     ids: list[int] = []  # and their wordpiece rows
@@ -134,24 +124,6 @@ def _ent_row(ent: EmbeddingSpace | None, entity_id: str) -> np.ndarray:
     if row is None:
         raise DataError(f"entity {entity_id!r} missing from entity space")
     return row.astype(np.float64)
-
-
-def reference_contextualize(vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Leave-one-out mean: output i is the mean of all inputs except i.
-
-    The total adds the inputs one by one in order, starting from zero. A
-    length-1 sequence contextualizes to a single zero vector.
-    """
-    n = len(vectors)
-    if n == 0:
-        raise ValueError("cannot contextualize an empty sequence")
-    if n == 1:
-        return [np.zeros_like(np.asarray(vectors[0], dtype=np.float64))]
-    stack = np.asarray(vectors, dtype=np.float64)
-    total = np.zeros(stack.shape[1:])
-    for row in stack:
-        total += row
-    return [(total - stack[i]) / (n - 1) for i in range(n)]
 
 
 @dataclass
@@ -291,14 +263,30 @@ class ReferenceScorer:
     def wp_vocab(self) -> Vocabulary:
         return self.wp.vocab
 
-    # No command calls these three methods or the two functions behind them.
-    # They stay while the benchmark's traced run looks them up by name
-    # (``bench/child.py`` ``METHODS``) instead of reading per-run stats.
+    # No command calls these three methods. They stay while the benchmark's
+    # traced run looks them up by name (``bench/child.py`` ``METHODS``)
+    # instead of reading per-run stats.
     def embed(self, seq: TokenSequence) -> list[np.ndarray]:
-        return embed_sequence(seq, self.wp, self.ent)
+        """The float64 input row of every token of ``seq``, as
+        ``_token_rows`` makes them."""
+        return list(_token_rows(seq.tokens, self.wp, self.ent))
 
     def contextualize(self, vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        return reference_contextualize(vectors)
+        """Leave-one-out mean: output i is the mean of all inputs except i.
+
+        The total adds the inputs one by one in order, starting from zero. A
+        length-1 sequence contextualizes to a single zero vector.
+        """
+        n = len(vectors)
+        if n == 0:
+            raise ValueError("cannot contextualize an empty sequence")
+        if n == 1:
+            return [np.zeros_like(np.asarray(vectors[0], dtype=np.float64))]
+        stack = np.asarray(vectors, dtype=np.float64)
+        total = np.zeros(stack.shape[1:])
+        for row in stack:
+            total += row
+        return [(total - stack[i]) / (n - 1) for i in range(n)]
 
     def mask_state(self, seq: TokenSequence) -> np.ndarray:
         """Contextual vector at the single Mask or EMask position."""
@@ -312,8 +300,8 @@ class ReferenceScorer:
         Input ``(idx, pos)`` is the sequence ``tokens[idx]`` with its mask at
         ``pos``. The tokens are embedded once into a float64 bank ``B``; row s
         is ``(B[idx].sum(0) - B[idx[pos]]) / (n - 1)`` (zero when n is 1),
-        the rows added one by one in input order as ``reference_contextualize``
-        adds them, so it is bit-identical to that oracle's output ``pos``.
+        the rows added one by one in input order as ``contextualize`` adds
+        them, so it is bit-identical to that method's output ``pos``.
         ``ROW_BLOCK`` inputs at a time are padded to the longest of them with
         a ``-0.0`` row, which leaves every sum as it is, and summed one
         column (one position of every input) at a time, so a row does not

@@ -63,27 +63,10 @@ class Token:
             raise ValueError("an entity mask needs a non-empty candidate list")
         return Token(TokenKind.EMASK, candidates=cands)
 
-    def render(self) -> str:
-        """Human-readable text form, used in reports and tests."""
-        if self.kind in (TokenKind.WORDPIECE, TokenKind.ENTITY):
-            return self.text
-        if self.kind is TokenKind.MASK:
-            return MASK_WORD
-        return "[E-MASK]"
-
 
 @dataclass(frozen=True)
 class TokenSequence:
     tokens: tuple[Token, ...]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self):
-        return iter(self.tokens)
-
-    def render(self) -> list[str]:
-        return [t.render() for t in self.tokens]
 
 
 @dataclass(frozen=True)
@@ -170,54 +153,18 @@ def build_input(
 ) -> TokenSequence:
     """Build a CLS/SEP-framed token sequence with optional entity injection.
 
-    In bert mode the output is exactly the wordpiece tokenization of the
-    sentence regardless of mentions. In concat mode a resolvable mention
-    contributes ``Entity / surface-pieces``; in replace mode the entity token
-    stands in for the surface. Unresolvable mentions fall back to plain
-    wordpieces individually.
+    One walk over the words: ``[CLS]``, then each word in order, then
+    ``[SEP]``. A ``[MASK]`` word is a Mask token and any other word outside
+    the mentions is its wordpieces. A mention stands in for its words: in
+    bert mode, and for a mention whose entity id ``entity_space`` does not
+    hold, its plain wordpieces; otherwise its entity token, followed in
+    concat mode by ``/`` and its wordpieces. Mentions may come in any order
+    but must not overlap, run past the sentence or cover the ``[MASK]`` word.
     """
-    return _framed_input(
-        sentence, [(m, None) for m in mentions], mode, entity_space, vocab
-    )
-
-
-def build_rc_input(
-    sentence: str,
-    subject: MentionSpan,
-    object_: MentionSpan,
-    mode: InputMode,
-    entity_space: EmbeddingSpace | None,
-    vocab: Vocabulary,
-) -> TokenSequence:
-    """Build a relation-classification input with marked argument spans.
-
-    The subject span is wrapped in a ``#`` pair and the object span in a
-    ``$`` pair; entity injection inside the markers follows ``mode`` exactly
-    as in ``build_input``. Spans must be disjoint.
-    """
-    if (subject.start, subject.end) == (object_.start, object_.end):
-        raise ValueError("subject and object spans are identical")
-    return _framed_input(
-        sentence, [(subject, "#"), (object_, "$")], mode, entity_space, vocab
-    )
-
-
-def _framed_input(
-    sentence: str,
-    marked: Sequence[tuple[MentionSpan, str | None]],
-    mode: InputMode,
-    entity_space: EmbeddingSpace | None,
-    vocab: Vocabulary,
-) -> TokenSequence:
-    """The walk behind both builders: ``[CLS]``, then each word in order,
-    then ``[SEP]``. A ``[MASK]`` word is a Mask token and any other word
-    outside the mentions is its wordpieces. Each mention is rendered per
-    ``mode`` and, when it carries a marker wordpiece, wrapped in a pair of
-    it. A mention is resolvable when ``entity_space`` holds its entity id."""
     words = sentence.split()
     rendered: dict[int, tuple[int, list[Token]]] = {}
     prev_end = 0
-    for m, marker in sorted(marked, key=lambda t: t[0].start):
+    for m in sorted(mentions, key=lambda m: m.start):
         if m.end > len(words):
             raise ValueError(
                 f"mention [{m.start}, {m.end}) exceeds sentence length {len(words)}"
@@ -235,8 +182,6 @@ def _framed_input(
                 part += [Token.wordpiece("/"), *wordpiece_tokens(surface, vocab)]
         else:
             part = wordpiece_tokens(surface, vocab)
-        if marker is not None:
-            part = [Token.wordpiece(marker), *part, Token.wordpiece(marker)]
         rendered[m.start] = (m.end, part)
     tokens = [Token.wordpiece("[CLS]")]
     i = 0

@@ -8,17 +8,22 @@ storage rounding.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.util
+import json
+import shutil
 import time
 from pathlib import Path
 
 import numpy as np
 
+from entkit.cli import main
 from entkit.embeddings import EmbeddingSpace, SpaceKind, Vocabulary
+from oracles import render
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
-_WORLD_PY = Path(__file__).resolve().parent.parent / "bench" / "world.py"
+_BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 ACCEPTANCE_RESULTS: list[str] = []
 _SESSION_T0 = time.perf_counter()
@@ -90,7 +95,7 @@ def normal_equations(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # Wordpiece vocabulary sufficient for any linking/cloze input over the given
 # extra words: the separator pieces the input builders emit plus [MASK]/[UNK],
 # embedded as zero unless a row is supplied.
-SPECIAL_PIECES = ["[CLS]", "[SEP]", "[UNK]", "[MASK]", "/", "*", "#", "$"]
+SPECIAL_PIECES = ["[CLS]", "[SEP]", "[UNK]", "[MASK]", "/", "*"]
 
 
 def wp_space_with(words: dict[str, np.ndarray] | dict[str, list], dim: int):
@@ -128,7 +133,7 @@ class TableScorer:
 
     def _score_one(self, seq, symbols) -> np.ndarray:
         order = None
-        for text in seq.render():
+        for text in render(seq):
             if text in self.rank_table:
                 order = self.rank_table[text]
                 break
@@ -208,15 +213,35 @@ def span_posterior(h, head, candidates, space, eps) -> np.ndarray:
 
 
 @functools.cache
-def _world_module():
-    spec = importlib.util.spec_from_file_location("entkit_bench_world", _WORLD_PY)
-    world = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(world)
-    return world
+def bench_module(name: str):
+    """``bench/<name>.py``, loaded once per test run under another name, so
+    that a script's ``main`` does not run."""
+    spec = importlib.util.spec_from_file_location(f"entkit_bench_{name}", _BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def make_world(root: Path, workload: str, seed: int) -> Path:
     """Write the tiny ``workload`` world of ``seed`` under ``root`` with the
-    benchmark's world generator, loaded once per test run."""
-    _world_module().make_world(root, workload, seed, "tiny")
+    benchmark's world generator."""
+    bench_module("world").make_world(root, workload, seed, "tiny")
     return root
+
+
+def run_world(world: Path, out: Path):
+    """Run every command of ``world`` in process under ``out``, as the
+    benchmark does: the files the commands resume from are copied first,
+    and each command's stdout goes to its ``stdout`` file. Yields each
+    command and its exit code as it finishes."""
+    commands = json.loads((world / "world.json").read_text(encoding="utf-8"))["commands"]
+    for cmd in commands:
+        (out / cmd["dir"]).mkdir(parents=True, exist_ok=True)
+        for src, dst in cmd.get("copy", {}).items():
+            shutil.copyfile(world / src, out / dst)
+    for cmd in commands:
+        argv = [a.replace("{W}", str(world)).replace("{O}", str(out)) for a in cmd["argv"]]
+        with open(out / cmd["dir"] / "stdout", "w", encoding="utf-8") as fh, \
+                contextlib.redirect_stdout(fh):
+            code = main(argv)
+        yield cmd, code

@@ -6,12 +6,13 @@ plain way, so a test can compare the two:
 - ``el_input`` renders a linking input word by word, without
   ``entity_linking._block_inputs``;
 - ``mask_state`` embeds one sequence token by token and takes the
-  leave-one-out mean at its mask, without ``mask_states``, ``_token_rows``
-  or ``embed_sequence``, and matches ``mask_states`` bit for bit;
+  leave-one-out mean at its mask, without ``mask_states`` or
+  ``_token_rows``, and matches ``mask_states`` bit for bit;
 - ``person_name_filter`` decides the name probe for one question, with its
   own probe sentence and ranking, without ``build_lama_uhn``'s batching;
 - ``alignment_objective`` is the least-squares objective in numpy;
-- ``write_space`` writes a space in word2vec text format.
+- ``write_space`` writes a space in word2vec text format;
+- ``render`` spells a token sequence out as text, for readable asserts.
 
 ``head_gradients`` is the one adapter: the library's ``candidate_gradients``
 on a batch of one, shaped for finite-difference checks of library code.
@@ -34,6 +35,13 @@ from entkit.text_input import (
     build_input,
     wordpiece_tokens,
 )
+
+
+def render(seq: TokenSequence) -> list[str]:
+    """Each token as text: a wordpiece or entity its own text, a mask
+    ``[MASK]``, an entity mask ``[E-MASK]``."""
+    names = {TokenKind.MASK: MASK_WORD, TokenKind.EMASK: "[E-MASK]"}
+    return [names.get(t.kind, t.text) for t in seq.tokens]
 
 
 def el_input(tokens, span, decoded, use_emask, vocab) -> TokenSequence:

@@ -7,10 +7,16 @@ contract and are asserted exactly as stated.
 
 import functools
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import entkit
 
 from conftest import (
     FIXTURES,
@@ -477,18 +483,29 @@ def test_criterion_09_strong_match_f1():
 
 WIKI = str(FIXTURES / "wiki.txt")
 WP_SPACE = str(FIXTURES / "wordpieces.txt")
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
-def run_pipeline(root, threads):
+def run_pipeline(root, threads, blas_threads=None):
     """align -> eval-lama -> filter-uhn -> link on the shipped fixtures;
-    returns every output file keyed by its pipeline-relative name."""
+    returns every output file keyed by its pipeline-relative name. Each
+    command runs in process or, given ``blas_threads``, as a subprocess
+    whose BLAS pools have that many threads."""
+
+    def run(argv):
+        if blas_threads is None:
+            return cli_main(argv)
+        env = {**os.environ, "PYTHONPATH": str(Path(entkit.__file__).resolve().parents[1]),
+               **dict.fromkeys(BLAS_THREAD_VARS, str(blas_threads))}
+        return subprocess.run([sys.executable, "-m", "entkit", *argv],
+                              capture_output=True, env=env).returncode
+
     root.mkdir(parents=True, exist_ok=True)
     align = root / "align.tsv"
-    assert cli_main(["align", "--src", WIKI, "--tgt", WP_SPACE,
-                     "--out", str(align)]) == 0
+    assert run(["align", "--src", WIKI, "--tgt", WP_SPACE, "--out", str(align)]) == 0
 
     eval_out = root / "eval.tsv"
-    assert cli_main([
+    assert run([
         "eval-lama", "--data", str(FIXTURES / "lama"),
         "--templates", str(FIXTURES / "templates.json"),
         "--wp-space", WP_SPACE, "--ent-space", WIKI, "--align", str(align),
@@ -498,7 +515,7 @@ def run_pipeline(root, threads):
     ]) == 0
 
     uhn = root / "uhn"
-    assert cli_main([
+    assert run([
         "filter-uhn", "--data", str(FIXTURES / "lama"),
         "--templates", str(FIXTURES / "templates.json"),
         "--wp-space", WP_SPACE, "--answer-vocab", str(FIXTURES / "answers.txt"),
@@ -506,7 +523,7 @@ def run_pipeline(root, threads):
     ]) == 0
 
     link = root / "link"
-    assert cli_main([
+    assert run([
         "link", "--docs", str(FIXTURES / "el" / "docs.jsonl"),
         "--table", str(FIXTURES / "el" / "table.tsv"),
         "--redirects", str(FIXTURES / "el" / "redirects.tsv"),
@@ -522,13 +539,15 @@ def run_pipeline(root, threads):
     }
 
 
-@criterion(10, "pipeline byte-identical across runs and threads; toy F1 = 1.0")
+@criterion(10, "pipeline byte-identical across runs, --threads and BLAS threads; toy F1 = 1.0")
 def test_criterion_10_end_to_end_determinism(tmp_path):
     first = run_pipeline(tmp_path / "run1", threads=1)
     second = run_pipeline(tmp_path / "run2", threads=1)
     threaded = run_pipeline(tmp_path / "run3", threads=4)
     assert first == second
     assert first == threaded
+    for blas in (1, 4):
+        assert run_pipeline(tmp_path / f"blas{blas}", threads=1, blas_threads=blas) == first
 
     report = first["link/report.tsv"].decode("utf-8").splitlines()
     assert "micro\t1.000000\t1.000000\t1.000000" in report

@@ -1,21 +1,15 @@
 """The benchmark child looks entkit functions up by name; each must exist."""
 
 import importlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
-_CHILD_PY = Path(__file__).resolve().parents[1] / "bench" / "child.py"
+from conftest import bench_module
 
 
 @pytest.fixture(scope="module")
 def child():
-    # Loaded under another name, so the child's ``main`` does not run.
-    spec = importlib.util.spec_from_file_location("entkit_bench_child", _CHILD_PY)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return bench_module("child")
 
 
 def test_every_loader_resolves(child):

@@ -443,7 +443,7 @@ class TestVocabularyAndClasses:
         v = Vocabulary(["z", "a", "m"])
         assert v.index == {"z": 0, "a": 1, "m": 2}
         assert "a" in v and "q" not in v
-        assert list(v) == ["z", "a", "m"]
+        assert v.symbols == ("z", "a", "m")
 
     def test_entity_prefix_detection(self):
         assert is_entity_symbol("ENTITY/Jean_Marais")

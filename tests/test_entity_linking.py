@@ -23,7 +23,7 @@ from conftest import (
     span_posterior,
     wp_space_with,
 )
-from oracles import el_input, head_gradients, mask_state
+from oracles import el_input, head_gradients, mask_state, render
 from entkit import embeddings
 from entkit._candidate_table import PackedSymbols
 from entkit._tsv import tsv_rows
@@ -370,7 +370,7 @@ class TestBuildElInput:
         seq = el_input(tokens, span, decoded or {}, use_emask, EL_SCORER.wp_vocab)
         state = span_mask_states([(tokens, [span], decoded)], EL_SCORER, use_emask)[0]
         assert np.array_equal(state, mask_state(seq, EL_SCORER.wp, EL_SCORER.ent))
-        return seq.render()
+        return render(seq)
 
     def test_rendering_shape(self):
         assert self.render(["the", "cat", "sat"], self.span(1, 2, "Cat")) == [
@@ -482,7 +482,7 @@ class TestSpanMaskStates:
         spans = [CandidateSpan(2, 3, (cand("City"),)), CandidateSpan(1, 2, (cand("NY"),))]
         right = ["walk", "##s", "[UNK]", "ENTITY/NYC", "ENTITY/Walks", "ENTITY/City", "[SEP]"]
         assert [
-            el_input(self.TOKENS, s, self.DECODED, True, scorer.wp_vocab).render()
+            render(el_input(self.TOKENS, s, self.DECODED, True, scorer.wp_vocab))
             for s in spans
         ] == [
             ["[CLS]", "the", "new", "-", "york", ",", "[E-MASK]", "/", "city", "*"]

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import TableScorer, ent_space_with, random_uhn_fixture, wp_space_with
-from oracles import person_name_filter
+from oracles import person_name_filter, render
 from entkit.embeddings import Vocabulary
 from entkit.errors import DataError
 from entkit.lama_bench import (
@@ -75,7 +75,7 @@ class TestRenderQuestion:
 
     def test_plain_rendering_separates_mask_and_period(self):
         seq = render_question(self.triple(), TEMPLATE, InputMode.BERT, None, WP.vocab)
-        assert seq.render() == [
+        assert render(seq) == [
             "[CLS]", "The", "native", "language", "of", "Jean", "Mara",
             "##is", "is", "[MASK]", ".", "[SEP]",
         ]
@@ -87,7 +87,7 @@ class TestRenderQuestion:
             self.triple("ENTITY/Jean_Marais"), TEMPLATE, InputMode.CONCAT, ENT,
             WP.vocab,
         )
-        assert seq.render() == [
+        assert render(seq) == [
             "[CLS]", "The", "native", "language", "of", "ENTITY/Jean_Marais",
             "/", "Jean", "Mara", "##is", "is", "[MASK]", ".", "[SEP]",
         ]
@@ -97,7 +97,7 @@ class TestRenderQuestion:
             self.triple("ENTITY/Jean_Marais"), TEMPLATE, InputMode.REPLACE, ENT,
             WP.vocab,
         )
-        assert seq.render() == [
+        assert render(seq) == [
             "[CLS]", "The", "native", "language", "of", "ENTITY/Jean_Marais",
             "is", "[MASK]", ".", "[SEP]",
         ]
@@ -105,20 +105,20 @@ class TestRenderQuestion:
     def test_unresolved_subject_makes_replace_equal_bert(self):
         bert = render_question(self.triple(), TEMPLATE, InputMode.BERT, ENT, WP.vocab)
         rep = render_question(self.triple(), TEMPLATE, InputMode.REPLACE, ENT, WP.vocab)
-        assert rep.render() == bert.render()
+        assert render(rep) == render(bert)
 
     def test_subject_at_template_start(self):
         template = RelationTemplate("P0", "[X] plays [MASK].")
         seq = render_question(
             KbTriple("P0", "Jean", "x"), template, InputMode.BERT, None, WP.vocab
         )
-        assert seq.render() == ["[CLS]", "Jean", "plays", "[MASK]", ".", "[SEP]"]
+        assert render(seq) == ["[CLS]", "Jean", "plays", "[MASK]", ".", "[SEP]"]
 
     def test_empty_subject_renders_without_mention(self):
         seq = render_question(
             KbTriple("P103", "", "French"), TEMPLATE, InputMode.CONCAT, ENT, WP.vocab
         )
-        assert seq.render() == [
+        assert render(seq) == [
             "[CLS]", "The", "native", "language", "of", "is", "[MASK]", ".",
             "[SEP]",
         ]
@@ -361,11 +361,11 @@ class TestBuildLamaUhn:
         class CountingScorer(TableScorer):
             def __init__(self):
                 # The nouns are in the vocabulary so each probe renders apart.
-                super().__init__(Vocabulary(list(base.wp_vocab) + nouns), base.rank_table)
+                super().__init__(Vocabulary([*base.wp_vocab.symbols, *nouns]), base.rank_table)
                 self.seen = []
 
             def score_answers(self, seqs, symbols):
-                self.seen.extend(tuple(seq.render()) for seq in seqs)
+                self.seen.extend(tuple(render(seq)) for seq in seqs)
                 return super().score_answers(seqs, symbols)
 
         scorer = CountingScorer()
@@ -378,11 +378,11 @@ class TestBuildLamaUhn:
             for part in t.sub_surface.split()
         }
         expected = sorted(
-            tuple(render_question(
+            tuple(render(render_question(
                 KbTriple("R", part, "x"),
                 RelationTemplate("R", PROBE_TEMPLATE.format(noun=noun)),
                 InputMode.BERT, None, scorer.wp_vocab,
-            ).render())
+            )))
             for part, noun in pairs
         )
         assert len(set(expected)) == len(pairs)

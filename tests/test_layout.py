@@ -1,14 +1,14 @@
 """The input builders against a renderer written from their definitions.
 
-The renderers walk the words one at a time without
-``text_input._framed_input``, so cloze and relation-marked inputs, and the linking
-mask states (against ``oracles.el_input`` and ``oracles.mask_state``), are
-each checked against code they do not share.
+The renderers walk the words one at a time without ``text_input.build_input``
+or ``entity_linking._block_inputs``, so cloze inputs and the linking mask
+states (against ``oracles.el_input`` and ``oracles.mask_state``) are each
+checked against code they do not share.
 """
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SPECIAL_PIECES, ent_space_with, make_space
@@ -23,7 +23,6 @@ from entkit.text_input import (
     MentionSpan,
     Token,
     build_input,
-    build_rc_input,
     wordpiece_tokens,
 )
 
@@ -59,26 +58,24 @@ def cloze_inputs(draw):
     return words, draw(st.permutations(mentions)), mode, space
 
 
-def render_cloze(words, marked, mode, space) -> list[Token]:
-    """[CLS], then word by word: a mention's words become its marker (if
-    any), then its entity when injected (in concat mode followed by ``/`` and
-    its wordpieces) or else its wordpieces, then its marker again; a [MASK]
-    word becomes a mask; any other word its wordpieces. Then [SEP]."""
-    at = {m.start: (m, marker) for m, marker in marked}
+def render_cloze(words, mentions, mode, space) -> list[Token]:
+    """[CLS], then word by word: a mention's words become its entity when
+    injected (in concat mode followed by ``/`` and its wordpieces) or else
+    its wordpieces; a [MASK] word becomes a mask; any other word its
+    wordpieces. Then [SEP]."""
+    at = {m.start: m for m in mentions}
     out = [Token.wordpiece("[CLS]")]
     i = 0
     while i < len(words):
         if i in at:
-            m, marker = at[i]
-            wrap = [Token.wordpiece(marker)] if marker else []
+            m = at[i]
             surface = pieces(words[m.start : m.end])
             if mode is not InputMode.BERT and space is not None and m.entity_id in space.vocab:
-                body = [Token.entity(m.entity_id)]
+                out.append(Token.entity(m.entity_id))
                 if mode is InputMode.CONCAT:
-                    body += [Token.wordpiece("/"), *surface]
+                    out += [Token.wordpiece("/"), *surface]
             else:
-                body = surface
-            out += wrap + body + wrap
+                out += surface
             i = m.end
         else:
             out += [Token.mask()] if words[i] == MASK_WORD else pieces([words[i]])
@@ -91,18 +88,7 @@ def render_cloze(words, marked, mode, space) -> list[Token]:
 def test_build_input_matches_the_word_by_word_renderer(case):
     words, mentions, mode, space = case
     seq = build_input(" ".join(words), mentions, mode, space, WP.vocab)
-    assert list(seq.tokens) == render_cloze(words, [(m, None) for m in mentions], mode, space)
-
-
-@settings(max_examples=100, deadline=None, derandomize=True)
-@given(case=cloze_inputs())
-def test_build_rc_input_matches_the_word_by_word_renderer(case):
-    words, mentions, mode, space = case
-    assume(len(mentions) >= 2)
-    subject, object_ = mentions[:2]
-    seq = build_rc_input(" ".join(words), subject, object_, mode, space, WP.vocab)
-    want = render_cloze(words, [(subject, "#"), (object_, "$")], mode, space)
-    assert list(seq.tokens) == want
+    assert list(seq.tokens) == render_cloze(words, mentions, mode, space)
 
 
 @st.composite

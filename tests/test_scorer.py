@@ -17,8 +17,6 @@ from entkit.scorer import (
     ReferenceScorer,
     by_blocks,
     candidate_probs,
-    embed_sequence,
-    reference_contextualize,
 )
 from entkit.text_input import Token, TokenKind, TokenSequence
 
@@ -44,6 +42,14 @@ def seq_of(*tokens):
     return TokenSequence(tuple(tokens))
 
 
+def embed(seq, wp, ent=None):
+    return ReferenceScorer(wp, ent).embed(seq)
+
+
+def contextualize(vectors):
+    return ReferenceScorer(WP).contextualize(vectors)
+
+
 class TestEmbedSequence:
     def test_dispatch_per_kind(self):
         seq = seq_of(
@@ -54,7 +60,7 @@ class TestEmbedSequence:
             Token.emask(["ENTITY/A", "ENTITY/B"]),
             Token.wordpiece("/"),
         )
-        vecs = embed_sequence(seq, WP, ENT)
+        vecs = embed(seq, WP, ENT)
         np.testing.assert_array_equal(vecs[0], np.zeros(DIM))  # [CLS] row
         np.testing.assert_array_equal(vecs[1], [1, 0, 0, 0])
         np.testing.assert_array_equal(vecs[2], [2, 0, 0, 0])
@@ -69,8 +75,7 @@ class TestEmbedSequence:
         names = [f"ENTITY/E{i}" for i in range(6)]
         ent = ent_space_with({n: rng.standard_normal(DIM) * 1e3 for n in names}, DIM)
         masks = [Token.emask(list(rng.choice(names, c))) for c in range(1, 10)]
-        vecs = embed_sequence(seq_of(Token.wordpiece("the"), *masks, Token.entity(names[0])),
-                              WP, ent)
+        vecs = embed(seq_of(Token.wordpiece("the"), *masks, Token.entity(names[0])), WP, ent)
         for tok, vec in zip(masks, vecs[1:]):
             total = np.zeros(DIM)
             for name in tok.candidates:
@@ -79,36 +84,30 @@ class TestEmbedSequence:
         assert np.array_equal(vecs[-1], ent.row(names[0]).astype(np.float64))
 
     def test_unknown_wordpiece_falls_back_to_unk(self):
-        vecs = embed_sequence(seq_of(Token.wordpiece("zzz")), WP, None)
+        vecs = embed(seq_of(Token.wordpiece("zzz")), WP, None)
         np.testing.assert_array_equal(vecs[0], WP.row("[UNK]").astype(np.float64))
 
     def test_missing_unk_is_an_error(self):
-        bare = wp_space_with({}, DIM)
-        # Rebuild without [UNK] by selecting other symbols only.
-        from conftest import make_space
-        from entkit.embeddings import SpaceKind
-
         no_unk = make_space(["the"], [[1.0, 0, 0, 0]], SpaceKind.WORDPIECE)
         with pytest.raises(DataError, match="no \\[UNK\\] row"):
-            embed_sequence(seq_of(Token.wordpiece("zzz")), no_unk, None)
-        del bare
+            embed(seq_of(Token.wordpiece("zzz")), no_unk, None)
 
     def test_missing_entity_is_an_error(self):
         with pytest.raises(DataError, match="missing from entity space"):
-            embed_sequence(seq_of(Token.entity("ENTITY/Nope")), WP, ENT)
+            embed(seq_of(Token.entity("ENTITY/Nope")), WP, ENT)
         with pytest.raises(DataError, match="missing from entity space"):
-            embed_sequence(
+            embed(
                 seq_of(Token.emask(["ENTITY/A", "ENTITY/Nope"])), WP, ENT
             )
 
     def test_entity_token_without_entity_space_is_an_error(self):
         with pytest.raises(ValueError, match="no entity space"):
-            embed_sequence(seq_of(Token.entity("ENTITY/A")), WP, None)
+            embed(seq_of(Token.entity("ENTITY/A")), WP, None)
 
     def test_mismatched_dimensions_rejected(self):
         ent3 = ent_space_with({"ENTITY/A": [1.0, 2.0, 3.0]}, 3)
         with pytest.raises(ValueError, match="different dimensions"):
-            embed_sequence(
+            embed(
                 seq_of(Token.wordpiece("the"), Token.entity("ENTITY/A")), WP, ent3
             )
 
@@ -116,18 +115,18 @@ class TestEmbedSequence:
 class TestContextualize:
     def test_leave_one_out_mean(self):
         v = [np.array([2.0, 0.0]), np.array([0.0, 4.0]), np.array([6.0, 2.0])]
-        out = reference_contextualize(v)
+        out = contextualize(v)
         np.testing.assert_allclose(out[0], [3.0, 3.0])
         np.testing.assert_allclose(out[1], [4.0, 1.0])
         np.testing.assert_allclose(out[2], [1.0, 2.0])
 
     def test_singleton_is_zero(self):
-        out = reference_contextualize([np.array([5.0, 7.0])])
+        out = contextualize([np.array([5.0, 7.0])])
         np.testing.assert_array_equal(out[0], [0.0, 0.0])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            reference_contextualize([])
+            contextualize([])
 
 
 class TestAffineHead:
@@ -356,7 +355,7 @@ class TestReferenceScorer:
         words = [Token.wordpiece(w) for w in rng.choice(["a", "b", "c"], 40)]
         for pos in (0, 7, 40):
             seq = seq_of(*words[:pos], Token.mask(), *words[pos:])
-            expected = reference_contextualize(scorer.embed(seq))[pos]
+            expected = scorer.contextualize(scorer.embed(seq))[pos]
             assert np.array_equal(scorer.mask_state(seq), expected)
         assert np.array_equal(scorer.mask_state(seq_of(Token.mask())), np.zeros(19))
 
@@ -526,7 +525,7 @@ class TestSingleMaskStatePath:
             assert np.array_equal(row, expected)
             assert np.array_equal(alone[0], expected)
             assert np.array_equal(scorer.mask_state(seq), expected)
-        assert any(len(seq) == 1 for seq in seqs)
+        assert any(len(seq.tokens) == 1 for seq in seqs)
 
     @pytest.mark.parametrize("seed", [3, 4])
     def test_mask_states_rows_do_not_depend_on_the_batch(self, seed):
@@ -567,7 +566,7 @@ class TestSingleMaskStatePath:
         cuts = np.sort(rng.choice(np.arange(1, len(seqs)), 8, replace=False))
         for part in np.split(order, cuts):
             assert np.array_equal(states([seqs[i] for i in part]).view(np.int64), bits[part])
-        assert any(len(seq) == 1 for seq in seqs)
+        assert any(len(seq.tokens) == 1 for seq in seqs)
         assert np.signbit(scorer.wp.matrix).any() and np.signbit(scorer.ent.matrix).any()
 
     @pytest.mark.parametrize("seed", [0, 1])

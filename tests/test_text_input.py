@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ent_space_with, wp_space_with
+from oracles import render
 from entkit.embeddings import Vocabulary
 from entkit.text_input import (
     InputMode,
@@ -13,13 +14,12 @@ from entkit.text_input import (
     TokenKind,
     TokenSequence,
     build_input,
-    build_rc_input,
     wordpiece_tokens,
 )
 
 VOCAB = Vocabulary(
     [
-        "[CLS]", "[SEP]", "[UNK]", "[MASK]", "/", "*", "#", "$", ".", ",",
+        "[CLS]", "[SEP]", "[UNK]", "[MASK]", "/", "*", ".", ",",
         "un", "##aff", "##able", "##affable", "aff", "the", "cat", "sat",
         "end", "won't",
     ]
@@ -111,7 +111,7 @@ class TestTokens:
                 Token.wordpiece("[SEP]"),
             )
         )
-        assert seq.render() == [
+        assert render(seq) == [
             "[CLS]", "the", "ENTITY/X", "[MASK]", "[E-MASK]", "/", "[SEP]",
         ]
 
@@ -138,14 +138,14 @@ class TestBuildInput:
         text, mentions = self.sentence()
         seq = build_input(text, mentions, InputMode.BERT, ENT, WP.vocab)
         bare = build_input(text, [], InputMode.BERT, ENT, WP.vocab)
-        assert seq.render() == bare.render() == [
+        assert render(seq) == render(bare) == [
             "[CLS]", "Jean", "Mara", "##is", "sat", "[SEP]",
         ]
 
     def test_concat_mode_injects_entity_then_surface(self):
         text, mentions = self.sentence()
         seq = build_input(text, mentions, InputMode.CONCAT, ENT, WP.vocab)
-        assert seq.render() == [
+        assert render(seq) == [
             "[CLS]", "ENTITY/Jean_Marais", "/", "Jean", "Mara", "##is",
             "sat", "[SEP]",
         ]
@@ -153,7 +153,7 @@ class TestBuildInput:
     def test_replace_mode_substitutes_entity(self):
         text, mentions = self.sentence()
         seq = build_input(text, mentions, InputMode.REPLACE, ENT, WP.vocab)
-        assert seq.render() == ["[CLS]", "ENTITY/Jean_Marais", "sat", "[SEP]"]
+        assert render(seq) == ["[CLS]", "ENTITY/Jean_Marais", "sat", "[SEP]"]
 
     def test_unresolvable_mentions_fall_back_individually(self):
         text = "Jean Marais sat the cat"
@@ -162,12 +162,12 @@ class TestBuildInput:
             MentionSpan(3, 5, "ENTITY/Missing"),
         ]
         seq = build_input(text, mentions, InputMode.REPLACE, ENT, WP.vocab)
-        assert seq.render() == [
+        assert render(seq) == [
             "[CLS]", "ENTITY/Jean_Marais", "sat", "the", "cat", "[SEP]",
         ]
         # No entity vector table at all: every mention falls back.
         seq = build_input(text, mentions, InputMode.REPLACE, None, WP.vocab)
-        assert seq.render() == [
+        assert render(seq) == [
             "[CLS]", "Jean", "Mara", "##is", "sat", "the", "cat", "[SEP]",
         ]
 
@@ -175,7 +175,7 @@ class TestBuildInput:
         seq = build_input(
             "Jean sat", [MentionSpan(0, 1)], InputMode.CONCAT, ENT, WP.vocab
         )
-        assert seq.render() == ["[CLS]", "Jean", "sat", "[SEP]"]
+        assert render(seq) == ["[CLS]", "Jean", "sat", "[SEP]"]
 
     def test_mask_word_becomes_mask_token(self):
         seq = build_input("the cat [MASK]", [], InputMode.BERT, None, WP.vocab)
@@ -207,67 +207,3 @@ class TestBuildInput:
         for mentions in overlapping:
             with pytest.raises(ValueError, match="overlap"):
                 build_input("the cat sat", mentions, InputMode.BERT, None, WP.vocab)
-
-
-class TestBuildRcInput:
-    def test_markers_wrap_spans(self):
-        seq = build_rc_input(
-            "Jean Marais sat the cat",
-            MentionSpan(0, 2, "ENTITY/Jean_Marais"),
-            MentionSpan(3, 5),
-            InputMode.REPLACE,
-            ENT,
-            WP.vocab,
-        )
-        assert seq.render() == [
-            "[CLS]", "#", "ENTITY/Jean_Marais", "#", "sat",
-            "$", "the", "cat", "$", "[SEP]",
-        ]
-
-    def test_object_may_precede_subject(self):
-        seq = build_rc_input(
-            "the cat sat Jean",
-            MentionSpan(3, 4),
-            MentionSpan(0, 2),
-            InputMode.BERT,
-            None,
-            WP.vocab,
-        )
-        assert seq.render() == [
-            "[CLS]", "$", "the", "cat", "$", "sat", "#", "Jean", "#", "[SEP]",
-        ]
-
-    def test_concat_inside_markers(self):
-        seq = build_rc_input(
-            "Jean Marais sat the cat",
-            MentionSpan(0, 2, "ENTITY/Jean_Marais"),
-            MentionSpan(3, 5),
-            InputMode.CONCAT,
-            ENT,
-            WP.vocab,
-        )
-        assert seq.render() == [
-            "[CLS]", "#", "ENTITY/Jean_Marais", "/", "Jean", "Mara", "##is",
-            "#", "sat", "$", "the", "cat", "$", "[SEP]",
-        ]
-
-    def test_identical_spans_rejected(self):
-        with pytest.raises(ValueError, match="identical"):
-            build_rc_input(
-                "the cat", MentionSpan(0, 1), MentionSpan(0, 1),
-                InputMode.BERT, None, WP.vocab,
-            )
-
-    def test_overlapping_spans_rejected(self):
-        pairs = [
-            (MentionSpan(0, 2), MentionSpan(1, 3)),
-            (MentionSpan(1, 3), MentionSpan(0, 2)),  # reverse start order
-            (MentionSpan(0, 2), MentionSpan(0, 1)),  # a shared start
-            (MentionSpan(0, 1), MentionSpan(0, 2)),
-        ]
-        for subject, object_ in pairs:
-            with pytest.raises(ValueError, match="overlap"):
-                build_rc_input(
-                    "the cat sat", subject, object_, InputMode.BERT, None, WP.vocab
-                )
-
