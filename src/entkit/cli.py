@@ -461,6 +461,10 @@ def cmd_resolve(args) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        if getattr(args, "threads", 1) < 1:
+            raise UsageError(
+                f"entkit {args.command}: --threads must be at least 1, got {args.threads}"
+            )
         level = logging.WARNING - 10 * min(args.verbose, 2)
         logging.basicConfig(level=level, stream=sys.stderr, format="%(message)s")
         return args.func(args)

@@ -11,8 +11,8 @@ subject surface), and a name probe that asks, for each whitespace part of the
 subject, whether the answer ranks in the top-k completions of
 ``"<part> is a common name in the following <noun>: [MASK]."``. Only
 relations whose template declares a probe noun are eligible for the second
-heuristic. Questions are ranked in batches: one scorer call per block of
-questions, and one probe per distinct (part, noun) pair.
+heuristic. Questions are ranked in batches: one scorer call per
+``ROW_BLOCK`` (64) questions, and one probe per distinct (part, noun) pair.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
+from .scorer import ROW_BLOCK
 from .symbols import is_entity_symbol
 from .text_input import (
     MASK_WORD,
@@ -54,10 +55,6 @@ DEFAULT_NAME_NOUN_BY_RELATION: dict[str, str] = {
 }
 
 PROBE_TEMPLATE = "[X] is a common name in the following {noun}: [MASK]."
-
-# Questions per scorer call: memory grows with the block times the answer
-# vocabulary, not with all questions times the vocabulary.
-RANK_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -142,23 +139,34 @@ def rank_answers(
     question, keeping the best ``k`` answers (all of them when ``k`` is
     None).
 
-    Only answer-vocabulary symbols are scored, ``RANK_BLOCK`` questions per
-    scorer call. Ties in probability break by ascending vocabulary id, so
-    rankings are fully deterministic.
+    Only answer-vocabulary symbols are scored, ``ROW_BLOCK`` questions per
+    scorer call, so ranking memory grows with ``ROW_BLOCK`` times the answer
+    vocabulary, not with the number of questions. Ties in probability break
+    by ascending vocabulary id, so rankings are fully deterministic.
     """
     if len(answer_vocab) == 0:
         raise ValueError("empty answer vocabulary")
     symbols = answer_vocab.symbols
     out: list[RankedAnswers] = []
-    for start in range(0, len(seqs), RANK_BLOCK):
-        probs = scorer.score_answers(seqs[start : start + RANK_BLOCK], symbols)
-        order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-        top = np.take_along_axis(probs, order, axis=1)
-        out.extend(
-            [(symbols[i], p) for i, p in zip(ids, ps)]
-            for ids, ps in zip(order.tolist(), top.tolist())
-        )
+    for start in range(0, len(seqs), ROW_BLOCK):
+        probs = scorer.score_answers(seqs[start : start + ROW_BLOCK], symbols)
+        out.extend(_top_k(probs, symbols, k))
     return out
+
+
+def _top_k(
+    probs: np.ndarray, symbols: Sequence[str], k: int | None
+) -> list[RankedAnswers]:
+    """The best ``k`` answers of each row of ``probs``, ties toward the lower
+    column. ``probs`` is only read, as a scorer may return a view of its own
+    data; the block's negated copy and full sort are freed on return, before
+    the next block is scored."""
+    order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
+    top = np.take_along_axis(probs, order, axis=1)
+    return [
+        [(symbols[i], p) for i, p in zip(ids, ps)]
+        for ids, ps in zip(order.tolist(), top.tolist())
+    ]
 
 
 @dataclass

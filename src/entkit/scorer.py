@@ -40,7 +40,8 @@ _MASK_KINDS = (TokenKind.MASK, TokenKind.EMASK)
 # probabilities are bit-identical whatever batch it is scored in. On
 # OpenBLAS, a product whose shape follows the batch size, or that has the
 # states as rows of its left-hand operand, changes the last bits of rows.
-# ``by_blocks`` takes every such block; ``alignment.derive_entity_space`` too.
+# ``by_blocks`` takes every such block; ``alignment.derive_entity_space`` too,
+# and ``lama_bench.rank_answers`` scores this many questions per scorer call.
 ROW_BLOCK = 64
 
 
@@ -218,7 +219,7 @@ def candidate_gradients(u: np.ndarray, groups, gold, shared):
     p(gold) underflows to zero.
     """
     logits = _candidate_logits(u, groups, shared)
-    probs = [_softmax(z) for z in logits]
+    probs = [_softmax(z.copy()) for z in logits]
     loss = np.zeros(len(u))
     du = np.zeros_like(u)
     dshared = np.zeros(len(u))
@@ -233,10 +234,13 @@ def candidate_gradients(u: np.ndarray, groups, gold, shared):
     return loss, du, dshared, probs
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    """Softmax along the last axis, with max subtraction per row."""
-    z = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    return z / z.sum(axis=-1, keepdims=True)
+def _softmax(z: np.ndarray) -> np.ndarray:
+    """Softmax along the last axis of ``z``, in place: each row less its
+    max, exponentiated, divided by its sum. Returns ``z``."""
+    z -= z.max(axis=-1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=-1, keepdims=True)
+    return z
 
 
 @dataclass
@@ -338,9 +342,12 @@ class ReferenceScorer:
         into ``H`` and scored as ``softmax((H A^T + c) E^T)`` row by
         row, where ``E`` holds the answer rows; the products are taken in
         transposed form, ``E (A H^T + c)``, ``ROW_BLOCK`` questions at a
-        time. Every answer symbol must exist in the wordpiece space; answer
-        biases are zero in the reference implementation. Non-finite
-        probabilities are a DataError.
+        time, and each block's softmax is taken in place in the contiguous
+        copy of its product. Beyond the result, scoring holds two ``(V,
+        ROW_BLOCK)`` arrays at a time for V answer symbols. Every answer
+        symbol must exist in the wordpiece space; answer biases are zero in
+        the reference implementation. Non-finite probabilities are a
+        DataError.
         """
         e = self._answer_matrix(symbols)
         u = self.head.apply(self.mask_states(*_index_sequences(seqs)))

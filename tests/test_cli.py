@@ -795,6 +795,25 @@ class TestResolve:
 
 
 
+@pytest.mark.parametrize("threads", ["0", "-5"])
+@pytest.mark.parametrize("command", ["eval-lama", "filter-uhn", "link"])
+def test_threads_below_one_exit_usage_before_loading(tmp_path, capsys, command, threads):
+    # The input files do not exist: --threads must be rejected first.
+    missing = str(tmp_path / "none")
+    argv = {
+        "eval-lama": ["--data", missing, "--templates", TEMPLATES, "--wp-space", WP],
+        "filter-uhn": ["--data", missing, "--templates", TEMPLATES, "--wp-space", WP,
+                       "--out-dir", str(tmp_path / "uhn")],
+        "link": ["--docs", missing, "--table", EL_TABLE, "--wp-space", WP,
+                 "--ent-space", WIKI, "--align", missing, "--eval",
+                 "--out-dir", str(tmp_path / "link")],
+    }[command]
+    code, stdout, stderr = run(capsys, command, *argv, "--threads", threads)
+    assert_one_line_error(code, stderr, 1, f"--threads must be at least 1, got {threads}")
+    assert stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 GOOD_DOC = {"doc_id": "d", "tokens": ["Adams", "and", "Platt"],
             "golds": [{"start": 0, "end": 1, "entity": "ENTITY/Tony_Adams"}]}
 
@@ -1007,14 +1026,14 @@ FUZZ_COMMANDS = {
          "--out", "{O}/report.tsv"],
         ["lama/P103.jsonl", "lama/P176.jsonl", "templates.json", "wordpieces.txt",
          "wiki.txt", "align.tsv", "answers.txt", "resolutions.tsv"],
-        ["--k"],
+        ["--k", "--threads"],
     ),
     "filter-uhn": (
         ["filter-uhn", "--data", "{F}/lama", "--templates", "{F}/templates.json",
          "--wp-space", "{F}/wordpieces.txt", "--answer-vocab", "{F}/answers.txt",
          "--out-dir", "{O}/uhn"],
         ["lama/P103.jsonl", "templates.json", "wordpieces.txt", "answers.txt"],
-        ["--top-k"],
+        ["--top-k", "--threads"],
     ),
     "link": (
         ["link", "--docs", "{F}/el/docs.jsonl", "--table", "{F}/el/table.tsv",
@@ -1023,7 +1042,7 @@ FUZZ_COMMANDS = {
          "--out-dir", "{O}/link", "--eps-bias=-2.0"],
         ["el/docs.jsonl", "el/table.tsv", "el/redirects.tsv", "wordpieces.txt",
          "wiki.txt", "align.tsv"],
-        ["--iterations", "--max-span", "--epochs"],
+        ["--iterations", "--max-span", "--epochs", "--threads"],
     ),
     "resolve": (
         ["resolve", "--surfaces", "{F}/wikidata/surfaces.txt",

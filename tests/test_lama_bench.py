@@ -1,6 +1,7 @@
 """Cloze benchmark rendering, ranking, macro scoring, and name filtering."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from entkit.lama_bench import (
     resolve_subjects,
     string_match_filter,
 )
-from entkit.scorer import ReferenceScorer
+from entkit.scorer import ROW_BLOCK, AffineHead, ReferenceScorer
 from entkit.text_input import InputMode, Token, TokenKind, TokenSequence
 
 
@@ -164,6 +165,67 @@ class TestAnswerQuestion:
         scorer = ReferenceScorer(WP)
         with pytest.raises(ValueError, match="empty answer vocabulary"):
             rank_answers([TokenSequence((Token.mask(),))], scorer, Vocabulary([]))[0]
+
+
+def random_questions(seed, n_questions, n_answers, dim=16):
+    """A standard-normal reference scorer over ``n_answers`` words, its
+    answer vocabulary (every word), and single-mask questions of 1-5 words."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_answers)]
+    wp = wp_space_with(dict(zip(words, rng.standard_normal((n_answers, dim)))), dim)
+    head = AffineHead(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+    seqs = []
+    for _ in range(n_questions):
+        toks = [Token.wordpiece(words[i])
+                for i in rng.integers(0, n_answers, int(rng.integers(1, 6)))]
+        toks.insert(int(rng.integers(0, len(toks) + 1)), Token.mask())
+        seqs.append(TokenSequence(tuple(toks)))
+    return ReferenceScorer(wp, head=head), Vocabulary(words), seqs
+
+
+class TestRankingBlocks:
+    @pytest.mark.parametrize("n_questions", [63, 64, 65, 129])
+    def test_rankings_equal_ranking_each_question_alone(self, n_questions):
+        scorer, vocab, seqs = random_questions(n_questions, n_questions, 50)
+        for k in (3, None):
+            rankings = rank_answers(seqs, scorer, vocab, k)
+            assert len(rankings) == n_questions
+            for seq, ranking in zip(seqs, rankings):
+                assert rank_answers([seq], scorer, vocab, k) == [ranking]
+
+    def test_scorer_data_is_left_as_returned(self):
+        # The scorer hands out views of one cached matrix, with ties planted;
+        # ranking must not write into them.
+        cached = np.random.default_rng(2).integers(0, 4, size=(150, 20)) / 7.0
+        before = cached.copy()
+
+        class CachedScorer:
+            def score_answers(self, seqs, symbols):
+                first = int(seqs[0].tokens[0].text)
+                return cached[first : first + len(seqs)]
+
+        vocab = Vocabulary([f"a{i}" for i in range(cached.shape[1])])
+        seqs = [TokenSequence((Token.wordpiece(str(q)), Token.mask()))
+                for q in range(len(cached))]
+        rankings = rank_answers(seqs, CachedScorer(), vocab, 5)
+        assert np.array_equal(cached, before)
+        for p, ranking in zip(cached, rankings):
+            best = sorted(range(len(p)), key=lambda i: (-p[i], i))[:5]
+            assert ranking == [(vocab.symbols[i], float(p[i])) for i in best]
+
+    def test_memory_is_bounded_by_the_block_not_the_questions(self):
+        n_questions, n_answers = 2_000, 3_000
+        scorer, vocab, seqs = random_questions(0, n_questions, n_answers)
+        bound = 6 * ROW_BLOCK * n_answers * 8
+        assert n_questions * n_answers * 8 > bound  # all questions' probabilities
+        tracemalloc.start()
+        try:
+            rankings = rank_answers(seqs, scorer, vocab, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert [len(r) for r in rankings] == [3] * n_questions
+        assert peak <= bound, peak
 
 
 def ranking_with_gold_at(position, symbols):
