@@ -17,7 +17,6 @@ import logging
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate, chain
 from math import log
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -27,9 +26,9 @@ from ._candidate_table import Candidate, CandidateTable, _ranges, read_table
 from ._tsv import tsv_rows
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
-from .scorer import AffineHead, candidate_gradients, candidate_probs
+from .scorer import AffineHead, InputKeys, candidate_gradients, candidate_probs
 from .symbols import is_entity_symbol
-from .text_input import Token, wordpiece_tokens
+from .text_input import Token
 
 logger = logging.getLogger(__name__)
 
@@ -169,12 +168,6 @@ def generate_candidates(
     ]
 
 
-def _mask_token(span: CandidateSpan, use_emask: bool) -> Token:
-    if use_emask:
-        return Token.emask([c.entity for c in span.candidates])
-    return Token.mask()
-
-
 # Spans per block of documents: a refinement round and a training pass take
 # their documents in blocks of whole documents holding at most this many
 # spans between them (a document with more is a block of its own), so the
@@ -197,50 +190,14 @@ def _blocks(items: Sequence, size) -> Iterable[list]:
         yield block
 
 
-class _InputKeys:
-    """An integer key for each distinct token of a run's linking inputs.
-    Each distinct word is tokenized once."""
-
-    def __init__(self, vocab: Vocabulary, use_emask: bool):
-        self.tokens: list[Token] = []
-        self._keys: dict[Token, int] = {}
-        self._words: dict[str, list[int]] = {}
-        self._vocab = vocab
-        self._use_emask = use_emask
-        self.cls, self.sep, self.slash, self.star = (
-            self.key(Token.wordpiece(p)) for p in ("[CLS]", "[SEP]", "/", "*")
-        )
-
-    def key(self, token: Token) -> int:
-        k = self._keys.get(token)
-        if k is None:
-            k = self._keys[token] = len(self.tokens)
-            self.tokens.append(token)
-        return k
-
-    def words(self, tokens: Sequence[str]) -> tuple[np.ndarray, list[int]]:
-        """The keys of the wordpieces of ``tokens`` in order, and the offset
-        of each word's first piece among them (one more for the end)."""
-        per_word = []
-        for w in tokens:
-            keys = self._words.get(w)
-            if keys is None:
-                keys = self._words[w] = [
-                    self.key(t) for t in wordpiece_tokens([w], self._vocab)
-                ]
-            per_word.append(keys)
-        offset = [0, *accumulate(len(k) for k in per_word)]
-        return np.fromiter(chain.from_iterable(per_word), np.intp, offset[-1]), offset
-
-    def mask(self, span: CandidateSpan) -> int:
-        return self.key(_mask_token(span, self._use_emask))
-
-
-def _block_inputs(keys: _InputKeys, block) -> tuple[np.ndarray, np.ndarray, list[int]]:
+def _block_inputs(
+    keys: InputKeys, block, vocab: Vocabulary, use_emask: bool
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """The linking inputs of a block of ``(tokens, spans, decoded)``
     documents, whose decoded lists hold sorted, pairwise disjoint ``(start,
     end, entity)`` spans inside the document: every input's keys end to
-    end, each input's length, and each input's mask position.
+    end, each input's length, and each input's mask position. Words are
+    tokenized against ``vocab``.
 
     Each document is laid out once as its base: framed, with every decoded
     span as its entity. An input is its document's base up to the scored
@@ -252,12 +209,15 @@ def _block_inputs(keys: _InputKeys, block) -> tuple[np.ndarray, np.ndarray, list
     every input of the block.
     """
     n_spans = sum(len(spans) for _, spans, _ in block)
-    parts: list = [[keys.slash, keys.star], [keys.mask(s) for _, spans, _ in block for s in spans]]
+    cls, sep, slash, star = (keys.key(Token.wordpiece(p)) for p in ("[CLS]", "[SEP]", "/", "*"))
+    masks = [Token.emask([c.entity for c in s.candidates]) if use_emask else Token.mask()
+             for _, spans, _ in block for s in spans]
+    parts: list = [[slash, star], [keys.key(m) for m in masks]]
     starts, lengths, positions = [], [], []
     at = 2 + n_spans  # where the next document's base starts
     for tokens, spans, decoded in block:
-        literal, offset = keys.words(tokens)
-        parts.append([keys.cls])
+        literal, offset = keys.words(tokens, vocab)
+        parts.append([cls])
         # Where each word starts in the base (words inside a decoded span
         # have no place of their own), and each inner boundary of a decoded
         # span mapped to the span's start and end.
@@ -271,7 +231,7 @@ def _block_inputs(keys: _InputKeys, block) -> tuple[np.ndarray, np.ndarray, list
             left_of.update(dict.fromkeys(range(a + 1, b), a))
             right_of.update(dict.fromkeys(range(a + 1, b), b))
             w = b
-        parts += [literal[offset[w] :], [keys.sep]]
+        parts += [literal[offset[w] :], [sep]]
         at_word += [shift + offset[v] for v in range(w, len(tokens) + 1)]
         lit = at_word[-1] + 1  # the document's pieces follow its base
         for s in spans:
@@ -298,7 +258,7 @@ def span_mask_states(
                          Mapping[tuple[int, int], str] | None]],
     scorer,
     use_emask: bool = True,
-    keys: _InputKeys | None = None,
+    keys: InputKeys | None = None,
 ) -> np.ndarray:
     """Mask states of the spans of many documents, as one ``(S, d)`` array.
 
@@ -317,7 +277,7 @@ def span_mask_states(
     distinct token of the block once. ``keys`` carries the tokenized words
     and the token keys from one call to the next.
     """
-    keys = keys or _InputKeys(scorer.wp_vocab, use_emask)
+    keys = keys or InputKeys()
     scored = []
     for tokens, spans, decoded in docs:
         ordered = sorted(
@@ -336,7 +296,7 @@ def span_mask_states(
 
     states = []
     for block in _blocks(scored, lambda d: len(d[1])):
-        keyed, length, pos = _block_inputs(keys, block)
+        keyed, length, pos = _block_inputs(keys, block, scorer.wp_vocab, use_emask)
         # The block's tokens, and its inputs as indices into them.
         used = np.flatnonzero(np.bincount(keyed, minlength=len(keys.tokens)))
         local = np.zeros(len(keys.tokens), dtype=np.int32)
@@ -508,7 +468,7 @@ def iterative_refine(
     if iterations < 1:
         raise ValueError("need at least one iteration")
     docs = [(tokens, list(spans)) for tokens, spans in docs]
-    keys = _InputKeys(scorer.wp_vocab, use_emask)
+    keys = InputKeys()
     steps: list[list[RefinementStep]] = [[] for _ in docs]
     going = range(len(docs))
 

@@ -12,7 +12,8 @@ subject, whether the answer ranks in the top-k completions of
 ``"<part> is a common name in the following <noun>: [MASK]."``. Only
 relations whose template declares a probe noun are eligible for the second
 heuristic. Questions are ranked in batches: one scorer call per
-``ROW_BLOCK`` (64) questions, and one probe per distinct (part, noun) pair.
+``ROW_BLOCK`` (64) questions, keyed into the scorer's one input form
+(``scorer.InputKeys``), and one probe per distinct (part, noun) pair.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
-from .scorer import ROW_BLOCK
+from .scorer import ROW_BLOCK, InputKeys
 from .symbols import is_entity_symbol
 from .text_input import (
     MASK_WORD,
@@ -140,16 +141,20 @@ def rank_answers(
     None).
 
     Only answer-vocabulary symbols are scored, ``ROW_BLOCK`` questions per
-    scorer call, so ranking memory grows with ``ROW_BLOCK`` times the answer
-    vocabulary, not with the number of questions. Ties in probability break
-    by ascending vocabulary id, so rankings are fully deterministic.
+    ``scorer.score_answers(tokens, inputs, symbols)`` call, each block keyed
+    by its own ``InputKeys``, so ranking memory grows with ``ROW_BLOCK``
+    times the answer vocabulary, not with the number of questions. Ties in
+    probability break by ascending vocabulary id, so rankings are fully
+    deterministic.
     """
     if len(answer_vocab) == 0:
         raise ValueError("empty answer vocabulary")
     symbols = answer_vocab.symbols
     out: list[RankedAnswers] = []
     for start in range(0, len(seqs), ROW_BLOCK):
-        probs = scorer.score_answers(seqs[start : start + ROW_BLOCK], symbols)
+        keys = InputKeys()
+        inputs = [keys.sequence(seq.tokens) for seq in seqs[start : start + ROW_BLOCK]]
+        probs = scorer.score_answers(keys.tokens, inputs, symbols)
         out.extend(_top_k(probs, symbols, k))
     return out
 

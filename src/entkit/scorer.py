@@ -10,26 +10,29 @@ network.
 
 This module is the only one that knows how a state or a candidate
 distribution is computed. Consumers duck-type against a small protocol.
-Cloze evaluation and filtering need ``wp_vocab`` (the wordpiece vocabulary
-used for tokenization) and ``score_answers(seqs, symbols)``, which returns
-a (Q, V) array of the V answer probabilities at the mask of each of Q
-single-mask sequences. Entity linking needs ``wp_vocab``, ``ent`` (the
-entity space of the candidate rows) and ``mask_states(tokens, inputs)``,
-which returns the (S, d) states of inputs ``(idx, pos)``, each the sequence
-``tokens[idx]`` over a list of distinct tokens with its mask at ``pos``.
-A row of either batch method must not depend on the rest of its batch.
+Both batch methods take one input form, keyed by ``InputKeys``: a list of
+distinct tokens and inputs ``(idx, pos)``, each the sequence ``tokens[idx]``
+with its one mask at ``pos``. Cloze evaluation and filtering need
+``wp_vocab`` (the wordpiece vocabulary used for tokenization) and
+``score_answers(tokens, inputs, symbols)``, which returns a (Q, V) array of
+the V answer probabilities at the mask of each of Q inputs. Entity linking
+needs ``wp_vocab``, ``ent`` (the entity space of the candidate rows) and
+``mask_states(tokens, inputs)``, which returns the (S, d) states at the
+masks of S inputs. A row of either batch method must not depend on the rest
+of its batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
 from typing import Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
-from .text_input import MASK_WORD, UNK, Token, TokenKind, TokenSequence
+from .text_input import MASK_WORD, UNK, Token, TokenKind, TokenSequence, wordpiece_tokens
 
 _MASK_KINDS = (TokenKind.MASK, TokenKind.EMASK)
 
@@ -215,22 +218,25 @@ def candidate_gradients(u: np.ndarray, groups, gold, shared):
     row, the loss, du = sum_j g_j e_j (the gradient in the head output, so
     d/dc through an affine head and d/dA = du h^T) and the shared g (d/db;
     d/de = g u); per group, the softmax p. The loss is taken from the
-    logits as ``logsumexp(logits) - logits[gold]``, so it stays finite where
-    p(gold) underflows to zero.
+    logits as ``logsumexp(logits) - logits[gold]``, the log of the sum the
+    softmax divides by, so it stays finite where p(gold) underflows to zero.
     """
-    logits = _candidate_logits(u, groups, shared)
-    probs = [_softmax(z.copy()) for z in logits]
     loss = np.zeros(len(u))
     du = np.zeros_like(u)
     dshared = np.zeros(len(u))
-    for (rows, e, _), z, p in zip(groups, logits, probs):
-        at_gold = (np.arange(len(p)), gold[rows])
+    probs = []
+    for (rows, e, _), z in zip(groups, _candidate_logits(u, groups, shared)):
+        at_gold = (np.arange(len(z)), gold[rows])
+        top = z.max(axis=1)
+        p = np.exp(z - top[:, None])
+        total = p.sum(axis=1)
+        p /= total[:, None]
+        probs.append(p)
+        loss[rows] = (top - z[at_gold]) + np.log(total)
         g = p.copy()
         g[at_gold] -= 1.0
         du[rows] = (g[:, :-1, None] * e).sum(axis=1) + g[:, -1:] * shared[0]
         dshared[rows] = g[:, -1]
-        top = z.max(axis=1)
-        loss[rows] = (top - z[at_gold]) + np.log(np.exp(z - top[:, None]).sum(axis=1))
     return loss, du, dshared, probs
 
 
@@ -294,7 +300,9 @@ class ReferenceScorer:
 
     def mask_state(self, seq: TokenSequence) -> np.ndarray:
         """Contextual vector at the single Mask or EMask position."""
-        return self.mask_states(*_index_sequences([seq]))[0]
+        keys = InputKeys()
+        inputs = [keys.sequence(seq.tokens)]
+        return self.mask_states(keys.tokens, inputs)[0]
 
     def mask_states(
         self, tokens: Sequence[Token], inputs: Sequence[tuple[np.ndarray, int]]
@@ -305,52 +313,53 @@ class ReferenceScorer:
         ``pos``. The tokens are embedded once into a float64 bank ``B``; row s
         is ``(B[idx].sum(0) - B[idx[pos]]) / (n - 1)`` (zero when n is 1),
         the rows added one by one in input order as ``contextualize`` adds
-        them, so it is bit-identical to that method's output ``pos``.
-        ``ROW_BLOCK`` inputs at a time are padded to the longest of them with
-        a ``-0.0`` row, which leaves every sum as it is, and summed one
-        column (one position of every input) at a time, so a row does not
-        depend on the rest of its batch.
+        them, so it is bit-identical to that method's output ``pos``. The
+        inputs are padded to the longest of them with a ``-0.0`` row, which
+        leaves every sum as it is, and summed one column (one position of
+        every input) at a time, so a row does not depend on the rest of its
+        batch. The caller bounds the batch: the work arrays are (S, longest
+        input) and (S, d).
         """
         dim = self.wp.dim
         pad = len(tokens)
         bank = np.full((pad + 1, dim), -0.0)
         bank[:pad] = _token_rows(tokens, self.wp, self.ent)
         states = np.zeros((len(inputs), dim))
-        for start in range(0, len(inputs), ROW_BLOCK):
-            part = inputs[start : start + ROW_BLOCK]
-            n = np.array([len(idx) for idx, _ in part])
-            cols = np.full((len(part), n.max()), pad)
-            cols[np.arange(n.max()) < n[:, None]] = np.concatenate([idx for idx, _ in part])
-            total = np.zeros((len(part), dim))
-            for col in cols.T:
-                total += bank[col]
-            own = bank[cols[np.arange(len(part)), [pos for _, pos in part]]]
-            many = n > 1
-            states[start + np.flatnonzero(many)] = (
-                (total[many] - own[many]) / (n[many] - 1)[:, None]
-            )
+        if not inputs:
+            return states
+        n = np.array([len(idx) for idx, _ in inputs])
+        cols = np.full((len(inputs), n.max()), pad)
+        cols[np.arange(n.max()) < n[:, None]] = np.concatenate([idx for idx, _ in inputs])
+        total = np.zeros((len(inputs), dim))
+        for col in cols.T:
+            total += bank[col]
+        own = bank[cols[np.arange(len(inputs)), [pos for _, pos in inputs]]]
+        many = n > 1
+        states[many] = (total[many] - own[many]) / (n[many] - 1)[:, None]
         return states
 
     @np.errstate(all="ignore")
     def score_answers(
-        self, seqs: Sequence[TokenSequence], symbols: Sequence[str]
+        self,
+        tokens: Sequence[Token],
+        inputs: Sequence[tuple[np.ndarray, int]],
+        symbols: Sequence[str],
     ) -> np.ndarray:
-        """Probabilities over the answer symbols at the mask of each sequence.
+        """Probabilities over the answer symbols at the mask of each input.
 
-        Returns a ``(len(seqs), len(symbols))`` array. The mask states, from
-        one ``mask_states`` call over the batch's distinct tokens, are stacked
-        into ``H`` and scored as ``softmax((H A^T + c) E^T)`` row by
-        row, where ``E`` holds the answer rows; the products are taken in
-        transposed form, ``E (A H^T + c)``, ``ROW_BLOCK`` questions at a
-        time, and each block's softmax is taken in place in the contiguous
-        copy of its product. Beyond the result, scoring holds two ``(V,
-        ROW_BLOCK)`` arrays at a time for V answer symbols. Every answer
-        symbol must exist in the wordpiece space; answer biases are zero in
-        the reference implementation. Non-finite probabilities are a
-        DataError.
+        Takes ``mask_states``' inputs and returns a ``(len(inputs),
+        len(symbols))`` array. The mask states ``H`` are scored as
+        ``softmax((H A^T + c) E^T)`` row by row, where ``E`` holds the answer
+        rows; the products are taken in transposed form, ``E (A H^T + c)``,
+        ``ROW_BLOCK`` questions at a time, and each block's softmax is taken
+        in place in the contiguous copy of its product. Beyond the result,
+        scoring holds two ``(V, ROW_BLOCK)`` arrays at a time for V answer
+        symbols. Every answer symbol must exist in the wordpiece space;
+        answer biases are zero in the reference implementation. Non-finite
+        probabilities are a DataError.
         """
         e = self._answer_matrix(symbols)
-        u = self.head.apply(self.mask_states(*_index_sequences(seqs)))
+        u = self.head.apply(self.mask_states(tokens, inputs))
         probs = by_blocks(
             u, len(symbols), lambda b: _softmax(np.ascontiguousarray((e @ b.T).T))
         )
@@ -371,17 +380,40 @@ class ReferenceScorer:
         return self._answers[1]
 
 
-def _index_sequences(
-    seqs: Sequence[TokenSequence],
-) -> tuple[list[Token], list[tuple[np.ndarray, int]]]:
-    """The distinct tokens of ``seqs`` in first-seen order, and each sequence
-    as ``(index array into them, mask position)``, for ``mask_states``."""
-    keys: dict[Token, int] = {}
-    inputs = []
-    for seq in seqs:
-        positions = [i for i, t in enumerate(seq.tokens) if t.kind in _MASK_KINDS]
+class InputKeys:
+    """An integer key for each distinct token of a run's inputs, in
+    first-seen order, so a batch of inputs goes to ``mask_states`` and
+    ``score_answers`` as ``tokens`` and key arrays into them. Each distinct
+    word is tokenized once: a keyer serves one wordpiece vocabulary."""
+
+    def __init__(self):
+        self.tokens: list[Token] = []
+        self._keys: dict[Token, int] = {}
+        self._words: dict[str, list[int]] = {}
+
+    def key(self, token: Token) -> int:
+        k = self._keys.get(token)
+        if k is None:
+            k = self._keys[token] = len(self.tokens)
+            self.tokens.append(token)
+        return k
+
+    def words(self, words: Sequence[str], vocab: Vocabulary) -> tuple[np.ndarray, list[int]]:
+        """The keys of the wordpieces of ``words`` in order, and the offset
+        of each word's first piece among them (one more for the end)."""
+        per_word = []
+        for w in words:
+            keys = self._words.get(w)
+            if keys is None:
+                keys = self._words[w] = [self.key(t) for t in wordpiece_tokens([w], vocab)]
+            per_word.append(keys)
+        offset = [0, *accumulate(len(k) for k in per_word)]
+        return np.fromiter(chain.from_iterable(per_word), np.intp, offset[-1]), offset
+
+    def sequence(self, tokens: Sequence[Token]) -> tuple[np.ndarray, int]:
+        """The input ``(keys, mask position)`` of a sequence with exactly one
+        mask or entity mask."""
+        positions = [i for i, t in enumerate(tokens) if t.kind in _MASK_KINDS]
         if len(positions) != 1:
             raise ValueError(f"expected exactly one mask position, found {len(positions)}")
-        idx = [keys.setdefault(t, len(keys)) for t in seq.tokens]
-        inputs.append((np.array(idx, dtype=np.intp), positions[0]))
-    return list(keys), inputs
+        return np.array([self.key(t) for t in tokens], dtype=np.intp), positions[0]

@@ -20,6 +20,8 @@ import numpy as np
 
 from entkit.cli import main
 from entkit.embeddings import EmbeddingSpace, SpaceKind, Vocabulary
+from entkit.scorer import InputKeys
+from entkit.text_input import TokenSequence
 from oracles import render
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -115,6 +117,20 @@ def ent_space_with(entities: dict[str, np.ndarray] | dict[str, list], dim: int):
     return make_space(symbols, rows, SpaceKind.WORD_AND_ENTITY)
 
 
+def keyed(seqs):
+    """``seqs`` in the scorers' input form, ``(tokens, inputs)``, keyed as
+    ``rank_answers`` keys a block of questions."""
+    keys = InputKeys()
+    inputs = [keys.sequence(seq.tokens) for seq in seqs]
+    return keys.tokens, inputs
+
+
+def sequences(tokens, inputs) -> list[TokenSequence]:
+    """The token sequences of the scorers' input form ``(tokens, inputs)``,
+    for test scorers that read questions token by token."""
+    return [TokenSequence(tuple(tokens[i] for i in idx)) for idx, _ in inputs]
+
+
 class TableScorer:
     """Stub scorer: ranks answers by a per-word preference table.
 
@@ -126,10 +142,11 @@ class TableScorer:
         self.wp_vocab = vocab
         self.rank_table = rank_table
 
-    def score_answers(self, seqs, symbols) -> np.ndarray:
+    def score_answers(self, tokens, inputs, symbols) -> np.ndarray:
         return np.array(
-            [self._score_one(seq, symbols) for seq in seqs], dtype=np.float64
-        ).reshape(len(seqs), len(symbols))
+            [self._score_one(seq, symbols) for seq in sequences(tokens, inputs)],
+            dtype=np.float64,
+        ).reshape(len(inputs), len(symbols))
 
     def _score_one(self, seq, symbols) -> np.ndarray:
         order = None

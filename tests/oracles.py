@@ -118,8 +118,11 @@ def person_name_filter(triple, template, scorer, answer_vocab, top_k=3,
     noun = template.name_noun
     for part in triple.sub_surface.split():
         sentence = f"{part} is a common name in the following {noun}: {MASK_WORD} ."
-        seq = build_input(sentence, [], InputMode.BERT, None, scorer.wp_vocab)
-        p = scorer.score_answers([seq], answer_vocab.symbols)[0]
+        seq = build_input(sentence, [], InputMode.BERT, None, scorer.wp_vocab).tokens
+        tokens = list(dict.fromkeys(seq))
+        (pos,) = [i for i, t in enumerate(seq) if t.kind is TokenKind.MASK]
+        idx = np.array([tokens.index(t) for t in seq])
+        p = scorer.score_answers(tokens, [(idx, pos)], answer_vocab.symbols)[0]
         top = sorted(range(len(p)), key=lambda i: (-p[i], i))[: max(top_k, 0)]
         if fold(triple.obj_surface) in {fold(answer_vocab.symbols[i]) for i in top}:
             return True

@@ -1,10 +1,17 @@
-"""The benchmark child looks entkit functions up by name; each must exist."""
+"""The benchmark child looks entkit functions up by name; each must exist,
+and its hooks must read the arguments the library passes."""
 
 import importlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from conftest import bench_module
+import entkit
+from conftest import bench_module, make_world
 
 
 @pytest.fixture(scope="module")
@@ -27,3 +34,25 @@ def test_every_traced_method_resolves(child):
 
 def test_counted_entity_row_lookup_resolves():
     assert callable(importlib.import_module("entkit.scorer")._ent_row)
+
+
+def test_traced_child_runs_every_lama_command(child, tmp_path):
+    # A hook that reads an argument position the library no longer fills
+    # fails the traced child; the benchmark's traced run would fail too.
+    world = make_world(tmp_path / "world", "lama", 7)
+    out = tmp_path / "out"
+    env = {**os.environ, "PYTHONPATH": str(Path(entkit.__file__).resolve().parents[1])}
+    commands = json.loads((world / "world.json").read_text(encoding="utf-8"))["commands"]
+    for i, cmd in enumerate(commands):
+        (out / cmd["dir"]).mkdir(parents=True)
+        info = tmp_path / f"{cmd['dir']}.info.json"
+        argv = [a.replace("{W}", str(world)).replace("{O}", str(out)) for a in cmd["argv"]]
+        proc = subprocess.run(
+            [sys.executable, child.__file__, str(info), "1", f"0:{i}:{cmd['name']}",
+             "--", *argv], capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        counters = json.loads(info.read_text(encoding="utf-8"))["counters"]
+        if cmd["kind"] == "eval_lama":
+            # One row per question ranked.
+            assert counters["scorer.score_answers.rows"] == cmd["items"]

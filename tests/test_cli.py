@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import entkit
 from conftest import FIXTURES, make_world
 from entkit.cli import main
+from entkit.scorer import ReferenceScorer
 
 WIKI = str(FIXTURES / "wiki.txt")
 WP = str(FIXTURES / "wordpieces.txt")
@@ -1135,6 +1136,37 @@ ENTITY_COMMANDS = {
     "link-eval": [*_LINK_ENTITIES, "--eval"],
     "link-train": [*_LINK_ENTITIES, "--train", "--epochs", "5"],
 }
+
+
+class ProtocolOnlyScorer:
+    """A reference scorer that exposes only the scorer protocol: ``wp_vocab``,
+    ``ent``, ``mask_states`` and ``score_answers``."""
+
+    def __init__(self, *args):
+        inner = ReferenceScorer(*args)
+        self.wp_vocab, self.ent = inner.wp_vocab, inner.ent
+        self.mask_states, self.score_answers = inner.mask_states, inner.score_answers
+
+
+def test_a_scorer_with_only_the_protocol_writes_the_same_bytes(
+    pristine_fixtures, tmp_path, monkeypatch
+):
+    commands = {
+        "eval-lama-concat": ENTITY_COMMANDS["eval-lama-concat"],
+        "filter-uhn": [
+            "filter-uhn", "--data", "{F}/lama", "--templates", "{F}/templates.json",
+            "--wp-space", "{F}/wordpieces.txt", "--answer-vocab", "{F}/answers.txt",
+            "--out-dir", "{O}/uhn",
+        ],
+        "link-train": ENTITY_COMMANDS["link-train"],
+    }
+    plain = {name: command_outputs(pristine_fixtures, tmp_path / name, argv)
+             for name, argv in commands.items()}
+    assert all(code == 0 and files for code, _, files in plain.values())
+    monkeypatch.setattr("entkit.scorer.ReferenceScorer", ProtocolOnlyScorer)
+    for name, argv in commands.items():
+        protocol = command_outputs(pristine_fixtures, tmp_path / f"protocol-{name}", argv)
+        assert protocol == plain[name], name
 
 
 def command_outputs(fixtures: Path, out: Path, argv) -> tuple:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import TableScorer, ent_space_with, random_uhn_fixture, wp_space_with
+from conftest import TableScorer, ent_space_with, random_uhn_fixture, sequences, wp_space_with
 from oracles import person_name_filter, render
 from entkit.embeddings import Vocabulary
 from entkit.errors import DataError
@@ -200,9 +200,9 @@ class TestRankingBlocks:
         before = cached.copy()
 
         class CachedScorer:
-            def score_answers(self, seqs, symbols):
-                first = int(seqs[0].tokens[0].text)
-                return cached[first : first + len(seqs)]
+            def score_answers(self, tokens, inputs, symbols):
+                first = int(sequences(tokens, inputs)[0].tokens[0].text)
+                return cached[first : first + len(inputs)]
 
         vocab = Vocabulary([f"a{i}" for i in range(cached.shape[1])])
         seqs = [TokenSequence((Token.wordpiece(str(q)), Token.mask()))
@@ -349,7 +349,7 @@ class TestPersonNameFilter:
         # A relation without a probe noun is never probed, so its questions
         # pass stage 2 even where the probe would delete them.
         class NeverScores(TableScorer):
-            def score_answers(self, seqs, symbols):
+            def score_answers(self, tokens, inputs, symbols):
                 raise AssertionError("an ineligible relation was probed")
 
         triples = [KbTriple("R2", "AA", "gold"), KbTriple("R2", "DD", "gold")]
@@ -426,9 +426,9 @@ class TestBuildLamaUhn:
                 super().__init__(Vocabulary([*base.wp_vocab.symbols, *nouns]), base.rank_table)
                 self.seen = []
 
-            def score_answers(self, seqs, symbols):
-                self.seen.extend(tuple(render(seq)) for seq in seqs)
-                return super().score_answers(seqs, symbols)
+            def score_answers(self, tokens, inputs, symbols):
+                self.seen.extend(tuple(render(seq)) for seq in sequences(tokens, inputs))
+                return super().score_answers(tokens, inputs, symbols)
 
         scorer = CountingScorer()
         pairs = {
@@ -462,7 +462,7 @@ class TestBuildLamaUhn:
         # P103 is a name relation: with a template it would be probed, so
         # keeping its questions unprobed would pass them through stage 2.
         class NeverScores(TableScorer):
-            def score_answers(self, seqs, symbols):
+            def score_answers(self, tokens, inputs, symbols):
                 raise AssertionError("scored before the templates were checked")
 
         dataset = {

@@ -5,20 +5,22 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import ent_space_with, make_space, wp_space_with
+from conftest import ent_space_with, keyed, make_space, sequences, wp_space_with
 from oracles import head_gradients, mask_state
 from entkit.embeddings import SpaceKind, Vocabulary
 from entkit.entity_linking import candidate_groups
 from entkit.errors import DataError
 from entkit.lama_bench import rank_answers
+from entkit import scorer as scorer_module
 from entkit.scorer import (
     ROW_BLOCK,
     AffineHead,
+    InputKeys,
     ReferenceScorer,
     by_blocks,
     candidate_probs,
 )
-from entkit.text_input import Token, TokenKind, TokenSequence
+from entkit.text_input import Token, TokenKind, TokenSequence, wordpiece_tokens
 
 DIM = 4
 WP = wp_space_with(
@@ -374,7 +376,7 @@ class TestReferenceScorer:
     def test_score_answers_matches_direct_softmax(self):
         scorer = ReferenceScorer(WP)
         seq = seq_of(Token.wordpiece("the"), Token.mask(), Token.wordpiece("cat"))
-        probs = scorer.score_answers([seq], ["the", "cat", "sat"])[0]
+        probs = scorer.score_answers(*keyed([seq]), ["the", "cat", "sat"])[0]
         h = scorer.mask_state(seq)
         logits = np.array(
             [WP.row(s).astype(np.float64) @ h for s in ["the", "cat", "sat"]]
@@ -386,11 +388,48 @@ class TestReferenceScorer:
         scorer = ReferenceScorer(WP)
         seq = seq_of(Token.mask(), Token.wordpiece("the"))
         with pytest.raises(DataError, match="missing from wordpiece space"):
-            scorer.score_answers([seq], ["the", "zzz"])
+            scorer.score_answers(*keyed([seq]), ["the", "zzz"])
 
     def test_head_dimension_checked(self):
         with pytest.raises(ValueError, match="head dimension"):
             ReferenceScorer(WP, head=AffineHead.identity(3))
+
+
+class TestInputKeys:
+    def test_equal_tokens_get_one_key(self):
+        keys = InputKeys()
+        the, cat, emask = Token.wordpiece("the"), Token.wordpiece("cat"), Token.emask(["ENTITY/A"])
+        first, pos = keys.sequence([the, Token.mask(), cat, Token.wordpiece("the")])
+        second, _ = keys.sequence([emask, Token.wordpiece("cat"), the])
+        assert keys.tokens == [the, Token.mask(), cat, emask]
+        assert (first.tolist(), pos, second.tolist()) == ([0, 1, 2, 0], 1, [3, 2, 0])
+        assert keys.key(Token.emask(["ENTITY/A"])) == 3
+        assert keys.key(Token.emask(["ENTITY/A", "ENTITY/B"])) == 4
+        assert keys.key(Token.entity("ENTITY/A")) == 5
+
+    def test_each_distinct_word_is_tokenized_once(self, monkeypatch):
+        tokenized = []
+
+        def counted(words, vocab):
+            tokenized.extend(words)
+            return wordpiece_tokens(words, vocab)
+
+        monkeypatch.setattr(scorer_module, "wordpiece_tokens", counted)
+        vocab = Vocabulary(["[UNK]", "the", "cat", "##s"])
+        keys = InputKeys()
+        first, at_first = keys.words(["the", "cats", "the"], vocab)
+        second, at_second = keys.words(["cats", "dog", "cats"], vocab)
+        assert sorted(tokenized) == ["cats", "dog", "the"]
+        assert [keys.tokens[k].text for k in first] == ["the", "cat", "##s", "the"]
+        assert [keys.tokens[k].text for k in second] == ["cat", "##s", "[UNK]", "cat", "##s"]
+        assert (at_first, at_second) == ([0, 1, 3, 4], [0, 2, 3, 5])
+        assert len(keys.tokens) == 4
+
+    @pytest.mark.parametrize("masks", [0, 2])
+    def test_a_sequence_needs_exactly_one_mask(self, masks):
+        tokens = [Token.wordpiece("the"), *[Token.mask(), Token.emask(["ENTITY/A"])][:masks]]
+        with pytest.raises(ValueError, match=f"exactly one mask position, found {masks}"):
+            InputKeys().sequence(tokens)
 
 
 def random_cloze_world(seed, n_words=240, n_questions=150, dim=16):
@@ -417,17 +456,17 @@ class TestBatchInvariance:
     def test_rows_bit_identical_across_batch_sizes(self, n_answers):
         scorer, seqs, words = random_cloze_world(seed=n_answers)
         answers = words[:n_answers]
-        full = scorer.score_answers(seqs, answers)
+        full = scorer.score_answers(*keyed(seqs), answers)
         assert full.shape == (len(seqs), n_answers)
         for i, seq in enumerate(seqs):
-            assert np.array_equal(scorer.score_answers([seq], answers)[0], full[i])
+            assert np.array_equal(scorer.score_answers(*keyed([seq]), answers)[0], full[i])
         for start in range(0, len(seqs), 7):
-            block = scorer.score_answers(seqs[start : start + 7], answers)
+            block = scorer.score_answers(*keyed(seqs[start : start + 7]), answers)
             assert np.array_equal(block, full[start : start + 7])
 
     def test_empty_batch(self):
         scorer, _, words = random_cloze_world(seed=1)
-        assert scorer.score_answers([], words[:5]).shape == (0, 5)
+        assert scorer.score_answers([], [], words[:5]).shape == (0, 5)
 
     @pytest.mark.parametrize("k", [1, 3, 10, None])
     def test_stable_top_k_matches_sorted_ranking_with_ties(self, k):
@@ -438,8 +477,8 @@ class TestBatchInvariance:
         planted = rng.integers(0, 4, size=(300, n_answers)) / 7.0
 
         class PlantedScorer:
-            def score_answers(self, seqs, symbols):
-                return planted[[int(seq.tokens[0].text) for seq in seqs]]
+            def score_answers(self, tokens, inputs, symbols):
+                return planted[[int(seq.tokens[0].text) for seq in sequences(tokens, inputs)]]
 
         vocab = Vocabulary([f"a{i}" for i in range(n_answers)])
         seqs = [TokenSequence((Token.wordpiece(str(q)), Token.mask()))
@@ -573,18 +612,18 @@ class TestSingleMaskStatePath:
     def test_score_answers_rows_use_the_oracle_states(self, seed):
         class OracleStates(ReferenceScorer):
             def mask_states(self, tokens, inputs):
-                seqs = [TokenSequence(tuple(tokens[i] for i in idx)) for idx, _ in inputs]
+                seqs = sequences(tokens, inputs)
                 return np.array([mask_state(seq, self.wp, self.ent) for seq in seqs]).reshape(
                     len(seqs), self.wp.dim
                 )
 
         scorer, seqs, words = random_mixed_cloze(seed)
         oracle = OracleStates(scorer.wp, scorer.ent, scorer.head)
-        full = scorer.score_answers(seqs, words)
-        assert np.array_equal(full, oracle.score_answers(seqs, words))
+        full = scorer.score_answers(*keyed(seqs), words)
+        assert np.array_equal(full, oracle.score_answers(*keyed(seqs), words))
         for i, seq in enumerate(seqs):
-            assert np.array_equal(scorer.score_answers([seq], words)[0], full[i])
-            assert np.array_equal(oracle.score_answers([seq], words)[0], full[i])
+            assert np.array_equal(scorer.score_answers(*keyed([seq]), words)[0], full[i])
+            assert np.array_equal(oracle.score_answers(*keyed([seq]), words)[0], full[i])
 
     def test_mask_states_checks_dimensions(self):
         wide = ent_space_with({"ENTITY/A": np.ones(DIM + 1)}, DIM + 1)
