@@ -16,13 +16,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .embeddings import (
-    EmbeddingSpace,
-    SharedSymbol,
-    SpaceKind,
-    Vocabulary,
-    is_entity_symbol,
-)
+from .embeddings import EmbeddingSpace, SharedSymbol, Vocabulary, is_entity_symbol
 from .errors import DataError
 from .scorer import by_blocks
 
@@ -158,8 +152,6 @@ def _back_substitute(r: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def check_entity_source(amap: AlignmentMap, wiki: EmbeddingSpace) -> None:
     """Raise unless entity rows of ``wiki`` can be mapped by ``amap``."""
-    if wiki.kind is not SpaceKind.WORD_AND_ENTITY:
-        raise ValueError("entity derivation needs a word-and-entity space")
     if wiki.dim != amap.d_src:
         raise DataError(
             f"space dimension {wiki.dim} does not match alignment source "
@@ -191,12 +183,7 @@ def derive_entity_space(
     ids = sorted(index[s] for s in wanted)
     with np.errstate(over="ignore", invalid="ignore"):  # EmbeddingSpace reports it
         rows = by_blocks(wiki.matrix[ids], amap.d_tgt, lambda b: b @ amap.w.T)
-    return EmbeddingSpace(
-        Vocabulary([wiki.vocab.symbols[i] for i in ids]),
-        amap.d_tgt,
-        rows,
-        SpaceKind.WORD_AND_ENTITY,
-    )
+    return EmbeddingSpace(Vocabulary([wiki.vocab.symbols[i] for i in ids]), amap.d_tgt, rows)
 
 
 def save_alignment(amap: AlignmentMap, path) -> None:

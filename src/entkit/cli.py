@@ -146,11 +146,9 @@ def _write_lines(path: str | None, lines: list[str]) -> None:
 def cmd_align(args) -> int:
     from . import alignment, embeddings
 
-    tgt = embeddings.load_space(args.tgt, embeddings.SpaceKind.WORDPIECE)
+    tgt = embeddings.load_space(args.tgt)
     # Only a word that is also a wordpiece can be paired.
-    src = embeddings.load_space(
-        args.src, embeddings.SpaceKind.WORD_AND_ENTITY, keep=tgt.vocab.index
-    )
+    src = embeddings.load_space(args.src, keep=tgt.vocab.index)
     pairs = embeddings.shared_vocabulary(tgt, src)
     amap = alignment.fit_alignment(src, tgt, pairs)
     alignment.save_alignment(amap, args.out)
@@ -188,9 +186,7 @@ def _load_entity_side(wp, ent_path, align_path, keep, absent=None):
     ``absent`` is passed on to ``load_space``."""
     from . import alignment, embeddings
 
-    wiki = embeddings.load_space(
-        ent_path, embeddings.SpaceKind.WORD_AND_ENTITY, keep, absent
-    )
+    wiki = embeddings.load_space(ent_path, keep, absent)
     amap = alignment.load_alignment(align_path)
     alignment.check_entity_source(amap, wiki)
     if amap.d_tgt != wp.dim:
@@ -221,7 +217,7 @@ def cmd_eval_lama(args) -> int:
         raise UsageError("--ent-space requires --align")
     if mode is not InputMode.BERT and args.ent_space is None:
         raise UsageError(f"--mode {mode.value} requires --ent-space and --align")
-    wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
+    wp = embeddings.load_space(args.wp_space)
     answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
 
     dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
@@ -288,7 +284,7 @@ def cmd_filter_uhn(args) -> int:
 
     if args.top_k < 0:
         raise UsageError(f"entkit filter-uhn: --top-k must be at least 0, got {args.top_k}")
-    wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
+    wp = embeddings.load_space(args.wp_space)
     answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
     dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
     templates = _load_templates(args.templates, dataset)
@@ -324,7 +320,7 @@ def cmd_link(args) -> int:
     for flag, value in (("--step", args.step), ("--eps-bias", args.eps_bias)):
         if not math.isfinite(value):
             raise UsageError(f"entkit link: {flag} must be finite, got {value}")
-    wp = embeddings.load_space(args.wp_space, embeddings.SpaceKind.WORDPIECE)
+    wp = embeddings.load_space(args.wp_space)
     docs = entity_linking.load_documents(args.docs)
     # The table holds candidates only for the surfaces the documents' spans
     # can take, and the entities of all its rows.

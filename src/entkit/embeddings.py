@@ -30,7 +30,6 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from enum import Enum
 from typing import Container, Iterable, NamedTuple
 
 import numpy as np
@@ -47,11 +46,6 @@ CHUNK_CHARS = 1 << 16
 # entity) pairs and entities in ``_candidate_table``. Equal hashes only ever
 # lead to an exact check, so a collision costs time, not results.
 _hash = hash
-
-
-class SpaceKind(Enum):
-    WORDPIECE = "wordpiece"
-    WORD_AND_ENTITY = "word_and_entity"
 
 
 class Vocabulary:
@@ -85,7 +79,6 @@ class EmbeddingSpace:
     vocab: Vocabulary
     dim: int
     matrix: np.ndarray
-    kind: SpaceKind
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix)
@@ -108,12 +101,7 @@ class EmbeddingSpace:
         return None if i is None else self.matrix[i]
 
 
-def load_space(
-    path,
-    kind: SpaceKind,
-    keep: Container[str] | None = None,
-    absent=None,
-) -> EmbeddingSpace:
+def load_space(path, keep: Container[str] | None = None, absent=None) -> EmbeddingSpace:
     """Load an embedding space from word2vec text format.
 
     Every row is validated, kept or not. Raises DataError with a line number
@@ -147,7 +135,7 @@ def load_space(
     symbols, matrix, bad = loaded
     if bad is not None:
         raise DataError(f"{path}: non-finite value in row for {bad!r}")
-    return EmbeddingSpace(Vocabulary(symbols), matrix.shape[1], matrix, kind)
+    return EmbeddingSpace(Vocabulary(symbols), matrix.shape[1], matrix)
 
 
 def _kept_rows(
@@ -317,10 +305,6 @@ def shared_vocabulary(
     Returned in ascending wordpiece id order. An empty intersection is a
     DataError because no alignment can be fit from it.
     """
-    if wp.kind is not SpaceKind.WORDPIECE:
-        raise ValueError("first argument must be a wordpiece space")
-    if wiki.kind is not SpaceKind.WORD_AND_ENTITY:
-        raise ValueError("second argument must be a word-and-entity space")
     shared = [
         SharedSymbol(sym, wp_id, wiki.vocab.index[sym])
         for wp_id, sym in enumerate(wp.vocab.symbols)

@@ -268,9 +268,9 @@ def span_mask_states(
     (the mean of its candidates; a plain mask without ``use_emask``), ``/``,
     its wordpieces, ``*``, the words after it, ``[SEP]``, where a decoded
     span that does not overlap it renders as its entity. The decoded spans
-    that end inside a document must be disjoint, as the decoder makes them:
-    one that is empty, starts before 0 or overlaps another is a ValueError.
-    Those past the document's end are ignored.
+    of a document must be disjoint and inside it, as the decoder makes them:
+    one that is empty, starts before 0, ends past the document or overlaps
+    another is a ValueError.
     Documents go in blocks of ``SPAN_BLOCK`` spans; each block's inputs are
     index arrays gathered from its documents' key arrays (see
     ``_block_inputs``), and one ``scorer.mask_states`` call embeds each
@@ -280,14 +280,12 @@ def span_mask_states(
     keys = keys or InputKeys()
     scored = []
     for tokens, spans, decoded in docs:
-        ordered = sorted(
-            (a, b, entity) for (a, b), entity in (decoded or {}).items() if b <= len(tokens)
-        )
+        ordered = sorted((a, b, entity) for (a, b), entity in (decoded or {}).items())
         end = 0
         for a, b, _ in ordered:
-            if not end <= a < b:
-                raise ValueError(f"bad decoded span [{a}, {b}): empty, before 0 "
-                                 "or overlapping another")
+            if not end <= a < b <= len(tokens):
+                raise ValueError(f"bad decoded span [{a}, {b}): empty, before 0, "
+                                 "past the end or overlapping another")
             end = b
         if spans:
             scored.append((tokens, spans, ordered))

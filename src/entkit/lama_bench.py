@@ -352,9 +352,7 @@ def load_templates(path) -> dict[str, RelationTemplate]:
     return out
 
 
-def load_lama_dir(
-    path, answer_vocab: Vocabulary | None = None
-) -> tuple[Dataset, dict[str, int]]:
+def load_lama_dir(path, answer_vocab: Vocabulary) -> tuple[Dataset, dict[str, int]]:
     """Load one JSON-lines file per relation from a directory.
 
     The relation name is the file stem. Triples whose answer is not a single
@@ -392,9 +390,7 @@ def load_lama_dir(
                     )
                 if MASK_WORD in sub.split():
                     raise DataError(f"{file}: line {lineno}: sub_label holds {MASK_WORD}")
-                if len(answer.split()) != 1 or (
-                    answer_vocab is not None and answer not in answer_vocab
-                ):
+                if len(answer.split()) != 1 or answer not in answer_vocab:
                     nrej += 1
                     continue
                 triples.append(KbTriple(rel, sub, answer))

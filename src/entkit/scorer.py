@@ -1,12 +1,12 @@
 """Pluggable masked-LM scoring contract and its reference implementation.
 
-A scorer embeds the tokens of its inputs, takes the state at each input's
-mask from the rest of the input, and transforms that state with a head
-before dotting it against output embeddings. The reference scorer is
-deliberately tiny and fully analytic: the state is the leave-one-out mean
-of the embedded input at its mask, and the head is a single affine map.
-That is enough to exercise every downstream contract without a trained
-network.
+A scorer embeds the tokens of its inputs and takes the state at each input's
+mask from the rest of the input. Cloze answers are scored by dotting that
+state against the answer rows of the wordpiece space; entity linking first
+passes it through its own trainable head (``AffineHead``). The reference
+scorer is deliberately tiny and fully analytic: the state is the
+leave-one-out mean of the embedded input at its mask. That is enough to
+exercise every downstream contract without a trained network.
 
 This module is the only one that knows how a state or a candidate
 distribution is computed. Consumers duck-type against a small protocol.
@@ -15,11 +15,11 @@ distinct tokens and inputs ``(idx, pos)``, each the sequence ``tokens[idx]``
 with its one mask at ``pos``. Cloze evaluation and filtering need
 ``wp_vocab`` (the wordpiece vocabulary used for tokenization) and
 ``score_answers(tokens, inputs, symbols)``, which returns a (Q, V) array of
-the V answer probabilities at the mask of each of Q inputs. Entity linking
-needs ``wp_vocab``, ``ent`` (the entity space of the candidate rows) and
-``mask_states(tokens, inputs)``, which returns the (S, d) states at the
-masks of S inputs. A row of either batch method must not depend on the rest
-of its batch.
+the V answer probabilities at the mask of each of Q inputs, Q at most
+``ROW_BLOCK``. Entity linking needs ``wp_vocab``, ``ent`` (the entity space
+of the candidate rows) and ``mask_states(tokens, inputs)``, which returns
+the (S, d) states at the masks of S inputs. A row of either batch method
+must not depend on the rest of its batch.
 """
 
 from __future__ import annotations
@@ -36,14 +36,14 @@ from .text_input import MASK_WORD, UNK, Token, TokenKind, TokenSequence, wordpie
 
 _MASK_KINDS = (TokenKind.MASK, TokenKind.EMASK)
 
-# States (cloze questions or linking spans) per head product, and questions
-# per answer-logit product. Every product has exactly this many states (the
-# last block of a batch is zero-padded), and the states are the columns of
-# its right-hand operand, so BLAS tiles them uniformly and a state's
-# probabilities are bit-identical whatever batch it is scored in. On
+# Linking states per head product, and the most questions ``score_answers``
+# takes: its one answer-logit product. Every product has exactly this many
+# states (the last block of a batch is zero-padded), and the states are the
+# columns of its right-hand operand, so BLAS tiles them uniformly and a
+# state's probabilities are bit-identical whatever batch it is scored in. On
 # OpenBLAS, a product whose shape follows the batch size, or that has the
 # states as rows of its left-hand operand, changes the last bits of rows.
-# ``by_blocks`` takes every such block; ``alignment.derive_entity_space`` too,
+# ``by_blocks`` takes the head's blocks and ``alignment.derive_entity_space``'s,
 # and ``lama_bench.rank_answers`` scores this many questions per scorer call.
 ROW_BLOCK = 64
 
@@ -132,7 +132,8 @@ def _ent_row(ent: EmbeddingSpace | None, entity_id: str) -> np.ndarray:
 
 @dataclass
 class AffineHead:
-    """Affine transform h -> A h + c standing in for the MLM head."""
+    """The linker's trainable head: the affine map h -> A h + c applied to
+    a span's mask state before its candidates are scored."""
 
     a: np.ndarray
     c: np.ndarray
@@ -154,15 +155,11 @@ class AffineHead:
         return self.a.shape[0]
 
     def apply(self, h: np.ndarray) -> np.ndarray:
-        """``A h + c`` for each row of an (S, d) stack of states, or for one
-        state as a stack of one. The stack is taken ``ROW_BLOCK`` zero-padded
-        rows at a time in transposed form, ``A H^T + c``, so a row's output
-        does not depend on the rest of its stack."""
-        h = np.asarray(h, dtype=np.float64)
-        u = by_blocks(
-            np.atleast_2d(h), self.dim, lambda b: (self.a @ b.T + self.c[:, None]).T
-        )
-        return u[0] if h.ndim == 1 else u
+        """``A h + c`` for each row of an (S, d) stack of states. The stack
+        is taken ``ROW_BLOCK`` zero-padded rows at a time in transposed form,
+        ``A H^T + c``, so a row's output does not depend on the rest of its
+        stack."""
+        return by_blocks(h, self.dim, lambda b: (self.a @ b.T + self.c[:, None]).T)
 
     @classmethod
     def identity(cls, dim: int) -> "AffineHead":
@@ -251,23 +248,14 @@ def _softmax(z: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ReferenceScorer:
-    """Embed, leave-one-out contextualize, affine head, softmax scoring."""
+    """Embed, leave-one-out contextualize, softmax over the answer rows."""
 
     wp: EmbeddingSpace
     ent: EmbeddingSpace | None = None
-    head: AffineHead = None
     # The answer matrix of the last symbol tuple scored: (symbols, E).
     _answers: tuple[tuple[str, ...], np.ndarray] | None = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def __post_init__(self):
-        if self.head is None:
-            self.head = AffineHead.identity(self.wp.dim)
-        if self.head.dim != self.wp.dim:
-            raise ValueError(
-                f"head dimension {self.head.dim} does not match space {self.wp.dim}"
-            )
 
     @property
     def wp_vocab(self) -> Vocabulary:
@@ -347,22 +335,23 @@ class ReferenceScorer:
     ) -> np.ndarray:
         """Probabilities over the answer symbols at the mask of each input.
 
-        Takes ``mask_states``' inputs and returns a ``(len(inputs),
-        len(symbols))`` array. The mask states ``H`` are scored as
-        ``softmax((H A^T + c) E^T)`` row by row, where ``E`` holds the answer
-        rows; the products are taken in transposed form, ``E (A H^T + c)``,
-        ``ROW_BLOCK`` questions at a time, and each block's softmax is taken
-        in place in the contiguous copy of its product. Beyond the result,
-        scoring holds two ``(V, ROW_BLOCK)`` arrays at a time for V answer
-        symbols. Every answer symbol must exist in the wordpiece space;
-        answer biases are zero in the reference implementation. Non-finite
-        probabilities are a DataError.
+        Takes ``mask_states``' inputs, at most ``ROW_BLOCK`` of them, and
+        returns a ``(len(inputs), len(symbols))`` array. The mask states
+        ``H`` are scored as ``softmax(H E^T)`` row by row, where ``E`` holds
+        the answer rows. ``H`` is zero-padded to ``ROW_BLOCK`` rows and the
+        product taken in transposed form, ``E H^T``; the softmax is taken in
+        place in its contiguous transposed copy, whose first rows are
+        returned. Scoring holds two ``(V, ROW_BLOCK)`` arrays at a time for V
+        answer symbols, one of them the result. Every answer symbol must
+        exist in the wordpiece space; answer biases are zero in the reference
+        implementation. Non-finite probabilities are a DataError.
         """
+        if len(inputs) > ROW_BLOCK:
+            raise ValueError(f"at most {ROW_BLOCK} inputs per call, got {len(inputs)}")
         e = self._answer_matrix(symbols)
-        u = self.head.apply(self.mask_states(tokens, inputs))
-        probs = by_blocks(
-            u, len(symbols), lambda b: _softmax(np.ascontiguousarray((e @ b.T).T))
-        )
+        block = np.zeros((ROW_BLOCK, self.wp.dim))
+        block[: len(inputs)] = self.mask_states(tokens, inputs)
+        probs = _softmax(np.ascontiguousarray((e @ block.T).T))[: len(inputs)]
         return _finite(probs, "answer probabilities")
 
     def _answer_matrix(self, symbols: Sequence[str]) -> np.ndarray:

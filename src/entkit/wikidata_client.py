@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import contextlib
 import json
-import logging
 import math
 import re
 import time
@@ -26,8 +25,6 @@ from .symbols import ENTITY_PREFIX
 
 if TYPE_CHECKING:
     import requests
-
-logger = logging.getLogger(__name__)
 
 DEFAULT_ENDPOINT = "https://query.wikidata.org/sparql"
 QID_PATTERN = re.compile(r"Q\d+")

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from entkit.cli import main
-from entkit.embeddings import EmbeddingSpace, SpaceKind, Vocabulary
+from entkit.embeddings import EmbeddingSpace, Vocabulary
 from entkit.scorer import InputKeys
 from entkit.text_input import TokenSequence
 from oracles import render
@@ -55,9 +55,9 @@ def pytest_terminal_summary(terminalreporter):
         )
 
 
-def make_space(symbols, matrix, kind) -> EmbeddingSpace:
+def make_space(symbols, matrix) -> EmbeddingSpace:
     m = np.asarray(matrix, dtype=np.float64)
-    return EmbeddingSpace(Vocabulary(list(symbols)), m.shape[1], m, kind)
+    return EmbeddingSpace(Vocabulary(list(symbols)), m.shape[1], m)
 
 
 def grid_values(rng: np.random.Generator, *shape) -> np.ndarray:
@@ -82,10 +82,8 @@ def paired_spaces(seed: int, d_src: int, d_tgt: int, n_shared: int,
         if n_entities
         else np.zeros((0, d_src))
     )
-    wiki = make_space(
-        words + ents, np.vstack([x, ent_rows]), SpaceKind.WORD_AND_ENTITY
-    )
-    wp = make_space(words, y, SpaceKind.WORDPIECE)
+    wiki = make_space(words + ents, np.vstack([x, ent_rows]))
+    wp = make_space(words, y)
     return wiki, wp, w_star
 
 
@@ -106,15 +104,15 @@ def wp_space_with(words: dict[str, np.ndarray] | dict[str, list], dim: int):
     for sym, row in words.items():
         symbols.append(sym)
         rows.append(np.asarray(row, dtype=np.float64))
-    return make_space(symbols, np.vstack(rows), SpaceKind.WORDPIECE)
+    return make_space(symbols, np.vstack(rows))
 
 
 def ent_space_with(entities: dict[str, np.ndarray] | dict[str, list], dim: int):
     if not entities:
-        return make_space([], np.zeros((0, dim)), SpaceKind.WORD_AND_ENTITY)
+        return make_space([], np.zeros((0, dim)))
     symbols = list(entities)
     rows = np.vstack([np.asarray(entities[s], dtype=np.float64) for s in symbols])
-    return make_space(symbols, rows, SpaceKind.WORD_AND_ENTITY)
+    return make_space(symbols, rows)
 
 
 def keyed(seqs):

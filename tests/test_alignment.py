@@ -16,7 +16,7 @@ from entkit.alignment import (
     load_alignment,
     save_alignment,
 )
-from entkit.embeddings import SpaceKind, shared_vocabulary
+from entkit.embeddings import shared_vocabulary
 from entkit.errors import DataError
 
 
@@ -78,10 +78,8 @@ class TestFit:
         coeff = rng.standard_normal((12, 3))
         x = coeff @ basis
         y = rng.standard_normal((12, 4))
-        wiki = make_space(
-            [f"w{i}" for i in range(12)], x, SpaceKind.WORD_AND_ENTITY
-        )
-        wp = make_space([f"w{i}" for i in range(12)], y, SpaceKind.WORDPIECE)
+        wiki = make_space([f"w{i}" for i in range(12)], x)
+        wp = make_space([f"w{i}" for i in range(12)], y)
         pairs = shared_vocabulary(wp, wiki)
         with caplog.at_level(logging.WARNING):
             amap = fit_alignment(wiki, wp, pairs)
@@ -130,8 +128,8 @@ class TestBlockedFit:
         x = (u * s) @ v.T
         y = rng.standard_normal((n, 3))
         symbols = [f"w{i}" for i in range(n)]
-        wiki = make_space(symbols, x, SpaceKind.WORD_AND_ENTITY)
-        wp = make_space(symbols, y, SpaceKind.WORDPIECE)
+        wiki = make_space(symbols, x)
+        wp = make_space(symbols, y)
         amap = fit_alignment(wiki, wp, shared_vocabulary(wp, wiki))
         assert amap.rank_deficient == (np.linalg.lstsq(x, y, rcond=None)[2] < d)
         assert amap.rank_deficient == (ratio < 1.0)
@@ -167,9 +165,13 @@ class TestApplyAndDerive:
             )
 
     def test_derive_rejects_wordpiece_space(self):
+        # A wordpiece space holds no entity rows: its symbols are not
+        # entities, and an entity is missing from it.
         wiki, wp, _, _, amap = fit_pair(1)
-        with pytest.raises(ValueError, match="word-and-entity"):
-            derive_entity_space(amap, wp, [])
+        with pytest.raises(DataError, match="not entities"):
+            derive_entity_space(amap, wp, wp.vocab.symbols[:1])
+        with pytest.raises(DataError, match="missing from entity space"):
+            derive_entity_space(amap, wp, ["ENTITY/E0"])
 
     def test_derive_rejects_dimension_mismatch(self):
         wiki, _, _ = paired_spaces(0, 6, 6, 15, n_entities=1)
@@ -181,7 +183,7 @@ class TestApplyAndDerive:
     def test_overflowing_map_is_a_data_error_without_warnings(self):
         # Under the suite's error::RuntimeWarning filter a numpy overflow
         # warning would surface here as an exception instead.
-        wiki = make_space(["w", "ENTITY/E"], np.ones((2, 2)), SpaceKind.WORD_AND_ENTITY)
+        wiki = make_space(["w", "ENTITY/E"], np.ones((2, 2)))
         amap = AlignmentMap(np.full((2, 2), 1e308), 1, 0.0)
         with pytest.raises(DataError, match="non-finite embedding row"):
             derive_entity_space(amap, wiki, ["ENTITY/E"])
@@ -203,7 +205,7 @@ class TestDeriveSubset:
             if i % 7 == 0:
                 symbols.append(f"word{i}")
         matrix = rng.standard_normal((len(symbols), d_src)).astype(np.float32)
-        wiki = make_space(symbols, matrix, SpaceKind.WORD_AND_ENTITY)
+        wiki = make_space(symbols, matrix)
         amap = AlignmentMap(rng.standard_normal((d_tgt, d_src)), 1, 0.0)
         return wiki, amap, rng
 

@@ -633,10 +633,10 @@ class TestLink:
             for span in el.generate_candidates(doc.tokens, spans)
             for c in span.candidates
         }
-        assert [space.kind for space in loaded] == [
-            embeddings.SpaceKind.WORDPIECE, embeddings.SpaceKind.WORD_AND_ENTITY,
-        ]
-        assert set(loaded[1].vocab.symbols) == reached
+        # The whole wordpiece space, then only the reached entity rows.
+        wp_space, ent_space = loaded
+        assert wp_space.vocab.symbols == load_space(wp).vocab.symbols
+        assert set(ent_space.vocab.symbols) == reached
         if source == "world":
             # The table names entities no span reaches; they are not held.
             assert reached < set(el.load_candidate_table(table).entities.remaining())

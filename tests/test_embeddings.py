@@ -19,7 +19,6 @@ from oracles import write_space
 from entkit import embeddings
 from entkit.embeddings import (
     EmbeddingSpace,
-    SpaceKind,
     Vocabulary,
     load_space,
     shared_vocabulary,
@@ -36,7 +35,7 @@ def write(path, text):
 class TestLoadSpace:
     def test_happy_path(self, tmp_path):
         f = write(tmp_path / "s.txt", "2 3\nfoo 1 2 3\nbar 0.5 -0.25 0\n")
-        space = load_space(f, SpaceKind.WORDPIECE)
+        space = load_space(f)
         assert space.dim == 3
         assert space.vocab.symbols == ("foo", "bar")
         assert space.matrix.dtype == np.float32
@@ -46,52 +45,52 @@ class TestLoadSpace:
 
     def test_rows_are_read_only(self, tmp_path):
         f = write(tmp_path / "s.txt", "1 2\nfoo 1 2\n")
-        space = load_space(f, SpaceKind.WORDPIECE)
+        space = load_space(f)
         with pytest.raises(ValueError):
             space.matrix[0, 0] = 9.0
 
     def test_duplicate_symbol_reports_line(self, tmp_path):
         f = write(tmp_path / "s.txt", "3 2\na 1 2\nb 3 4\na 5 6\n")
         with pytest.raises(DataError, match=r"line 4: duplicate symbol 'a'"):
-            load_space(f, SpaceKind.WORDPIECE)
+            load_space(f)
 
     def test_row_count_mismatch(self, tmp_path):
         f = write(tmp_path / "s.txt", "3 2\na 1 2\nb 3 4\n")
         with pytest.raises(DataError, match=r"declares 3 rows but file has 2"):
-            load_space(f, SpaceKind.WORDPIECE)
+            load_space(f)
 
     def test_wrong_dimension_reports_line(self, tmp_path):
         f = write(tmp_path / "s.txt", "2 3\na 1 2 3\nb 1 2\n")
         with pytest.raises(DataError, match=r"line 3: expected 3 values, got 2"):
-            load_space(f, SpaceKind.WORDPIECE)
+            load_space(f)
 
     def test_unparseable_number_reports_line(self, tmp_path):
         f = write(tmp_path / "s.txt", "1 2\na 1 x\n")
         with pytest.raises(DataError, match=r"line 2: unparseable number"):
-            load_space(f, SpaceKind.WORDPIECE)
+            load_space(f)
 
     def test_non_finite_value_rejected(self, tmp_path):
         f = write(tmp_path / "s.txt", "2 2\na 1 2\nb nan 4\n")
         with pytest.raises(DataError, match=r"non-finite.*'b'"):
-            load_space(f, SpaceKind.WORDPIECE)
+            load_space(f)
         f2 = write(tmp_path / "s2.txt", "1 2\na inf 0\n")
         with pytest.raises(DataError, match=r"non-finite"):
-            load_space(f2, SpaceKind.WORDPIECE)
+            load_space(f2)
 
     def test_malformed_header(self, tmp_path):
         for text in ("2\n", "a b\nfoo 1\n", ""):
             f = write(tmp_path / "s.txt", text)
             with pytest.raises(DataError):
-                load_space(f, SpaceKind.WORDPIECE)
+                load_space(f)
 
     def test_invalid_header_values(self, tmp_path):
         f = write(tmp_path / "s.txt", "1 0\na\n")
         with pytest.raises(DataError, match=r"invalid header values"):
-            load_space(f, SpaceKind.WORDPIECE)
+            load_space(f)
 
     def test_zero_rows_is_valid(self, tmp_path):
         f = write(tmp_path / "s.txt", "0 4\n")
-        space = load_space(f, SpaceKind.WORD_AND_ENTITY)
+        space = load_space(f)
         assert len(space.vocab) == 0 and space.dim == 4
 
 
@@ -172,7 +171,7 @@ def space_texts(draw):
 
 def _outcome(path, keep=None, absent=None):
     try:
-        space = load_space(path, SpaceKind.WORD_AND_ENTITY, keep, absent)
+        space = load_space(path, keep, absent)
     except DataError as exc:
         return "error", str(exc)
     return "space", space.vocab.symbols, space.matrix.shape, space.matrix.tobytes()
@@ -209,7 +208,7 @@ class TestFastPathMatchesLineParser:
             np.savetxt(fh, rows, fmt=["ENTITY/E%d"] + ["%.8g"] * dim)
         tracemalloc.start()
         try:
-            space = load_space(path, SpaceKind.WORD_AND_ENTITY)
+            space = load_space(path)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -291,7 +290,7 @@ class TestKeep:
                 mock.patch.object(embeddings, "_hash",
                                   (lambda sym: 0) if collide else hash):
             with pytest.raises(DataError, match=r"line 4: duplicate symbol 'a'"):
-                load_space(path, SpaceKind.WORD_AND_ENTITY, {"b"})
+                load_space(path, {"b"})
 
     def test_keep_raises_the_memory_high_water_mark_far_less(self, tmp_path):
         n = 30_000
@@ -331,14 +330,14 @@ def _load_in_a_fresh_process(path, keep: str) -> tuple[int, int]:
         pytest.skip("needs /proc/self/status")
     script = (
         "import sys\n"
-        "from entkit.embeddings import SpaceKind, load_space\n"
+        "from entkit.embeddings import load_space\n"
         "def hwm():\n"
         "    with open('/proc/self/status') as fh:\n"
         "        return next(int(line.split()[1]) for line in fh\n"
         "                    if line.startswith('VmHWM:'))\n"
         f"keep = {keep}\n"
         "before = hwm()\n"
-        "space = load_space(sys.argv[1], SpaceKind.WORD_AND_ENTITY, keep)\n"
+        "space = load_space(sys.argv[1], keep)\n"
         "print(len(space.vocab), hwm() - before)\n"
     )
     env = {**os.environ,
@@ -400,15 +399,10 @@ class TestSaveLoadRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         values = rng.standard_normal((5, 4)).astype(np.float32)
-        space = EmbeddingSpace(
-            Vocabulary(["a", "b", "ENTITY/X", "d", "e"]),
-            4,
-            values,
-            SpaceKind.WORD_AND_ENTITY,
-        )
+        space = EmbeddingSpace(Vocabulary(["a", "b", "ENTITY/X", "d", "e"]), 4, values)
         f = tmp_path / "round.txt"
         write_space(space, f)
-        again = load_space(f, SpaceKind.WORD_AND_ENTITY)
+        again = load_space(f)
         assert again.vocab.symbols == space.vocab.symbols
         np.testing.assert_array_equal(again.matrix, values)
 
@@ -425,12 +419,10 @@ class TestSaveLoadRoundTrip:
     )
     def test_any_finite_float32_row_survives(self, tmp_path_factory, values):
         tmp = tmp_path_factory.mktemp("rt")
-        space = make_space(
-            ["sym"], np.array([values], dtype=np.float32), SpaceKind.WORDPIECE
-        )
+        space = make_space(["sym"], np.array([values], dtype=np.float32))
         f = tmp / "one.txt"
         write_space(space, f)
-        again = load_space(f, SpaceKind.WORDPIECE)
+        again = load_space(f)
         np.testing.assert_array_equal(again.matrix, space.matrix.astype(np.float32))
 
 
@@ -452,26 +444,24 @@ class TestVocabularyAndClasses:
 
     def test_space_shape_validation(self):
         with pytest.raises(ValueError, match="does not match"):
-            EmbeddingSpace(Vocabulary(["a"]), 3, np.zeros((1, 2)), SpaceKind.WORDPIECE)
+            EmbeddingSpace(Vocabulary(["a"]), 3, np.zeros((1, 2)))
         with pytest.raises(ValueError, match="dimension must be positive"):
-            EmbeddingSpace(Vocabulary([]), 0, np.zeros((0, 0)), SpaceKind.WORDPIECE)
+            EmbeddingSpace(Vocabulary([]), 0, np.zeros((0, 0)))
 
     def test_space_rejects_non_finite(self):
         with pytest.raises(DataError, match="non-finite"):
-            make_space(["a"], [[np.inf, 0.0]], SpaceKind.WORDPIECE)
+            make_space(["a"], [[np.inf, 0.0]])
 
     def test_row_lookup(self):
-        space = make_space(["a", "b"], [[1, 2], [3, 4]], SpaceKind.WORDPIECE)
+        space = make_space(["a", "b"], [[1, 2], [3, 4]])
         np.testing.assert_array_equal(space.row("b"), [3, 4])
         assert space.row("missing") is None
 
 
 class TestSharedVocabulary:
     def test_order_follows_wordpiece_ids(self):
-        wp = make_space(["red", "blue", "green"], np.zeros((3, 2)), SpaceKind.WORDPIECE)
-        wiki = make_space(
-            ["green", "ENTITY/X", "red"], np.zeros((3, 2)), SpaceKind.WORD_AND_ENTITY
-        )
+        wp = make_space(["red", "blue", "green"], np.zeros((3, 2)))
+        wiki = make_space(["green", "ENTITY/X", "red"], np.zeros((3, 2)))
         pairs = shared_vocabulary(wp, wiki)
         assert [(p.symbol, p.wp_id, p.wiki_id) for p in pairs] == [
             ("red", 0, 2),
@@ -479,23 +469,13 @@ class TestSharedVocabulary:
         ]
 
     def test_intersection_is_case_sensitive(self):
-        wp = make_space(["Paris", "rome"], np.zeros((2, 2)), SpaceKind.WORDPIECE)
-        wiki = make_space(
-            ["paris", "rome"], np.zeros((2, 2)), SpaceKind.WORD_AND_ENTITY
-        )
+        wp = make_space(["Paris", "rome"], np.zeros((2, 2)))
+        wiki = make_space(["paris", "rome"], np.zeros((2, 2)))
         pairs = shared_vocabulary(wp, wiki)
         assert [p.symbol for p in pairs] == ["rome"]
 
     def test_empty_intersection_is_data_error(self):
-        wp = make_space(["a"], np.zeros((1, 2)), SpaceKind.WORDPIECE)
-        wiki = make_space(["b"], np.zeros((1, 2)), SpaceKind.WORD_AND_ENTITY)
+        wp = make_space(["a"], np.zeros((1, 2)))
+        wiki = make_space(["b"], np.zeros((1, 2)))
         with pytest.raises(DataError, match="empty intersection"):
             shared_vocabulary(wp, wiki)
-
-    def test_kind_mixups_rejected(self):
-        wp = make_space(["a"], np.zeros((1, 2)), SpaceKind.WORDPIECE)
-        wiki = make_space(["a"], np.zeros((1, 2)), SpaceKind.WORD_AND_ENTITY)
-        with pytest.raises(ValueError):
-            shared_vocabulary(wiki, wp)
-        with pytest.raises(ValueError):
-            shared_vocabulary(wp, wp)

@@ -47,7 +47,6 @@ from entkit.entity_linking import (
     strong_match_f1,
     train_linker,
 )
-from entkit.embeddings import SpaceKind
 from entkit.errors import DataError
 from entkit.scorer import AffineHead, ReferenceScorer, candidate_gradients, candidate_probs
 
@@ -447,9 +446,7 @@ class TestSpanMaskStates:
         rng = np.random.default_rng(2024)
         pieces = [p for p in SPECIAL_PIECES if with_mask or p != "[MASK]"]
         pieces += ["the", "new", "york", "city", "walk", "##s", "-", ","]
-        wp = make_space(
-            pieces, rng.standard_normal((len(pieces), self.D)), SpaceKind.WORDPIECE
-        )
+        wp = make_space(pieces, rng.standard_normal((len(pieces), self.D)))
         ent = ent_space_with(
             {f"ENTITY/{n}": rng.standard_normal(self.D)
              for n in ("NY", "NYC", "City", "Walks")},
@@ -607,10 +604,14 @@ class TestSpanMaskStates:
             span_mask_states(
                 [(self.TOKENS, [span], {(5, 8): "ENTITY/NYC", (6, 9): "ENTITY/Walks"})], scorer
             )
-        # Spans past the document's end are ignored, overlapping or not.
-        past = {(9, 11): "ENTITY/City", (10, 12): "ENTITY/NYC", (11, 13): "ENTITY/NY"}
-        states = span_mask_states([(self.TOKENS, [span], past)], scorer)
-        assert np.array_equal(states, self.oracle(scorer, [span], {(9, 11): "ENTITY/City"}, True))
+        # A span past the document's end is an error too, overlapping or not;
+        # one that ends at the document's end is not.
+        last = {(9, 11): "ENTITY/City"}
+        for a, b in [(10, 12), (11, 13), (12, 14)]:
+            with pytest.raises(ValueError, match=rf"bad decoded span \[{a}, {b}\)"):
+                span_mask_states([(self.TOKENS, [span], {**last, (a, b): "ENTITY/NY"})], scorer)
+        states = span_mask_states([(self.TOKENS, [span], last)], scorer)
+        assert np.array_equal(states, self.oracle(scorer, [span], last, True))
 
 
 class TestEntityDistribution:

@@ -1,9 +1,13 @@
-"""Every name an entkit module imports is used where it is imported.
+"""Every name an entkit module imports is used where it is imported, and
+every module-level class and constant is used somewhere in entkit.
 
-No linter runs on this repository, so a deletion can leave an import
-behind. An import at module level must be used somewhere in the module; one
-inside a function, somewhere in that function. Names in string annotations
-count as used.
+No linter runs on this repository, so a deletion can leave an import or a
+definition behind. An import at module level must be used somewhere in the
+module; one inside a function, somewhere in that function. A class or an
+assigned name at module level must be read somewhere in ``src/entkit``
+outside its own definition: in its module, or in another that imports it
+from there or reads it as an attribute of that module. Names in string
+annotations count as used.
 """
 
 import ast
@@ -78,3 +82,64 @@ def test_the_check_sees_string_annotations_and_scopes():
     assert "Unused" not in used_names(tree)
     assert [n for n, _ in imported_names(inner[0])] == ["os"]
     assert "os" not in used_names(inner[0])
+
+
+def module_globals(tree: ast.Module) -> list[tuple[str, ast.stmt]]:
+    """The classes and assigned names at the top level of ``tree``, each
+    with the statement that defines it."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            out.append((node.name, node))
+        elif isinstance(node, ast.Assign | ast.AnnAssign):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            out += [(n.id, node) for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    return out
+
+
+def unread_globals(trees: dict[str, ast.Module], exempt=frozenset()) -> list[str]:
+    """``module:line: name`` of each module-level class or assigned name of
+    ``trees`` (keyed by module name) that no other statement of its module
+    reads and no other module imports from it or reads as its attribute."""
+    elsewhere: dict[str, set[str]] = {module: set() for module in trees}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
+                elsewhere[node.module] |= {a.name for a in node.names}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in trees):
+                elsewhere[node.value.id].add(node.attr)
+    out = []
+    for module, tree in trees.items():
+        for name, stmt in module_globals(tree):
+            if name in exempt or name in elsewhere[module]:
+                continue
+            if not any(name in used_names(other) for other in tree.body if other is not stmt):
+                out.append(f"{module}:{stmt.lineno}: {name}")
+    return out
+
+
+def test_every_module_class_and_constant_is_read():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+             for path in sorted(SRC.glob("*.py"))}
+    unread = unread_globals(trees, {"__version__"})
+    assert not unread, unread
+
+
+def test_the_global_check_sees_modules_and_own_definitions():
+    trees = {
+        "a": ast.parse(
+            "LIMIT = 3\n"
+            "KIND = 'x'\n"
+            "class Box:\n"
+            "    def make(self) -> 'Box':\n"
+            "        return Box()\n"
+            "class Used:\n"
+            "    pass\n"
+            "def f(n: 'Used'):\n"
+            "    return n < LIMIT\n"
+        ),
+        "b": ast.parse("from . import a\nfrom .a import f\nf(a.KIND)\n"),
+    }
+    assert unread_globals(trees) == ["a:3: Box"]
+    assert unread_globals(trees, {"Box"}) == []

@@ -24,7 +24,7 @@ from entkit.lama_bench import (
     resolve_subjects,
     string_match_filter,
 )
-from entkit.scorer import ROW_BLOCK, AffineHead, ReferenceScorer
+from entkit.scorer import ROW_BLOCK, InputKeys, ReferenceScorer
 from entkit.text_input import InputMode, Token, TokenKind, TokenSequence
 
 
@@ -173,14 +173,13 @@ def random_questions(seed, n_questions, n_answers, dim=16):
     rng = np.random.default_rng(seed)
     words = [f"w{i}" for i in range(n_answers)]
     wp = wp_space_with(dict(zip(words, rng.standard_normal((n_answers, dim)))), dim)
-    head = AffineHead(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
     seqs = []
     for _ in range(n_questions):
         toks = [Token.wordpiece(words[i])
                 for i in rng.integers(0, n_answers, int(rng.integers(1, 6)))]
         toks.insert(int(rng.integers(0, len(toks) + 1)), Token.mask())
         seqs.append(TokenSequence(tuple(toks)))
-    return ReferenceScorer(wp, head=head), Vocabulary(words), seqs
+    return ReferenceScorer(wp), Vocabulary(words), seqs
 
 
 class TestRankingBlocks:
@@ -226,6 +225,25 @@ class TestRankingBlocks:
             tracemalloc.stop()
         assert [len(r) for r in rankings] == [3] * n_questions
         assert peak <= bound, peak
+
+    def test_one_scorer_call_holds_two_blocks(self):
+        # The (V, 64) product and its transposed copy, which is softmaxed in
+        # place and returned: no third (64, V) array.
+        n_answers = 3_000
+        scorer, vocab, seqs = random_questions(1, ROW_BLOCK + 1, n_answers)
+        keys = InputKeys()
+        inputs = [keys.sequence(seq.tokens) for seq in seqs]
+        scorer.score_answers(keys.tokens, inputs[:1], vocab.symbols)  # caches the answers
+        tracemalloc.start()
+        try:
+            probs = scorer.score_answers(keys.tokens, inputs[:ROW_BLOCK], vocab.symbols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert probs.shape == (ROW_BLOCK, n_answers)
+        assert peak <= 2.5 * ROW_BLOCK * n_answers * 8, peak
+        with pytest.raises(ValueError, match=f"at most {ROW_BLOCK} inputs"):
+            scorer.score_answers(keys.tokens, inputs, vocab.symbols)
 
 
 def ranking_with_gold_at(position, symbols):
@@ -541,14 +559,15 @@ class TestLoaders:
         assert set(dataset) == {"P1", "P2"}
 
     def test_load_lama_dir_errors(self, tmp_path):
+        vocab = Vocabulary(["x"])
         with pytest.raises(DataError, match="no .jsonl"):
-            load_lama_dir(tmp_path, None)
+            load_lama_dir(tmp_path, vocab)
         (tmp_path / "P1.jsonl").write_text("oops\n", encoding="utf-8")
         with pytest.raises(DataError, match="line 1: invalid JSON"):
-            load_lama_dir(tmp_path, None)
+            load_lama_dir(tmp_path, vocab)
         (tmp_path / "P1.jsonl").write_text('{"obj_label": "x"}\n', encoding="utf-8")
         with pytest.raises(DataError, match="missing sub_label"):
-            load_lama_dir(tmp_path, None)
+            load_lama_dir(tmp_path, vocab)
 
     def test_resolve_subjects(self):
         dataset = {

@@ -14,7 +14,6 @@ from hypothesis import strategies as st
 from conftest import SPECIAL_PIECES, ent_space_with, make_space
 from oracles import el_input, mask_state
 from entkit import entity_linking
-from entkit.embeddings import SpaceKind
 from entkit.entity_linking import Candidate, CandidateSpan, span_mask_states
 from entkit.scorer import ReferenceScorer
 from entkit.text_input import (
@@ -29,7 +28,7 @@ from entkit.text_input import (
 DIM = 5
 _RNG = np.random.default_rng(12)
 _PIECES = [*SPECIAL_PIECES, "the", "cat", "sat", "walk", "##s", "new", "york", "-", ","]
-WP = make_space(_PIECES, _RNG.standard_normal((len(_PIECES), DIM)), SpaceKind.WORDPIECE)
+WP = make_space(_PIECES, _RNG.standard_normal((len(_PIECES), DIM)))
 ENT = ent_space_with({e: _RNG.standard_normal(DIM) for e in ("ENTITY/A", "ENTITY/B")}, DIM)
 # "walks" and "new-york," split into several pieces, "qqq" becomes [UNK].
 WORDS = ["the", "cat", "sat", "walks", "new-york,", "qqq", "york"]
@@ -140,10 +139,11 @@ def test_decoded_spans_at_scored_span_edges_match_the_renderer(monkeypatch, bloc
         {(4, 5): "ENTITY/A"},  # lies inside it
         {(2, 7): "ENTITY/B"},  # contains it
         {(1, 3): "ENTITY/A", (6, 8): "ENTITY/B"},  # touches both edges
-        {(0, 1): "ENTITY/B", (2, 4): "ENTITY/A", (5, 8): "ENTITY/B"},
         {(0, 2): "ENTITY/A", (3, 4): "ENTITY/B", (4, 6): "ENTITY/A", (8, 9): "ENTITY/A"},
+        {(0, 1): "ENTITY/B", (2, 4): "ENTITY/A", (5, 8): "ENTITY/B"},
         {(2, 4): "ENTITY/A", (4, 6): "ENTITY/B", (6, 9): "ENTITY/A"},  # end to end
     ]
+    # Every other document is a word shorter; each map fits its document.
     docs = [(tokens[: 9 - i % 2], spans[: 4 - i % 2], d) for i, d in enumerate(decoded_maps)]
     scorer = ReferenceScorer(WP, ENT)
     states = span_mask_states(docs, scorer, use_emask)

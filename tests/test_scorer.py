@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import ent_space_with, keyed, make_space, sequences, wp_space_with
 from oracles import head_gradients, mask_state
-from entkit.embeddings import SpaceKind, Vocabulary
+from entkit.embeddings import Vocabulary
 from entkit.entity_linking import candidate_groups
 from entkit.errors import DataError
 from entkit.lama_bench import rank_answers
@@ -90,7 +90,7 @@ class TestEmbedSequence:
         np.testing.assert_array_equal(vecs[0], WP.row("[UNK]").astype(np.float64))
 
     def test_missing_unk_is_an_error(self):
-        no_unk = make_space(["the"], [[1.0, 0, 0, 0]], SpaceKind.WORDPIECE)
+        no_unk = make_space(["the"], [[1.0, 0, 0, 0]])
         with pytest.raises(DataError, match="no \\[UNK\\] row"):
             embed(seq_of(Token.wordpiece("zzz")), no_unk, None)
 
@@ -133,13 +133,13 @@ class TestContextualize:
 
 class TestAffineHead:
     def test_identity_and_zeros(self):
-        h = np.array([1.0, -2.0, 3.0, 4.0])
+        h = np.array([[1.0, -2.0, 3.0, 4.0]])
         np.testing.assert_array_equal(AffineHead.identity(4).apply(h), h)
-        np.testing.assert_array_equal(AffineHead.zeros(4).apply(h), np.zeros(4))
+        np.testing.assert_array_equal(AffineHead.zeros(4).apply(h), np.zeros((1, 4)))
 
     def test_affine_application(self):
         head = AffineHead(np.array([[2.0, 0.0], [0.0, 3.0]]), np.array([1.0, -1.0]))
-        np.testing.assert_array_equal(head.apply(np.array([1.0, 1.0])), [3.0, 2.0])
+        np.testing.assert_array_equal(head.apply(np.array([[1.0, 1.0]])), [[3.0, 2.0]])
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -349,10 +349,7 @@ class TestReferenceScorer:
         # Only the mask's vector is built, in the arithmetic of the
         # whole-sequence contextualization; non-dyadic values round.
         rng = np.random.default_rng(31)
-        wp = make_space(
-            ["[MASK]", "a", "b", "c"], rng.standard_normal((4, 19)),
-            SpaceKind.WORDPIECE,
-        )
+        wp = make_space(["[MASK]", "a", "b", "c"], rng.standard_normal((4, 19)))
         scorer = ReferenceScorer(wp)
         words = [Token.wordpiece(w) for w in rng.choice(["a", "b", "c"], 40)]
         for pos in (0, 7, 40):
@@ -389,10 +386,6 @@ class TestReferenceScorer:
         seq = seq_of(Token.mask(), Token.wordpiece("the"))
         with pytest.raises(DataError, match="missing from wordpiece space"):
             scorer.score_answers(*keyed([seq]), ["the", "zzz"])
-
-    def test_head_dimension_checked(self):
-        with pytest.raises(ValueError, match="head dimension"):
-            ReferenceScorer(WP, head=AffineHead.identity(3))
 
 
 class TestInputKeys:
@@ -433,22 +426,27 @@ class TestInputKeys:
 
 
 def random_cloze_world(seed, n_words=240, n_questions=150, dim=16):
-    """Standard-normal (not dyadic) spaces and head, plus single-mask
-    questions of random lengths, so any change in rounding shows."""
+    """A standard-normal (not dyadic) space, plus single-mask questions of
+    random lengths, so any change in rounding shows."""
     rng = np.random.default_rng(seed)
     words = [f"w{i}" for i in range(n_words)]
     symbols = ["[MASK]", "[UNK]"] + words
-    wp = make_space(
-        symbols, rng.standard_normal((len(symbols), dim)), SpaceKind.WORDPIECE
-    )
-    head = AffineHead(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+    wp = make_space(symbols, rng.standard_normal((len(symbols), dim)))
     seqs = []
     for _ in range(n_questions):
         toks = [Token.wordpiece(words[i])
                 for i in rng.integers(0, n_words, int(rng.integers(1, 7)))]
         toks.insert(int(rng.integers(0, len(toks) + 1)), Token.mask())
         seqs.append(TokenSequence(tuple(toks)))
-    return ReferenceScorer(wp, head=head), seqs, words
+    return ReferenceScorer(wp), seqs, words
+
+
+def score_in_blocks(scorer, seqs, answers):
+    """``score_answers`` of ``seqs``, ``ROW_BLOCK`` questions per call."""
+    return np.concatenate([
+        scorer.score_answers(*keyed(seqs[start : start + ROW_BLOCK]), answers)
+        for start in range(0, len(seqs), ROW_BLOCK)
+    ])
 
 
 class TestBatchInvariance:
@@ -456,7 +454,7 @@ class TestBatchInvariance:
     def test_rows_bit_identical_across_batch_sizes(self, n_answers):
         scorer, seqs, words = random_cloze_world(seed=n_answers)
         answers = words[:n_answers]
-        full = scorer.score_answers(*keyed(seqs), answers)
+        full = score_in_blocks(scorer, seqs, answers)
         assert full.shape == (len(seqs), n_answers)
         for i, seq in enumerate(seqs):
             assert np.array_equal(scorer.score_answers(*keyed([seq]), answers)[0], full[i])
@@ -497,21 +495,16 @@ def mask_position(seq):
 
 
 def random_mixed_cloze(seed, n_questions=80, dim=13):
-    """Standard-normal spaces and head, and single-mask sequences mixing
+    """Standard-normal spaces, and single-mask sequences mixing
     wordpieces (some missing from the space, so they embed as [UNK], and
     some separators) and entities around a Mask or an EMask of 1-3 candidates, plus
     length-1 inputs."""
     rng = np.random.default_rng(seed)
     words = [f"w{i}" for i in range(30)]
     pieces = ["[MASK]", "[UNK]", "[CLS]", "[SEP]", "/"] + words
-    wp = make_space(
-        pieces, rng.standard_normal((len(pieces), dim)), SpaceKind.WORDPIECE
-    )
+    wp = make_space(pieces, rng.standard_normal((len(pieces), dim)))
     ents = [f"ENTITY/E{i}" for i in range(12)]
-    ent = make_space(
-        ents, rng.standard_normal((len(ents), dim)), SpaceKind.WORD_AND_ENTITY
-    )
-    head = AffineHead(rng.standard_normal((dim, dim)), rng.standard_normal(dim))
+    ent = make_space(ents, rng.standard_normal((len(ents), dim)))
 
     def token():
         kind = int(rng.integers(4))
@@ -535,7 +528,7 @@ def random_mixed_cloze(seed, n_questions=80, dim=13):
         toks.insert(int(rng.integers(0, len(toks) + 1)), mask)
         seqs.append(TokenSequence(tuple(toks)))
     rng.shuffle(seqs)
-    return ReferenceScorer(wp, ent, head), seqs, words
+    return ReferenceScorer(wp, ent), seqs, words
 
 
 class TestSingleMaskStatePath:
@@ -577,11 +570,9 @@ class TestSingleMaskStatePath:
             matrix = space.matrix.copy()
             matrix[rng.random(matrix.shape) < 0.3] = -0.0
             matrix[0] = -0.0
-            return make_space(list(space.vocab.symbols), matrix, space.kind)
+            return make_space(list(space.vocab.symbols), matrix)
 
-        scorer = ReferenceScorer(
-            with_negative_zeros(scorer.wp), with_negative_zeros(scorer.ent), scorer.head
-        )
+        scorer = ReferenceScorer(with_negative_zeros(scorer.wp), with_negative_zeros(scorer.ent))
         # Inputs whose rows are all -0.0 ([MASK] and ENTITY/E0 have row 0),
         # and inputs of up to 60 tokens, so sub-batches pad to other widths.
         seqs += [seq_of(Token.mask(), Token.entity("ENTITY/E0")),
@@ -618,9 +609,9 @@ class TestSingleMaskStatePath:
                 )
 
         scorer, seqs, words = random_mixed_cloze(seed)
-        oracle = OracleStates(scorer.wp, scorer.ent, scorer.head)
-        full = scorer.score_answers(*keyed(seqs), words)
-        assert np.array_equal(full, oracle.score_answers(*keyed(seqs), words))
+        oracle = OracleStates(scorer.wp, scorer.ent)
+        full = score_in_blocks(scorer, seqs, words)
+        assert np.array_equal(full, score_in_blocks(oracle, seqs, words))
         for i, seq in enumerate(seqs):
             assert np.array_equal(scorer.score_answers(*keyed([seq]), words)[0], full[i])
             assert np.array_equal(oracle.score_answers(*keyed([seq]), words)[0], full[i])
