@@ -238,23 +238,21 @@ def cmd_eval_lama(args) -> int:
         ent = alignment.derive_entity_space(amap, wiki, wiki.vocab.symbols)
         del wiki  # only the derived rows are needed
     scorer = ReferenceScorer(wp, ent)
-    by_relation = {}
-    for rel in sorted(dataset):
-        triples = dataset[rel]
-        if not triples:
-            continue
-        seqs = [
-            lama_bench.render_question(t, templates[rel], mode, ent, wp.vocab)
-            for t in triples
-        ]
-        # Only the top k of each ranking is kept: hits@k reads no further.
-        rankings = lama_bench.rank_answers(seqs, scorer, answer_vocab, args.k)
-        by_relation[rel] = [
-            (ranking, t.obj_surface) for ranking, t in zip(rankings, triples)
-        ]
-    if not by_relation:
+    questions = [(rel, t) for rel in sorted(dataset) for t in dataset[rel]]
+    if not questions:
         raise DataError(f"{args.data}: no questions to score")
-
+    # Every relation's questions are ranked in one call, so only the last
+    # block of questions is padded, and each is rendered only when its block
+    # is scored. Only the top k of each ranking is kept: hits@k reads no
+    # further.
+    seqs = (
+        lama_bench.render_question(t, templates[rel], mode, ent, wp.vocab)
+        for rel, t in questions
+    )
+    rankings = lama_bench.rank_answers(seqs, scorer, answer_vocab, args.k)
+    by_relation: dict[str, list] = {}
+    for (rel, t), ranking in zip(questions, rankings):
+        by_relation.setdefault(rel, []).append((ranking, t.obj_surface))
     report = lama_bench.hits_at_k(by_relation, args.k)
     lines = [f"relation\tstage\thits@{args.k}\tquestions"]
     for rel in sorted(report.per_relation):
@@ -323,14 +321,14 @@ def cmd_link(args) -> int:
     wp = embeddings.load_space(args.wp_space)
     docs = entity_linking.load_documents(args.docs)
     # The table holds candidates only for the surfaces the documents' spans
-    # can take, and the entities of all its rows.
+    # can take, and the entities of all its rows. Each span's surface is
+    # joined once, for both.
+    doc_keys = [entity_linking.SpanKeys(doc.tokens, args.max_span) for doc in docs]
     table = entity_linking.load_candidate_table(
-        args.table, args.max_span, [doc.tokens for doc in docs]
+        args.table, args.max_span, (key for keys in doc_keys for _, _, key in keys)
     )
-    doc_spans = [
-        entity_linking.generate_candidates(doc.tokens, table.spans, args.max_span)
-        for doc in docs
-    ]
+    doc_spans = [entity_linking.generate_candidates(keys, table.spans) for keys in doc_keys]
+    del doc_keys
     # Training and decoding read these spans and embed only their candidates;
     # the load strikes every symbol the space holds from the table's entities.
     reached = {c.entity for spans in doc_spans for span in spans for c in span.candidates}

@@ -11,18 +11,21 @@ and space separated. Symbols must not contain whitespace. Numbers are parsed
 as 64-bit floats and stored as 32-bit, so float32 values written in full
 (as ``str`` of a numpy float32 writes them) load back exactly.
 
-``load_space`` has two parsers with one result. The fast path streams the
-rows in chunks of about ``CHUNK_CHARS`` characters, parses each chunk's
-numbers with numpy's C text parser into a float32 matrix allocated once,
-and so adds little more than one chunk to the matrix's memory. Whenever a
-chunk does not meet its checks (an odd separator, a number only ``float``
-reads, a short, long or blank row, a duplicate symbol, a row count that
-disagrees with the header), the file is parsed again line by line, one
-``float`` at a time; that path returns the same symbols and bits or raises
-the line-numbered DataError of the first bad line. Given a ``keep`` set,
-both paths still parse and check every row but hold only the kept ones.
-The fast path finds duplicate symbols from one 8-byte hash per row, not
-from a set of the symbols themselves.
+``load_space`` has three ways to read a row and one result. The fast path
+streams the rows in chunks of about ``CHUNK_CHARS`` characters, parses each
+chunk's numbers with numpy's C text parser into a float32 matrix allocated
+once, and so adds little more than one chunk to the matrix's memory. Given a
+``keep`` set, a chunk is first scanned byte by byte, vectorised: when each
+of its rows is plain numbers (``_plain_numbers``), which parse to finite
+values whatever the parser, only its kept rows are parsed, and the dropped
+ones cost a scan, not a parse. Whenever a chunk does not meet its checks
+(an odd separator, a number only ``float`` reads, a short, long or blank
+row, a duplicate symbol, a row count that disagrees with the header), the
+file is parsed again line by line, one ``float`` at a time; that path
+returns the same symbols and bits or raises the line-numbered DataError of
+the first bad line. So every row is checked, kept or not, but only the kept
+ones are held. The fast path finds duplicate symbols from one 8-byte hash
+per row, not from a set of the symbols themselves.
 """
 
 from __future__ import annotations
@@ -40,6 +43,31 @@ from .symbols import is_entity_symbol
 # Characters of lines per parse chunk of ``load_space``: the memory a chunk
 # adds on top of the matrix does not grow with the table.
 CHUNK_CHARS = 1 << 16
+
+# Characters ``_plain_numbers`` scans at once: its temporaries, some 30 bytes
+# per non-digit, stay a small part of a chunk's memory.
+SCAN_CHARS = 1 << 15
+
+# The bytes of a number ``_plain_numbers`` accepts besides the digits, and
+# the flag it sets on one that directly follows another (no digit between).
+_SPACE, _NEWLINE, _MINUS, _POINT, _EXP = b" \n-.e"
+_NO_DIGIT_BEFORE = 0x80
+
+# Which pairs of neighbouring non-digits ``_plain_numbers`` allows, indexed
+# by ``prev + 256 * cur``; ``cur`` carries its flag, and ``prev`` is allowed
+# with or without its own. Digits must come between the two, except that a
+# minus directly follows a separator (a sign) or an ``e`` (the exponent's);
+# an ``e`` is always directly followed by its minus, and a point never
+# follows a point.
+_TOKEN_PAIRS = np.zeros((256, 256), dtype=bool)  # [cur, prev]
+_TOKEN_PAIRS[np.ix_(
+    [_SPACE, _NEWLINE, _POINT, _EXP],
+    [p | f for p in (_SPACE, _NEWLINE, _MINUS, _POINT) for f in (0, _NO_DIGIT_BEFORE)],
+)] = True
+_TOKEN_PAIRS[_POINT, [_POINT, _POINT | _NO_DIGIT_BEFORE]] = False
+_TOKEN_PAIRS[_MINUS | _NO_DIGIT_BEFORE,
+             [p | f for p in (_SPACE, _NEWLINE, _EXP) for f in (0, _NO_DIGIT_BEFORE)]] = True
+_TOKEN_PAIRS = _TOKEN_PAIRS.ravel()
 
 # The one hash strings are compared by before an exact comparison: a space's
 # symbols against each other here, and a candidate table's surfaces, (surface,
@@ -96,10 +124,6 @@ class EmbeddingSpace:
             )
         self.matrix.setflags(write=False)
 
-    def row(self, symbol: str) -> np.ndarray | None:
-        i = self.vocab.index.get(symbol)
-        return None if i is None else self.matrix[i]
-
 
 def load_space(path, keep: Container[str] | None = None, absent=None) -> EmbeddingSpace:
     """Load an embedding space from word2vec text format.
@@ -113,7 +137,10 @@ def load_space(path, keep: Container[str] | None = None, absent=None) -> Embeddi
     With ``keep``, the space holds only the rows whose symbol is in
     ``keep``, in file order; symbols of ``keep`` the file lacks are ignored.
     The errors are those of a full load, so a bad row outside ``keep``
-    still fails it, but the memory held grows with the kept rows.
+    still fails it, but the memory held grows with the kept rows. A row
+    outside ``keep`` is checked by a byte scan rather than parsed when its
+    chunk holds only plain numbers (``_plain_numbers``), and otherwise by
+    numpy's parser or, for an error, the line-by-line one.
 
     With ``absent``, a set or any object with a set's ``difference_update``,
     every symbol of the file is removed from it, kept or not, so what is
@@ -161,11 +188,15 @@ def _parse_chunks(fh, keep, absent) -> tuple[list[str], np.ndarray, str | None] 
 
     A chunk is accepted only when each line's text before its first space is
     a non-empty symbol without whitespace (so the rest holds exactly the
-    line's values) and ``np.loadtxt`` reads exactly one row of ``dim`` values
-    per line without a warning. ``np.loadtxt`` splits on the same whitespace
-    as ``str.split`` and, with ``comments=None``, accepts a subset of what
-    ``float`` accepts, with the same value; blank rests it would skip show
-    up as a short block. Kept rows are written to the front of the matrix,
+    line's values) and its numbers pass one of two checks. Given ``keep``,
+    the scan of ``_plain_numbers`` comes first: when it passes, every row
+    holds ``dim`` numbers that parse to finite values, so only the kept rows
+    go to ``np.loadtxt``, each as the same string as before and so to the
+    same bits. Otherwise ``np.loadtxt`` must read exactly one row of ``dim``
+    values per line without a warning. It splits on the same whitespace as
+    ``str.split`` and, with ``comments=None``, accepts a subset of what
+    ``float`` accepts, with the same value; blank rests it would skip show up
+    as a short block. Kept rows are written to the front of the matrix,
     which is then shrunk in place, so rows are never copied twice and pages
     no kept row reaches are never touched. Each chunk's symbols are removed
     from ``absent`` as it is read. Duplicates are found at the end, as equal
@@ -193,28 +224,88 @@ def _parse_chunks(fh, keep, absent) -> tuple[list[str], np.ndarray, str | None] 
         if read > count or " ".join(chunk_symbols).split() != chunk_symbols:
             return None
         row_hashes[read - len(parts) : read] = hashes(chunk_symbols)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                block = np.loadtxt(
-                    [p[2] for p in parts], dtype=np.float64, comments=None, ndmin=2
-                )
-        except (ValueError, Warning):
+        if absent is not None:
+            absent.difference_update(chunk_symbols)
+        rests = [p[2] for p in parts]
+        if keep is not None and _plain_numbers(rests, dim):
+            # No row can fail to parse: parse only the kept ones.
+            parsed = [i for i, sym in enumerate(chunk_symbols) if sym in keep]
+            chunk_symbols = [chunk_symbols[i] for i in parsed]
+            rests = [rests[i] for i in parsed]
+        block = _parse_block(rests, dim)
+        if block is None:
             return None
-        if block.shape != (len(parts), dim):
-            return None
-        with np.errstate(over="ignore"):  # load_space reports the inf
-            block = block.astype(np.float32)
         bad = bad or _first_non_finite(chunk_symbols, block)
         kept, block = _kept_rows(chunk_symbols, block, keep)
         matrix[len(symbols) : len(symbols) + len(kept)] = block
         symbols += kept
-        if absent is not None:
-            absent.difference_update(chunk_symbols)
     if read != count or has_tie(row_hashes):  # a duplicate, or a collision
         return None
     matrix.resize((len(symbols), dim), refcheck=False)
     return symbols, matrix, bad
+
+
+def _parse_block(rests: list[str], dim: int) -> np.ndarray | None:
+    """The float32 rows ``np.loadtxt`` reads from ``rests``, or None unless
+    it reads exactly one row of ``dim`` values from each, without a
+    warning."""
+    if not rests:
+        return np.empty((0, dim), dtype=np.float32)
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            block = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if block.shape != (len(rests), dim):
+        return None
+    with np.errstate(over="ignore"):  # load_space reports the inf
+        return block.astype(np.float32)
+
+
+def _plain_numbers(rests: list[str], dim: int) -> bool:
+    """Whether each of ``rests`` is ``dim`` numbers ``-?D+(.D+)?(e-D+)?``
+    joined by single spaces and ended by a newline, with no more than 38
+    digits in a row (D is an ASCII digit).
+
+    ``float`` and ``np.loadtxt`` read such a number alike, both correctly
+    rounded, and its magnitude is below 1e38, so it is finite as a float32:
+    a row that passes needs no parsing to be checked. The rests are scanned
+    in blocks of about ``SCAN_CHARS`` characters, by their mean length.
+    """
+    step = max(1, len(rests) * SCAN_CHARS // max(1, sum(map(len, rests))))
+    return all(_plain_block(rests[i : i + step], dim) for i in range(0, len(rests), step))
+
+
+def _plain_block(rests: list[str], dim: int) -> bool:
+    """``_plain_numbers`` for one block of rests, vectorised over its bytes.
+
+    The scan works on the block's non-digits: their positions bound the runs
+    of digits between them, and each, flagged when no digit comes before
+    it, is checked against the one before through ``_TOKEN_PAIRS``, a lookup
+    over two ``uint16`` views of the pairs. Two rules that pairs cannot tell
+    are checked apart: the digits after an exponent's minus end the number,
+    and each line's separators are ``dim - 1`` spaces, then the newline.
+    """
+    text = "".join(["\n", *rests])  # the newline stands for the line before
+    if not text.isascii() or text[-1] != "\n":
+        return False
+    data = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    at = ((data < ord("0")) | (data > ord("9"))).nonzero()[0]
+    gaps = at[1:] - at[:-1]  # one more than the digits in between
+    if np.count_nonzero(gaps > 39):
+        return False
+    tokens = data.take(at)
+    tokens[1:] += (gaps == 1).view(np.uint8) << 7  # sets _NO_DIGIT_BEFORE
+    pairs = tokens[: tokens.size // 2 * 2].view("<u2")
+    shifted = tokens[1 : 1 + (tokens.size - 1) // 2 * 2].view("<u2")
+    if not (_TOKEN_PAIRS.take(pairs).all() and _TOKEN_PAIRS.take(shifted).all()):
+        return False
+    # The second token after an "e" is the one after the exponent's digits.
+    if "e" in text and np.count_nonzero((tokens[:-2] == _EXP) & (tokens[2:] > _MINUS)):
+        return False
+    separators = tokens.take((tokens < _MINUS).nonzero()[0]).tobytes()
+    return separators == b"\n" + (b" " * (dim - 1) + b"\n") * len(rests)
 
 
 def hashes(items: Iterable) -> np.ndarray:

@@ -105,13 +105,34 @@ class Document:
 def span_keys(tokens: Sequence[str], max_span: int) -> Iterator[tuple[int, int, str]]:
     """``(start, end, surface)`` of every span of up to ``max_span`` tokens,
     in (start, end) lexicographic order: the keys a table is looked up by."""
-    for start in range(len(tokens)):
-        for end in range(start + 1, min(start + max_span, len(tokens)) + 1):
-            yield start, end, " ".join(tokens[start:end])
+    for start, end in _span_bounds(len(tokens), max_span):
+        yield start, end, " ".join(tokens[start:end])
+
+
+def _span_bounds(length: int, max_span: int) -> Iterator[tuple[int, int]]:
+    for start in range(length):
+        for end in range(start + 1, min(start + max_span, length) + 1):
+            yield start, end
+
+
+class SpanKeys:
+    """A document's ``span_keys``, each surface joined once and held with
+    the others in one string, a surface per line, so a corpus's keys take
+    about a byte per character rather than an object each. Iterating gives
+    the ``(start, end, surface)`` triples again. No token may hold a
+    newline; ``load_documents`` rejects any whitespace in a token."""
+
+    def __init__(self, tokens: Sequence[str], max_span: int):
+        self._spans = (len(tokens), max_span)
+        self._text = "\n".join(key for _, _, key in span_keys(tokens, max_span))
+
+    def __iter__(self) -> Iterator[tuple[int, int, str]]:
+        for (start, end), key in zip(_span_bounds(*self._spans), self._text.split("\n")):
+            yield start, end, key
 
 
 def load_candidate_table(
-    path, max_span: int = 7, docs: Iterable[Sequence[str]] | None = None
+    path, max_span: int = 7, surfaces: Iterable[str] | None = None
 ) -> CandidateTable:
     """Load TSV rows ``surface<TAB>entity<TAB>prior``.
 
@@ -119,8 +140,8 @@ def load_candidate_table(
     Duplicate (surface, entity) rows are an error. Keys longer than
     ``max_span`` whitespace tokens are rejected and counted.
 
-    Given ``docs``, token sequences, and a regular file, the table holds
-    candidates only for surfaces among their ``span_keys`` (and, on a hash
+    Given ``surfaces``, the documents' span keys, and a regular file, the
+    table holds candidates only for surfaces among them (and, on a hash
     collision, perhaps a few more), so its memory grows with the documents,
     not with the file. Every row is still checked, and ``entities`` holds
     the entities of every row within the length limit. Duplicate pairs
@@ -128,14 +149,13 @@ def load_candidate_table(
     pair; a bad row or two equal hashes make ``read_table`` read the file
     again holding every row, the exact pass, which raises the line-numbered
     error of the first bad row, or finds none when the hashes merely
-    collide. Without ``docs`` (the whole table, as tests load it), or from
+    collide. Without ``surfaces`` (the whole table, as tests load it), or from
     a file that cannot be read twice, such as a pipe, the exact pass is the
     load.
     """
-    if docs is None or not os.path.isfile(path):
+    if surfaces is None or not os.path.isfile(path):
         table, _ = read_table(path, max_span)
     else:
-        surfaces = (key for tokens in docs for _, _, key in span_keys(tokens, max_span))
         try:
             table, tie = read_table(path, max_span, surfaces)
         except (DataError, UnicodeDecodeError):
@@ -154,16 +174,14 @@ def load_candidate_table(
 
 
 def generate_candidates(
-    tokens: Sequence[str],
-    table: Mapping[str, Sequence[Candidate]],
-    max_span: int = 7,
+    keys: Iterable[tuple[int, int, str]], table: Mapping[str, Sequence[Candidate]]
 ) -> list[CandidateSpan]:
-    """Every span of up to ``max_span`` tokens whose joined surface is a
-    table key, in (start, end) lexicographic order. Overlapping output is
+    """The spans among ``keys``, a document's ``span_keys``, whose surface
+    is a table key, in the order of ``keys``. Overlapping output is
     intended; the decoder resolves conflicts."""
     return [
         CandidateSpan(start, end, tuple(cands))
-        for start, end, key in span_keys(tokens, max_span)
+        for start, end, key in keys
         if (cands := table.get(key))
     ]
 

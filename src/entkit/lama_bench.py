@@ -21,6 +21,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import dataclass, replace
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -131,7 +132,7 @@ def render_question(
 
 
 def rank_answers(
-    seqs: Sequence[TokenSequence],
+    seqs: Iterable[TokenSequence],
     scorer,
     answer_vocab: Vocabulary,
     k: int | None = None,
@@ -143,17 +144,19 @@ def rank_answers(
     Only answer-vocabulary symbols are scored, ``ROW_BLOCK`` questions per
     ``scorer.score_answers(tokens, inputs, symbols)`` call, each block keyed
     by its own ``InputKeys``, so ranking memory grows with ``ROW_BLOCK``
-    times the answer vocabulary, not with the number of questions. Ties in
-    probability break by ascending vocabulary id, so rankings are fully
-    deterministic.
+    times the answer vocabulary, not with the number of questions. The
+    questions are taken a block at a time, so ``seqs`` may render them as
+    they are asked for. Ties in probability break by ascending vocabulary
+    id, so rankings are fully deterministic.
     """
     if len(answer_vocab) == 0:
         raise ValueError("empty answer vocabulary")
     symbols = answer_vocab.symbols
     out: list[RankedAnswers] = []
-    for start in range(0, len(seqs), ROW_BLOCK):
+    seqs = iter(seqs)
+    while block := list(islice(seqs, ROW_BLOCK)):
         keys = InputKeys()
-        inputs = [keys.sequence(seq.tokens) for seq in seqs[start : start + ROW_BLOCK]]
+        inputs = [keys.sequence(seq.tokens) for seq in block]
         probs = scorer.score_answers(keys.tokens, inputs, symbols)
         out.extend(_top_k(probs, symbols, k))
     return out

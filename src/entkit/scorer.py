@@ -70,7 +70,8 @@ def _token_rows(
     row for a mask; an entity's row; and for an entity mask the mean of its
     candidates' rows. A missing entity is a DataError: the input builders
     fall back to surface wordpieces before this point. Each distinct entity
-    row is fetched once, and the entity masks with c candidates are averaged
+    is looked up once, its float32 row read straight from ``ent.matrix`` and
+    widened exactly, and the entity masks with c candidates are averaged
     together: their rows added in candidate order, starting from zero, and
     divided by c."""
     rows = np.empty((len(tokens), wp.dim))
@@ -93,15 +94,15 @@ def _token_rows(
             cands.append([entities.setdefault(c, len(entities)) for c in tok.candidates])
     rows[pieces] = wp.matrix[ids]
     if entities:
-        table = np.array([_ent_row(ent, e) for e in entities])
-        if table.shape[1] != wp.dim:
+        ent_rows = np.array([_ent_row(ent, e) for e in entities])
+        if ent.dim != wp.dim:
             raise ValueError("wordpiece and entity spaces have different dimensions")
-        rows[single] = table[slots]
+        rows[single] = ent.matrix[ent_rows[slots]]
         for count, (at, cands) in means.items():
-            cands = np.array(cands)
+            cands = ent_rows[cands]
             total = np.zeros((len(at), wp.dim))
             for j in range(count):
-                total += table[cands[:, j]]
+                total += ent.matrix[cands[:, j]]
             rows[at] = total / count
     return rows
 
@@ -121,13 +122,14 @@ def _wp_index(wp: EmbeddingSpace, tok: Token) -> int:
     return i
 
 
-def _ent_row(ent: EmbeddingSpace | None, entity_id: str) -> np.ndarray:
+def _ent_row(ent: EmbeddingSpace | None, entity_id: str) -> int:
+    """The number of ``entity_id``'s row in ``ent``."""
     if ent is None:
         raise ValueError("sequence contains entity tokens but no entity space was given")
-    row = ent.row(entity_id)
+    row = ent.vocab.index.get(entity_id)
     if row is None:
         raise DataError(f"entity {entity_id!r} missing from entity space")
-    return row.astype(np.float64)
+    return row
 
 
 @dataclass

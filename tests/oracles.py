@@ -12,7 +12,8 @@ plain way, so a test can compare the two:
   own probe sentence and ranking, without ``build_lama_uhn``'s batching;
 - ``alignment_objective`` is the least-squares objective in numpy;
 - ``write_space`` writes a space in word2vec text format;
-- ``render`` spells a token sequence out as text, for readable asserts.
+- ``render`` spells a token sequence out as text, for readable asserts;
+- ``row`` looks one symbol's row up in a space.
 
 ``head_gradients`` is the one adapter: the library's ``candidate_gradients``
 on a batch of one, shaped for finite-difference checks of library code.
@@ -35,6 +36,12 @@ from entkit.text_input import (
     build_input,
     wordpiece_tokens,
 )
+
+
+def row(space, symbol: str) -> np.ndarray | None:
+    """``symbol``'s row of ``space``, or None when the space lacks it."""
+    i = space.vocab.index.get(symbol)
+    return None if i is None else space.matrix[i]
 
 
 def render(seq: TokenSequence) -> list[str]:
@@ -80,13 +87,13 @@ def _embed(token: Token, wp, ent) -> np.ndarray:
     if token.kind is TokenKind.EMASK:
         total = np.zeros(wp.dim)
         for c in token.candidates:
-            total = total + ent.row(c).astype(np.float64)
+            total = total + row(ent, c).astype(np.float64)
         return total / len(token.candidates)
     if token.kind is TokenKind.ENTITY:
-        return ent.row(token.text).astype(np.float64)
+        return row(ent, token.text).astype(np.float64)
     piece = MASK_WORD if token.kind is TokenKind.MASK else token.text
-    row = wp.row(piece)
-    return (wp.row(UNK) if row is None else row).astype(np.float64)
+    found = row(wp, piece)
+    return (row(wp, UNK) if found is None else found).astype(np.float64)
 
 
 def mask_state(seq: TokenSequence, wp, ent=None) -> np.ndarray:

@@ -44,6 +44,7 @@ from entkit.entity_linking import (
     build_training_examples,
     generate_candidates,
     iterative_refine,
+    span_keys,
     strong_match_f1,
     train_linker,
 )
@@ -244,7 +245,7 @@ def test_criterion_07_refinement_schedule():
     for n in range(1, 21):
         for j_total in range(1, 6):
             tokens, table, scorer = flat_linking_world(n)
-            spans = generate_candidates(tokens, table)
+            spans = generate_candidates(span_keys(tokens, 7), table)
             spans, steps = iterative_refine(
                 [(tokens, spans)], scorer, AffineHead.zeros(2),
                 NullEntityParams.zeros(2, b=-1e9), iterations=j_total,
@@ -268,7 +269,7 @@ def test_criterion_07_refinement_schedule():
     }
     scorer = ReferenceScorer(wp, ent)
     for iterations in (1, 2, 3):
-        spans = generate_candidates(["a", "b", "c"], table)
+        spans = generate_candidates(span_keys(["a", "b", "c"], 7), table)
         out, _ = iterative_refine(
             [(["a", "b", "c"], spans)], scorer, AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=-1e9), iterations=iterations,
@@ -292,7 +293,7 @@ def test_criterion_07_refinement_schedule():
         table[f"{words[i]} {words[i + 1]}"] = (Candidate(f"ENTITY/B{i}", 1.0),)
     ent = ent_space_with({f"ENTITY/{n}": v for n, v in names.items()}, 2)
     scorer = ReferenceScorer(wp, ent)
-    spans = generate_candidates(words, table)
+    spans = generate_candidates(span_keys(words, 7), table)
     assert len(spans) == 11
     out, _ = iterative_refine(
         [(words, spans)], scorer, AffineHead.zeros(2),
@@ -332,7 +333,8 @@ def linking_instance(seed):
         ("Adams", "visits", "Platt"),
         (GoldAnnotation(0, 1, "ENTITY/A1"), GoldAnnotation(2, 3, "ENTITY/P2")),
     )
-    examples, dropped = build_training_examples(doc, generate_candidates(doc.tokens, table))
+    spans = generate_candidates(span_keys(doc.tokens, 7), table)
+    examples, dropped = build_training_examples(doc, spans)
     assert dropped == 0
     head = AffineHead(
         np.eye(DIM8) + 0.1 * rng.standard_normal((DIM8, DIM8)),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_space, normal_equations, paired_spaces
-from oracles import alignment_objective
+from oracles import alignment_objective, row
 from entkit.alignment import (
     FIT_BLOCK,
     AlignmentMap,
@@ -159,8 +159,8 @@ class TestApplyAndDerive:
         assert derived.dim == amap.d_tgt
         for sym in derived.vocab.symbols:
             np.testing.assert_allclose(
-                derived.row(sym),
-                amap.w @ wiki.row(sym).astype(np.float64),
+                row(derived, sym),
+                amap.w @ row(wiki, sym).astype(np.float64),
                 atol=1e-12,
             )
 

@@ -170,6 +170,24 @@ class TestEvalLama:
             "ALL\t0\t1.000000\t6\n"
         )
 
+    def test_ranks_every_relation_in_one_call(self, capsys, monkeypatch):
+        # One call pads only the last block of questions, not one per relation.
+        from entkit import lama_bench
+
+        calls = []
+        rank = lama_bench.rank_answers
+
+        def counting(seqs, *args):
+            seqs = list(seqs)
+            calls.append(len(seqs))
+            return rank(seqs, *args)
+
+        monkeypatch.setattr(lama_bench, "rank_answers", counting)
+        code, stdout, _ = run(capsys, *EVAL_BASE, "--mode", "bert")
+        assert code == 0
+        assert calls == [6]
+        assert stdout.splitlines()[-1] == "ALL\t0\t0.500000\t6"
+
     def test_plain_mode_baseline(self, capsys):
         code, stdout, _ = run(capsys, *EVAL_BASE, "--mode", "bert")
         assert code == 0
@@ -456,16 +474,17 @@ class TestLink:
         calls = []
         generate = el.generate_candidates
 
-        def counting(tokens, *args):
-            calls.append(tuple(tokens))
-            return generate(tokens, *args)
+        def counting(keys, *args):
+            keys = list(keys)
+            calls.append(keys)
+            return generate(keys, *args)
 
         monkeypatch.setattr(el, "generate_candidates", counting)
         align = fit_alignment_file(tmp_path, capsys)
         code, _, _ = run(capsys, *link_args(align, tmp_path / "link", "--train"))
         assert code == 0
         with open(EL_DOCS, encoding="utf-8") as fh:
-            assert calls == [tuple(json.loads(line)["tokens"]) for line in fh]
+            assert calls == [list(el.span_keys(json.loads(line)["tokens"], 7)) for line in fh]
 
     def test_unknown_table_entity_exit_data(self, tmp_path, capsys):
         align = fit_alignment_file(tmp_path, capsys)
@@ -630,7 +649,7 @@ class TestLink:
         reached = {
             c.entity
             for doc in el.load_documents(docs)
-            for span in el.generate_candidates(doc.tokens, spans)
+            for span in el.generate_candidates(el.span_keys(doc.tokens, 7), spans)
             for c in span.candidates
         }
         # The whole wordpiece space, then only the reached entity rows.

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import make_space
+from conftest import make_space, make_world, run_world
 from oracles import write_space
 from entkit import embeddings
 from entkit.embeddings import (
@@ -312,6 +312,116 @@ class TestKeep:
         assert grown_kib * 1024 < 48 * n, grown_kib
 
 
+# Numbers of the form ``_plain_numbers`` accepts, and text near that form.
+_RUN = st.text("0123456789", min_size=1, max_size=38)
+_PLAIN = st.builds(
+    lambda sign, whole, point, exp: sign + whole + point + exp,
+    st.sampled_from(["", "-"]), _RUN,
+    st.one_of(st.just(""), _RUN.map(".".__add__)),
+    st.one_of(st.just(""), _RUN.map("e-".__add__)),
+)
+_NEAR = st.text("0123456789-.eE+ _", max_size=8)
+
+
+@st.composite
+def scanned_rows(draw, junk=False):
+    """Rows of ``dim`` plain numbers, each ended by a newline as
+    ``readlines`` gives it, and ``dim``; with ``junk``, one field of one row
+    is text near that form instead."""
+    dim = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_PLAIN, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    if junk:
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, dim - 1))] = draw(_NEAR)
+    return [" ".join(row) + "\n" for row in rows], dim
+
+
+class TestPlainNumbers:
+    """The scan that lets a keep-load skip parsing the rows it drops."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=st.booleans().flatmap(lambda junk: scanned_rows(junk)),
+           scan_chars=st.integers(1, 60))
+    @example(case=(["1e-5.5 2\n"], 2), scan_chars=60)
+    @example(case=(["1.5.5\n"], 1), scan_chars=60)
+    @example(case=(["1e-2e-3\n"], 1), scan_chars=60)
+    @example(case=(["-1.25e-07 3\n", "0 -0\n"], 2), scan_chars=1)
+    def test_an_accepted_chunk_reads_alike_and_finite(self, case, scan_chars):
+        rests, dim = case
+        with mock.patch.object(embeddings, "SCAN_CHARS", scan_chars):
+            accepted = embeddings._plain_numbers(rests, dim)
+        # The blocks a chunk is scanned in do not change the verdict.
+        assert accepted == embeddings._plain_numbers(rests, dim)
+        if accepted:
+            fields = [rest[:-1].split(" ") for rest in rests]
+            assert all(len(f) == dim for f in fields)
+            by_float = np.array([[float(x) for x in f] for f in fields])
+            block = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+            assert block.tobytes() == by_float.tobytes()
+            assert np.isfinite(block.astype(np.float32)).all()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=scanned_rows(), op=st.sampled_from(["odd_value", "separator"]),
+           k=st.integers(0, 99), c=st.integers(0, 99))
+    def test_corrupted_chunks_fail(self, case, op, k, c):
+        rests, dim = case
+        assert embeddings._plain_numbers(rests, dim)
+        row = k % len(rests)
+        fields = rests[row][:-1].split(" ")
+        if op == "separator" and dim > 1:
+            gap = c % (dim - 1)
+            rests[row] = (" ".join(fields[: gap + 1]) + SEPARATORS[k % len(SEPARATORS)]
+                          + " ".join(fields[gap + 1 :]) + "\n")
+        else:
+            fields[c % dim] = ODD_VALUES[k % len(ODD_VALUES)]
+            rests[row] = " ".join(fields) + "\n"
+        assert not embeddings._plain_numbers(rests, dim)
+
+    def test_runs_of_digits_stop_at_38(self):
+        assert embeddings._plain_numbers(["9" * 38 + "\n"], 1)
+        assert not embeddings._plain_numbers(["9" * 39 + "\n"], 1)
+        assert not embeddings._plain_numbers(["0." + "0" * 39 + "\n"], 1)
+
+    def test_every_rest_ends_in_its_one_newline(self):
+        assert embeddings._plain_numbers(["1\n", "2\n"], 1)
+        assert not embeddings._plain_numbers(["1\n2"], 1)
+        assert not embeddings._plain_numbers(["1\n", "2"], 1)
+
+    def test_keep_loads_of_the_ingest_world_parse_only_the_kept_rows(self, tmp_path):
+        # The keep sets align, eval-lama and link load the benchmark's entity
+        # space with: each load holds the full load's rows, bit for bit, and
+        # only those rows reach np.loadtxt.
+        world = make_world(tmp_path / "world", "ingest", 1)
+        space_path = world / "wiki.txt"
+        load, loadtxt = embeddings.load_space, np.loadtxt
+        keeps = []
+
+        def recording(path, keep=None, absent=None):
+            if keep is not None and Path(path) == space_path:
+                keeps.append(set(keep))
+            return load(path, keep, absent)
+
+        with mock.patch.object(embeddings, "load_space", recording):
+            for cmd, code in run_world(world, tmp_path / "out"):
+                assert code == 0, cmd["name"]
+        assert len(keeps) == 3
+        full = load_space(space_path)
+        parsed = []
+
+        def counting(lines, *args, **kwargs):
+            parsed.append(len(lines))
+            return loadtxt(lines, *args, **kwargs)
+
+        for keep in keeps:
+            parsed.clear()
+            with mock.patch.object(np, "loadtxt", counting):
+                space = load_space(space_path, keep)
+            ids = [i for i, sym in enumerate(full.vocab.symbols) if sym in keep]
+            assert space.vocab.symbols == tuple(full.vocab.symbols[i] for i in ids)
+            assert space.matrix.tobytes() == full.matrix[ids].tobytes()
+            assert sum(parsed) == len(ids) < len(full.vocab) / 2
+
+
 def _write_entity_space(path, n: int, dim: int, seed: int):
     """A space of ``n`` random rows named ``ENTITY/E0`` to ``ENTITY/E{n-1}``."""
     values = np.random.default_rng(seed).standard_normal((n, dim)).astype(np.float32)
@@ -451,11 +561,6 @@ class TestVocabularyAndClasses:
     def test_space_rejects_non_finite(self):
         with pytest.raises(DataError, match="non-finite"):
             make_space(["a"], [[np.inf, 0.0]])
-
-    def test_row_lookup(self):
-        space = make_space(["a", "b"], [[1, 2], [3, 4]])
-        np.testing.assert_array_equal(space.row("b"), [3, 4])
-        assert space.row("missing") is None
 
 
 class TestSharedVocabulary:

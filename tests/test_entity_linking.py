@@ -23,7 +23,7 @@ from conftest import (
     span_posterior,
     wp_space_with,
 )
-from oracles import el_input, head_gradients, mask_state, render
+from oracles import el_input, head_gradients, mask_state, render, row
 from entkit import embeddings
 from entkit._candidate_table import PackedSymbols
 from entkit._tsv import tsv_rows
@@ -33,6 +33,7 @@ from entkit.entity_linking import (
     Document,
     GoldAnnotation,
     NullEntityParams,
+    SpanKeys,
     SpanState,
     build_training_examples,
     candidate_groups,
@@ -43,6 +44,7 @@ from entkit.entity_linking import (
     load_documents,
     load_redirects,
     normalize_entity,
+    span_keys,
     span_mask_states,
     strong_match_f1,
     train_linker,
@@ -190,8 +192,8 @@ _TABLE_LINES = st.lists(
 
 
 class TestStreamedTable:
-    """``load_candidate_table`` with documents streams a regular file and
-    holds only the surfaces their spans can take; the reference pass holds
+    """``load_candidate_table`` with the documents' span surfaces streams a
+    regular file and holds only those surfaces; the reference pass holds
     every row."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
@@ -216,7 +218,7 @@ class TestStreamedTable:
             with mock.patch.object(embeddings, "_hash",
                                    (lambda item: 0) if collide else hash):
                 try:
-                    table = load_candidate_table(path, max_span, docs)
+                    table = load_candidate_table(path, max_span, _surfaces(docs, max_span))
                 except DataError as exc:
                     assert str(exc) == expected
                     return
@@ -239,7 +241,7 @@ class TestStreamedTable:
         with mock.patch.object(embeddings, "_hash",
                                (lambda item: 0) if collide else hash):
             with pytest.raises(DataError) as exc:
-                load_candidate_table(f, 7, [["y"]])
+                load_candidate_table(f, 7, ["y"])
         assert str(exc.value) == (
             f"{f}: line 3: duplicate candidate 'ENTITY/X' for surface 'x'"
         )
@@ -248,7 +250,7 @@ class TestStreamedTable:
         f = tmp_path / "t.tsv"
         f.write_text("a b\tENTITY/Ab\t1\nb\tENTITY/B\t1\nc\tENTITY/C\t1\n"
                      "b c\tENTITY/Bc\t0.5\n", encoding="utf-8")
-        table = load_candidate_table(f, 2, [("a", "b"), ()])
+        table = load_candidate_table(f, 2, _surfaces([("a", "b"), ()], 2))
         assert table.spans == {"a b": (Candidate("ENTITY/Ab", 1.0),),
                                "b": (Candidate("ENTITY/B", 1.0),)}
         assert table.entities.remaining() == [
@@ -262,7 +264,7 @@ def _table_outcome(path, docs):
     surfaces ``docs`` reach, the entities and the rejected count, or the
     error message with the path written as ``PATH``."""
     try:
-        table = load_candidate_table(path, 2, docs)
+        table = load_candidate_table(path, 2, _surfaces(docs, 2))
     except DataError as exc:
         return str(exc).replace(str(path), "PATH")
     reached = _surfaces(docs, 2)
@@ -333,20 +335,28 @@ class TestGenerateCandidates:
     }
 
     def test_lexicographic_span_order(self):
-        spans = generate_candidates(["a", "b", "a"], self.TABLE)
+        spans = generate_candidates(span_keys(["a", "b", "a"], 7), self.TABLE)
         assert [(s.start, s.end) for s in spans] == [(0, 1), (0, 2), (1, 3), (2, 3)]
         assert all(s.state is SpanState.UNDECIDED for s in spans)
 
     def test_max_span_bounds_window(self):
-        spans = generate_candidates(["a", "b", "a"], self.TABLE, max_span=1)
+        spans = generate_candidates(span_keys(["a", "b", "a"], 1), self.TABLE)
         assert [(s.start, s.end) for s in spans] == [(0, 1), (2, 3)]
 
     def test_no_matches(self):
-        assert generate_candidates(["x", "y"], self.TABLE) == []
+        assert generate_candidates(span_keys(["x", "y"], 7), self.TABLE) == []
 
     def test_window_clipped_at_document_end(self):
-        spans = generate_candidates(["b", "a"], self.TABLE, max_span=10)
+        spans = generate_candidates(span_keys(["b", "a"], 10), self.TABLE)
         assert [(s.start, s.end) for s in spans] == [(0, 2), (1, 2)]
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tokens=st.lists(st.text("ab é", min_size=1, max_size=3)
+                           .filter(lambda t: t.split() == [t]), max_size=9),
+           max_span=st.integers(1, 4))
+    def test_held_keys_give_the_same_triples_every_time(self, tokens, max_span):
+        keys = SpanKeys(tokens, max_span)
+        assert list(keys) == list(keys) == list(span_keys(tokens, max_span))
 
 
 DIM = 3
@@ -465,7 +475,7 @@ class TestSpanMaskStates:
     @pytest.mark.parametrize("decoded", [{}, DECODED])
     def test_every_span_matches_the_oracle(self, use_emask, decoded):
         scorer = self.scorer()
-        spans = generate_candidates(self.TOKENS, self.TABLE)
+        spans = generate_candidates(span_keys(self.TOKENS, 7), self.TABLE)
         assert any(a.overlaps(b) for a in spans for b in spans if a is not b)
         states = span_mask_states([(self.TOKENS, spans, decoded)], scorer, use_emask)
         assert states.shape == (len(spans), self.D)
@@ -502,7 +512,8 @@ class TestSpanMaskStates:
         other = Document("e", self.TOKENS[3:], ())
         examples = [
             ex for d in (doc, other)
-            for ex in build_training_examples(d, generate_candidates(d.tokens, self.TABLE))[0]
+            for ex in build_training_examples(
+                d, generate_candidates(span_keys(d.tokens, 7), self.TABLE))[0]
         ]
         batched = el.span_mask_states
         rng = np.random.default_rng(5)
@@ -535,7 +546,7 @@ class TestSpanMaskStates:
                 assert decoded is None and use_emask is mode
                 assert np.array_equal(out[spans.index(ex.span)], h)
                 cands = [
-                    (scorer.ent.row(c.entity).astype(np.float64), math.log(c.prior))
+                    (row(scorer.ent, c.entity).astype(np.float64), math.log(c.prior))
                     for c in ex.candidates
                 ]
                 gold = (
@@ -559,9 +570,10 @@ class TestSpanMaskStates:
             head = AffineHead(rng.standard_normal((self.D, self.D)), rng.standard_normal(self.D))
             eps = NullEntityParams(rng.standard_normal(self.D), -30.0)
             doc = Document("d", self.TOKENS, (GoldAnnotation(1, 3, "ENTITY/NYC"),))
-            examples = build_training_examples(doc, generate_candidates(doc.tokens, self.TABLE))[0]
+            spans = generate_candidates(span_keys(doc.tokens, 7), self.TABLE)
+            examples = build_training_examples(doc, spans)[0]
             losses = train_linker(examples, head, eps, scorer, epochs=3, step=0.1)
-            spans = generate_candidates(self.TOKENS, self.TABLE)
+            spans = generate_candidates(span_keys(self.TOKENS, 7), self.TABLE)
             out, steps = iterative_refine([(self.TOKENS, spans)], scorer, head, eps, 3)
             return losses, steps, [(s.start, s.end, s.state, s.entity) for s in out]
 
@@ -722,7 +734,7 @@ class TestCandidateBatches:
         groups = candidate_groups(lists, space)
         loss = candidate_gradients(head.apply(states), groups, gold, (eps.e, eps.b))[0]
         for i, cands in enumerate(lists):
-            rows = [(space.row(c.entity).astype(np.float64), math.log(c.prior)) for c in cands]
+            rows = [(row(space, c.entity).astype(np.float64), math.log(c.prior)) for c in cands]
             one = head_gradients(states[i], head, rows + [(eps.e, eps.b)], int(gold[i]))
             assert np.array_equal(loss[i], one.loss)
 
@@ -754,7 +766,8 @@ def training_world(seed=11):
 class TestBuildTrainingExamples:
     def test_gold_and_null_assignment(self):
         doc, table, wp, _ = training_world()
-        examples, dropped = build_training_examples(doc, generate_candidates(doc.tokens, table))
+        spans = generate_candidates(span_keys(doc.tokens, 7), table)
+        examples, dropped = build_training_examples(doc, spans)
         assert dropped == 0
         assert [ex.gold for ex in examples] == [
             "ENTITY/A1", None, "ENTITY/P2",
@@ -767,7 +780,8 @@ class TestBuildTrainingExamples:
             doc.doc_id, doc.tokens,
             (GoldAnnotation(0, 1, "ENTITY/Nowhere"), doc.golds[1]),
         )
-        examples, dropped = build_training_examples(bad, generate_candidates(bad.tokens, table))
+        spans = generate_candidates(span_keys(bad.tokens, 7), table)
+        examples, dropped = build_training_examples(bad, spans)
         assert dropped == 1
         assert [ex.gold for ex in examples] == [None, "ENTITY/P2"]
 
@@ -775,7 +789,8 @@ class TestBuildTrainingExamples:
 class TestTrainLinker:
     def make_setup(self, seed=11):
         doc, table, wp, ent = training_world(seed)
-        examples, dropped = build_training_examples(doc, generate_candidates(doc.tokens, table))
+        spans = generate_candidates(span_keys(doc.tokens, 7), table)
+        examples, dropped = build_training_examples(doc, spans)
         assert dropped == 0
         rng = np.random.default_rng(seed + 100)
         head = AffineHead(grid_values(rng, DIM, DIM), grid_values(rng, DIM))
@@ -851,7 +866,8 @@ class TestTrainLinker:
 
     def test_scorer_without_entity_space_rejected(self):
         doc, table, wp, _ = training_world()
-        examples = build_training_examples(doc, generate_candidates(doc.tokens, table))[0]
+        spans = generate_candidates(span_keys(doc.tokens, 7), table)
+        examples = build_training_examples(doc, spans)[0]
         head, eps = AffineHead.zeros(DIM), NullEntityParams.zeros(DIM)
         with pytest.raises(ValueError, match="needs a scorer with an entity space"):
             train_linker(examples, head, eps, ReferenceScorer(wp, None), use_emask=False)
@@ -864,7 +880,7 @@ def ceil_div(a, b):
 class TestIterativeRefine:
     def run_schedule(self, n, j_total):
         tokens, table, scorer = flat_linking_world(n)
-        spans = generate_candidates(tokens, table)
+        spans = generate_candidates(span_keys(tokens, 7), table)
         assert len(spans) == n
         head = AffineHead.zeros(2)
         eps = NullEntityParams.zeros(2, b=-1e9)
@@ -909,7 +925,7 @@ class TestIterativeRefine:
 
     def test_overlapping_candidates_never_both_decode(self):
         tokens, table, scorer = self.overlap_world()
-        spans = generate_candidates(tokens, table)
+        spans = generate_candidates(span_keys(tokens, 7), table)
         assert [(s.start, s.end) for s in spans] == [(0, 1), (0, 2), (1, 3)]
         out, steps = iterative_refine(
             [(tokens, spans)], scorer, AffineHead.zeros(2),
@@ -930,7 +946,7 @@ class TestIterativeRefine:
 
     def test_overlap_skips_carry_across_rounds(self):
         tokens, table, scorer = self.overlap_world()
-        spans = generate_candidates(tokens, table)
+        spans = generate_candidates(span_keys(tokens, 7), table)
         out, steps = iterative_refine(
             [(tokens, spans)], scorer, AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=-1e9), iterations=2,
@@ -946,7 +962,7 @@ class TestIterativeRefine:
         )
         table = {"a": (cand("A", 0.5),), "b": (cand("B", 1.0),)}
         tokens = ["a", "b"]
-        spans = generate_candidates(tokens, table)
+        spans = generate_candidates(span_keys(tokens, 7), table)
         _, steps = iterative_refine(
             [(tokens, spans)], ReferenceScorer(wp, ent), AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=-1.0), iterations=2,
@@ -959,7 +975,7 @@ class TestIterativeRefine:
         wp = wp_space_with({"a": [0.0, 0.0]}, 2)
         ent = ent_space_with({"ENTITY/A": [0.0, 0.0]}, 2)
         table = {"a": (cand("A", 0.25),)}
-        spans = generate_candidates(["a"], table)
+        spans = generate_candidates(span_keys(["a"], 7), table)
         out, steps = iterative_refine(
             [(["a"], spans)], ReferenceScorer(wp, ent), AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=0.0), iterations=3,
@@ -972,7 +988,7 @@ class TestIterativeRefine:
         tokens, table, scorer = self.overlap_world()
         results = []
         for iterations in (1, 3):
-            spans = generate_candidates(tokens, table)
+            spans = generate_candidates(span_keys(tokens, 7), table)
             out, _ = iterative_refine(
                 [(tokens, spans)], scorer, AffineHead.zeros(2),
                 NullEntityParams.zeros(2, b=-1e9), iterations=iterations,
@@ -988,7 +1004,7 @@ class TestIterativeRefine:
 
     def test_thread_count_does_not_change_results(self):
         tokens, table, scorer = flat_linking_world(8)
-        spans = generate_candidates(tokens, table)
+        spans = generate_candidates(span_keys(tokens, 7), table)
         _, steps = iterative_refine(
             [(tokens, spans)], scorer, AffineHead.zeros(2),
             NullEntityParams.zeros(2, b=-1e9), iterations=3,
@@ -1004,7 +1020,7 @@ class TestIterativeRefine:
 
         tokens, table, scorer = self.overlap_world()
         tokens = tokens * 3
-        spans = generate_candidates(tokens, table)
+        spans = generate_candidates(span_keys(tokens, 7), table)
         calls = []
         groups, states = el.candidate_groups, el.span_mask_states
 
@@ -1040,7 +1056,7 @@ class TestIterativeRefine:
         import entkit.entity_linking as el
 
         tokens, table, scorer = flat_linking_world(2)
-        docs = [([w], generate_candidates([w], table)) for w in tokens]
+        docs = [([w], generate_candidates(span_keys([w], 7), table)) for w in tokens]
         calls = []
         blocks = el._blocks
 
@@ -1060,7 +1076,7 @@ class TestIterativeRefine:
 
     def test_errors(self):
         tokens, table, scorer = flat_linking_world(2)
-        spans = generate_candidates(tokens, table)
+        spans = generate_candidates(span_keys(tokens, 7), table)
         with pytest.raises(ValueError, match="at least one iteration"):
             iterative_refine(
                 [(tokens, spans)], scorer, AffineHead.zeros(2),

@@ -192,6 +192,27 @@ class TestRankingBlocks:
             for seq, ranking in zip(seqs, rankings):
                 assert rank_answers([seq], scorer, vocab, k) == [ranking]
 
+    def test_questions_are_drawn_one_block_at_a_time(self):
+        scorer, vocab, seqs = random_questions(0, 129, 50)
+        drawn = []
+
+        def rendered():
+            for seq in seqs:
+                drawn.append(seq)
+                yield seq
+
+        scored = []
+
+        class Scorer:
+            def score_answers(self, tokens, inputs, symbols):
+                # No question past this block has been rendered yet.
+                scored.append(len(inputs))
+                assert len(drawn) == sum(scored)
+                return scorer.score_answers(tokens, inputs, symbols)
+
+        assert rank_answers(rendered(), Scorer(), vocab, 3) == rank_answers(seqs, scorer, vocab, 3)
+        assert scored == [ROW_BLOCK, ROW_BLOCK, 1]
+
     def test_scorer_data_is_left_as_returned(self):
         # The scorer hands out views of one cached matrix, with ties planted;
         # ranking must not write into them.

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ent_space_with, keyed, make_space, sequences, wp_space_with
-from oracles import head_gradients, mask_state
+from oracles import head_gradients, mask_state, row
 from entkit.embeddings import Vocabulary
 from entkit.entity_linking import candidate_groups
 from entkit.errors import DataError
@@ -81,13 +81,13 @@ class TestEmbedSequence:
         for tok, vec in zip(masks, vecs[1:]):
             total = np.zeros(DIM)
             for name in tok.candidates:
-                total = total + ent.row(name).astype(np.float64)
+                total = total + row(ent, name).astype(np.float64)
             assert np.array_equal(vec.view(np.int64), (total / len(tok.candidates)).view(np.int64))
-        assert np.array_equal(vecs[-1], ent.row(names[0]).astype(np.float64))
+        assert np.array_equal(vecs[-1], row(ent, names[0]).astype(np.float64))
 
     def test_unknown_wordpiece_falls_back_to_unk(self):
         vecs = embed(seq_of(Token.wordpiece("zzz")), WP, None)
-        np.testing.assert_array_equal(vecs[0], WP.row("[UNK]").astype(np.float64))
+        np.testing.assert_array_equal(vecs[0], row(WP, "[UNK]").astype(np.float64))
 
     def test_missing_unk_is_an_error(self):
         no_unk = make_space(["the"], [[1.0, 0, 0, 0]])
@@ -376,7 +376,7 @@ class TestReferenceScorer:
         probs = scorer.score_answers(*keyed([seq]), ["the", "cat", "sat"])[0]
         h = scorer.mask_state(seq)
         logits = np.array(
-            [WP.row(s).astype(np.float64) @ h for s in ["the", "cat", "sat"]]
+            [row(WP, s).astype(np.float64) @ h for s in ["the", "cat", "sat"]]
         )
         expected = np.exp(logits) / np.exp(logits).sum()
         np.testing.assert_allclose(probs, expected, atol=1e-12)
