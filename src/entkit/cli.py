@@ -19,6 +19,7 @@ import math
 import sys
 from pathlib import Path
 
+from ._tsv import breaks_tsv
 from .errors import DataError, TransportError
 from .text_input import InputMode
 
@@ -212,6 +213,9 @@ def cmd_eval_lama(args) -> int:
 
     if args.k < 1:
         raise UsageError(f"entkit eval-lama: --k must be at least 1, got {args.k}")
+    if breaks_tsv(args.stage):
+        raise UsageError("entkit eval-lama: --stage must not hold a tab or line break, "
+                         f"got {args.stage!r}")
     mode = InputMode(args.mode)
     if args.ent_space is not None and args.align is None:
         raise UsageError("--ent-space requires --align")
@@ -252,7 +256,7 @@ def cmd_eval_lama(args) -> int:
     rankings = lama_bench.rank_answers(seqs, scorer, answer_vocab, args.k)
     by_relation: dict[str, list] = {}
     for (rel, t), ranking in zip(questions, rankings):
-        by_relation.setdefault(rel, []).append((ranking, t.obj_surface))
+        by_relation.setdefault(rel, []).append((ranking, answer_vocab.index[t.obj_surface]))
     report = lama_bench.hits_at_k(by_relation, args.k)
     lines = [f"relation\tstage\thits@{args.k}\tquestions"]
     for rel in sorted(report.per_relation):

@@ -379,9 +379,8 @@ def _parse_lines(path, text: str) -> tuple[list[str], np.ndarray]:
 
 
 class SharedSymbol(NamedTuple):
-    """One symbol present in both spaces: (symbol, wordpiece id, word id)."""
+    """One symbol present in both spaces: (wordpiece id, word id)."""
 
-    symbol: str
     wp_id: int
     wiki_id: int
 
@@ -397,7 +396,7 @@ def shared_vocabulary(
     DataError because no alignment can be fit from it.
     """
     shared = [
-        SharedSymbol(sym, wp_id, wiki.vocab.index[sym])
+        SharedSymbol(wp_id, wiki.vocab.index[sym])
         for wp_id, sym in enumerate(wp.vocab.symbols)
         if sym in wiki.vocab.index and not is_entity_symbol(sym)
     ]

@@ -12,7 +12,6 @@ iteration j.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 from dataclasses import dataclass
@@ -23,7 +22,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from ._candidate_table import Candidate, CandidateTable, _ranges, read_table
-from ._tsv import tsv_rows
+from ._tsv import breaks_tsv, json_lines, tsv_rows
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
 from .scorer import AffineHead, InputKeys, candidate_gradients, candidate_probs
@@ -655,36 +654,31 @@ def load_documents(path) -> list[Document]:
     tokens with spaces, so it would match a table surface of another length.
     """
     docs: list[Document] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError:
-                raise DataError(f"{where}: invalid JSON") from None
-            if not (isinstance(obj, dict) and "doc_id" in obj and "tokens" in obj):
-                raise DataError(f"{where}: missing doc_id/tokens")
-            doc_id, tokens, raw_golds = obj["doc_id"], obj["tokens"], obj.get("golds", [])
-            if not isinstance(doc_id, str):
-                raise DataError(f"{where}: doc_id must be a string")
-            if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
-                raise DataError(f"{where}: tokens must be a list of strings")
-            if " ".join(tokens).split() != tokens:
-                bad = next(t for t in tokens if t.split() != [t])
-                raise DataError(f"{where}: token {bad!r} is empty or contains whitespace")
-            if not isinstance(raw_golds, list):
-                raise DataError(f"{where}: golds must be a list")
-            golds = [_gold_annotation(g, where) for g in raw_golds]
-            golds.sort(key=lambda g: (g.start, g.end))
-            for a, b in zip(golds, golds[1:]):
-                if b.start < a.end:
-                    raise DataError(f"{where}: overlapping gold spans in {doc_id!r}")
-            for g in golds:
-                if g.end > len(tokens):
-                    raise DataError(f"{where}: gold span exceeds document length")
-            docs.append(Document(doc_id, tuple(tokens), tuple(golds)))
+    for lineno, obj in json_lines(path):
+        where = f"{path}: line {lineno}"
+        if not (isinstance(obj, dict) and "doc_id" in obj and "tokens" in obj):
+            raise DataError(f"{where}: missing doc_id/tokens")
+        doc_id, tokens, raw_golds = obj["doc_id"], obj["tokens"], obj.get("golds", [])
+        if not isinstance(doc_id, str):
+            raise DataError(f"{where}: doc_id must be a string")
+        if breaks_tsv(doc_id):  # iterations.tsv is tab-separated
+            raise DataError(f"{where}: doc_id holds a tab or line break")
+        if not (isinstance(tokens, list) and all(isinstance(t, str) for t in tokens)):
+            raise DataError(f"{where}: tokens must be a list of strings")
+        if " ".join(tokens).split() != tokens:
+            bad = next(t for t in tokens if t.split() != [t])
+            raise DataError(f"{where}: token {bad!r} is empty or contains whitespace")
+        if not isinstance(raw_golds, list):
+            raise DataError(f"{where}: golds must be a list")
+        golds = [_gold_annotation(g, where) for g in raw_golds]
+        golds.sort(key=lambda g: (g.start, g.end))
+        for a, b in zip(golds, golds[1:]):
+            if b.start < a.end:
+                raise DataError(f"{where}: overlapping gold spans in {doc_id!r}")
+        for g in golds:
+            if g.end > len(tokens):
+                raise DataError(f"{where}: gold span exceeds document length")
+        docs.append(Document(doc_id, tuple(tokens), tuple(golds)))
     return docs
 
 

@@ -11,7 +11,8 @@ subject surface), and a name probe that asks, for each whitespace part of the
 subject, whether the answer ranks in the top-k completions of
 ``"<part> is a common name in the following <noun>: [MASK]."``. Only
 relations whose template declares a probe noun are eligible for the second
-heuristic. Questions are ranked in batches: one scorer call per
+heuristic. A ranking is the answer-vocabulary ids of a question's best k
+answers, best first. Questions are ranked in batches: one scorer call per
 ``ROW_BLOCK`` (64) questions, keyed into the scorer's one input form
 (``scorer.InputKeys``), and one probe per distinct (part, noun) pair.
 """
@@ -27,6 +28,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from ._tsv import breaks_tsv, json_lines
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
 from .scorer import ROW_BLOCK, InputKeys
@@ -63,7 +65,6 @@ PROBE_TEMPLATE = "[X] is a common name in the following {noun}: [MASK]."
 class KbTriple:
     """One benchmark fact: subject surface, optional entity id, answer."""
 
-    relation: str
     sub_surface: str
     obj_surface: str
     sub_entity: str | None = None
@@ -101,11 +102,6 @@ class RelationTemplate:
             )
 
 
-# Descending (symbol, probability) pairs over the answer vocabulary or its
-# top k.
-RankedAnswers = list[tuple[str, float]]
-
-
 def render_question(
     triple: KbTriple,
     template: RelationTemplate,
@@ -135,11 +131,10 @@ def rank_answers(
     seqs: Iterable[TokenSequence],
     scorer,
     answer_vocab: Vocabulary,
-    k: int | None = None,
-) -> list[RankedAnswers]:
-    """Rank the answer vocabulary at the single mask position of each
-    question, keeping the best ``k`` answers (all of them when ``k`` is
-    None).
+    k: int,
+) -> list[list[int]]:
+    """The answer-vocabulary ids of the best ``k`` answers at the single mask
+    position of each question, best first.
 
     Only answer-vocabulary symbols are scored, ``ROW_BLOCK`` questions per
     ``scorer.score_answers(tokens, inputs, symbols)`` call, each block keyed
@@ -147,34 +142,20 @@ def rank_answers(
     times the answer vocabulary, not with the number of questions. The
     questions are taken a block at a time, so ``seqs`` may render them as
     they are asked for. Ties in probability break by ascending vocabulary
-    id, so rankings are fully deterministic.
+    id, so rankings are fully deterministic. The scorer's result is only
+    read (a scorer may return a view of its own data), and each block's
+    sort is freed before the next block is scored.
     """
     if len(answer_vocab) == 0:
         raise ValueError("empty answer vocabulary")
-    symbols = answer_vocab.symbols
-    out: list[RankedAnswers] = []
+    out: list[list[int]] = []
     seqs = iter(seqs)
     while block := list(islice(seqs, ROW_BLOCK)):
         keys = InputKeys()
         inputs = [keys.sequence(seq.tokens) for seq in block]
-        probs = scorer.score_answers(keys.tokens, inputs, symbols)
-        out.extend(_top_k(probs, symbols, k))
+        probs = scorer.score_answers(keys.tokens, inputs, answer_vocab.symbols)
+        out += np.argsort(-probs, axis=1, kind="stable")[:, :k].tolist()
     return out
-
-
-def _top_k(
-    probs: np.ndarray, symbols: Sequence[str], k: int | None
-) -> list[RankedAnswers]:
-    """The best ``k`` answers of each row of ``probs``, ties toward the lower
-    column. ``probs`` is only read, as a scorer may return a view of its own
-    data; the block's negated copy and full sort are freed on return, before
-    the next block is scored."""
-    order = np.argsort(-probs, axis=1, kind="stable")[:, :k]
-    top = np.take_along_axis(probs, order, axis=1)
-    return [
-        [(symbols[i], p) for i, p in zip(ids, ps)]
-        for ids, ps in zip(order.tolist(), top.tolist())
-    ]
 
 
 @dataclass
@@ -185,13 +166,14 @@ class HitsReport:
 
 
 def hits_at_k(
-    by_relation: Mapping[str, Sequence[tuple[RankedAnswers, str]]], k: int
+    by_relation: Mapping[str, Sequence[tuple[Sequence, object]]], k: int
 ) -> HitsReport:
     """Macro hits@k: mean within each relation, then the unweighted mean of
     the per-relation values.
 
-    ``by_relation`` maps each relation to its (ranking, gold answer) pairs.
-    Membership in the top k is exact and case sensitive.
+    ``by_relation`` maps each relation to its (ranking, gold answer) pairs,
+    a ranking listing answers best first; a question is a hit when its gold
+    answer is among the first k.
     """
     if k < 1:
         raise ValueError(f"k must be at least 1, got {k}")
@@ -202,10 +184,7 @@ def hits_at_k(
     for rel, pairs in by_relation.items():
         if not pairs:
             raise ValueError(f"relation {rel!r} has no questions")
-        hits = 0
-        for ranking, gold in pairs:
-            top = {sym for sym, _ in ranking[:k]}
-            hits += int(gold in top)
+        hits = sum(gold in ranking[:k] for ranking, gold in pairs)
         per_relation[rel] = hits / len(pairs)
         counts[rel] = len(pairs)
     overall = sum(per_relation.values()) / len(per_relation)
@@ -216,40 +195,6 @@ def string_match_filter(triple: KbTriple) -> bool:
     """True when the question must be deleted: the lowercased answer is a
     substring of the lowercased subject surface."""
     return triple.obj_surface.lower() in triple.sub_surface.lower()
-
-
-def _probe_tops(
-    parts: Iterable[str],
-    noun: str,
-    scorer,
-    answer_vocab: Vocabulary,
-    top_k: int,
-    case_insensitive: bool,
-) -> dict[str, frozenset[str]]:
-    """The top ``top_k`` answers of the name probe for each distinct part,
-    lowercased when ``case_insensitive``; one probe per part."""
-    probe = RelationTemplate(noun, PROBE_TEMPLATE.format(noun=noun))
-    distinct = list(dict.fromkeys(parts))
-    # The probe renders in plain wordpiece mode; its answer slot is the mask.
-    seqs = [
-        render_question(
-            KbTriple(noun, part, MASK_WORD), probe, InputMode.BERT, None,
-            scorer.wp_vocab,
-        )
-        for part in distinct
-    ]
-    rankings = rank_answers(seqs, scorer, answer_vocab, top_k)
-    return {
-        part: frozenset(sym.lower() if case_insensitive else sym for sym, _ in ranking)
-        for part, ranking in zip(distinct, rankings)
-    }
-
-
-def _name_gives_answer(
-    triple: KbTriple, tops: Mapping[str, frozenset[str]], case_insensitive: bool
-) -> bool:
-    gold = triple.obj_surface.lower() if case_insensitive else triple.obj_surface
-    return any(gold in tops[part] for part in triple.sub_surface.split())
 
 
 Dataset = dict[str, list[KbTriple]]
@@ -291,26 +236,31 @@ def build_lama_uhn(
         rel: [t for t in triples if not string_match_filter(t)]
         for rel, triples in dataset.items()
     }
-    nouns: dict[str, str] = {}
-    if top_k > 0:
-        nouns = {
-            rel: templates[rel].name_noun
-            for rel in dataset
-            if templates[rel].name_noun != "none"
-        }
-    parts_by_noun: dict[str, list[str]] = {}
-    for rel, noun in nouns.items():
-        parts_by_noun.setdefault(noun, []).extend(
-            part for t in stage1[rel] for part in t.sub_surface.split()
-        )
+    nouns = {
+        rel: templates[rel].name_noun
+        for rel in dataset if top_k > 0 and templates[rel].name_noun != "none"
+    }
+    # Every distinct (noun, part) probe is ranked once, all in one call. A
+    # probe renders in plain wordpieces, its answer slot the mask.
+    probes = list(dict.fromkeys(
+        (noun, part)
+        for rel, noun in nouns.items() for t in stage1[rel] for part in t.sub_surface.split()
+    ))
+    frames = {n: PROBE_TEMPLATE.format(noun=n).replace("[MASK]", " [MASK] ") for n in NAME_NOUNS}
+    seqs = (
+        build_input(frames[noun].replace("[X]", part), [], InputMode.BERT, None, scorer.wp_vocab)
+        for noun, part in probes
+    )
+    fold = str.lower if case_insensitive else str
     tops = {
-        noun: _probe_tops(parts, noun, scorer, answer_vocab, top_k, case_insensitive)
-        for noun, parts in parts_by_noun.items()
+        probe: {fold(answer_vocab.symbols[i]) for i in ranking}
+        for probe, ranking in zip(probes, rank_answers(seqs, scorer, answer_vocab, top_k))
     }
     stage2 = {
         rel: [
             t for t in s1
-            if not _name_gives_answer(t, tops[nouns[rel]], case_insensitive)
+            if not any(fold(t.obj_surface) in tops[nouns[rel], part]
+                       for part in t.sub_surface.split())
         ]
         if rel in nouns else list(s1)
         for rel, s1 in stage1.items()
@@ -371,32 +321,28 @@ def load_lama_dir(path, answer_vocab: Vocabulary) -> tuple[Dataset, dict[str, in
     rejected: dict[str, int] = {}
     for file in files:
         rel = file.stem
+        if breaks_tsv(rel):  # the reports are tab-separated
+            raise DataError(f"{path}: relation file name {file.name!r} holds a tab "
+                            "or line break")
         triples: list[KbTriple] = []
         nrej = 0
-        with open(file, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    obj = json.loads(line)
-                except json.JSONDecodeError:
-                    raise DataError(f"{file}: line {lineno}: invalid JSON") from None
-                try:
-                    sub, answer = obj["sub_label"], obj["obj_label"]
-                except (KeyError, TypeError):
-                    raise DataError(
-                        f"{file}: line {lineno}: missing sub_label/obj_label"
-                    ) from None
-                if not (isinstance(sub, str) and isinstance(answer, str)):
-                    raise DataError(
-                        f"{file}: line {lineno}: sub_label and obj_label must be strings"
-                    )
-                if MASK_WORD in sub.split():
-                    raise DataError(f"{file}: line {lineno}: sub_label holds {MASK_WORD}")
-                if len(answer.split()) != 1 or answer not in answer_vocab:
-                    nrej += 1
-                    continue
-                triples.append(KbTriple(rel, sub, answer))
+        for lineno, obj in json_lines(file):
+            try:
+                sub, answer = obj["sub_label"], obj["obj_label"]
+            except (KeyError, TypeError):
+                raise DataError(
+                    f"{file}: line {lineno}: missing sub_label/obj_label"
+                ) from None
+            if not (isinstance(sub, str) and isinstance(answer, str)):
+                raise DataError(
+                    f"{file}: line {lineno}: sub_label and obj_label must be strings"
+                )
+            if MASK_WORD in sub.split():
+                raise DataError(f"{file}: line {lineno}: sub_label holds {MASK_WORD}")
+            if len(answer.split()) != 1 or answer not in answer_vocab:
+                nrej += 1
+                continue
+            triples.append(KbTriple(sub, answer))
         dataset[rel] = triples
         rejected[rel] = nrej
         if nrej:
@@ -410,9 +356,7 @@ def resolve_subjects(dataset: Dataset, mapping: Mapping[str, str]) -> Dataset:
     Subjects absent from the map stay unresolved and later fall back to
     plain wordpieces.
     """
-    out: Dataset = {}
-    for rel, triples in dataset.items():
-        out[rel] = [
-            replace(t, sub_entity=mapping.get(t.sub_surface)) for t in triples
-        ]
-    return out
+    return {
+        rel: [replace(t, sub_entity=mapping.get(t.sub_surface)) for t in triples]
+        for rel, triples in dataset.items()
+    }

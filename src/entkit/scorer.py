@@ -107,6 +107,29 @@ def _token_rows(
     return rows
 
 
+def _leave_one_out(bank: np.ndarray, inputs: Sequence[tuple[np.ndarray, int]]) -> np.ndarray:
+    """The (S, d) leave-one-out states of S inputs ``(idx, pos)`` over the
+    float64 rows of ``bank``, whose last row is ``-0.0``: row s is
+    ``(bank[idx].sum(0) - bank[idx[pos]]) / (n - 1)``, zero when n is 1, its
+    n rows added one by one in input order from zero. The inputs are padded
+    to the longest of them with the ``-0.0`` row, which leaves every sum as
+    it is, and summed one column (one position of every input) at a time, so
+    a row does not depend on the rest of its batch."""
+    states = np.zeros((len(inputs), bank.shape[1]))
+    if not inputs:
+        return states
+    n = np.array([len(idx) for idx, _ in inputs])
+    cols = np.full((len(inputs), n.max()), len(bank) - 1)
+    cols[np.arange(n.max()) < n[:, None]] = np.concatenate([idx for idx, _ in inputs])
+    total = np.zeros_like(states)
+    for col in cols.T:
+        total += bank[col]
+    own = bank[cols[np.arange(len(inputs)), [pos for _, pos in inputs]]]
+    many = n > 1
+    states[many] = (total[many] - own[many]) / (n[many] - 1)[:, None]
+    return states
+
+
 def _wp_index(wp: EmbeddingSpace, tok: Token) -> int:
     """The wordpiece row of a wordpiece (``[UNK]`` when missing) or a mask."""
     if tok.kind is TokenKind.MASK:
@@ -272,21 +295,15 @@ class ReferenceScorer:
         return list(_token_rows(seq.tokens, self.wp, self.ent))
 
     def contextualize(self, vectors: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """Leave-one-out mean: output i is the mean of all inputs except i.
-
-        The total adds the inputs one by one in order, starting from zero. A
-        length-1 sequence contextualizes to a single zero vector.
-        """
-        n = len(vectors)
-        if n == 0:
+        """Leave-one-out mean: output i is the mean of all inputs except i,
+        by ``_leave_one_out``. A length-1 sequence contextualizes to a
+        single zero vector."""
+        if len(vectors) == 0:
             raise ValueError("cannot contextualize an empty sequence")
-        if n == 1:
-            return [np.zeros_like(np.asarray(vectors[0], dtype=np.float64))]
-        stack = np.asarray(vectors, dtype=np.float64)
-        total = np.zeros(stack.shape[1:])
-        for row in stack:
-            total += row
-        return [(total - stack[i]) / (n - 1) for i in range(n)]
+        bank = np.full((len(vectors) + 1, len(vectors[0])), -0.0)
+        bank[:-1] = vectors
+        idx = np.arange(len(vectors))
+        return list(_leave_one_out(bank, [(idx, i) for i in idx]))
 
     def mask_state(self, seq: TokenSequence) -> np.ndarray:
         """Contextual vector at the single Mask or EMask position."""
@@ -300,33 +317,13 @@ class ReferenceScorer:
         """States at the masks of many inputs over one list of distinct tokens.
 
         Input ``(idx, pos)`` is the sequence ``tokens[idx]`` with its mask at
-        ``pos``. The tokens are embedded once into a float64 bank ``B``; row s
-        is ``(B[idx].sum(0) - B[idx[pos]]) / (n - 1)`` (zero when n is 1),
-        the rows added one by one in input order as ``contextualize`` adds
-        them, so it is bit-identical to that method's output ``pos``. The
-        inputs are padded to the longest of them with a ``-0.0`` row, which
-        leaves every sum as it is, and summed one column (one position of
-        every input) at a time, so a row does not depend on the rest of its
-        batch. The caller bounds the batch: the work arrays are (S, longest
-        input) and (S, d).
+        ``pos``. The tokens are embedded once into a float64 bank, and each
+        state is the ``_leave_one_out`` mean at the mask. The caller bounds
+        the batch: the work arrays are (S, longest input) and (S, d).
         """
-        dim = self.wp.dim
-        pad = len(tokens)
-        bank = np.full((pad + 1, dim), -0.0)
-        bank[:pad] = _token_rows(tokens, self.wp, self.ent)
-        states = np.zeros((len(inputs), dim))
-        if not inputs:
-            return states
-        n = np.array([len(idx) for idx, _ in inputs])
-        cols = np.full((len(inputs), n.max()), pad)
-        cols[np.arange(n.max()) < n[:, None]] = np.concatenate([idx for idx, _ in inputs])
-        total = np.zeros((len(inputs), dim))
-        for col in cols.T:
-            total += bank[col]
-        own = bank[cols[np.arange(len(inputs)), [pos for _, pos in inputs]]]
-        many = n > 1
-        states[many] = (total[many] - own[many]) / (n[many] - 1)[:, None]
-        return states
+        bank = np.full((len(tokens) + 1, self.wp.dim), -0.0)
+        bank[:-1] = _token_rows(tokens, self.wp, self.ent)
+        return _leave_one_out(bank, inputs)
 
     @np.errstate(all="ignore")
     def score_answers(

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 from urllib.parse import unquote, urlparse
 
-from ._tsv import tsv_rows
+from ._tsv import breaks_tsv, tsv_rows
 from .errors import DataError, TransportError
 from .symbols import ENTITY_PREFIX
 
@@ -219,16 +219,13 @@ def _bindings(data: dict) -> list[dict]:
 def qid_to_wikipedia_url(qid: str, transport) -> str | None:
     """English Wikipedia URL for a Wikidata id, or None when it has none.
 
-    Raises ValueError on a malformed id and TransportError when the endpoint
-    is unreachable.
+    A URL holding a tab or line break is ignored, as the cache and the
+    result are tab-separated. Raises ValueError on a malformed id and
+    TransportError when the endpoint is unreachable.
     """
     data = transport.query(sitelink_query(qid))
-    urls = sorted(
-        b["wikiurl"]["value"]
-        for b in _bindings(data)
-        if "wikiurl" in b and "en.wikipedia.org" in b["wikiurl"]["value"]
-    )
-    return urls[0] if urls else None
+    urls = (b["wikiurl"]["value"] for b in _bindings(data) if "wikiurl" in b)
+    return min((u for u in urls if "en.wikipedia.org" in u and not breaks_tsv(u)), default=None)
 
 
 def resolve_surface(surface: str, transport) -> ResolutionResult:

@@ -194,7 +194,7 @@ def random_uhn_fixture(seed=0, per_relation=50):
             obj = answers[int(rng.integers(0, len(answers)))]
             if rng.random() < 0.3:
                 words.insert(int(rng.integers(0, len(words) + 1)), obj)
-            triples.append(KbTriple(rel, " ".join(words), obj))
+            triples.append(KbTriple(" ".join(words), obj))
         dataset[rel] = triples
     scorer = TableScorer(Vocabulary(pool), rank_table)
     return dataset, templates, scorer, Vocabulary(answers)

@@ -310,6 +310,35 @@ def test_non_string_label_exit_data(tmp_path, capsys, command, field):
 
 
 @pytest.mark.parametrize("command", ["eval-lama", "filter-uhn"])
+@pytest.mark.parametrize("name", ["P1\t2", "P1\n2"], ids=["tab", "newline"])
+def test_relation_name_holding_a_tab_or_line_break_exit_data(tmp_path, capsys, command, name):
+    # The relation name is a field of report.tsv and stats.tsv.
+    data = tmp_path / "lama"
+    shutil.copytree(LAMA, data)
+    (data / f"{name}.jsonl").write_text(
+        '{"sub_label": "Jean Marais", "obj_label": "French"}\n', encoding="utf-8"
+    )
+    extra = ["--out-dir", str(tmp_path / "uhn")] if command == "filter-uhn" else []
+    code, _, stderr = run(
+        capsys, command, "--data", str(data), "--templates", TEMPLATES,
+        "--wp-space", WP, "--answer-vocab", ANSWERS, *extra,
+    )
+    assert_one_line_error(
+        code, stderr, 2, f"relation file name {name + '.jsonl'!r} holds a tab or line break"
+    )
+
+
+@pytest.mark.parametrize("value", ["0\t1", "0\n1", "0\r1"],
+                         ids=["tab", "newline", "return"])
+def test_stage_holding_a_tab_or_line_break_exit_usage(tmp_path, capsys, value):
+    # The stage is a field of every row of report.tsv.
+    out = tmp_path / "report.tsv"
+    code, stdout, stderr = run(capsys, *EVAL_BASE, "--stage", value, "--out", str(out))
+    assert_one_line_error(code, stderr, 1, "--stage must not hold a tab or line break")
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval-lama", "filter-uhn"])
 def test_subject_holding_the_mask_word_exit_data(tmp_path, capsys, command):
     data = tmp_path / "lama"
     shutil.copytree(LAMA, data)
@@ -361,6 +390,32 @@ class TestFilterUhn:
         )
         assert code == 0
         assert "P103\t2\t2" in stdout.splitlines()
+
+    def test_ranks_every_probe_in_one_call(self, tmp_path, capsys, monkeypatch):
+        # Two probe nouns, so one ranking call per noun would make two calls.
+        from entkit import lama_bench
+
+        records = json.loads(Path(TEMPLATES).read_text(encoding="utf-8"))
+        for record in records:
+            if record["relation"] == "P176":
+                record["name_noun"] = "city"
+        templates = tmp_path / "templates.json"
+        templates.write_text(json.dumps(records), encoding="utf-8")
+        calls = []
+        rank = lama_bench.rank_answers
+
+        def counting(seqs, *args):
+            seqs = list(seqs)
+            calls.append(len(seqs))
+            return rank(seqs, *args)
+
+        monkeypatch.setattr(lama_bench, "rank_answers", counting)
+        argv = [*FILTER_BASE, "--out-dir", str(tmp_path / "uhn")]
+        argv[argv.index(TEMPLATES)] = str(templates)
+        code, _, _ = run(capsys, *argv)
+        assert code == 0
+        # Jean, Marais, Daniel and Ceccaldi (language); Lancia and Delta (city).
+        assert calls == [6]
 
     def test_negative_top_k_exit_usage_before_loading(self, tmp_path, capsys):
         # The data directory does not exist: --top-k must be rejected first.
@@ -776,6 +831,24 @@ class TestResolve:
         assert_one_line_error(code, stderr, 2, "surfaces.txt: line 2: surface holds a tab")
         assert stdout == "" and not cache.exists()
 
+    def test_sitelink_holding_a_tab_is_ignored(self, tmp_path, capsys):
+        # Written out, such a URL would split its rows of the cache and of the
+        # result, and the next run could not read the cache back.
+        fixture = tmp_path / "fixture.json"
+        fixture.write_text(json.dumps({
+            "labels": {"Jean Marais": ["Q168359"]},
+            "sitelinks": {"Q168359": "https://en.wikipedia.org/wiki/Jean\tMarais"},
+        }), encoding="utf-8")
+        surfaces = tmp_path / "surfaces.txt"
+        surfaces.write_text("Jean Marais\n", encoding="utf-8")
+        cache = tmp_path / "cache.tsv"
+        argv = ["resolve", "--surfaces", str(surfaces), "--fixture", str(fixture),
+                "--cache", str(cache)]
+        expected = "surface\tqid\turl\tstatus\nJean Marais\tQ168359\t\tresolved\n"
+        assert run(capsys, *argv) == (0, expected, "")
+        assert cache.read_text(encoding="utf-8") == "Jean Marais\tQ168359\t\n"
+        assert run(capsys, *argv) == (0, expected, "")
+
     def test_endpoint_and_fixture_conflict(self, capsys):
         code, _, stderr = run(
             capsys, "resolve", "--surfaces", WD_SURFACES,
@@ -848,6 +921,8 @@ GOOD_DOC = {"doc_id": "d", "tokens": ["Adams", "and", "Platt"],
     ({"tokens": ["New York", "and", "Platt"]},
      "token 'New York' is empty or contains whitespace"),
     ({"tokens": ["Adams", "", "Platt"]}, "token '' is empty or contains whitespace"),
+    ({"doc_id": "d\t1"}, "doc_id holds a tab or line break"),
+    ({"doc_id": "d\n1"}, "doc_id holds a tab or line break"),
 ])
 def test_malformed_document_exit_data(tmp_path, capsys, change, text):
     docs = tmp_path / "docs.jsonl"

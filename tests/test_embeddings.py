@@ -568,7 +568,7 @@ class TestSharedVocabulary:
         wp = make_space(["red", "blue", "green"], np.zeros((3, 2)))
         wiki = make_space(["green", "ENTITY/X", "red"], np.zeros((3, 2)))
         pairs = shared_vocabulary(wp, wiki)
-        assert [(p.symbol, p.wp_id, p.wiki_id) for p in pairs] == [
+        assert [(wp.vocab.symbols[p.wp_id], p.wp_id, p.wiki_id) for p in pairs] == [
             ("red", 0, 2),
             ("green", 2, 0),
         ]
@@ -577,7 +577,7 @@ class TestSharedVocabulary:
         wp = make_space(["Paris", "rome"], np.zeros((2, 2)))
         wiki = make_space(["paris", "rome"], np.zeros((2, 2)))
         pairs = shared_vocabulary(wp, wiki)
-        assert [p.symbol for p in pairs] == ["rome"]
+        assert [wp.vocab.symbols[p.wp_id] for p in pairs] == ["rome"]
 
     def test_empty_intersection_is_data_error(self):
         wp = make_space(["a"], np.zeros((1, 2)))

@@ -6,7 +6,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import TableScorer, ent_space_with, random_uhn_fixture, sequences, wp_space_with
+from conftest import (
+    TableScorer, ent_space_with, keyed, random_uhn_fixture, sequences, wp_space_with,
+)
 from oracles import person_name_filter, render
 from entkit.embeddings import Vocabulary
 from entkit.errors import DataError
@@ -31,10 +33,10 @@ from entkit.text_input import InputMode, Token, TokenKind, TokenSequence
 class TestTypes:
     def test_triple_validation(self):
         with pytest.raises(ValueError, match="non-empty answer"):
-            KbTriple("P1", "subject", "")
+            KbTriple("subject", "")
         with pytest.raises(ValueError, match="ENTITY/"):
-            KbTriple("P1", "subject", "obj", sub_entity="Jean_Marais")
-        t = KbTriple("P1", "s", "o", sub_entity="ENTITY/X")
+            KbTriple("subject", "obj", sub_entity="Jean_Marais")
+        t = KbTriple("s", "o", sub_entity="ENTITY/X")
         assert t.sub_entity == "ENTITY/X"
 
     def test_template_placeholder_validation(self):
@@ -72,7 +74,7 @@ ENT = ent_space_with({"ENTITY/Jean_Marais": [1.0, 1.0]}, 2)
 
 class TestRenderQuestion:
     def triple(self, entity=None):
-        return KbTriple("P103", "Jean Marais", "French", sub_entity=entity)
+        return KbTriple("Jean Marais", "French", sub_entity=entity)
 
     def test_plain_rendering_separates_mask_and_period(self):
         seq = render_question(self.triple(), TEMPLATE, InputMode.BERT, None, WP.vocab)
@@ -111,13 +113,13 @@ class TestRenderQuestion:
     def test_subject_at_template_start(self):
         template = RelationTemplate("P0", "[X] plays [MASK].")
         seq = render_question(
-            KbTriple("P0", "Jean", "x"), template, InputMode.BERT, None, WP.vocab
+            KbTriple("Jean", "x"), template, InputMode.BERT, None, WP.vocab
         )
         assert render(seq) == ["[CLS]", "Jean", "plays", "[MASK]", ".", "[SEP]"]
 
     def test_empty_subject_renders_without_mention(self):
         seq = render_question(
-            KbTriple("P103", "", "French"), TEMPLATE, InputMode.CONCAT, ENT, WP.vocab
+            KbTriple("", "French"), TEMPLATE, InputMode.CONCAT, ENT, WP.vocab
         )
         assert render(seq) == [
             "[CLS]", "The", "native", "language", "of", "is", "[MASK]", ".",
@@ -130,13 +132,13 @@ class TestAnswerQuestion:
         vocab = Vocabulary(["gold", "r1", "r2"])
         scorer = TableScorer(vocab, {"Jean": ["r1", "gold", "r2"]})
         seq = render_question(
-            KbTriple("P103", "Jean", "gold"), TEMPLATE, InputMode.BERT, None,
+            KbTriple("Jean", "gold"), TEMPLATE, InputMode.BERT, None,
             Vocabulary(["Jean"]),
         )
-        ranking = rank_answers([seq], scorer, vocab)[0]
-        assert [sym for sym, _ in ranking] == ["r1", "gold", "r2"]
-        probs = [p for _, p in ranking]
-        assert probs == sorted(probs, reverse=True)
+        ranking = rank_answers([seq], scorer, vocab, 3)[0]
+        assert [vocab.symbols[i] for i in ranking] == ["r1", "gold", "r2"]
+        probs = scorer.score_answers(*keyed([seq]), vocab.symbols)[0]
+        assert list(probs[ranking]) == sorted(probs, reverse=True)
         assert sum(probs) == pytest.approx(1.0)
 
     def test_ties_break_by_ascending_vocab_id(self):
@@ -145,26 +147,26 @@ class TestAnswerQuestion:
         scorer = ReferenceScorer(WP)
         vocab = Vocabulary(["native", "The", "of"])
         seq = render_question(
-            KbTriple("P103", "Jean", "The"), TEMPLATE, InputMode.BERT, None,
+            KbTriple("Jean", "The"), TEMPLATE, InputMode.BERT, None,
             WP.vocab,
         )
-        ranking = rank_answers([seq], scorer, vocab)[0]
-        assert [sym for sym, _ in ranking] == ["native", "The", "of"]
+        ranking = rank_answers([seq], scorer, vocab, 3)[0]
+        assert ranking == [0, 1, 2]
 
     def test_mask_count_enforced(self):
         scorer = ReferenceScorer(WP)
         vocab = Vocabulary(["The"])
         no_mask = TokenSequence((Token.wordpiece("The"),))
         with pytest.raises(ValueError, match="exactly one mask"):
-            rank_answers([no_mask], scorer, vocab)[0]
+            rank_answers([no_mask], scorer, vocab, 1)
         two = TokenSequence((Token.mask(), Token.mask()))
         with pytest.raises(ValueError, match="exactly one mask"):
-            rank_answers([two], scorer, vocab)[0]
+            rank_answers([two], scorer, vocab, 1)
 
     def test_empty_answer_vocab_rejected(self):
         scorer = ReferenceScorer(WP)
         with pytest.raises(ValueError, match="empty answer vocabulary"):
-            rank_answers([TokenSequence((Token.mask(),))], scorer, Vocabulary([]))[0]
+            rank_answers([TokenSequence((Token.mask(),))], scorer, Vocabulary([]), 1)
 
 
 def random_questions(seed, n_questions, n_answers, dim=16):
@@ -186,7 +188,7 @@ class TestRankingBlocks:
     @pytest.mark.parametrize("n_questions", [63, 64, 65, 129])
     def test_rankings_equal_ranking_each_question_alone(self, n_questions):
         scorer, vocab, seqs = random_questions(n_questions, n_questions, 50)
-        for k in (3, None):
+        for k in (3, len(vocab)):
             rankings = rank_answers(seqs, scorer, vocab, k)
             assert len(rankings) == n_questions
             for seq, ranking in zip(seqs, rankings):
@@ -230,8 +232,7 @@ class TestRankingBlocks:
         rankings = rank_answers(seqs, CachedScorer(), vocab, 5)
         assert np.array_equal(cached, before)
         for p, ranking in zip(cached, rankings):
-            best = sorted(range(len(p)), key=lambda i: (-p[i], i))[:5]
-            assert ranking == [(vocab.symbols[i], float(p[i])) for i in best]
+            assert ranking == sorted(range(len(p)), key=lambda i: (-p[i], i))[:5]
 
     def test_memory_is_bounded_by_the_block_not_the_questions(self):
         n_questions, n_answers = 2_000, 3_000
@@ -270,8 +271,7 @@ class TestRankingBlocks:
 def ranking_with_gold_at(position, symbols):
     order = [s for s in symbols if s != "gold"]
     order.insert(position, "gold")
-    n = len(order)
-    return [(s, (n - i) / (n * (n + 1) / 2)) for i, s in enumerate(order)]
+    return order
 
 
 class TestHitsAtK:
@@ -298,9 +298,7 @@ class TestHitsAtK:
         for rel in ("R0", "R1", "R2"):
             pairs = []
             for _ in range(12):
-                perm = list(rng.permutation(symbols))
-                n = len(perm)
-                ranking = [(s, (n - i) / n) for i, s in enumerate(perm)]
+                ranking = [str(s) for s in rng.permutation(symbols)]
                 pairs.append((ranking, str(rng.choice(symbols))))
             by_relation[rel] = pairs
         reports = [hits_at_k(by_relation, k) for k in range(1, 7)]
@@ -334,14 +332,14 @@ class TestStringMatchFilter:
         ],
     )
     def test_helpful_names_deleted(self, sub, obj):
-        assert string_match_filter(KbTriple("R", sub, obj)) is True
+        assert string_match_filter(KbTriple(sub, obj)) is True
 
     def test_unhelpful_name_kept(self):
-        assert string_match_filter(KbTriple("R", "Jean Marais", "French")) is False
+        assert string_match_filter(KbTriple("Jean Marais", "French")) is False
 
     def test_case_insensitive_both_sides(self):
-        assert string_match_filter(KbTriple("R", "FIAT MULTIPLA", "fiat")) is True
-        assert string_match_filter(KbTriple("R", "fiat multipla", "FIAT")) is True
+        assert string_match_filter(KbTriple("FIAT MULTIPLA", "fiat")) is True
+        assert string_match_filter(KbTriple("fiat multipla", "FIAT")) is True
 
 
 PROBE_VOCAB = Vocabulary(["AA", "BB", "CC", "DD"])
@@ -369,20 +367,20 @@ def name_probe_deletes(triple, **kwargs) -> bool:
 
 class TestPersonNameFilter:
     def test_any_part_in_top_k_deletes(self):
-        assert name_probe_deletes(KbTriple("R1", "AA BB", "gold")) is True
-        assert name_probe_deletes(KbTriple("R1", "BB DD", "gold")) is True
+        assert name_probe_deletes(KbTriple("AA BB", "gold")) is True
+        assert name_probe_deletes(KbTriple("BB DD", "gold")) is True
 
     def test_all_parts_below_top_k_keeps(self):
-        assert name_probe_deletes(KbTriple("R1", "BB CC", "gold")) is False
+        assert name_probe_deletes(KbTriple("BB CC", "gold")) is False
 
     def test_top_k_zero_never_deletes(self):
-        assert name_probe_deletes(KbTriple("R1", "DD", "gold"), top_k=0) is False
+        assert name_probe_deletes(KbTriple("DD", "gold"), top_k=0) is False
 
     def test_wider_top_k_deletes_rank_four(self):
-        assert name_probe_deletes(KbTriple("R1", "BB CC", "gold"), top_k=4) is True
+        assert name_probe_deletes(KbTriple("BB CC", "gold"), top_k=4) is True
 
     def test_empty_subject_kept(self):
-        assert name_probe_deletes(KbTriple("R1", "", "gold")) is False
+        assert name_probe_deletes(KbTriple("", "gold")) is False
 
     def test_ineligible_template_rejected(self):
         # A relation without a probe noun is never probed, so its questions
@@ -391,21 +389,21 @@ class TestPersonNameFilter:
             def score_answers(self, tokens, inputs, symbols):
                 raise AssertionError("an ineligible relation was probed")
 
-        triples = [KbTriple("R2", "AA", "gold"), KbTriple("R2", "DD", "gold")]
+        triples = [KbTriple("AA", "gold"), KbTriple("DD", "gold")]
         plain = RelationTemplate("R2", "[X] speaks [MASK].")
         result = build_lama_uhn({"R2": triples}, {"R2": plain}, NeverScores(PROBE_VOCAB, RANKS),
                                 ANSWERS)
         assert result.stage2["R2"] == triples
 
     def test_case_sensitivity_flag(self):
-        triple = KbTriple("R1", "DD", "GOLD")
+        triple = KbTriple("DD", "GOLD")
         assert name_probe_deletes(triple) is False
         assert name_probe_deletes(triple, case_insensitive=True) is True
 
     def test_probe_ignores_entity_knowledge(self):
         # The probe renders in plain wordpiece mode: a scorer keyed on entity
         # symbols never sees them, so resolution cannot affect deletion.
-        resolved = KbTriple("R1", "AA", "gold", sub_entity="ENTITY/AA")
+        resolved = KbTriple("AA", "gold", sub_entity="ENTITY/AA")
         assert name_probe_deletes(resolved) is True
 
 
@@ -455,7 +453,7 @@ class TestBuildLamaUhn:
         templates = dict(templates)
         templates["R4"] = RelationTemplate("R4", "[X] writes [MASK].", name_noun="language")
         dataset = dict(dataset)
-        dataset["R4"] = [KbTriple("R4", t.sub_surface, t.obj_surface) for t in dataset["R0"]]
+        dataset["R4"] = [KbTriple(t.sub_surface, t.obj_surface) for t in dataset["R0"]]
         _, _, base, _ = random_uhn_fixture(seed=5)
         nouns = ["language", "city", "country"]
 
@@ -480,7 +478,7 @@ class TestBuildLamaUhn:
         }
         expected = sorted(
             tuple(render(render_question(
-                KbTriple("R", part, "x"),
+                KbTriple(part, "x"),
                 RelationTemplate("R", PROBE_TEMPLATE.format(noun=noun)),
                 InputMode.BERT, None, scorer.wp_vocab,
             )))
@@ -505,8 +503,8 @@ class TestBuildLamaUhn:
                 raise AssertionError("scored before the templates were checked")
 
         dataset = {
-            "P103": [KbTriple("P103", "AA", "gold"), KbTriple("P103", "BB", "gold")],
-            "R1": [KbTriple("R1", "AA", "gold")],
+            "P103": [KbTriple("AA", "gold"), KbTriple("BB", "gold")],
+            "R1": [KbTriple("AA", "gold")],
         }
         for top_k in (0, 3):
             with pytest.raises(DataError, match="^no template for relation 'P103'$"):
@@ -592,8 +590,8 @@ class TestLoaders:
 
     def test_resolve_subjects(self):
         dataset = {
-            "P1": [KbTriple("P1", "Jean Marais", "French"),
-                   KbTriple("P1", "Unknown Person", "French")]
+            "P1": [KbTriple("Jean Marais", "French"),
+                   KbTriple("Unknown Person", "French")]
         }
         resolved = resolve_subjects(
             dataset, {"Jean Marais": "ENTITY/Jean_Marais"}
