@@ -150,15 +150,6 @@ def _back_substitute(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x
 
 
-def check_entity_source(amap: AlignmentMap, wiki: EmbeddingSpace) -> None:
-    """Raise unless entity rows of ``wiki`` can be mapped by ``amap``."""
-    if wiki.dim != amap.d_src:
-        raise DataError(
-            f"space dimension {wiki.dim} does not match alignment source "
-            f"dimension {amap.d_src}"
-        )
-
-
 def derive_entity_space(
     amap: AlignmentMap, wiki: EmbeddingSpace, symbols: Iterable[str]
 ) -> EmbeddingSpace:
@@ -171,7 +162,11 @@ def derive_entity_space(
     operand, as in a single product over the whole table, whose bits they
     match for tables of more than a few rows.
     """
-    check_entity_source(amap, wiki)
+    if wiki.dim != amap.d_src:
+        raise DataError(
+            f"space dimension {wiki.dim} does not match alignment source "
+            f"dimension {amap.d_src}"
+        )
     index = wiki.vocab.index
     wanted = set(symbols)
     words = sorted(s for s in wanted if not is_entity_symbol(s))

@@ -180,35 +180,37 @@ def _load_answer_vocab(path: str | None, wp):
     return embeddings.Vocabulary(symbols)
 
 
-def _load_entity_side(wp, ent_path, align_path, keep, absent=None):
-    """Load the rows of the word-and-entity space whose symbol is in
-    ``keep`` and the alignment, and check that they fit the wordpiece space;
-    returns ``(wiki, amap)``. The caller derives the entities it references.
-    ``absent`` is passed on to ``load_space``."""
+def _entity_space(wp, ent_path, align_path, keep, absent=None):
+    """The rows of the word-and-entity space whose symbol is in ``keep``,
+    mapped by the alignment into the wordpiece space; ``absent`` is passed
+    on to ``load_space``."""
     from . import alignment, embeddings
 
     wiki = embeddings.load_space(ent_path, keep, absent)
     amap = alignment.load_alignment(align_path)
-    alignment.check_entity_source(amap, wiki)
     if amap.d_tgt != wp.dim:
         raise DataError(
             f"aligned entity dimension {amap.d_tgt} does not match "
             f"wordpiece dimension {wp.dim}"
         )
-    return wiki, amap
+    return alignment.derive_entity_space(amap, wiki, wiki.vocab.symbols)
 
 
-def _load_templates(path, dataset):
-    """The templates of ``path``; every relation of ``dataset`` needs one."""
-    from . import lama_bench
+def _cloze_inputs(args):
+    """A cloze command's wordpiece space, answer vocabulary, relation files
+    and templates, loaded in that order; every relation needs a template."""
+    from . import embeddings, lama_bench
 
-    templates = lama_bench.load_templates(path)
+    wp = embeddings.load_space(args.wp_space)
+    answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
+    dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
+    templates = lama_bench.load_templates(args.templates)
     lama_bench.require_templates(dataset, templates)
-    return templates
+    return wp, answer_vocab, dataset, templates
 
 
 def cmd_eval_lama(args) -> int:
-    from . import embeddings, lama_bench
+    from . import lama_bench
     from .scorer import ReferenceScorer
 
     if args.k < 1:
@@ -221,11 +223,7 @@ def cmd_eval_lama(args) -> int:
         raise UsageError("--ent-space requires --align")
     if mode is not InputMode.BERT and args.ent_space is None:
         raise UsageError(f"--mode {mode.value} requires --ent-space and --align")
-    wp = embeddings.load_space(args.wp_space)
-    answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
-
-    dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
-    templates = _load_templates(args.templates, dataset)
+    wp, answer_vocab, dataset, templates = _cloze_inputs(args)
     if args.resolutions:
         from . import wikidata_client
 
@@ -234,13 +232,9 @@ def cmd_eval_lama(args) -> int:
 
     ent = None
     if args.ent_space is not None:
-        from . import alignment
-
         # A resolved subject missing from the space falls back to wordpieces.
         subjects = {t.sub_entity for ts in dataset.values() for t in ts}
-        wiki, amap = _load_entity_side(wp, args.ent_space, args.align, subjects)
-        ent = alignment.derive_entity_space(amap, wiki, wiki.vocab.symbols)
-        del wiki  # only the derived rows are needed
+        ent = _entity_space(wp, args.ent_space, args.align, subjects)
     scorer = ReferenceScorer(wp, ent)
     questions = [(rel, t) for rel in sorted(dataset) for t in dataset[rel]]
     if not questions:
@@ -281,15 +275,12 @@ def _write_dataset(dataset, out_dir: Path) -> None:
 
 
 def cmd_filter_uhn(args) -> int:
-    from . import embeddings, lama_bench
+    from . import lama_bench
     from .scorer import ReferenceScorer
 
     if args.top_k < 0:
         raise UsageError(f"entkit filter-uhn: --top-k must be at least 0, got {args.top_k}")
-    wp = embeddings.load_space(args.wp_space)
-    answer_vocab = _load_answer_vocab(args.answer_vocab, wp)
-    dataset, _rejected = lama_bench.load_lama_dir(args.data, answer_vocab)
-    templates = _load_templates(args.templates, dataset)
+    wp, answer_vocab, dataset, templates = _cloze_inputs(args)
     scorer = ReferenceScorer(wp)
 
     result = lama_bench.build_lama_uhn(
@@ -311,7 +302,7 @@ def cmd_filter_uhn(args) -> int:
 
 
 def cmd_link(args) -> int:
-    from . import alignment, embeddings, entity_linking
+    from . import embeddings, entity_linking
     from .scorer import AffineHead, ReferenceScorer
 
     for flag, value in (("--iterations", args.iterations), ("--max-span", args.max_span)):
@@ -325,23 +316,22 @@ def cmd_link(args) -> int:
     wp = embeddings.load_space(args.wp_space)
     docs = entity_linking.load_documents(args.docs)
     # The table holds candidates only for the surfaces the documents' spans
-    # can take, and the entities of all its rows. Each span's surface is
-    # joined once, for both.
-    doc_keys = [entity_linking.SpanKeys(doc.tokens, args.max_span) for doc in docs]
-    table = entity_linking.load_candidate_table(
-        args.table, args.max_span, (key for keys in doc_keys for _, _, key in keys)
-    )
-    doc_spans = [entity_linking.generate_candidates(keys, table.spans) for keys in doc_keys]
-    del doc_keys
+    # can take, and the entities of all its rows.
+    table = entity_linking.load_candidate_table(args.table, args.max_span, (
+        key for doc in docs for _, _, key in entity_linking.span_keys(doc.tokens, args.max_span)
+    ))
+    doc_spans = [
+        entity_linking.generate_candidates(
+            entity_linking.span_keys(doc.tokens, args.max_span), table.spans)
+        for doc in docs
+    ]
     # Training and decoding read these spans and embed only their candidates;
     # the load strikes every symbol the space holds from the table's entities.
     reached = {c.entity for spans in doc_spans for span in spans for c in span.candidates}
-    wiki, amap = _load_entity_side(wp, args.ent_space, args.align, reached, table.entities)
+    ent = _entity_space(wp, args.ent_space, args.align, reached, table.entities)
     if absent := table.entities.remaining():
         raise DataError(f"candidate entities missing from entity space: {absent[:5]}")
     del table  # the spans hold every candidate the run can reach
-    ent = alignment.derive_entity_space(amap, wiki, reached)
-    del wiki  # only the derived rows are needed
     redirects = (
         entity_linking.load_redirects(args.redirects) if args.redirects else {}
     )
@@ -378,14 +368,16 @@ def cmd_link(args) -> int:
         [(doc.tokens, spans) for doc, spans in zip(docs, doc_spans)], scorer, head, eps,
         iterations=args.iterations, use_emask=use_emask,
     )
-    steps_of = [[] for _ in docs]
-    for step in steps:
-        steps_of[step.doc].append(step)
     pred_lines: list[str] = []
     iter_lines = ["doc_id\titeration\tselectable\tquota\tdecoded"]
+    iter_lines += [
+        f"{docs[step.doc].doc_id}\t{step.iteration}\t{step.selectable}"
+        f"\t{step.quota}\t{len(step.decoded)}"
+        for step in steps
+    ]
     predictions = []
     golds = []
-    for doc, spans, doc_steps in zip(docs, doc_spans, steps_of):
+    for doc, spans in zip(docs, doc_spans):
         decoded = sorted(
             (s.start, s.end, s.entity)
             for s in spans if s.state is entity_linking.SpanState.DECODED
@@ -402,11 +394,6 @@ def cmd_link(args) -> int:
             },
             sort_keys=True, ensure_ascii=False,
         ))
-        for step in doc_steps:
-            iter_lines.append(
-                f"{doc.doc_id}\t{step.iteration}\t{step.selectable}"
-                f"\t{step.quota}\t{len(step.decoded)}"
-            )
 
     scores = entity_linking.strong_match_f1(predictions, golds, redirects)
     report = ["scope\tprecision\trecall\tf1"]

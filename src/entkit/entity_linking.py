@@ -104,30 +104,9 @@ class Document:
 def span_keys(tokens: Sequence[str], max_span: int) -> Iterator[tuple[int, int, str]]:
     """``(start, end, surface)`` of every span of up to ``max_span`` tokens,
     in (start, end) lexicographic order: the keys a table is looked up by."""
-    for start, end in _span_bounds(len(tokens), max_span):
-        yield start, end, " ".join(tokens[start:end])
-
-
-def _span_bounds(length: int, max_span: int) -> Iterator[tuple[int, int]]:
-    for start in range(length):
-        for end in range(start + 1, min(start + max_span, length) + 1):
-            yield start, end
-
-
-class SpanKeys:
-    """A document's ``span_keys``, each surface joined once and held with
-    the others in one string, a surface per line, so a corpus's keys take
-    about a byte per character rather than an object each. Iterating gives
-    the ``(start, end, surface)`` triples again. No token may hold a
-    newline; ``load_documents`` rejects any whitespace in a token."""
-
-    def __init__(self, tokens: Sequence[str], max_span: int):
-        self._spans = (len(tokens), max_span)
-        self._text = "\n".join(key for _, _, key in span_keys(tokens, max_span))
-
-    def __iter__(self) -> Iterator[tuple[int, int, str]]:
-        for (start, end), key in zip(_span_bounds(*self._spans), self._text.split("\n")):
-            yield start, end, key
+    for start in range(len(tokens)):
+        for end in range(start + 1, min(start + max_span, len(tokens)) + 1):
+            yield start, end, " ".join(tokens[start:end])
 
 
 def load_candidate_table(
@@ -652,8 +631,10 @@ def load_documents(path) -> list[Document]:
     rejected; the strong-match scorer assumes disjoint references. A token
     that is empty or holds whitespace is rejected too: span surfaces join
     tokens with spaces, so it would match a table surface of another length.
+    A ``doc_id`` may appear on one line only: the outputs are keyed by it.
     """
     docs: list[Document] = []
+    first_line: dict[str, int] = {}
     for lineno, obj in json_lines(path):
         where = f"{path}: line {lineno}"
         if not (isinstance(obj, dict) and "doc_id" in obj and "tokens" in obj):
@@ -678,6 +659,8 @@ def load_documents(path) -> list[Document]:
         for g in golds:
             if g.end > len(tokens):
                 raise DataError(f"{where}: gold span exceeds document length")
+        if (first := first_line.setdefault(doc_id, lineno)) != lineno:
+            raise DataError(f"{where}: duplicate doc_id {doc_id!r}, first on line {first}")
         docs.append(Document(doc_id, tuple(tokens), tuple(golds)))
     return docs
 

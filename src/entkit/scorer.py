@@ -24,7 +24,7 @@ must not depend on the rest of its batch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate, chain
 from typing import Sequence
 
@@ -277,10 +277,6 @@ class ReferenceScorer:
 
     wp: EmbeddingSpace
     ent: EmbeddingSpace | None = None
-    # The answer matrix of the last symbol tuple scored: (symbols, E).
-    _answers: tuple[tuple[str, ...], np.ndarray] | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
 
     @property
     def wp_vocab(self) -> Vocabulary:
@@ -347,25 +343,17 @@ class ReferenceScorer:
         """
         if len(inputs) > ROW_BLOCK:
             raise ValueError(f"at most {ROW_BLOCK} inputs per call, got {len(inputs)}")
-        e = self._answer_matrix(symbols)
+        if not symbols:
+            raise ValueError("no answer symbols to score")
+        missing = [s for s in symbols if s not in self.wp.vocab]
+        if missing:
+            raise DataError(f"answer symbol {missing[0]!r} missing from wordpiece space")
+        # The rows stay float32: the product widens them exactly.
+        e = self.wp.matrix[[self.wp.vocab.index[s] for s in symbols]]
         block = np.zeros((ROW_BLOCK, self.wp.dim))
         block[: len(inputs)] = self.mask_states(tokens, inputs)
         probs = _softmax(np.ascontiguousarray((e @ block.T).T))[: len(inputs)]
         return _finite(probs, "answer probabilities")
-
-    def _answer_matrix(self, symbols: Sequence[str]) -> np.ndarray:
-        key = tuple(symbols)
-        if self._answers is None or self._answers[0] != key:
-            if not key:
-                raise ValueError("no answer symbols to score")
-            missing = [s for s in key if s not in self.wp.vocab]
-            if missing:
-                raise DataError(
-                    f"answer symbol {missing[0]!r} missing from wordpiece space"
-                )
-            rows = [self.wp.vocab.index[s] for s in key]
-            self._answers = (key, self.wp.matrix[rows].astype(np.float64))
-        return self._answers[1]
 
 
 class InputKeys:

@@ -4,6 +4,7 @@ and its hooks must read the arguments the library passes."""
 import importlib
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -36,22 +37,26 @@ def test_counted_entity_row_lookup_resolves():
     assert callable(importlib.import_module("entkit.scorer")._ent_row)
 
 
-def test_traced_child_runs_every_lama_command(child, tmp_path):
+@pytest.mark.parametrize("workload", ["lama", "link", "ingest"])
+def test_traced_child_runs_every_command(child, tmp_path, workload):
     # A hook that reads an argument position the library no longer fills
     # fails the traced child; the benchmark's traced run would fail too.
-    world = make_world(tmp_path / "world", "lama", 7)
+    world = make_world(tmp_path / "world", workload, 7)
     out = tmp_path / "out"
     env = {**os.environ, "PYTHONPATH": str(Path(entkit.__file__).resolve().parents[1])}
     commands = json.loads((world / "world.json").read_text(encoding="utf-8"))["commands"]
+    for cmd in commands:
+        (out / cmd["dir"]).mkdir(parents=True, exist_ok=True)
+        for src, dst in cmd.get("copy", {}).items():
+            shutil.copyfile(world / src, out / dst)
     for i, cmd in enumerate(commands):
-        (out / cmd["dir"]).mkdir(parents=True)
-        info = tmp_path / f"{cmd['dir']}.info.json"
+        info = tmp_path / f"{i}.info.json"
         argv = [a.replace("{W}", str(world)).replace("{O}", str(out)) for a in cmd["argv"]]
         proc = subprocess.run(
             [sys.executable, child.__file__, str(info), "1", f"0:{i}:{cmd['name']}",
              "--", *argv], capture_output=True, text=True, env=env,
         )
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == 0, f"{cmd['name']}: {proc.stderr}"
         counters = json.loads(info.read_text(encoding="utf-8"))["counters"]
         if cmd["kind"] == "eval_lama":
             # One row per question ranked.

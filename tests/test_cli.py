@@ -923,6 +923,7 @@ GOOD_DOC = {"doc_id": "d", "tokens": ["Adams", "and", "Platt"],
     ({"tokens": ["Adams", "", "Platt"]}, "token '' is empty or contains whitespace"),
     ({"doc_id": "d\t1"}, "doc_id holds a tab or line break"),
     ({"doc_id": "d\n1"}, "doc_id holds a tab or line break"),
+    ({}, "duplicate doc_id 'd', first on line 1"),
 ])
 def test_malformed_document_exit_data(tmp_path, capsys, change, text):
     docs = tmp_path / "docs.jsonl"

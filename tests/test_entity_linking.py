@@ -33,7 +33,6 @@ from entkit.entity_linking import (
     Document,
     GoldAnnotation,
     NullEntityParams,
-    SpanKeys,
     SpanState,
     build_training_examples,
     candidate_groups,
@@ -349,14 +348,6 @@ class TestGenerateCandidates:
     def test_window_clipped_at_document_end(self):
         spans = generate_candidates(span_keys(["b", "a"], 10), self.TABLE)
         assert [(s.start, s.end) for s in spans] == [(0, 2), (1, 2)]
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(tokens=st.lists(st.text("ab é", min_size=1, max_size=3)
-                           .filter(lambda t: t.split() == [t]), max_size=9),
-           max_span=st.integers(1, 4))
-    def test_held_keys_give_the_same_triples_every_time(self, tokens, max_span):
-        keys = SpanKeys(tokens, max_span)
-        assert list(keys) == list(keys) == list(span_keys(tokens, max_span))
 
 
 DIM = 3

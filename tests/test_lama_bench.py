@@ -250,12 +250,12 @@ class TestRankingBlocks:
 
     def test_one_scorer_call_holds_two_blocks(self):
         # The (V, 64) product and its transposed copy, which is softmaxed in
-        # place and returned: no third (64, V) array.
+        # place and returned, besides the (V, d) answer rows gathered per
+        # call: no third (64, V) array.
         n_answers = 3_000
         scorer, vocab, seqs = random_questions(1, ROW_BLOCK + 1, n_answers)
         keys = InputKeys()
         inputs = [keys.sequence(seq.tokens) for seq in seqs]
-        scorer.score_answers(keys.tokens, inputs[:1], vocab.symbols)  # caches the answers
         tracemalloc.start()
         try:
             probs = scorer.score_answers(keys.tokens, inputs[:ROW_BLOCK], vocab.symbols)

@@ -346,15 +346,17 @@ class TestReferenceScorer:
         )
 
     def test_mask_state_is_bitwise_the_contextualized_mask(self):
-        # Only the mask's vector is built, in the arithmetic of the
-        # whole-sequence contextualization; non-dyadic values round.
+        # Both the whole-sequence contextualization at the mask and the
+        # mask's state alone are the oracle's token-by-token sum, bit for
+        # bit; non-dyadic values round.
         rng = np.random.default_rng(31)
         wp = make_space(["[MASK]", "a", "b", "c"], rng.standard_normal((4, 19)))
         scorer = ReferenceScorer(wp)
         words = [Token.wordpiece(w) for w in rng.choice(["a", "b", "c"], 40)]
-        for pos in (0, 7, 40):
+        for pos in range(len(words) + 1):
             seq = seq_of(*words[:pos], Token.mask(), *words[pos:])
-            expected = scorer.contextualize(scorer.embed(seq))[pos]
+            expected = mask_state(seq, wp)
+            assert np.array_equal(scorer.contextualize(scorer.embed(seq))[pos], expected)
             assert np.array_equal(scorer.mask_state(seq), expected)
         assert np.array_equal(scorer.mask_state(seq_of(Token.mask())), np.zeros(19))
 
