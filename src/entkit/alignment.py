@@ -12,11 +12,11 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .embeddings import EmbeddingSpace, SharedSymbol, Vocabulary, is_entity_symbol
+from .embeddings import EmbeddingSpace, SharedSymbol
 from .errors import DataError
 from .scorer import by_blocks
 
@@ -150,35 +150,24 @@ def _back_substitute(r: np.ndarray, c: np.ndarray) -> np.ndarray:
     return x
 
 
-def derive_entity_space(
-    amap: AlignmentMap, wiki: EmbeddingSpace, symbols: Iterable[str]
-) -> EmbeddingSpace:
-    """Map the entity rows ``symbols`` of ``wiki`` into the target space.
+def derive_entity_space(amap: AlignmentMap, wiki: EmbeddingSpace) -> EmbeddingSpace:
+    """Map every row of ``wiki`` into the target space.
 
-    The result holds those entities in their relative order in ``wiki``, and
-    no words. Rows are mapped by ``scorer.by_blocks``, the last block
-    zero-padded, so every product has one shape and a row's bits do not
-    depend on which other rows are derived. The rows stay the left-hand
-    operand, as in a single product over the whole table, whose bits they
-    match for tables of more than a few rows.
+    ``wiki`` is the kept part of a word-and-entity space, so the result
+    shares its vocabulary, in its order. Rows are mapped by
+    ``scorer.by_blocks``, the last block zero-padded, so every product has
+    one shape and a row's bits do not depend on which other rows were kept.
+    The rows stay the left-hand operand, as in a single product over the
+    whole table, whose bits they match for tables of more than a few rows.
     """
     if wiki.dim != amap.d_src:
         raise DataError(
             f"space dimension {wiki.dim} does not match alignment source "
             f"dimension {amap.d_src}"
         )
-    index = wiki.vocab.index
-    wanted = set(symbols)
-    words = sorted(s for s in wanted if not is_entity_symbol(s))
-    if words:
-        raise DataError(f"cannot derive symbols that are not entities: {words[:5]}")
-    missing = sorted(s for s in wanted if s not in index)
-    if missing:
-        raise DataError(f"entities missing from entity space: {missing[:5]}")
-    ids = sorted(index[s] for s in wanted)
     with np.errstate(over="ignore", invalid="ignore"):  # EmbeddingSpace reports it
-        rows = by_blocks(wiki.matrix[ids], amap.d_tgt, lambda b: b @ amap.w.T)
-    return EmbeddingSpace(Vocabulary([wiki.vocab.symbols[i] for i in ids]), amap.d_tgt, rows)
+        rows = by_blocks(wiki.matrix, amap.d_tgt, lambda b: b @ amap.w.T)
+    return EmbeddingSpace(wiki.vocab, rows)
 
 
 def save_alignment(amap: AlignmentMap, path) -> None:

@@ -193,7 +193,7 @@ def _entity_space(wp, ent_path, align_path, keep, absent=None):
             f"aligned entity dimension {amap.d_tgt} does not match "
             f"wordpiece dimension {wp.dim}"
         )
-    return alignment.derive_entity_space(amap, wiki, wiki.vocab.symbols)
+    return alignment.derive_entity_space(amap, wiki)
 
 
 def _cloze_inputs(args):
@@ -315,6 +315,8 @@ def cmd_link(args) -> int:
             raise UsageError(f"entkit link: {flag} must be finite, got {value}")
     wp = embeddings.load_space(args.wp_space)
     docs = entity_linking.load_documents(args.docs)
+    if not docs:
+        raise DataError(f"{args.docs}: no documents")
     # The table holds candidates only for the surfaces the documents' spans
     # can take, and the entities of all its rows.
     table = entity_linking.load_candidate_table(args.table, args.max_span, (

@@ -15,17 +15,18 @@ as 64-bit floats and stored as 32-bit, so float32 values written in full
 streams the rows in chunks of about ``CHUNK_CHARS`` characters, parses each
 chunk's numbers with numpy's C text parser into a float32 matrix allocated
 once, and so adds little more than one chunk to the matrix's memory. Given a
-``keep`` set, a chunk is first scanned byte by byte, vectorised: when each
-of its rows is plain numbers (``_plain_numbers``), which parse to finite
-values whatever the parser, only its kept rows are parsed, and the dropped
-ones cost a scan, not a parse. Whenever a chunk does not meet its checks
-(an odd separator, a number only ``float`` reads, a short, long or blank
-row, a duplicate symbol, a row count that disagrees with the header), the
-file is parsed again line by line, one ``float`` at a time; that path
-returns the same symbols and bits or raises the line-numbered DataError of
-the first bad line. So every row is checked, kept or not, but only the kept
-ones are held. The fast path finds duplicate symbols from one 8-byte hash
-per row, not from a set of the symbols themselves.
+``keep`` set, each chunk is first scanned whole, byte by byte and
+vectorised: when each of its rows is plain numbers (``_plain_numbers``),
+which parse to finite values whatever the parser, only its kept rows are
+parsed, and the dropped ones cost a scan, not a parse. Whenever a chunk
+does not meet its checks (an odd separator, a number only ``float`` reads,
+a short, long or blank row, a duplicate symbol, a row count that disagrees
+with the header), the file is parsed again line by line, one ``float`` at a
+time; that path returns the same symbols and bits or raises the
+line-numbered DataError of the first bad line. So every row is checked,
+kept or not, but only the kept ones are held. The fast path finds duplicate
+symbols from one 8-byte hash per row, not from a set of the symbols
+themselves.
 """
 
 from __future__ import annotations
@@ -41,12 +42,9 @@ from .errors import DataError
 from .symbols import is_entity_symbol
 
 # Characters of lines per parse chunk of ``load_space``: the memory a chunk
-# adds on top of the matrix does not grow with the table.
-CHUNK_CHARS = 1 << 16
-
-# Characters ``_plain_numbers`` scans at once: its temporaries, some 30 bytes
-# per non-digit, stay a small part of a chunk's memory.
-SCAN_CHARS = 1 << 15
+# adds on top of the matrix does not grow with the table. A keep-load scans a
+# chunk whole, with temporaries of some 30 bytes per non-digit.
+CHUNK_CHARS = 1 << 15
 
 # The bytes of a number ``_plain_numbers`` accepts besides the digits, and
 # the flag it sets on one that directly follows another (no digit between).
@@ -105,24 +103,25 @@ class EmbeddingSpace:
     """
 
     vocab: Vocabulary
-    dim: int
     matrix: np.ndarray
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix)
+        if self.matrix.ndim != 2 or len(self.matrix) != len(self.vocab):
+            raise ValueError(
+                f"matrix shape {self.matrix.shape} does not match {len(self.vocab)} symbols")
         if self.dim <= 0:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        if self.matrix.shape != (len(self.vocab), self.dim):
-            raise ValueError(
-                f"matrix shape {self.matrix.shape} does not match "
-                f"{len(self.vocab)} symbols of dimension {self.dim}"
-            )
         if self.matrix.size and not np.all(np.isfinite(self.matrix)):
             bad = int(np.argwhere(~np.isfinite(self.matrix).all(axis=1))[0][0])
             raise DataError(
                 f"non-finite embedding row for symbol {self.vocab.symbols[bad]!r}"
             )
         self.matrix.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[1]
 
 
 def load_space(path, keep: Container[str] | None = None, absent=None) -> EmbeddingSpace:
@@ -162,7 +161,7 @@ def load_space(path, keep: Container[str] | None = None, absent=None) -> Embeddi
     symbols, matrix, bad = loaded
     if bad is not None:
         raise DataError(f"{path}: non-finite value in row for {bad!r}")
-    return EmbeddingSpace(Vocabulary(symbols), matrix.shape[1], matrix)
+    return EmbeddingSpace(Vocabulary(symbols), matrix)
 
 
 def _kept_rows(
@@ -270,22 +269,14 @@ def _plain_numbers(rests: list[str], dim: int) -> bool:
 
     ``float`` and ``np.loadtxt`` read such a number alike, both correctly
     rounded, and its magnitude is below 1e38, so it is finite as a float32:
-    a row that passes needs no parsing to be checked. The rests are scanned
-    in blocks of about ``SCAN_CHARS`` characters, by their mean length.
-    """
-    step = max(1, len(rests) * SCAN_CHARS // max(1, sum(map(len, rests))))
-    return all(_plain_block(rests[i : i + step], dim) for i in range(0, len(rests), step))
-
-
-def _plain_block(rests: list[str], dim: int) -> bool:
-    """``_plain_numbers`` for one block of rests, vectorised over its bytes.
-
-    The scan works on the block's non-digits: their positions bound the runs
-    of digits between them, and each, flagged when no digit comes before
-    it, is checked against the one before through ``_TOKEN_PAIRS``, a lookup
-    over two ``uint16`` views of the pairs. Two rules that pairs cannot tell
-    are checked apart: the digits after an exponent's minus end the number,
-    and each line's separators are ``dim - 1`` spaces, then the newline.
+    a row that passes needs no parsing to be checked. The scan is vectorised
+    over the bytes of one chunk's rests and works on their non-digits: their
+    positions bound the runs of digits between them, and each, flagged when
+    no digit comes before it, is checked against the one before through
+    ``_TOKEN_PAIRS``, a lookup over two ``uint16`` views of the pairs. Two
+    rules that pairs cannot tell are checked apart: the digits after an
+    exponent's minus end the number, and each line's separators are
+    ``dim - 1`` spaces, then the newline.
     """
     text = "".join(["\n", *rests])  # the newline stands for the line before
     if not text.isascii() or text[-1] != "\n":

@@ -373,8 +373,8 @@ def train_linker(
     head: AffineHead,
     eps: NullEntityParams,
     scorer,
-    epochs: int = 50,
-    step: float = 0.1,
+    epochs: int,
+    step: float,
     use_emask: bool = True,
 ) -> list[float]:
     """Full-batch gradient descent on the head and null-entity parameters.

@@ -57,7 +57,7 @@ def pytest_terminal_summary(terminalreporter):
 
 def make_space(symbols, matrix) -> EmbeddingSpace:
     m = np.asarray(matrix, dtype=np.float64)
-    return EmbeddingSpace(Vocabulary(list(symbols)), m.shape[1], m)
+    return EmbeddingSpace(Vocabulary(list(symbols)), m)
 
 
 def grid_values(rng: np.random.Generator, *shape) -> np.ndarray:

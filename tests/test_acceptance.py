@@ -448,7 +448,7 @@ def test_criterion_08_gradient_correctness():
             hh = AffineHead(a.copy(), c.copy())
             ee = NullEntityParams(e.copy(), b)
             with mask_states_reused(states):
-                return train_linker(examples, hh, ee, scorer, epochs=0)[0]
+                return train_linker(examples, hh, ee, scorer, epochs=0, step=0.1)[0]
 
         coords = [("c", i) for i in range(DIM8)] + [("e", i) for i in range(DIM8)]
         coords += [("b", None)]

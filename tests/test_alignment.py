@@ -152,10 +152,13 @@ class TestBlockedFit:
 
 class TestApplyAndDerive:
     def test_derive_entity_space_maps_only_entities(self):
+        # A keep-load holds only the entities a run references, in file
+        # order; every one of its rows is mapped, under the same vocabulary.
         wiki, wp, _, w_star, amap = fit_pair(9, n=20, n_entities=3)
-        entities = ["ENTITY/E2", "ENTITY/E0", "ENTITY/E1"]
-        derived = derive_entity_space(amap, wiki, entities)
-        assert derived.vocab.symbols == ("ENTITY/E0", "ENTITY/E1", "ENTITY/E2")
+        kept = ["ENTITY/E0", "ENTITY/E1", "ENTITY/E2"]
+        ents = make_space(kept, [row(wiki, sym) for sym in kept])
+        derived = derive_entity_space(amap, ents)
+        assert derived.vocab is ents.vocab
         assert derived.dim == amap.d_tgt
         for sym in derived.vocab.symbols:
             np.testing.assert_allclose(
@@ -164,20 +167,11 @@ class TestApplyAndDerive:
                 atol=1e-12,
             )
 
-    def test_derive_rejects_wordpiece_space(self):
-        # A wordpiece space holds no entity rows: its symbols are not
-        # entities, and an entity is missing from it.
-        wiki, wp, _, _, amap = fit_pair(1)
-        with pytest.raises(DataError, match="not entities"):
-            derive_entity_space(amap, wp, wp.vocab.symbols[:1])
-        with pytest.raises(DataError, match="missing from entity space"):
-            derive_entity_space(amap, wp, ["ENTITY/E0"])
-
     def test_derive_rejects_dimension_mismatch(self):
         wiki, _, _ = paired_spaces(0, 6, 6, 15, n_entities=1)
         amap = AlignmentMap(np.zeros((6, 4)), 1, 0.0)
         with pytest.raises(ValueError, match="does not match"):
-            derive_entity_space(amap, wiki, ["ENTITY/E0"])
+            derive_entity_space(amap, wiki)
 
 
     def test_overflowing_map_is_a_data_error_without_warnings(self):
@@ -186,11 +180,11 @@ class TestApplyAndDerive:
         wiki = make_space(["w", "ENTITY/E"], np.ones((2, 2)))
         amap = AlignmentMap(np.full((2, 2), 1e308), 1, 0.0)
         with pytest.raises(DataError, match="non-finite embedding row"):
-            derive_entity_space(amap, wiki, ["ENTITY/E"])
+            derive_entity_space(amap, wiki)
 
 
 class TestDeriveSubset:
-    """Deriving only some entities gives the rows of the full derivation."""
+    """A kept part of a space derives to the rows of the full derivation."""
 
     ENTITIES = [f"ENTITY/E{i}" for i in range(150)]
 
@@ -209,39 +203,23 @@ class TestDeriveSubset:
         amap = AlignmentMap(rng.standard_normal((d_tgt, d_src)), 1, 0.0)
         return wiki, amap, rng
 
-    @pytest.mark.parametrize("k", [1, 7, 64, 65, 150])
+    @pytest.mark.parametrize("k", [0, 1, 7, 64, 65, 150])
     def test_subset_rows_are_the_full_rows(self, k):
         wiki, amap, rng = self.generic_world()
-        full = derive_entity_space(amap, wiki, self.ENTITIES)
+        full = derive_entity_space(amap, wiki)
         pick = sorted(rng.choice(len(self.ENTITIES), size=k, replace=False))
         wanted = [self.ENTITIES[i] for i in pick]
-        sub = derive_entity_space(amap, wiki, reversed(wanted))
-        assert sub.vocab.symbols == tuple(wanted)  # wiki order, not call order
-        assert sub.dim == amap.d_tgt and sub.matrix.dtype == np.float64
-        assert np.array_equal(sub.matrix, full.matrix[pick])
-
-    def test_repeats_and_empty_sets(self):
-        wiki, amap, _ = self.generic_world()
-        full = derive_entity_space(amap, wiki, self.ENTITIES)
-        twice = derive_entity_space(amap, wiki, ["ENTITY/E3", "ENTITY/E3"])
-        assert twice.vocab.symbols == ("ENTITY/E3",)
-        assert np.array_equal(twice.matrix, full.matrix[[3]])
-        empty = derive_entity_space(amap, wiki, [])
-        assert len(empty.vocab) == 0 and empty.matrix.shape == (0, amap.d_tgt)
-
-    def test_word_or_missing_symbol_is_a_clear_error(self):
-        wiki, amap, _ = self.generic_world()
-        with pytest.raises(DataError, match=r"not entities: \['word0'\]"):
-            derive_entity_space(amap, wiki, ["ENTITY/E1", "word0"])
-        with pytest.raises(
-            DataError, match=r"missing from entity space: \['ENTITY/Nowhere'\]"
-        ):
-            derive_entity_space(amap, wiki, ["ENTITY/E1", "ENTITY/Nowhere"])
+        ids = [wiki.vocab.index[sym] for sym in wanted]
+        kept = make_space(wanted, wiki.matrix[ids])
+        sub = derive_entity_space(amap, kept)
+        assert sub.vocab is kept.vocab
+        assert sub.matrix.shape == (k, amap.d_tgt) and sub.matrix.dtype == np.float64
+        assert sub.matrix.tobytes() == full.matrix[ids].tobytes()
 
     def test_subset_checks_dimensions_first(self):
         wiki, _, _ = self.generic_world()
         with pytest.raises(DataError, match="does not match"):
-            derive_entity_space(AlignmentMap(np.zeros((4, 5)), 1, 0.0), wiki, ["x"])
+            derive_entity_space(AlignmentMap(np.zeros((4, 5)), 1, 0.0), wiki)
 
 
 class TestSerialization:

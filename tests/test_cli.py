@@ -541,6 +541,18 @@ class TestLink:
         with open(EL_DOCS, encoding="utf-8") as fh:
             assert calls == [list(el.span_keys(json.loads(line)["tokens"], 7)) for line in fh]
 
+    @pytest.mark.parametrize("mode", ["--eval", "--train"])
+    @pytest.mark.parametrize("text", ["", "\n  \n\n"])
+    def test_no_documents_exit_data(self, tmp_path, capsys, mode, text):
+        # Scoring no documents would report a perfect micro F1. The error
+        # comes right after the documents are read, before the alignment.
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text(text, encoding="utf-8")
+        args = link_args(str(tmp_path / "unread.tsv"), tmp_path / "o", mode)
+        args[args.index(EL_DOCS)] = str(docs)
+        code, _, stderr = run(capsys, *args)
+        assert_one_line_error(code, stderr, 2, f"{docs}: no documents")
+
     def test_unknown_table_entity_exit_data(self, tmp_path, capsys):
         align = fit_alignment_file(tmp_path, capsys)
         table = tmp_path / "table.tsv"
@@ -1369,6 +1381,39 @@ def test_colliding_table_hashes_change_no_link_output(
     with mock.patch.object(embeddings, "_hash", lambda item: 0):
         outputs = command_outputs(pristine_fixtures, tmp_path / name, ENTITY_COMMANDS[name])
     assert outputs == entity_baseline[name]
+
+
+@pytest.mark.parametrize("fault, error", [
+    (None, ""),
+    ("duplicate pair", "line 101: duplicate candidate"),
+    ("missing entity", "missing from entity space: ['ENTITY/Nowhere']"),
+])
+def test_table_chunk_rows_change_no_link_output_or_error(tmp_path, capsys, fault, error):
+    # The table's rows are read, and the space's symbols struck from its
+    # entities, TABLE_CHUNK_ROWS at a time.
+    from entkit import _candidate_table
+
+    world = make_world(tmp_path / "world", "link", 1)
+    table = world / "table.tsv"
+    lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    assert len(lines) > 100
+    if fault == "duplicate pair":
+        lines.insert(100, lines[40])
+    elif fault == "missing entity":
+        lines.insert(50, "Nowhere\tENTITY/Nowhere\t0.5\n")
+    table.write_text("".join(lines), encoding="utf-8")
+    commands = json.loads((world / "world.json").read_text(encoding="utf-8"))["commands"]
+    argv = next(c["argv"] for c in commands if "--eval" in c["argv"])
+    argv = [a.replace("{W}", str(world)) for a in argv]
+    outcomes = []
+    for rows in (1, 3, 1024):
+        with mock.patch.object(_candidate_table, "TABLE_CHUNK_ROWS", rows):
+            outputs = command_outputs(world, tmp_path / f"rows{rows}", argv)
+        outcomes.append((outputs, capsys.readouterr().err))
+    assert outcomes[0] == outcomes[1] == outcomes[2]
+    (code, _, files), stderr = outcomes[0]
+    assert code == (0 if fault is None else 2) and error in stderr
+    assert bool(files) == (fault is None)
 
 
 def _link_hwm_growth_kib(tmp_path, table: Path, align: str) -> int:

@@ -341,17 +341,28 @@ class TestPlainNumbers:
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=st.booleans().flatmap(lambda junk: scanned_rows(junk)),
-           scan_chars=st.integers(1, 60))
-    @example(case=(["1e-5.5 2\n"], 2), scan_chars=60)
-    @example(case=(["1.5.5\n"], 1), scan_chars=60)
-    @example(case=(["1e-2e-3\n"], 1), scan_chars=60)
-    @example(case=(["-1.25e-07 3\n", "0 -0\n"], 2), scan_chars=1)
-    def test_an_accepted_chunk_reads_alike_and_finite(self, case, scan_chars):
+           chunk_chars=st.integers(1, 60))
+    @example(case=(["1e-5.5 2\n"], 2), chunk_chars=60)
+    @example(case=(["1.5.5\n"], 1), chunk_chars=60)
+    @example(case=(["1e-2e-3\n"], 1), chunk_chars=60)
+    @example(case=(["-1.25e-07 3\n", "0 -0\n"], 2), chunk_chars=1)
+    def test_an_accepted_chunk_reads_alike_and_finite(self, case, chunk_chars):
         rests, dim = case
-        with mock.patch.object(embeddings, "SCAN_CHARS", scan_chars):
-            accepted = embeddings._plain_numbers(rests, dim)
-        # The blocks a chunk is scanned in do not change the verdict.
-        assert accepted == embeddings._plain_numbers(rests, dim)
+        accepted = embeddings._plain_numbers(rests, dim)
+        # A keep-load scans the rows a chunk at a time: the chunks it cuts
+        # them into do not change the verdict.
+        scan = mock.Mock(wraps=embeddings._plain_numbers)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = write(Path(tmp) / "space.txt", f"{len(rests)} {dim}\n" + "".join(
+                f"s{i} {rest}" for i, rest in enumerate(rests)))
+            with mock.patch.object(embeddings, "CHUNK_CHARS", chunk_chars), \
+                    mock.patch.object(embeddings, "_plain_numbers", scan):
+                _outcome(path, {"s0"})
+        chunks = [call.args[0] for call in scan.call_args_list]
+        if [rest for chunk in chunks for rest in chunk] == rests:
+            assert all(embeddings._plain_numbers(c, dim) for c in chunks) == accepted
+        else:  # the load gave up before the last chunk
+            assert not accepted
         if accepted:
             fields = [rest[:-1].split(" ") for rest in rests]
             assert all(len(f) == dim for f in fields)
@@ -509,7 +520,7 @@ class TestSaveLoadRoundTrip:
     def test_exact_round_trip(self, tmp_path):
         rng = np.random.default_rng(7)
         values = rng.standard_normal((5, 4)).astype(np.float32)
-        space = EmbeddingSpace(Vocabulary(["a", "b", "ENTITY/X", "d", "e"]), 4, values)
+        space = EmbeddingSpace(Vocabulary(["a", "b", "ENTITY/X", "d", "e"]), values)
         f = tmp_path / "round.txt"
         write_space(space, f)
         again = load_space(f)
@@ -554,9 +565,11 @@ class TestVocabularyAndClasses:
 
     def test_space_shape_validation(self):
         with pytest.raises(ValueError, match="does not match"):
-            EmbeddingSpace(Vocabulary(["a"]), 3, np.zeros((1, 2)))
+            EmbeddingSpace(Vocabulary(["a"]), np.zeros((2, 2)))
+        with pytest.raises(ValueError, match="does not match"):
+            EmbeddingSpace(Vocabulary(["a"]), np.zeros(1))
         with pytest.raises(ValueError, match="dimension must be positive"):
-            EmbeddingSpace(Vocabulary([]), 0, np.zeros((0, 0)))
+            EmbeddingSpace(Vocabulary([]), np.zeros((0, 0)))
 
     def test_space_rejects_non_finite(self):
         with pytest.raises(DataError, match="non-finite"):

@@ -523,7 +523,7 @@ class TestSpanMaskStates:
                 return out
 
             monkeypatch.setattr(el, "span_mask_states", recording)
-            loss = train_linker(examples, head, eps, scorer, epochs=0, use_emask=mode)[0]
+            loss = train_linker(examples, head, eps, scorer, epochs=0, step=0.1, use_emask=mode)[0]
 
             assert len(calls) == 2  # one entry per document
             assert sum(len(c[1]) for c in calls) == len(examples)
@@ -792,7 +792,7 @@ class TestTrainLinker:
     def loss_at(self, examples, head, eps, scorer, ent):
         h = AffineHead(head.a.copy(), head.c.copy())
         e = NullEntityParams(eps.e.copy(), eps.b)
-        return train_linker(examples, h, e, scorer, epochs=0)[0]
+        return train_linker(examples, h, e, scorer, epochs=0, step=0.1)[0]
 
     def test_loss_trajectory_length_and_decrease(self):
         examples, head, eps, scorer, ent = self.make_setup()
@@ -853,7 +853,7 @@ class TestTrainLinker:
     def test_empty_examples_rejected(self):
         _, head, eps, scorer, ent = self.make_setup()
         with pytest.raises(ValueError, match="no training examples"):
-            train_linker([], head, eps, scorer)
+            train_linker([], head, eps, scorer, epochs=50, step=0.1)
 
     def test_scorer_without_entity_space_rejected(self):
         doc, table, wp, _ = training_world()
@@ -861,7 +861,8 @@ class TestTrainLinker:
         examples = build_training_examples(doc, spans)[0]
         head, eps = AffineHead.zeros(DIM), NullEntityParams.zeros(DIM)
         with pytest.raises(ValueError, match="needs a scorer with an entity space"):
-            train_linker(examples, head, eps, ReferenceScorer(wp, None), use_emask=False)
+            train_linker(examples, head, eps, ReferenceScorer(wp, None),
+                         epochs=50, step=0.1, use_emask=False)
 
 
 def ceil_div(a, b):
