@@ -171,7 +171,7 @@ def generate_candidates(
 SPAN_BLOCK = 128
 
 
-def _blocks(items: Sequence, size) -> Iterable[list]:
+def _blocks(items: Iterable, size) -> Iterable[list]:
     """Consecutive runs of ``items`` whose ``size`` adds up to at most
     ``SPAN_BLOCK``, or a single item that is larger on its own."""
     block: list = []
@@ -254,7 +254,6 @@ def span_mask_states(
                          Mapping[tuple[int, int], str] | None]],
     scorer,
     use_emask: bool = True,
-    keys: InputKeys | None = None,
 ) -> np.ndarray:
     """Mask states of the spans of many documents, as one ``(S, d)`` array.
 
@@ -267,13 +266,11 @@ def span_mask_states(
     of a document must be disjoint and inside it, as the decoder makes them:
     one that is empty, starts before 0, ends past the document or overlaps
     another is a ValueError.
-    Documents go in blocks of ``SPAN_BLOCK`` spans; each block's inputs are
-    index arrays gathered from its documents' key arrays (see
-    ``_block_inputs``), and one ``scorer.mask_states`` call embeds each
-    distinct token of the block once. ``keys`` carries the tokenized words
-    and the token keys from one call to the next.
+    The caller bounds the batch (see ``SPAN_BLOCK``): its inputs are index
+    arrays gathered from its documents' key arrays (see ``_block_inputs``),
+    keyed afresh for each call, and one ``scorer.mask_states`` call embeds
+    each distinct token of the batch's documents once.
     """
-    keys = keys or InputKeys()
     scored = []
     for tokens, spans, decoded in docs:
         ordered = sorted((a, b, entity) for (a, b), entity in (decoded or {}).items())
@@ -287,17 +284,10 @@ def span_mask_states(
             scored.append((tokens, spans, ordered))
     if not scored:
         raise ValueError("no spans to score")
-
-    states = []
-    for block in _blocks(scored, lambda d: len(d[1])):
-        keyed, length, pos = _block_inputs(keys, block, scorer.wp_vocab, use_emask)
-        # The block's tokens, and its inputs as indices into them.
-        used = np.flatnonzero(np.bincount(keyed, minlength=len(keys.tokens)))
-        local = np.zeros(len(keys.tokens), dtype=np.int32)
-        local[used] = np.arange(len(used))
-        inputs = zip(np.split(local[keyed], np.cumsum(length)[:-1]), pos)
-        states.append(scorer.mask_states([keys.tokens[k] for k in used], list(inputs)))
-    return np.concatenate(states)
+    keys = InputKeys()
+    keyed, length, pos = _block_inputs(keys, scored, scorer.wp_vocab, use_emask)
+    inputs = zip(np.split(keyed, np.cumsum(length)[:-1]), pos)
+    return scorer.mask_states(keys.tokens, list(inputs))
 
 
 def candidate_groups(
@@ -382,10 +372,10 @@ def train_linker(
     Entity vectors and priors are frozen; only A, c, e_eps, and b_eps move.
     Candidate rows come from ``scorer.ent``, the space the scorer embeds
     entity masks from. Mask states are computed once up front, by one
-    ``span_mask_states`` call over the documents, because the encoder takes
-    no gradient. Returns the loss trajectory: mean loss at each epoch's
-    starting parameters, plus the final loss (length ``epochs + 1``). A
-    non-finite loss is a DataError.
+    ``span_mask_states`` call per block of whole documents (see
+    ``SPAN_BLOCK``), because the encoder takes no gradient. Returns the loss
+    trajectory: mean loss at each epoch's starting parameters, plus the
+    final loss (length ``epochs + 1``). A non-finite loss is a DataError.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -394,11 +384,11 @@ def train_linker(
         by_doc.setdefault(ex.tokens, []).append(i)
     groups = candidate_groups([ex.candidates for ex in examples], scorer.ent)
     states = np.empty((len(examples), scorer.ent.dim))
-    states[[i for members in by_doc.values() for i in members]] = span_mask_states(
-        [(tokens, [examples[i].span for i in members], None)
-         for tokens, members in by_doc.items()],
-        scorer, use_emask,
-    )
+    states[[i for members in by_doc.values() for i in members]] = np.concatenate([
+        span_mask_states([(tokens, [examples[i].span for i in members], None)
+                          for tokens, members in block], scorer, use_emask)
+        for block in _blocks(by_doc.items(), lambda d: len(d[1]))
+    ])
     # A null-entity gold indexes past the candidates, where it is scored.
     gold = np.array([
         len(ex.candidates) if ex.gold is None
@@ -449,9 +439,10 @@ def iterative_refine(
     Each round rescores the undecided spans, and no others, against their
     document's current partial decoding, with one ``candidate_groups``,
     one ``span_mask_states`` and one ``candidate_probs`` call per block of
-    documents (see ``SPAN_BLOCK``). Within a document, with m spans already
-    decoded and n undecided spans whose argmax is a real entity, the round
-    fixes the k = ceil(j (m + n) / J) - m most confident of those n (by
+    documents (see ``SPAN_BLOCK``); each block keys and tokenizes its own
+    words. Within a document, with m spans already decoded and n undecided
+    spans whose argmax is a real entity, the round fixes the
+    k = ceil(j (m + n) / J) - m most confident of those n (by
     null-entity improbability, ties toward the earlier span), skipping any
     span that overlaps an already fixed one; skips do not count toward k.
     A document's rounds end early once its n reaches zero. Spans still
@@ -462,7 +453,6 @@ def iterative_refine(
     if iterations < 1:
         raise ValueError("need at least one iteration")
     docs = [(tokens, list(spans)) for tokens, spans in docs]
-    keys = InputKeys()
     steps: list[list[RefinementStep]] = [[] for _ in docs]
     going = range(len(docs))
 
@@ -484,7 +474,7 @@ def iterative_refine(
             states = span_mask_states(
                 [(docs[d][0], und, {(s.start, s.end): s.entity for s in taken})
                  for d, taken, und in block],
-                scorer, use_emask, keys,
+                scorer, use_emask,
             )
             best = np.empty(len(undecided), dtype=np.intp)
             p_null = np.empty(len(undecided))
@@ -520,10 +510,8 @@ def _decode_round(doc: int, j: int, iterations: int, taken: list[CandidateSpan],
         for i, (s, b, p) in enumerate(zip(undecided, best, p_null))
         if b < len(s.candidates)
     )
-    m = len({(s.start, s.end) for s in taken})
+    m = len(taken)
     n = len(selectable)
-    if n == 0:
-        return RefinementStep(j, 0, 0, (), doc)
     # k = ceil(j (m + n) / J) - m, in exact integer arithmetic
     quota = max(0, -((-j * (m + n)) // iterations) - m)
     accepted: list[CandidateSpan] = []

@@ -357,7 +357,7 @@ class ReferenceScorer:
 
 
 class InputKeys:
-    """An integer key for each distinct token of a run's inputs, in
+    """An integer key for each distinct token of a batch's inputs, in
     first-seen order, so a batch of inputs goes to ``mask_states`` and
     ``score_answers`` as ``tokens`` and key arrays into them. Each distinct
     word is tokenized once: a keyer serves one wordpiece vocabulary."""

@@ -167,12 +167,12 @@ class TestApplyAndDerive:
                 atol=1e-12,
             )
 
-    def test_derive_rejects_dimension_mismatch(self):
-        wiki, _, _ = paired_spaces(0, 6, 6, 15, n_entities=1)
-        amap = AlignmentMap(np.zeros((6, 4)), 1, 0.0)
-        with pytest.raises(ValueError, match="does not match"):
-            derive_entity_space(amap, wiki)
-
+    @pytest.mark.parametrize("d_src, shape", [(6, (6, 4)), (9, (4, 5))],
+                             ids=["map-from-4-on-6", "map-from-5-on-9"])
+    def test_derive_rejects_dimension_mismatch(self, d_src, shape):
+        wiki, _, _ = paired_spaces(0, d_src, 6, 15, n_entities=1)
+        with pytest.raises(DataError, match="does not match"):
+            derive_entity_space(AlignmentMap(np.zeros(shape), 1, 0.0), wiki)
 
     def test_overflowing_map_is_a_data_error_without_warnings(self):
         # Under the suite's error::RuntimeWarning filter a numpy overflow
@@ -215,11 +215,6 @@ class TestDeriveSubset:
         assert sub.vocab is kept.vocab
         assert sub.matrix.shape == (k, amap.d_tgt) and sub.matrix.dtype == np.float64
         assert sub.matrix.tobytes() == full.matrix[ids].tobytes()
-
-    def test_subset_checks_dimensions_first(self):
-        wiki, _, _ = self.generic_world()
-        with pytest.raises(DataError, match="does not match"):
-            derive_entity_space(AlignmentMap(np.zeros((4, 5)), 1, 0.0), wiki)
 
 
 class TestSerialization:

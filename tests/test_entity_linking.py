@@ -473,6 +473,32 @@ class TestSpanMaskStates:
         for got, want in zip(states, self.oracle(scorer, spans, decoded, use_emask)):
             assert np.array_equal(got, want)
 
+    @pytest.mark.parametrize("block", [1, 10**6])
+    def test_one_scorer_call_per_call_whatever_the_block(self, monkeypatch, block):
+        # The caller bounds the batch: SPAN_BLOCK splits no call.
+        import entkit.entity_linking as el
+
+        monkeypatch.setattr(el, "SPAN_BLOCK", block)
+        reference = self.scorer()
+        calls = []
+
+        class Spy:
+            """Forwards to the reference scorer, recording each batch's size."""
+
+            wp_vocab, ent = reference.wp_vocab, reference.ent
+
+            def mask_states(self, tokens, inputs):
+                calls.append(len(inputs))
+                return reference.mask_states(tokens, inputs)
+
+        docs = [
+            (self.TOKENS[i:], generate_candidates(span_keys(self.TOKENS[i:], 7), self.TABLE), None)
+            for i in (0, 3, 5)
+        ]
+        states = span_mask_states(docs, Spy())
+        n = sum(len(spans) for _, spans, _ in docs)
+        assert calls == [n] and states.shape == (n, self.D)
+
     def test_decoded_spans_cross_scored_boundaries(self):
         # A decoded span renders as its entity only when it lies inside one
         # context; (1, 3) crosses both scored spans and stays text.
@@ -1064,7 +1090,7 @@ class TestIterativeRefine:
         assert all(s.state is SpanState.DECODED for s in out)
         assert [(s.doc, s.iteration) for s in steps] == [(0, 1), (1, 1)]
         # One round decodes both documents; no later round takes a block.
-        assert calls == [2, 2]
+        assert calls == [2]
 
     def test_errors(self):
         tokens, table, scorer = flat_linking_world(2)

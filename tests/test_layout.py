@@ -127,7 +127,7 @@ def test_linking_inputs_and_states_match_the_word_by_word_renderer(case):
 def test_decoded_spans_at_scored_span_edges_match_the_renderer(monkeypatch, block, use_emask):
     """Decoded spans that cross a scored span's left or right edge, lie
     inside it, contain it or touch it, for the spans of several documents
-    in one call and in blocks of any size, against the renderer."""
+    in one call, whatever the block size, against the renderer."""
     monkeypatch.setattr(entity_linking, "SPAN_BLOCK", block)
     tokens = ["the", "cat", "sat", "walks", "new-york,", "qqq", "york", "the", "cat"]
     candidates = (Candidate("ENTITY/A", 0.5), Candidate("ENTITY/B", 0.25))
