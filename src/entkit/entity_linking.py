@@ -16,6 +16,7 @@ import logging
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import accumulate
 from math import log
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -25,9 +26,9 @@ from ._candidate_table import Candidate, CandidateTable, _ranges, read_table
 from ._tsv import breaks_tsv, json_lines, tsv_rows
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
-from .scorer import AffineHead, InputKeys, candidate_gradients, candidate_probs
+from .scorer import AffineHead, candidate_gradients, candidate_probs
 from .symbols import is_entity_symbol
-from .text_input import Token
+from .text_input import Token, word_pieces
 
 logger = logging.getLogger(__name__)
 
@@ -186,14 +187,22 @@ def _blocks(items: Iterable, size) -> Iterable[list]:
         yield block
 
 
-def _block_inputs(
-    keys: InputKeys, block, vocab: Vocabulary, use_emask: bool
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The linking inputs of a block of ``(tokens, spans, decoded)``
-    documents, whose decoded lists hold sorted, pairwise disjoint ``(start,
-    end, entity)`` spans inside the document: every input's keys end to
-    end, each input's length, and each input's mask position. Words are
-    tokenized against ``vocab``.
+def document_pieces(documents: Iterable[Sequence[str]], vocab: Vocabulary) -> list[list]:
+    """Each document's words as their wordpieces (``text_input.word_pieces``
+    against ``vocab``), each distinct word tokenized once per call."""
+    memo: dict[str, list[str]] = {}
+    return [[memo[w] if w in memo else memo.setdefault(w, word_pieces(w, vocab)) for w in words]
+            for words in documents]
+
+
+def _block_inputs(block, use_emask: bool) -> tuple[list[Token], np.ndarray, np.ndarray, list]:
+    """The linking inputs of a block of ``(pieces, spans, decoded)``
+    documents, whose pieces hold each word's wordpieces and whose decoded
+    lists hold sorted, pairwise disjoint ``(start, end, entity)`` spans
+    inside the document: the block's distinct tokens, every input's keys
+    into them end to end, each input's length, and each input's mask
+    position. One dict keys the block: a wordpiece by its text, an entity
+    or a mask by its token.
 
     Each document is laid out once as its base: framed, with every decoded
     span as its entity. An input is its document's base up to the scored
@@ -204,15 +213,21 @@ def _block_inputs(
     the masks, then each document's base and pieces), and one gather takes
     every input of the block.
     """
+    keys: dict[str | Token, int] = {}
+
+    def key(k: str | Token) -> int:
+        return keys.setdefault(k, len(keys))
+
     n_spans = sum(len(spans) for _, spans, _ in block)
-    cls, sep, slash, star = (keys.key(Token.wordpiece(p)) for p in ("[CLS]", "[SEP]", "/", "*"))
+    cls, sep, slash, star = (key(p) for p in ("[CLS]", "[SEP]", "/", "*"))
     masks = [Token.emask([c.entity for c in s.candidates]) if use_emask else Token.mask()
              for _, spans, _ in block for s in spans]
-    parts: list = [[slash, star], [keys.key(m) for m in masks]]
+    parts: list = [[slash, star], [key(m) for m in masks]]
     starts, lengths, positions = [], [], []
     at = 2 + n_spans  # where the next document's base starts
-    for tokens, spans, decoded in block:
-        literal, offset = keys.words(tokens, vocab)
+    for pieces, spans, decoded in block:
+        offset = [0, *accumulate(map(len, pieces))]
+        literal = np.fromiter((key(p) for word in pieces for p in word), np.intp, offset[-1])
         parts.append([cls])
         # Where each word starts in the base (words inside a decoded span
         # have no place of their own), and each inner boundary of a decoded
@@ -220,7 +235,7 @@ def _block_inputs(
         at_word, left_of, right_of = [], {}, {}
         shift, w = at + 1, 0
         for a, b, entity in decoded:
-            parts += [literal[offset[w] : offset[a]], [keys.key(Token.entity(entity))]]
+            parts += [literal[offset[w] : offset[a]], [key(Token.entity(entity))]]
             at_word += [shift + offset[v] for v in range(w, a + 1)]
             at_word += [None] * (b - a - 1)
             shift -= offset[b] - offset[a] - 1
@@ -228,11 +243,11 @@ def _block_inputs(
             right_of.update(dict.fromkeys(range(a + 1, b), b))
             w = b
         parts += [literal[offset[w] :], [sep]]
-        at_word += [shift + offset[v] for v in range(w, len(tokens) + 1)]
+        at_word += [shift + offset[v] for v in range(w, len(pieces) + 1)]
         lit = at_word[-1] + 1  # the document's pieces follow its base
         for s in spans:
             x, y = s.start, s.end
-            if y > len(tokens):
+            if y > len(pieces):
                 raise ValueError(f"span [{x}, {y}) exceeds document length")
             left, right = left_of.get(x, x), right_of.get(y, y)
             cut, resume = at_word[left], at_word[right]
@@ -246,18 +261,20 @@ def _block_inputs(
     src = np.concatenate(parts).astype(np.int32)
     length = np.array(lengths, dtype=np.intp)
     index = _ranges(np.array(starts, dtype=np.intp).ravel(), length.ravel())
-    return src[index], length.sum(axis=1), positions
+    tokens = [Token.wordpiece(k) if isinstance(k, str) else k for k in keys]
+    return tokens, src[index], length.sum(axis=1), positions
 
 
 def span_mask_states(
-    docs: Sequence[tuple[Sequence[str], Sequence[CandidateSpan],
+    docs: Sequence[tuple[Sequence[Sequence[str]], Sequence[CandidateSpan],
                          Mapping[tuple[int, int], str] | None]],
     scorer,
     use_emask: bool = True,
 ) -> np.ndarray:
     """Mask states of the spans of many documents, as one ``(S, d)`` array.
 
-    ``docs`` holds ``(tokens, spans, decoded)`` triples; row s, counted
+    ``docs`` holds ``(pieces, spans, decoded)`` triples, ``pieces`` each
+    word's wordpieces as ``document_pieces`` gives them; row s, counted
     through the documents' spans in order, is the state at the mask of the
     linking input of span s: ``[CLS]``, the words before it, the entity mask
     (the mean of its candidates; a plain mask without ``use_emask``), ``/``,
@@ -266,28 +283,28 @@ def span_mask_states(
     of a document must be disjoint and inside it, as the decoder makes them:
     one that is empty, starts before 0, ends past the document or overlaps
     another is a ValueError.
-    The caller bounds the batch (see ``SPAN_BLOCK``): its inputs are index
-    arrays gathered from its documents' key arrays (see ``_block_inputs``),
-    keyed afresh for each call, and one ``scorer.mask_states`` call embeds
-    each distinct token of the batch's documents once.
+    The caller tokenizes the documents and bounds the batch (see
+    ``SPAN_BLOCK``): its inputs are index arrays gathered from its
+    documents' key arrays (see ``_block_inputs``), keyed afresh for each
+    call, and one ``scorer.mask_states`` call embeds each distinct token of
+    the batch's documents once.
     """
     scored = []
-    for tokens, spans, decoded in docs:
+    for pieces, spans, decoded in docs:
         ordered = sorted((a, b, entity) for (a, b), entity in (decoded or {}).items())
         end = 0
         for a, b, _ in ordered:
-            if not end <= a < b <= len(tokens):
+            if not end <= a < b <= len(pieces):
                 raise ValueError(f"bad decoded span [{a}, {b}): empty, before 0, "
                                  "past the end or overlapping another")
             end = b
         if spans:
-            scored.append((tokens, spans, ordered))
+            scored.append((pieces, spans, ordered))
     if not scored:
         raise ValueError("no spans to score")
-    keys = InputKeys()
-    keyed, length, pos = _block_inputs(keys, scored, scorer.wp_vocab, use_emask)
-    inputs = zip(np.split(keyed, np.cumsum(length)[:-1]), pos)
-    return scorer.mask_states(keys.tokens, list(inputs))
+    tokens, idx, length, pos = _block_inputs(scored, use_emask)
+    inputs = zip(np.split(idx, np.cumsum(length)[:-1]), pos)
+    return scorer.mask_states(tokens, list(inputs))
 
 
 def candidate_groups(
@@ -371,11 +388,12 @@ def train_linker(
 
     Entity vectors and priors are frozen; only A, c, e_eps, and b_eps move.
     Candidate rows come from ``scorer.ent``, the space the scorer embeds
-    entity masks from. Mask states are computed once up front, by one
-    ``span_mask_states`` call per block of whole documents (see
-    ``SPAN_BLOCK``), because the encoder takes no gradient. Returns the loss
-    trajectory: mean loss at each epoch's starting parameters, plus the
-    final loss (length ``epochs + 1``). A non-finite loss is a DataError.
+    entity masks from. Mask states are computed once up front, because the
+    encoder takes no gradient: the documents are tokenized once by
+    ``document_pieces``, then take one ``span_mask_states`` call per block
+    of whole documents (see ``SPAN_BLOCK``). Returns the loss trajectory:
+    mean loss at each epoch's starting parameters, plus the final loss
+    (length ``epochs + 1``). A non-finite loss is a DataError.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -383,11 +401,12 @@ def train_linker(
     for i, ex in enumerate(examples):
         by_doc.setdefault(ex.tokens, []).append(i)
     groups = candidate_groups([ex.candidates for ex in examples], scorer.ent)
+    docs = [(pieces, [examples[i].span for i in members], None) for pieces, members
+            in zip(document_pieces(by_doc, scorer.wp_vocab), by_doc.values())]
     states = np.empty((len(examples), scorer.ent.dim))
     states[[i for members in by_doc.values() for i in members]] = np.concatenate([
-        span_mask_states([(tokens, [examples[i].span for i in members], None)
-                          for tokens, members in block], scorer, use_emask)
-        for block in _blocks(by_doc.items(), lambda d: len(d[1]))
+        span_mask_states(block, scorer, use_emask)
+        for block in _blocks(docs, lambda d: len(d[1]))
     ])
     # A null-entity gold indexes past the candidates, where it is scored.
     gold = np.array([
@@ -439,8 +458,9 @@ def iterative_refine(
     Each round rescores the undecided spans, and no others, against their
     document's current partial decoding, with one ``candidate_groups``,
     one ``span_mask_states`` and one ``candidate_probs`` call per block of
-    documents (see ``SPAN_BLOCK``); each block keys and tokenizes its own
-    words. Within a document, with m spans already decoded and n undecided
+    documents (see ``SPAN_BLOCK``). The documents that have spans are
+    tokenized once, by ``document_pieces``, and each block keys its own
+    pieces. Within a document, with m spans already decoded and n undecided
     spans whose argmax is a real entity, the round fixes the
     k = ceil(j (m + n) / J) - m most confident of those n (by
     null-entity improbability, ties toward the earlier span), skipping any
@@ -453,6 +473,8 @@ def iterative_refine(
     if iterations < 1:
         raise ValueError("need at least one iteration")
     docs = [(tokens, list(spans)) for tokens, spans in docs]
+    pieces = document_pieces([tokens if spans else () for tokens, spans in docs],
+                             scorer.wp_vocab)
     steps: list[list[RefinementStep]] = [[] for _ in docs]
     going = range(len(docs))
 
@@ -472,7 +494,7 @@ def iterative_refine(
             undecided = [s for _, _, und in block for s in und]
             groups = candidate_groups([s.candidates for s in undecided], scorer.ent)
             states = span_mask_states(
-                [(docs[d][0], und, {(s.start, s.end): s.entity for s in taken})
+                [(pieces[d], und, {(s.start, s.end): s.entity for s in taken})
                  for d, taken, und in block],
                 scorer, use_emask,
             )

@@ -13,8 +13,8 @@ subject, whether the answer ranks in the top-k completions of
 relations whose template declares a probe noun are eligible for the second
 heuristic. A ranking is the answer-vocabulary ids of a question's best k
 answers, best first. Questions are ranked in batches: one scorer call per
-``ROW_BLOCK`` (64) questions, keyed into the scorer's one input form
-(``scorer.InputKeys``), and one probe per distinct (part, noun) pair.
+``ROW_BLOCK`` (64) questions, put in the scorer's one input form by
+``scorer.keyed``, and one probe per distinct (part, noun) pair.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import numpy as np
 from ._tsv import breaks_tsv, json_lines
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
-from .scorer import ROW_BLOCK, InputKeys
+from .scorer import ROW_BLOCK, keyed
 from .symbols import is_entity_symbol
 from .text_input import (
     MASK_WORD,
@@ -138,22 +138,21 @@ def rank_answers(
 
     Only answer-vocabulary symbols are scored, ``ROW_BLOCK`` questions per
     ``scorer.score_answers(tokens, inputs, symbols)`` call, each block keyed
-    by its own ``InputKeys``, so ranking memory grows with ``ROW_BLOCK``
-    times the answer vocabulary, not with the number of questions. The
-    questions are taken a block at a time, so ``seqs`` may render them as
-    they are asked for. Ties in probability break by ascending vocabulary
-    id, so rankings are fully deterministic. The scorer's result is only
-    read (a scorer may return a view of its own data), and each block's
-    sort is freed before the next block is scored.
+    on its own by ``scorer.keyed``, so ranking memory grows with
+    ``ROW_BLOCK`` times the answer vocabulary, not with the number of
+    questions. The questions are taken a block at a time, so ``seqs`` may
+    render them as they are asked for. Ties in probability break by
+    ascending vocabulary id, so rankings are fully deterministic. The
+    scorer's result is only read (a scorer may return a view of its own
+    data), and each block's sort is freed before the next block is scored.
     """
     if len(answer_vocab) == 0:
         raise ValueError("empty answer vocabulary")
     out: list[list[int]] = []
     seqs = iter(seqs)
     while block := list(islice(seqs, ROW_BLOCK)):
-        keys = InputKeys()
-        inputs = [keys.sequence(seq.tokens) for seq in block]
-        probs = scorer.score_answers(keys.tokens, inputs, answer_vocab.symbols)
+        tokens, inputs = keyed(seq.tokens for seq in block)
+        probs = scorer.score_answers(tokens, inputs, answer_vocab.symbols)
         out += np.argsort(-probs, axis=1, kind="stable")[:, :k].tolist()
     return out
 

@@ -10,10 +10,11 @@ exercise every downstream contract without a trained network.
 
 This module is the only one that knows how a state or a candidate
 distribution is computed. Consumers duck-type against a small protocol.
-Both batch methods take one input form, keyed by ``InputKeys``: a list of
-distinct tokens and inputs ``(idx, pos)``, each the sequence ``tokens[idx]``
-with its one mask at ``pos``. Cloze evaluation and filtering need
-``wp_vocab`` (the wordpiece vocabulary used for tokenization) and
+Both batch methods take one input form: a list of distinct tokens and
+inputs ``(idx, pos)``, each the sequence ``tokens[idx]`` with its one mask
+at ``pos``. ``keyed`` puts cloze questions in that form; the linker keys
+its spans' inputs itself. Cloze evaluation and filtering need ``wp_vocab``
+(the wordpiece vocabulary used for tokenization) and
 ``score_answers(tokens, inputs, symbols)``, which returns a (Q, V) array of
 the V answer probabilities at the mask of each of Q inputs, Q at most
 ``ROW_BLOCK``. Entity linking needs ``wp_vocab``, ``ent`` (the entity space
@@ -25,14 +26,13 @@ must not depend on the rest of its batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate, chain
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .embeddings import EmbeddingSpace, Vocabulary
 from .errors import DataError
-from .text_input import MASK_WORD, UNK, Token, TokenKind, TokenSequence, wordpiece_tokens
+from .text_input import MASK_WORD, UNK, Token, TokenKind, TokenSequence
 
 _MASK_KINDS = (TokenKind.MASK, TokenKind.EMASK)
 
@@ -60,6 +60,21 @@ def by_blocks(x: np.ndarray, width: int, f) -> np.ndarray:
         block[len(part) :] = 0.0
         out[start : start + len(part)] = f(block)[: len(part)]
     return out
+
+
+def keyed(sequences: Iterable[Sequence[Token]]) -> tuple[list[Token], list]:
+    """Token sequences, each with exactly one mask or entity mask, in the
+    scorers' input form: the distinct tokens in first-seen order, and each
+    sequence's ``(keys, mask position)``."""
+    keys: dict[Token, int] = {}
+    inputs = []
+    for tokens in sequences:
+        positions = [i for i, t in enumerate(tokens) if t.kind in _MASK_KINDS]
+        if len(positions) != 1:
+            raise ValueError(f"expected exactly one mask position, found {len(positions)}")
+        idx = np.array([keys.setdefault(t, len(keys)) for t in tokens], dtype=np.intp)
+        inputs.append((idx, positions[0]))
+    return list(keys), inputs
 
 
 def _token_rows(
@@ -303,9 +318,7 @@ class ReferenceScorer:
 
     def mask_state(self, seq: TokenSequence) -> np.ndarray:
         """Contextual vector at the single Mask or EMask position."""
-        keys = InputKeys()
-        inputs = [keys.sequence(seq.tokens)]
-        return self.mask_states(keys.tokens, inputs)[0]
+        return self.mask_states(*keyed([seq.tokens]))[0]
 
     def mask_states(
         self, tokens: Sequence[Token], inputs: Sequence[tuple[np.ndarray, int]]
@@ -354,42 +367,3 @@ class ReferenceScorer:
         block[: len(inputs)] = self.mask_states(tokens, inputs)
         probs = _softmax(np.ascontiguousarray((e @ block.T).T))[: len(inputs)]
         return _finite(probs, "answer probabilities")
-
-
-class InputKeys:
-    """An integer key for each distinct token of a batch's inputs, in
-    first-seen order, so a batch of inputs goes to ``mask_states`` and
-    ``score_answers`` as ``tokens`` and key arrays into them. Each distinct
-    word is tokenized once: a keyer serves one wordpiece vocabulary."""
-
-    def __init__(self):
-        self.tokens: list[Token] = []
-        self._keys: dict[Token, int] = {}
-        self._words: dict[str, list[int]] = {}
-
-    def key(self, token: Token) -> int:
-        k = self._keys.get(token)
-        if k is None:
-            k = self._keys[token] = len(self.tokens)
-            self.tokens.append(token)
-        return k
-
-    def words(self, words: Sequence[str], vocab: Vocabulary) -> tuple[np.ndarray, list[int]]:
-        """The keys of the wordpieces of ``words`` in order, and the offset
-        of each word's first piece among them (one more for the end)."""
-        per_word = []
-        for w in words:
-            keys = self._words.get(w)
-            if keys is None:
-                keys = self._words[w] = [self.key(t) for t in wordpiece_tokens([w], vocab)]
-            per_word.append(keys)
-        offset = [0, *accumulate(len(k) for k in per_word)]
-        return np.fromiter(chain.from_iterable(per_word), np.intp, offset[-1]), offset
-
-    def sequence(self, tokens: Sequence[Token]) -> tuple[np.ndarray, int]:
-        """The input ``(keys, mask position)`` of a sequence with exactly one
-        mask or entity mask."""
-        positions = [i for i, t in enumerate(tokens) if t.kind in _MASK_KINDS]
-        if len(positions) != 1:
-            raise ValueError(f"expected exactly one mask position, found {len(positions)}")
-        return np.array([self.key(t) for t in tokens], dtype=np.intp), positions[0]

@@ -96,11 +96,13 @@ def wordpiece_tokens(words: Iterable[str], vocab: Vocabulary) -> list[Token]:
     ``##`` continuation prefix. A word (or unit) with no decomposition
     becomes a single ``[UNK]``.
     """
-    out: list[Token] = []
-    for word in words:
-        for unit in _punct_units(word, vocab):
-            out.extend(Token.wordpiece(p) for p in _wordpiece_word(unit, vocab))
-    return out
+    return [Token.wordpiece(p) for w in words for p in word_pieces(w, vocab)]
+
+
+def word_pieces(word: str, vocab: Vocabulary) -> list[str]:
+    """The wordpieces of one whitespace word, as ``wordpiece_tokens``
+    splits it, as strings."""
+    return [p for unit in _punct_units(word, vocab) for p in _wordpiece_word(unit, vocab)]
 
 
 def _punct_units(word: str, vocab: Vocabulary) -> list[str]:

@@ -18,9 +18,10 @@ from pathlib import Path
 
 import numpy as np
 
+import entkit.scorer
 from entkit.cli import main
 from entkit.embeddings import EmbeddingSpace, Vocabulary
-from entkit.scorer import InputKeys
+from entkit.entity_linking import document_pieces, span_mask_states
 from entkit.text_input import TokenSequence
 from oracles import render
 
@@ -118,9 +119,16 @@ def ent_space_with(entities: dict[str, np.ndarray] | dict[str, list], dim: int):
 def keyed(seqs):
     """``seqs`` in the scorers' input form, ``(tokens, inputs)``, keyed as
     ``rank_answers`` keys a block of questions."""
-    keys = InputKeys()
-    inputs = [keys.sequence(seq.tokens) for seq in seqs]
-    return keys.tokens, inputs
+    return entkit.scorer.keyed(seq.tokens for seq in seqs)
+
+
+def word_mask_states(docs, scorer, use_emask=True):
+    """``span_mask_states`` of ``(words, spans, decoded)`` documents, their
+    words turned into wordpieces by ``document_pieces`` first, as the
+    linker's callers do."""
+    pieces = document_pieces([words for words, _, _ in docs], scorer.wp_vocab)
+    return span_mask_states([(p, spans, decoded) for p, (_, spans, decoded) in zip(pieces, docs)],
+                            scorer, use_emask)
 
 
 def sequences(tokens, inputs) -> list[TokenSequence]:

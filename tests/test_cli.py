@@ -442,6 +442,48 @@ class TestFilterUhn:
         assert texts[0] == texts[1]
 
 
+class TestDefaultAnswerVocab:
+    """Without ``--answer-vocab``, the answers are the space's wordpieces
+    less the bracketed specials and the ``##`` continuations."""
+
+    def test_eval_and_filter_rank_the_plain_wordpieces(self, tmp_path, capsys, monkeypatch):
+        from entkit import cli
+
+        derived = []
+        load = cli._load_answer_vocab
+
+        def recording(path, wp):
+            vocab = load(path, wp)
+            derived.append(vocab.symbols)
+            return vocab
+
+        monkeypatch.setattr(cli, "_load_answer_vocab", recording)
+        lines = Path(WP).read_text(encoding="utf-8").splitlines()[1:]
+        dropped = {"[CLS]", "[SEP]", "[MASK]", "[UNK]", "##is"}
+        want = [s for s in (line.split(" ", 1)[0] for line in lines) if s not in dropped]
+        assert len(want) == 51 and len(lines) == 56
+        base = ["--data", LAMA, "--templates", TEMPLATES, "--wp-space", WP]
+        code, stdout, _ = run(capsys, "eval-lama", *base, "--out", str(tmp_path / "r.tsv"))
+        assert (code, stdout) == (0, "")
+        assert (tmp_path / "r.tsv").read_text(encoding="utf-8") == (
+            "relation\tstage\thits@1\tquestions\n"
+            "P1001\t0\t0.000000\t1\n"
+            "P103\t0\t0.000000\t2\n"
+            "P138\t0\t1.000000\t1\n"
+            "P176\t0\t0.500000\t2\n"
+            "ALL\t0\t0.375000\t6\n"
+        )
+        code, stdout, _ = run(capsys, "filter-uhn", *base, "--out-dir", str(tmp_path / "u"))
+        assert code == 0
+        # Both P103 subjects keep their questions: no probe part ranks its
+        # answer first among the 51, as one does among the five answers.
+        assert stdout == (tmp_path / "u" / "stats.tsv").read_text(encoding="utf-8") == (
+            STATS_LINES.replace("P103\t2\t1\n", "P103\t2\t2\n")
+        )
+        assert [list(symbols) for symbols in derived] == [want, want]
+        assert not [s for s in derived[0] if s[0] + s[-1] == "[]" or s.startswith("##")]
+
+
 def link_args(align, out_dir, *extra):
     return [
         "link", "--docs", EL_DOCS, "--table", EL_TABLE,

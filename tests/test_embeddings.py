@@ -495,11 +495,20 @@ def _load_through_fifo(tmp_path, text: str, keep=None):
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
 class TestPipeInput:
     TEXT = "3 2\nENTITY/A 0.5 1\nb -0.25 2e-3\nENTITY/C 1e3 0\n"
+    KEEP = {"ENTITY/A", "ENTITY/C", "absent"}
 
-    @pytest.mark.parametrize("keep", [None, {"ENTITY/A", "ENTITY/C", "absent"}])
-    def test_same_symbols_and_bits_as_the_file(self, tmp_path, keep):
-        path = write(tmp_path / "space.txt", self.TEXT)
-        assert _load_through_fifo(tmp_path, self.TEXT, keep) == _outcome(path, keep)
+    # A space of no rows is a space too, through a pipe as from a file.
+    @pytest.mark.parametrize("text, keep", [
+        pytest.param(TEXT, None, id="None"),
+        pytest.param(TEXT, KEEP, id="keep1"),
+        pytest.param("0 3\n", None, id="no-rows"),
+        pytest.param("0 3\n", KEEP, id="no-rows-keep"),
+    ])
+    def test_same_symbols_and_bits_as_the_file(self, tmp_path, text, keep):
+        path = write(tmp_path / "space.txt", text)
+        outcome = _outcome(path, keep)
+        assert outcome[0] == "space"
+        assert _load_through_fifo(tmp_path, text, keep) == outcome
 
     @pytest.mark.parametrize("text", [
         "3 2\nENTITY/A 0.5 1\nb x 2\nENTITY/C 1 0\n",

@@ -21,6 +21,7 @@ from conftest import (
     grid_values,
     make_space,
     span_posterior,
+    word_mask_states,
     wp_space_with,
 )
 from oracles import el_input, head_gradients, mask_state, render, row
@@ -37,6 +38,7 @@ from entkit.entity_linking import (
     build_training_examples,
     candidate_groups,
     canonical_entity,
+    document_pieces,
     generate_candidates,
     iterative_refine,
     load_candidate_table,
@@ -44,7 +46,6 @@ from entkit.entity_linking import (
     load_redirects,
     normalize_entity,
     span_keys,
-    span_mask_states,
     strong_match_f1,
     train_linker,
 )
@@ -368,7 +369,7 @@ class TestBuildElInput:
 
     def render(self, tokens, span, decoded=None, use_emask=True):
         seq = el_input(tokens, span, decoded or {}, use_emask, EL_SCORER.wp_vocab)
-        state = span_mask_states([(tokens, [span], decoded)], EL_SCORER, use_emask)[0]
+        state = word_mask_states([(tokens, [span], decoded)], EL_SCORER, use_emask)[0]
         assert np.array_equal(state, mask_state(seq, EL_SCORER.wp, EL_SCORER.ent))
         return render(seq)
 
@@ -408,7 +409,7 @@ class TestBuildElInput:
         # Also when the span is in the second document of the call.
         ok = ["the", "cat"], [self.span(0, 1, "The")], None
         with pytest.raises(ValueError, match="exceeds document length"):
-            span_mask_states([ok, (["the"], [self.span(0, 2, "The")], None)], EL_SCORER)
+            word_mask_states([ok, (["the"], [self.span(0, 2, "The")], None)], EL_SCORER)
 
 
 class TestSpanMaskStates:
@@ -468,7 +469,7 @@ class TestSpanMaskStates:
         scorer = self.scorer()
         spans = generate_candidates(span_keys(self.TOKENS, 7), self.TABLE)
         assert any(a.overlaps(b) for a in spans for b in spans if a is not b)
-        states = span_mask_states([(self.TOKENS, spans, decoded)], scorer, use_emask)
+        states = word_mask_states([(self.TOKENS, spans, decoded)], scorer, use_emask)
         assert states.shape == (len(spans), self.D)
         for got, want in zip(states, self.oracle(scorer, spans, decoded, use_emask)):
             assert np.array_equal(got, want)
@@ -495,9 +496,42 @@ class TestSpanMaskStates:
             (self.TOKENS[i:], generate_candidates(span_keys(self.TOKENS[i:], 7), self.TABLE), None)
             for i in (0, 3, 5)
         ]
-        states = span_mask_states(docs, Spy())
+        states = word_mask_states(docs, Spy())
         n = sum(len(spans) for _, spans, _ in docs)
         assert calls == [n] and states.shape == (n, self.D)
+
+    @pytest.mark.parametrize("block", [1, 10**6])
+    def test_each_distinct_word_is_tokenized_once_per_call(self, monkeypatch, block):
+        # Whatever the blocks and rounds, training and decoding each split a
+        # word shared by several documents once.
+        import entkit.entity_linking as el
+        import entkit.text_input as text_input
+
+        monkeypatch.setattr(el, "SPAN_BLOCK", block)
+        split, words = text_input._punct_units, []
+
+        def counted(word, vocab):
+            words.append(word)
+            return split(word, vocab)
+
+        monkeypatch.setattr(text_input, "_punct_units", counted)
+        scorer = self.scorer()
+        rng = np.random.default_rng(3)
+        head = AffineHead(rng.standard_normal((self.D, self.D)), rng.standard_normal(self.D))
+        eps = NullEntityParams(rng.standard_normal(self.D), -30.0)
+        texts = [self.TOKENS[i:] for i in (0, 3, 5)]
+        examples = [
+            ex for i, text in enumerate(texts)
+            for ex in build_training_examples(
+                Document(f"d{i}", text), generate_candidates(span_keys(text, 7), self.TABLE))[0]
+        ]
+        train_linker(examples, head, eps, scorer, epochs=2, step=0.1)
+        assert sorted(words) == sorted(set(self.TOKENS))
+        words.clear()
+        docs = [(text, generate_candidates(span_keys(text, 7), self.TABLE)) for text in texts]
+        _, steps = iterative_refine(docs, scorer, head, eps, 3)
+        assert max(step.iteration for step in steps) > 1
+        assert sorted(words) == sorted(set(self.TOKENS))
 
     def test_decoded_spans_cross_scored_boundaries(self):
         # A decoded span renders as its entity only when it lies inside one
@@ -514,7 +548,7 @@ class TestSpanMaskStates:
             ["[CLS]", "the", "[E-MASK]", "/", "new", "-", "york", ",", "*", "city"]
             + right,
         ]
-        states = span_mask_states([(self.TOKENS, spans, self.DECODED)], scorer)
+        states = word_mask_states([(self.TOKENS, spans, self.DECODED)], scorer)
         for got, want in zip(states, self.oracle(scorer, spans, self.DECODED, True)):
             assert np.array_equal(got, want)
 
@@ -543,8 +577,8 @@ class TestSpanMaskStates:
             def recording(docs, scorer_, use_emask):
                 out = batched(docs, scorer_, use_emask)
                 at = 0
-                for tokens, spans, decoded in docs:
-                    calls.append((tokens, spans, decoded, use_emask, out[at : at + len(spans)]))
+                for pieces, spans, decoded in docs:
+                    calls.append((pieces, spans, decoded, use_emask, out[at : at + len(spans)]))
                     at += len(spans)
                 return out
 
@@ -557,8 +591,8 @@ class TestSpanMaskStates:
             for ex in examples:
                 seq = el_input(ex.tokens, ex.span, {}, mode, scorer.wp_vocab)
                 h = mask_state(seq, scorer.wp, scorer.ent)
-                tokens, spans, decoded, use_emask, out = next(
-                    c for c in calls if c[0] == ex.tokens
+                pieces, spans, decoded, use_emask, out = next(
+                    c for c in calls if c[0] == document_pieces([ex.tokens], scorer.wp_vocab)[0]
                 )
                 assert decoded is None and use_emask is mode
                 assert np.array_equal(out[spans.index(ex.span)], h)
@@ -603,34 +637,34 @@ class TestSpanMaskStates:
         scorer = self.scorer()
         span = CandidateSpan(0, 1, (cand("City"),))
         with pytest.raises(ValueError, match="no spans"):
-            span_mask_states([(self.TOKENS, [], None)], scorer)
+            word_mask_states([(self.TOKENS, [], None)], scorer)
         with pytest.raises(ValueError, match="exceeds document length"):
-            span_mask_states(
+            word_mask_states(
                 [(self.TOKENS, [span, CandidateSpan(10, 12, (cand("City"),))], None)], scorer
             )
         with pytest.raises(DataError, match=r"no \[MASK\] row"):
-            span_mask_states([(self.TOKENS, [span], None)], self.scorer(with_mask=False),
+            word_mask_states([(self.TOKENS, [span], None)], self.scorer(with_mask=False),
                              use_emask=False)
         with pytest.raises(DataError, match="missing from entity space"):
-            span_mask_states([(self.TOKENS, [CandidateSpan(0, 1, (cand("Mars"),))], None)], scorer)
+            word_mask_states([(self.TOKENS, [CandidateSpan(0, 1, (cand("Mars"),))], None)], scorer)
         with pytest.raises(DataError, match="missing from entity space"):
-            span_mask_states([(self.TOKENS, [span], {(2, 3): "ENTITY/Mars"})], scorer)
+            word_mask_states([(self.TOKENS, [span], {(2, 3): "ENTITY/Mars"})], scorer)
         wide = ent_space_with({"ENTITY/City": np.ones(self.D + 1)}, self.D + 1)
         with pytest.raises(ValueError, match="different dimensions"):
-            span_mask_states([(self.TOKENS, [span], None)], ReferenceScorer(scorer.wp, wide))
+            word_mask_states([(self.TOKENS, [span], None)], ReferenceScorer(scorer.wp, wide))
 
 
     @pytest.mark.parametrize("bad", [(3, 3), (4, 2), (-1, 2)])
     def test_bad_decoded_span_is_an_error(self, bad):
         span = CandidateSpan(0, 1, (cand("City"),))
         with pytest.raises(ValueError, match=r"bad decoded span"):
-            span_mask_states([(self.TOKENS, [span], {bad: "ENTITY/NYC"})], self.scorer())
+            word_mask_states([(self.TOKENS, [span], {bad: "ENTITY/NYC"})], self.scorer())
 
     def test_decoded_spans_in_the_document_must_be_disjoint(self):
         scorer = self.scorer()
         span = CandidateSpan(0, 1, (cand("City"),))
         with pytest.raises(ValueError, match=r"bad decoded span \[6, 9\)"):
-            span_mask_states(
+            word_mask_states(
                 [(self.TOKENS, [span], {(5, 8): "ENTITY/NYC", (6, 9): "ENTITY/Walks"})], scorer
             )
         # A span past the document's end is an error too, overlapping or not;
@@ -638,8 +672,8 @@ class TestSpanMaskStates:
         last = {(9, 11): "ENTITY/City"}
         for a, b in [(10, 12), (11, 13), (12, 14)]:
             with pytest.raises(ValueError, match=rf"bad decoded span \[{a}, {b}\)"):
-                span_mask_states([(self.TOKENS, [span], {**last, (a, b): "ENTITY/NY"})], scorer)
-        states = span_mask_states([(self.TOKENS, [span], last)], scorer)
+                word_mask_states([(self.TOKENS, [span], {**last, (a, b): "ENTITY/NY"})], scorer)
+        states = word_mask_states([(self.TOKENS, [span], last)], scorer)
         assert np.array_equal(states, self.oracle(scorer, [span], last, True))
 
 

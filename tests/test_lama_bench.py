@@ -26,7 +26,7 @@ from entkit.lama_bench import (
     resolve_subjects,
     string_match_filter,
 )
-from entkit.scorer import ROW_BLOCK, InputKeys, ReferenceScorer
+from entkit.scorer import ROW_BLOCK, ReferenceScorer
 from entkit.text_input import InputMode, Token, TokenKind, TokenSequence
 
 
@@ -254,18 +254,17 @@ class TestRankingBlocks:
         # call: no third (64, V) array.
         n_answers = 3_000
         scorer, vocab, seqs = random_questions(1, ROW_BLOCK + 1, n_answers)
-        keys = InputKeys()
-        inputs = [keys.sequence(seq.tokens) for seq in seqs]
+        tokens, inputs = keyed(seqs)
         tracemalloc.start()
         try:
-            probs = scorer.score_answers(keys.tokens, inputs[:ROW_BLOCK], vocab.symbols)
+            probs = scorer.score_answers(tokens, inputs[:ROW_BLOCK], vocab.symbols)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert probs.shape == (ROW_BLOCK, n_answers)
         assert peak <= 2.5 * ROW_BLOCK * n_answers * 8, peak
         with pytest.raises(ValueError, match=f"at most {ROW_BLOCK} inputs"):
-            scorer.score_answers(keys.tokens, inputs, vocab.symbols)
+            scorer.score_answers(tokens, inputs, vocab.symbols)
 
 
 def ranking_with_gold_at(position, symbols):

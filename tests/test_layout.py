@@ -11,10 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SPECIAL_PIECES, ent_space_with, make_space
+from conftest import SPECIAL_PIECES, ent_space_with, make_space, word_mask_states
 from oracles import el_input, mask_state
 from entkit import entity_linking
-from entkit.entity_linking import Candidate, CandidateSpan, span_mask_states
+from entkit.entity_linking import Candidate, CandidateSpan
 from entkit.scorer import ReferenceScorer
 from entkit.text_input import (
     MASK_WORD,
@@ -116,7 +116,7 @@ def linking_inputs(draw):
 def test_linking_inputs_and_states_match_the_word_by_word_renderer(case):
     tokens, spans, decoded, use_emask = case
     scorer = ReferenceScorer(WP, ENT)
-    states = span_mask_states([(tokens, spans, decoded)], scorer, use_emask)
+    states = word_mask_states([(tokens, spans, decoded)], scorer, use_emask)
     for span, state in zip(spans, states):
         want = mask_state(el_input(tokens, span, decoded, use_emask, WP.vocab), WP, ENT)
         assert np.array_equal(state.view(np.int64), want.view(np.int64))
@@ -146,7 +146,7 @@ def test_decoded_spans_at_scored_span_edges_match_the_renderer(monkeypatch, bloc
     # Every other document is a word shorter; each map fits its document.
     docs = [(tokens[: 9 - i % 2], spans[: 4 - i % 2], d) for i, d in enumerate(decoded_maps)]
     scorer = ReferenceScorer(WP, ENT)
-    states = span_mask_states(docs, scorer, use_emask)
+    states = word_mask_states(docs, scorer, use_emask)
     want = [
         mask_state(el_input(doc, span, decoded, use_emask, WP.vocab), WP, ENT)
         for doc, doc_spans, decoded in docs for span in doc_spans

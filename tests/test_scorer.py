@@ -15,12 +15,11 @@ from entkit import scorer as scorer_module
 from entkit.scorer import (
     ROW_BLOCK,
     AffineHead,
-    InputKeys,
     ReferenceScorer,
     by_blocks,
     candidate_probs,
 )
-from entkit.text_input import Token, TokenKind, TokenSequence, wordpiece_tokens
+from entkit.text_input import Token, TokenKind, TokenSequence
 
 DIM = 4
 WP = wp_space_with(
@@ -390,41 +389,25 @@ class TestReferenceScorer:
             scorer.score_answers(*keyed([seq]), ["the", "zzz"])
 
 
-class TestInputKeys:
-    def test_equal_tokens_get_one_key(self):
-        keys = InputKeys()
+class TestKeyed:
+    def test_equal_tokens_get_one_key_in_first_seen_order(self):
         the, cat, emask = Token.wordpiece("the"), Token.wordpiece("cat"), Token.emask(["ENTITY/A"])
-        first, pos = keys.sequence([the, Token.mask(), cat, Token.wordpiece("the")])
-        second, _ = keys.sequence([emask, Token.wordpiece("cat"), the])
-        assert keys.tokens == [the, Token.mask(), cat, emask]
-        assert (first.tolist(), pos, second.tolist()) == ([0, 1, 2, 0], 1, [3, 2, 0])
-        assert keys.key(Token.emask(["ENTITY/A"])) == 3
-        assert keys.key(Token.emask(["ENTITY/A", "ENTITY/B"])) == 4
-        assert keys.key(Token.entity("ENTITY/A")) == 5
-
-    def test_each_distinct_word_is_tokenized_once(self, monkeypatch):
-        tokenized = []
-
-        def counted(words, vocab):
-            tokenized.extend(words)
-            return wordpiece_tokens(words, vocab)
-
-        monkeypatch.setattr(scorer_module, "wordpiece_tokens", counted)
-        vocab = Vocabulary(["[UNK]", "the", "cat", "##s"])
-        keys = InputKeys()
-        first, at_first = keys.words(["the", "cats", "the"], vocab)
-        second, at_second = keys.words(["cats", "dog", "cats"], vocab)
-        assert sorted(tokenized) == ["cats", "dog", "the"]
-        assert [keys.tokens[k].text for k in first] == ["the", "cat", "##s", "the"]
-        assert [keys.tokens[k].text for k in second] == ["cat", "##s", "[UNK]", "cat", "##s"]
-        assert (at_first, at_second) == ([0, 1, 3, 4], [0, 2, 3, 5])
-        assert len(keys.tokens) == 4
+        both = Token.emask(["ENTITY/A", "ENTITY/B"])
+        tokens, inputs = scorer_module.keyed([
+            [the, Token.mask(), cat, Token.wordpiece("the")],
+            [Token.emask(["ENTITY/A"]), Token.wordpiece("cat"), the],
+            (Token.entity("ENTITY/A"), both, cat),
+        ])
+        assert tokens == [the, Token.mask(), cat, emask, Token.entity("ENTITY/A"), both]
+        assert [(idx.tolist(), pos) for idx, pos in inputs] == [
+            ([0, 1, 2, 0], 1), ([3, 2, 0], 0), ([4, 5, 2], 1),
+        ]
 
     @pytest.mark.parametrize("masks", [0, 2])
     def test_a_sequence_needs_exactly_one_mask(self, masks):
         tokens = [Token.wordpiece("the"), *[Token.mask(), Token.emask(["ENTITY/A"])][:masks]]
         with pytest.raises(ValueError, match=f"exactly one mask position, found {masks}"):
-            InputKeys().sequence(tokens)
+            scorer_module.keyed([[Token.mask()], tokens])
 
 
 def random_cloze_world(seed, n_words=240, n_questions=150, dim=16):
