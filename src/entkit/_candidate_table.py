@@ -1,6 +1,6 @@
-"""The rows of a candidate table, read by ``read_table`` in one pass.
+"""The rows of a candidate table, read by ``read_table``.
 
-The pass checks every row and holds candidates for every surface, or only
+A pass checks every row and holds candidates for every surface, or only
 for the surfaces it is given; then it hashes the (surface, entity) pairs
 and packs the table's entities into one buffer, so its memory grows with
 the held surfaces, not with the file. ``entity_linking.load_candidate_table``
@@ -9,6 +9,7 @@ chooses the surfaces.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from itertools import compress
 from operator import eq
@@ -147,33 +148,39 @@ def _candidate_rows(path) -> Iterator[tuple[int, str, str, float]]:
         yield lineno, surface, entity, prior
 
 
-def read_table(
-    path, max_span: int, surfaces: Iterable[str] | None = None
-) -> tuple[CandidateTable, bool]:
-    """The table of the rows within ``max_span`` tokens, and whether two of
-    their (surface, entity) pairs hash alike.
+def read_table(path, max_span: int, surfaces: Iterable[str] | None = None) -> CandidateTable:
+    """The table of the rows within ``max_span`` tokens.
 
-    The table holds the candidates of every row, or, given ``surfaces``, of
-    the rows whose surface hashes like one of them. Raises the line-numbered
-    DataError of the first bad row, or of the first held row that repeats a
-    held (surface, entity) pair: with every row held, the first duplicate.
-    A repeat among rows not held shows only as a tie of the pair hashes.
+    Given ``surfaces`` and a regular file, one streaming pass holds only the
+    candidates of the rows whose surface hashes like one of them (a few
+    more on a hash collision), so the memory held grows with the surfaces,
+    not with the file, and finds a duplicate (surface, entity) pair among
+    the other rows as a tie of the pair hashes. A bad row, an undecodable
+    byte or a tie makes it read the file again holding every row, the exact
+    pass, which raises the line-numbered error of the first bad row or
+    finds none when the hashes merely collide; a file that changed since
+    the streaming pass loads as the exact pass reads it after a bad row.
+    Without ``surfaces``, or from a file that cannot be read twice, such as
+    a pipe, the exact pass is the read. It raises the DataError of the first
+    bad row, or of the first row that repeats a (surface, entity) pair.
     """
-    keys = None if surfaces is None else np.sort(hashes(surfaces), kind="stable")
+    keys = None
+    if surfaces is not None and os.path.isfile(path):
+        keys = np.sort(hashes(surfaces), kind="stable")
     spans: dict[str, dict[str, float]] = {}  # a surface's candidates, in row order
     entities = PackedSymbols()
-    pairs = bytearray()  # native int64 hashes of the (surface, entity) pairs
+    pairs = bytearray()  # native int64 hashes of the streamed (surface, entity) pairs
     rejected = 0
     chunk: list[tuple[int, str, str, float]] = []
 
     def take_chunk() -> None:
-        """Add the entity and the pair hash of each row of ``chunk``, hold
-        the candidates of its rows whose surface is kept, and empty it."""
+        """Add the entity of each row of ``chunk``, hold the candidates of
+        its rows whose surface is kept, and empty it."""
         nonlocal chunk
         rows, chunk = chunk, []
         entities.update([row[2] for row in rows])
-        pairs.extend(hashes(row[1:3] for row in rows).tobytes())
         if keys is not None:
+            pairs.extend(hashes(row[1:3] for row in rows).tobytes())
             found = hashes(row[1] for row in rows)
             at = keys.searchsorted(found).clip(max=len(keys) - 1)
             rows = compress(rows, (keys[at] == found).tolist() if len(keys) else ())
@@ -194,11 +201,16 @@ def read_table(
             chunk.append(row)
             if len(chunk) == TABLE_CHUNK_ROWS:
                 take_chunk()
-    finally:
-        # Also on a bad row, so a duplicate held before it is the error.
         take_chunk()
+    except (DataError, UnicodeDecodeError):
+        if keys is not None:
+            return read_table(path, max_span)
+        take_chunk()  # a duplicate held before the bad row is the error
+        raise
     table = CandidateTable(
         {s: tuple(map(Candidate, c, c.values())) for s, c in spans.items()},
         entities, rejected,
     )
-    return table, has_tie(np.frombuffer(pairs, dtype=np.int64))
+    if keys is not None and has_tie(np.frombuffer(pairs, dtype=np.int64)):
+        read_table(path, max_span)  # raises the first bad row's error
+    return table

@@ -53,45 +53,36 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="alignment file to write")
     p.set_defaults(func=cmd_align)
 
-    p = sub.add_parser("eval-lama",
+    # No command reads --threads: every output is the same for any value.
+    threads = _Parser(add_help=False)
+    threads.add_argument("--threads", type=int, default=1,
+                         help="accepted for compatibility; no output depends on it")
+
+    p = sub.add_parser("eval-lama", parents=[threads],
                        help="rank cloze questions and report hits@k per relation")
-    p.add_argument("--data", required=True, help="directory of <relation>.jsonl files")
-    p.add_argument("--templates", required=True, help="templates JSON file")
-    p.add_argument("--wp-space", required=True)
+    _add_cloze_inputs(p)
     p.add_argument("--ent-space", help="word-and-entity space (needs --align)")
     p.add_argument("--align", help="alignment file from 'entkit align'")
     p.add_argument("--mode", choices=[m.value for m in InputMode], default="bert")
     p.add_argument("--k", type=int, default=1)
-    p.add_argument("--answer-vocab",
-                   help="file with one answer symbol per line; defaults to all "
-                        "non-special, non-continuation wordpieces")
     p.add_argument("--resolutions",
                    help="resolution TSV (surface, qid, url) for subject entities")
     p.add_argument("--stage", default="0", help="stage label echoed in the report")
     p.add_argument("--out", help="report TSV path (default stdout)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; cloze scoring runs "
-                        "in batches, so it has no effect")
     p.set_defaults(func=cmd_eval_lama)
 
-    p = sub.add_parser("filter-uhn",
+    p = sub.add_parser("filter-uhn", parents=[threads],
                        help="delete questions answerable from the subject name alone")
-    p.add_argument("--data", required=True, help="directory of <relation>.jsonl files")
-    p.add_argument("--templates", required=True)
+    _add_cloze_inputs(p)
     p.add_argument("--out-dir", required=True,
                    help="writes stage0/ stage1/ stage2/ datasets and stats.tsv")
-    p.add_argument("--wp-space", required=True)
-    p.add_argument("--answer-vocab")
     p.add_argument("--top-k", type=int, default=3,
                    help="probe depth for the name heuristic; 0 disables it")
     p.add_argument("--case-insensitive-match", action="store_true",
                    help="match probe answers case-insensitively")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; cloze scoring runs "
-                        "in batches, so it has no effect")
     p.set_defaults(func=cmd_filter_uhn)
 
-    p = sub.add_parser("link",
+    p = sub.add_parser("link", parents=[threads],
                        help="link entity mentions in pre-tokenized documents")
     p.add_argument("--docs", required=True, help="documents JSON-lines file")
     p.add_argument("--table", required=True, help="candidate TSV (surface, entity, prior)")
@@ -115,9 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--standard-mask", action="store_true",
                    help="use a plain mask instead of the candidate-mean mask")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; linking rescores "
-                        "in batches, so it has no effect")
     p.set_defaults(func=cmd_link)
 
     p = sub.add_parser("resolve",
@@ -196,6 +184,16 @@ def _entity_space(wp, ent_path, align_path, keep, absent=None):
     return alignment.derive_entity_space(amap, wiki)
 
 
+def _add_cloze_inputs(p) -> None:
+    """Declare the flags ``_cloze_inputs`` reads."""
+    p.add_argument("--data", required=True, help="directory of <relation>.jsonl files")
+    p.add_argument("--templates", required=True, help="templates JSON file")
+    p.add_argument("--wp-space", required=True)
+    p.add_argument("--answer-vocab",
+                   help="file with one answer symbol per line; defaults to all "
+                        "non-special, non-continuation wordpieces")
+
+
 def _cloze_inputs(args):
     """A cloze command's wordpiece space, answer vocabulary, relation files
     and templates, loaded in that order; every relation needs a template."""
@@ -213,8 +211,6 @@ def cmd_eval_lama(args) -> int:
     from . import lama_bench
     from .scorer import ReferenceScorer
 
-    if args.k < 1:
-        raise UsageError(f"entkit eval-lama: --k must be at least 1, got {args.k}")
     if breaks_tsv(args.stage):
         raise UsageError("entkit eval-lama: --stage must not hold a tab or line break, "
                          f"got {args.stage!r}")
@@ -278,8 +274,6 @@ def cmd_filter_uhn(args) -> int:
     from . import lama_bench
     from .scorer import ReferenceScorer
 
-    if args.top_k < 0:
-        raise UsageError(f"entkit filter-uhn: --top-k must be at least 0, got {args.top_k}")
     wp, answer_vocab, dataset, templates = _cloze_inputs(args)
     scorer = ReferenceScorer(wp)
 
@@ -305,11 +299,6 @@ def cmd_link(args) -> int:
     from . import embeddings, entity_linking
     from .scorer import AffineHead, ReferenceScorer
 
-    for flag, value in (("--iterations", args.iterations), ("--max-span", args.max_span)):
-        if value < 1:
-            raise UsageError(f"entkit link: {flag} must be at least 1, got {value}")
-    if args.epochs < 0:
-        raise UsageError(f"entkit link: --epochs must be at least 0, got {args.epochs}")
     for flag, value in (("--step", args.step), ("--eps-bias", args.eps_bias)):
         if not math.isfinite(value):
             raise UsageError(f"entkit link: {flag} must be finite, got {value}")
@@ -445,13 +434,20 @@ def cmd_resolve(args) -> int:
     return EXIT_ENDPOINT if failed else EXIT_OK
 
 
+# The least value of each integer flag, checked in this order before a
+# command reads any file.
+_FLOORS = (("threads", 1), ("k", 1), ("top_k", 0), ("iterations", 1),
+           ("max_span", 1), ("epochs", 0))
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if getattr(args, "threads", 1) < 1:
-            raise UsageError(
-                f"entkit {args.command}: --threads must be at least 1, got {args.threads}"
-            )
+        given = vars(args)
+        for name, least in _FLOORS:
+            if given.get(name, least) < least:
+                raise UsageError(f"entkit {args.command}: --{name.replace('_', '-')} "
+                                 f"must be at least {least}, got {given[name]}")
         level = logging.WARNING - 10 * min(args.verbose, 2)
         logging.basicConfig(level=level, stream=sys.stderr, format="%(message)s")
         return args.func(args)

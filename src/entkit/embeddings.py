@@ -34,7 +34,7 @@ from __future__ import annotations
 import os
 import warnings
 from dataclasses import dataclass
-from typing import Container, Iterable, NamedTuple
+from typing import Container, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -112,11 +112,8 @@ class EmbeddingSpace:
                 f"matrix shape {self.matrix.shape} does not match {len(self.vocab)} symbols")
         if self.dim <= 0:
             raise ValueError(f"dimension must be positive, got {self.dim}")
-        if self.matrix.size and not np.all(np.isfinite(self.matrix)):
-            bad = int(np.argwhere(~np.isfinite(self.matrix).all(axis=1))[0][0])
-            raise DataError(
-                f"non-finite embedding row for symbol {self.vocab.symbols[bad]!r}"
-            )
+        if (bad := _first_non_finite(self.vocab.symbols, self.matrix)) is not None:
+            raise DataError(f"non-finite embedding row for symbol {bad!r}")
         self.matrix.setflags(write=False)
 
     @property
@@ -173,7 +170,7 @@ def _kept_rows(
     return [symbols[i] for i in ids], matrix[ids]
 
 
-def _first_non_finite(symbols: list[str], matrix: np.ndarray) -> str | None:
+def _first_non_finite(symbols: Sequence[str], matrix: np.ndarray) -> str | None:
     finite = np.isfinite(matrix).all(axis=1)
     return None if finite.all() else symbols[int(finite.argmin())]
 

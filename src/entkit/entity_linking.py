@@ -13,7 +13,6 @@ iteration j.
 from __future__ import annotations
 
 import logging
-import os
 from dataclasses import dataclass
 from enum import Enum
 from itertools import accumulate
@@ -117,33 +116,15 @@ def load_candidate_table(
 
     Priors must lie in (0, 1]; they need not sum to one per surface.
     Duplicate (surface, entity) rows are an error. Keys longer than
-    ``max_span`` whitespace tokens are rejected and counted.
-
-    Given ``surfaces``, the documents' span keys, and a regular file, the
-    table holds candidates only for surfaces among them (and, on a hash
-    collision, perhaps a few more), so its memory grows with the documents,
-    not with the file. Every row is still checked, and ``entities`` holds
-    the entities of every row within the length limit. Duplicate pairs
-    among the rows not held are found from one hash per (surface, entity)
-    pair; a bad row or two equal hashes make ``read_table`` read the file
-    again holding every row, the exact pass, which raises the line-numbered
-    error of the first bad row, or finds none when the hashes merely
-    collide. Without ``surfaces`` (the whole table, as tests load it), or from
-    a file that cannot be read twice, such as a pipe, the exact pass is the
-    load.
+    ``max_span`` whitespace tokens are rejected and counted. Given
+    ``surfaces``, the documents' span keys, and a regular file, the table
+    holds candidates only for surfaces among them, so its memory grows with
+    the documents, not with the file; every row is still checked, and
+    ``entities`` holds the entities of every row within the length limit
+    (see ``read_table``). Without ``surfaces`` (the whole table, as tests
+    load it), or from a pipe, it holds every surface.
     """
-    if surfaces is None or not os.path.isfile(path):
-        table, _ = read_table(path, max_span)
-    else:
-        try:
-            table, tie = read_table(path, max_span, surfaces)
-        except (DataError, UnicodeDecodeError):
-            table, tie = None, True
-        if tie:
-            # Raises the first bad row's error. A file that changed since the
-            # first pass read it loads as it reads now.
-            whole, _ = read_table(path, max_span)
-            table = whole if table is None else table
+    table = read_table(path, max_span, surfaces)
     if table.rejected_long_keys:
         logger.info("candidate table: rejected %d over-length keys", table.rejected_long_keys)
     logger.info("candidate table: kept %d of %d rows (%d surfaces)",
@@ -420,7 +401,7 @@ def train_linker(
     for epoch in range(epochs + 1):
         u = head.apply(states)
         # Only the null entity, the shared candidate, is trainable.
-        loss, du, g_null, _ = candidate_gradients(u, groups, gold, (eps.e, eps.b))
+        loss, du, g_null = candidate_gradients(u, groups, gold, (eps.e, eps.b))
         # cumsum adds the losses one by one in example order.
         losses.append(float(np.cumsum(loss)[-1]) / n)
         if not np.isfinite(losses[-1]):
@@ -476,20 +457,20 @@ def iterative_refine(
     pieces = document_pieces([tokens if spans else () for tokens, spans in docs],
                              scorer.wp_vocab)
     steps: list[list[RefinementStep]] = [[] for _ in docs]
-    going = range(len(docs))
 
     for j in range(1, iterations + 1):
-        # (document, its decoded spans, its undecided spans) of this round.
+        # (document, its decoded spans, its undecided spans) of this round:
+        # a document goes on while its last round had a span to select.
         rounds = []
-        for d in going:
-            spans = docs[d][1]
+        for d, (_, spans) in enumerate(docs):
+            if steps[d] and not steps[d][-1].selectable:
+                continue
             undecided = [s for s in spans if s.state is SpanState.UNDECIDED]
             if undecided:
                 taken = [s for s in spans if s.state is SpanState.DECODED]
                 rounds.append((d, taken, undecided))
         if not rounds:
             break
-        going = []
         for block in _blocks(rounds, lambda r: len(r[2])):
             undecided = [s for _, _, und in block for s in und]
             groups = candidate_groups([s.candidates for s in undecided], scorer.ent)
@@ -506,13 +487,10 @@ def iterative_refine(
                 p_null[rows] = p[:, -1]
             at = 0
             for d, taken, und in block:
-                step = _decode_round(d, j, iterations, taken, und,
-                                     best[at : at + len(und)].tolist(),
-                                     p_null[at : at + len(und)].tolist())
+                steps[d].append(_decode_round(d, j, iterations, taken, und,
+                                              best[at : at + len(und)].tolist(),
+                                              p_null[at : at + len(und)].tolist()))
                 at += len(und)
-                steps[d].append(step)
-                if step.selectable:
-                    going.append(d)
 
     spans = [s for _, doc_spans in docs for s in doc_spans]
     for span in spans:

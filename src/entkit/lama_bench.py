@@ -307,7 +307,8 @@ def load_templates(path) -> dict[str, RelationTemplate]:
 def load_lama_dir(path, answer_vocab: Vocabulary) -> tuple[Dataset, dict[str, int]]:
     """Load one JSON-lines file per relation from a directory.
 
-    The relation name is the file stem. Triples whose answer is not a single
+    The relation name is the file stem, which must not be ``ALL``, the name
+    of ``eval-lama``'s total row. Triples whose answer is not a single
     symbol of the answer vocabulary are rejected and counted per relation,
     never silently dropped. ``sub_uri`` fields are tolerated and ignored;
     subject resolution is a separate step.
@@ -323,6 +324,9 @@ def load_lama_dir(path, answer_vocab: Vocabulary) -> tuple[Dataset, dict[str, in
         if breaks_tsv(rel):  # the reports are tab-separated
             raise DataError(f"{path}: relation file name {file.name!r} holds a tab "
                             "or line break")
+        if rel == "ALL":
+            raise DataError(f"{path}: relation file name {file.name!r} is reserved "
+                            "for the report's total row")
         triples: list[KbTriple] = []
         nrej = 0
         for lineno, obj in json_lines(file):

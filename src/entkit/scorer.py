@@ -251,30 +251,27 @@ def candidate_gradients(u: np.ndarray, groups, gold, shared):
     """Gradients of ``-log p(gold)`` for ``candidate_probs``, where
     ``gold[s]`` indexes row s's candidates, ``shared`` last.
 
-    With g = p - onehot(gold), returns ``(loss, du, dshared, probs)``: per
-    row, the loss, du = sum_j g_j e_j (the gradient in the head output, so
-    d/dc through an affine head and d/dA = du h^T) and the shared g (d/db;
-    d/de = g u); per group, the softmax p. The loss is taken from the
+    With p the softmax and g = p - onehot(gold), returns
+    ``(loss, du, dshared)``, per row: the loss, du = sum_j g_j e_j (the
+    gradient in the head output, so d/dc through an affine head and d/dA =
+    du h^T) and the shared g (d/db; d/de = g u). The loss is taken from the
     logits as ``logsumexp(logits) - logits[gold]``, the log of the sum the
     softmax divides by, so it stays finite where p(gold) underflows to zero.
     """
     loss = np.zeros(len(u))
     du = np.zeros_like(u)
     dshared = np.zeros(len(u))
-    probs = []
     for (rows, e, _), z in zip(groups, _candidate_logits(u, groups, shared)):
         at_gold = (np.arange(len(z)), gold[rows])
         top = z.max(axis=1)
-        p = np.exp(z - top[:, None])
-        total = p.sum(axis=1)
-        p /= total[:, None]
-        probs.append(p)
+        g = np.exp(z - top[:, None])
+        total = g.sum(axis=1)
+        g /= total[:, None]
         loss[rows] = (top - z[at_gold]) + np.log(total)
-        g = p.copy()
         g[at_gold] -= 1.0
         du[rows] = (g[:, :-1, None] * e).sum(axis=1) + g[:, -1:] * shared[0]
         dshared[rows] = g[:, -1]
-    return loss, du, dshared, probs
+    return loss, du, dshared
 
 
 def _softmax(z: np.ndarray) -> np.ndarray:
@@ -358,11 +355,12 @@ class ReferenceScorer:
             raise ValueError(f"at most {ROW_BLOCK} inputs per call, got {len(inputs)}")
         if not symbols:
             raise ValueError("no answer symbols to score")
-        missing = [s for s in symbols if s not in self.wp.vocab]
-        if missing:
-            raise DataError(f"answer symbol {missing[0]!r} missing from wordpiece space")
+        ids = [self.wp.vocab.index.get(s) for s in symbols]
+        if None in ids:
+            raise DataError(f"answer symbol {symbols[ids.index(None)]!r} "
+                            "missing from wordpiece space")
         # The rows stay float32: the product widens them exactly.
-        e = self.wp.matrix[[self.wp.vocab.index[s] for s in symbols]]
+        e = self.wp.matrix[ids]
         block = np.zeros((ROW_BLOCK, self.wp.dim))
         block[: len(inputs)] = self.mask_states(tokens, inputs)
         probs = _softmax(np.ascontiguousarray((e @ block.T).T))[: len(inputs)]

@@ -16,7 +16,8 @@ plain way, so a test can compare the two:
 - ``row`` looks one symbol's row up in a space.
 
 ``head_gradients`` is the one adapter: the library's ``candidate_gradients``
-on a batch of one, shaped for finite-difference checks of library code.
+and ``candidate_probs`` on a batch of one, shaped for finite-difference
+checks of library code.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from entkit.scorer import candidate_gradients
+from entkit.scorer import candidate_gradients, candidate_probs
 from entkit.text_input import (
     MASK_WORD,
     UNK,
@@ -166,13 +167,15 @@ class HeadGradients(NamedTuple):
 
 def head_gradients(h, head, cands, gold: int) -> HeadGradients:
     """``candidate_gradients`` of a batch of one state ``h`` whose candidates
-    are the ``(e, b)`` pairs ``cands``, the last one as the shared one."""
+    are the ``(e, b)`` pairs ``cands``, the last one as the shared one, with
+    their probabilities from ``candidate_probs``."""
     h = np.asarray(h, dtype=np.float64)
     u = head.apply(h[None])
     *own, shared = cands
     e = np.array([e for e, _ in own], dtype=np.float64).reshape(1, len(own), len(h))
     group = ([0], e, np.array([[b for _, b in own]]))
-    loss, du, _, probs = candidate_gradients(u, [group], np.array([gold]), shared)
-    g = probs[0][0] - np.eye(len(cands))[gold]
+    loss, du, _ = candidate_gradients(u, [group], np.array([gold]), shared)
+    probs = candidate_probs(u, [group], shared)[0][0]
+    g = probs - np.eye(len(cands))[gold]
     return HeadGradients(np.outer(du[0], h), du[0], [(gj * u[0], float(gj)) for gj in g],
-                         probs[0][0], float(loss[0]))
+                         probs, float(loss[0]))

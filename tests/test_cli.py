@@ -784,6 +784,8 @@ class TestLink:
         ("--step", "nan", "--step must be finite"),
         ("--step", "inf", "--step must be finite"),
         ("--eps-bias", "nan", "--eps-bias must be finite"),
+        ("--eps-bias", "inf", "--eps-bias must be finite"),
+        ("--max-span", "0", "--max-span must be at least 1"),
     ])
     def test_out_of_range_training_flag_exit_usage_before_loading(
         self, tmp_path, capsys, flag, value, text
@@ -959,6 +961,34 @@ def test_threads_below_one_exit_usage_before_loading(tmp_path, capsys, command, 
     assert_one_line_error(code, stderr, 1, f"--threads must be at least 1, got {threads}")
     assert stdout == ""
     assert list(tmp_path.iterdir()) == []
+
+
+def test_integer_floors_are_checked_in_one_order_before_loading(tmp_path, capsys):
+    # Each run fixes the first flag below its floor; the files do not exist.
+    missing = str(tmp_path / "none")
+    argv = ["link", "--docs", missing, "--table", missing, "--wp-space", missing,
+            "--ent-space", missing, "--align", missing, "--train", "--out-dir", missing]
+    low = [("--threads", "0", 1), ("--iterations", "0", 1), ("--max-span", "0", 1),
+           ("--epochs", "-1", 0)]
+    for i, (flag, value, least) in enumerate(low):
+        code, _, stderr = run(capsys, *argv, *[a for f, v, _ in low[i:] for a in (f, v)])
+        assert_one_line_error(code, stderr, 1, f"entkit link: {flag} must be at least "
+                                               f"{least}, got {value}")
+    code, _, stderr = run(capsys, "eval-lama", "--data", missing, "--templates", missing,
+                          "--wp-space", missing, "--k", "0", "--threads", "0")
+    assert_one_line_error(code, stderr, 1, "--threads must be at least 1, got 0")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_threads_is_one_option_with_one_help_text(capsys):
+    for command in ("eval-lama", "filter-uhn", "link"):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        entries = re.findall(r"^  --threads THREADS\s+(.*?)(?=\n  -|\Z)",
+                             capsys.readouterr().out, flags=re.M | re.S)
+        assert [" ".join(e.split()) for e in entries] == [
+            "accepted for compatibility; no output depends on it"]
 
 
 GOOD_DOC = {"doc_id": "d", "tokens": ["Adams", "and", "Platt"],

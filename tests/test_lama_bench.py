@@ -586,6 +586,12 @@ class TestLoaders:
         (tmp_path / "P1.jsonl").write_text('{"obj_label": "x"}\n', encoding="utf-8")
         with pytest.raises(DataError, match="missing sub_label"):
             load_lama_dir(tmp_path, vocab)
+        # eval-lama's report ends with its total row, named ALL.
+        (tmp_path / "P1.jsonl").unlink()
+        (tmp_path / "ALL.jsonl").write_text('{"sub_label": "A", "obj_label": "x"}\n',
+                                            encoding="utf-8")
+        with pytest.raises(DataError, match="'ALL.jsonl' is reserved for the report's total row"):
+            load_lama_dir(tmp_path, vocab)
 
     def test_resolve_subjects(self):
         dataset = {
